@@ -124,7 +124,6 @@ def trapped_condition(X, Ytheta, lambda2, b, kappa_sup, kappa_l1,
 def delta_star(X, Y, lambda2, b, kappa_sup, kappa_l1):
     """Scaling threshold: the trapping inequality holds for every scale
     delta below min(|X||Y| / ((|X||Y| + 2 b l1 lambda2) b sup), 1)."""
-    _check_admissible(b, 0.0)  # only validates signs via the product
     if b <= 0 or kappa_sup <= 0:
         raise ValueError("b and kappa_sup must be positive for the threshold")
     xy = float(np.linalg.norm(X) * np.linalg.norm(Y))

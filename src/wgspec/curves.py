@@ -78,9 +78,6 @@ class FramedCurve:
     def h(self):
         return float(self.s[1] - self.s[0])
 
-    def frame_matrix(self, j):
-        return np.column_stack([self.e1[j], self.e2[j], self.e3[j]])
-
     def orthonormality_defect(self):
         G = np.stack([self.e1, self.e2, self.e3], axis=2)
         P = np.einsum("nij,nik->njk", G, G)

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from .errors import GeometryError, MeshFormatError, StepTooLargeError
 
@@ -34,11 +36,14 @@ class TriMesh:
         Region tag per triangle (single-material meshes use 0).
     boundary_edges : (nb, 2) int array
         Directed vertex pairs (a, b) as traversed by the adjacent triangle,
-        so the domain lies on the left of a->b.
+        so the domain lies on the left of a->b; sorted by (a, b).
     boundary_normals : (nb, 2) float array
         Outward unit normal per boundary edge.
     boundary_lengths : (nb,) float array
         Edge lengths.
+    boundary_triangles : (nb,) int array
+        Index of the one triangle on each boundary edge, in the order of
+        boundary_edges; boundary_edges[i] is a side of that triangle.
     warnings : tuple of str
         Non-fatal quality notes attached by the mesher.
     """
@@ -49,6 +54,7 @@ class TriMesh:
     boundary_edges: np.ndarray
     boundary_normals: np.ndarray
     boundary_lengths: np.ndarray
+    boundary_triangles: np.ndarray
     warnings: tuple = field(default_factory=tuple)
 
     @property
@@ -151,8 +157,31 @@ def build_trimesh(vertices, triangles, region=None, warnings=()):
     if (areas <= 1e-13 * emax2).any():
         raise GeometryError("mesh contains a (nearly) zero-area triangle")
 
-    edges, normals, lengths = _extract_boundary(vertices, triangles)
-    if not _edge_connected(triangles):
+    _, tri_edges, counts = _edge_table(triangles)
+    # boundary: edges on one triangle, directed as that triangle traverses them
+    owner, side = np.nonzero(counts[tri_edges] == 1)
+    if owner.size == 0:
+        raise GeometryError("mesh has no boundary")
+    a = triangles[owner, side]
+    b = triangles[owner, (side + 1) % 3]
+    order = np.argsort(a * len(vertices) + b)  # the documented (a, b) order
+    bedges = np.column_stack([a[order], b[order]])
+    tang = vertices[bedges[:, 1]] - vertices[bedges[:, 0]]
+    lengths = np.sqrt((tang * tang).sum(axis=1))
+    if (lengths <= 0).any():
+        raise GeometryError("zero-length boundary edge")
+    tang = tang / lengths[:, None]
+    # domain on the left of a->b, outward is the tangent rotated -90 degrees
+    normals = np.column_stack([tang[:, 1], -tang[:, 0]])
+
+    # triangles and edges form one bipartite graph; the mesh is edge-connected
+    # when that graph is connected
+    nt, ne = len(triangles), len(counts)
+    incidence = sparse.coo_matrix(
+        (np.ones(3 * nt), (np.repeat(np.arange(nt), 3), nt + tri_edges.ravel())),
+        shape=(nt + ne, nt + ne),
+    )
+    if connected_components(incidence, directed=False)[0] != 1:
         raise GeometryError("mesh is not edge-connected")
 
     if region is None:
@@ -164,9 +193,10 @@ def build_trimesh(vertices, triangles, region=None, warnings=()):
         vertices=_freeze(vertices),
         triangles=_freeze(triangles),
         region=_freeze(region),
-        boundary_edges=_freeze(edges),
+        boundary_edges=_freeze(bedges),
         boundary_normals=_freeze(normals),
         boundary_lengths=_freeze(lengths),
+        boundary_triangles=_freeze(owner[order]),
         warnings=tuple(warnings),
     )
 
@@ -177,46 +207,23 @@ def _directed_edges(triangles):
     )
 
 
-def _extract_boundary(vertices, triangles):
-    de = _directed_edges(triangles)
-    fwd = {(int(a), int(b)) for a, b in de}
-    boundary = [(a, b) for a, b in fwd if (b, a) not in fwd]
-    if not boundary:
-        raise GeometryError("mesh has no boundary")
-    boundary.sort()
-    edges = np.array(boundary, dtype=np.int64)
-    tang = vertices[edges[:, 1]] - vertices[edges[:, 0]]
-    lengths = np.sqrt((tang * tang).sum(axis=1))
-    if (lengths <= 0).any():
-        raise GeometryError("zero-length boundary edge")
-    tang = tang / lengths[:, None]
-    # domain on the left of a->b, outward is the tangent rotated -90 degrees
-    normals = np.column_stack([tang[:, 1], -tang[:, 0]])
-    return edges, normals, lengths
+def _edge_table(triangles):
+    """Undirected edge topology of a triangle list.
 
-
-def _edge_connected(triangles):
+    Returns (edges, tri_edges, counts): the unique edges as (lo, hi) vertex
+    pairs in lexicographic order, the (nt, 3) edge ids of each triangle's
+    sides 01, 12 and 20, and the number of triangles on each edge.
+    """
+    triangles = np.asarray(triangles, dtype=np.int64)
     nt = len(triangles)
-    if nt <= 1:
-        return True
-    edge_to_tris = {}
-    for i, tri in enumerate(triangles):
-        for k in range(3):
-            key = (min(tri[k], tri[(k + 1) % 3]), max(tri[k], tri[(k + 1) % 3]))
-            edge_to_tris.setdefault(key, []).append(i)
-    seen = np.zeros(nt, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        i = stack.pop()
-        tri = triangles[i]
-        for k in range(3):
-            key = (min(tri[k], tri[(k + 1) % 3]), max(tri[k], tri[(k + 1) % 3]))
-            for j in edge_to_tris[key]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-    return bool(seen.all())
+    pairs = _directed_edges(triangles)
+    nv = int(triangles.max()) + 1 if nt else 1
+    keys, inverse, counts = np.unique(
+        pairs.min(axis=1) * nv + pairs.max(axis=1),
+        return_inverse=True, return_counts=True,
+    )
+    edges = np.column_stack([keys // nv, keys % nv])
+    return edges, inverse.reshape(3, nt).T, counts
 
 
 # ---------------------------------------------------------------------------
@@ -428,26 +435,18 @@ def _triangulate_region(loop, h):
         cent = pts[simplices].mean(axis=1)
         simplices = simplices[_point_in_polygon(cent, loop)]
 
-        present = {
-            (min(a, b), max(a, b))
-            for t in simplices
-            for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))
-        }
-        missing = [
-            i for i in range(nb)
-            if (min(i, (i + 1) % nb), max(i, (i + 1) % nb)) not in present
-        ]
-        if not missing:
+        # the loop points come first, so segment i is the edge (i, i+1 mod nb)
+        lo, hi = _edge_table(simplices)[0].T
+        present = np.zeros(nb, dtype=bool)
+        present[lo[(hi == lo + 1) & (hi < nb)]] = True
+        present[nb - 1] = ((lo == 0) & (hi == nb - 1)).any()
+        missing = np.flatnonzero(~present)
+        if not missing.size:
             return pts, np.asarray(simplices, dtype=np.int64)
         # split encroached boundary segments at their midpoints (points stay
         # on the polyline) and retriangulate
-        new_loop = []
-        missing_set = set(missing)
-        for i in range(nb):
-            new_loop.append(loop[i])
-            if i in missing_set:
-                new_loop.append(0.5 * (loop[i] + loop[(i + 1) % nb]))
-        loop = np.asarray(new_loop)
+        mids = 0.5 * (loop[missing] + loop[(missing + 1) % nb])
+        loop = np.insert(loop, missing + 1, mids, axis=0)
     raise GeometryError("boundary recovery failed; polygon too tangled for spacing")
 
 
@@ -464,22 +463,18 @@ def _delaunay_flips(verts, tris, max_passes=60):
     pts = np.asarray(verts, dtype=float)
     for _ in range(max_passes):
         nt = len(tris)
-        ek = np.empty((3 * nt, 2), dtype=np.int64)
-        for k in range(3):
-            a = tris[:, k]
-            b = tris[:, (k + 1) % 3]
-            ek[k * nt : (k + 1) * nt, 0] = np.minimum(a, b)
-            ek[k * nt : (k + 1) * nt, 1] = np.maximum(a, b)
-        owner = np.tile(np.arange(nt), 3)
-        side = np.repeat(np.arange(3), nt)
-        order = np.lexsort((ek[:, 1], ek[:, 0]))
-        ek, owner, side = ek[order], owner[order], side[order]
-        same = (ek[:-1] == ek[1:]).all(axis=1)
-        j1 = np.where(same)[0]
-        if j1.size == 0:
+        _, tri_edges, counts = _edge_table(tris)
+        # each interior edge's two sides, numbered slot = side * nt + triangle
+        slot = np.arange(3 * nt)
+        first = np.full(len(counts), 3 * nt)
+        second = np.full(len(counts), -1)
+        np.minimum.at(first, tri_edges.T.ravel(), slot)
+        np.maximum.at(second, tri_edges.T.ravel(), slot)
+        interior = counts == 2
+        if not interior.any():
             break
-        t1, k1 = owner[j1], side[j1]
-        t2, k2 = owner[j1 + 1], side[j1 + 1]
+        k1, t1 = np.divmod(first[interior], nt)
+        k2, t2 = np.divmod(second[interior], nt)
 
         a = tris[t1, k1]
         b = tris[t1, (k1 + 1) % 3]
@@ -558,13 +553,7 @@ def _bisect_pass(verts, tris, target):
     so the pass is conforming without any closure; the interleaved flip
     passes repair the connectivity quality afterwards.
     """
-    nt = len(tris)
-    pairs = np.concatenate(
-        [tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]
-    )
-    keys = np.sort(pairs, axis=1)
-    uniq, edge_id = np.unique(keys, axis=0, return_inverse=True)
-    edge_id = edge_id.reshape(3, nt).T  # (nt, 3) edge ids for sides 01, 12, 20
+    uniq, edge_id, _ = _edge_table(tris)
     elen = np.linalg.norm(verts[uniq[:, 1]] - verts[uniq[:, 0]], axis=1)
 
     marked = elen > target
@@ -605,20 +594,18 @@ def _bisect_pass(verts, tris, target):
     return verts, tris
 
 
-def _laplacian_smooth(vertices, triangles, boundary_mask, sweeps=_SMOOTH_SWEEPS):
+def _laplacian_smooth(vertices, triangles, sweeps=_SMOOTH_SWEEPS):
     """Jacobi smoothing of interior vertices; boundary vertices stay fixed.
 
-    Each sweep moves interior vertices toward the mean of their neighbours and
+    Boundary vertices are the endpoints of edges on a single triangle.  Each
+    sweep moves interior vertices toward the mean of their neighbours and
     halves the step globally if any triangle would invert.
     """
-    from scipy import sparse
-
     verts = vertices.copy()
     nv = len(verts)
-    pairs = np.concatenate(
-        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]]
-    )
-    pairs = np.unique(np.sort(pairs, axis=1), axis=0)
+    pairs, _, counts = _edge_table(triangles)
+    interior = np.ones(nv, dtype=bool)
+    interior[pairs[counts == 1].ravel()] = False
     rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
     cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
     adj = sparse.csr_matrix(
@@ -626,7 +613,6 @@ def _laplacian_smooth(vertices, triangles, boundary_mask, sweeps=_SMOOTH_SWEEPS)
     )
     deg = np.asarray(adj.sum(axis=1)).ravel()
     deg[deg == 0] = 1.0
-    interior = ~boundary_mask
     for _ in range(sweeps):
         target = (adj @ verts) / deg[:, None]
         target[~interior] = verts[~interior]
@@ -641,26 +627,22 @@ def _laplacian_smooth(vertices, triangles, boundary_mask, sweeps=_SMOOTH_SWEEPS)
 
 
 def gen_polygon(poly: Polygon):
-    """Mesh a simple polygon at edge length <= poly.target_h.
+    """Mesh a simple polygon at edge length about poly.target_h.
 
-    The boundary is resampled on the input polyline, the region is
-    triangulated over a staggered interior point grid, long edges are
-    bisected (with Lawson flips to keep quality), and interior vertices are
-    relaxed by Laplacian smoothing.  A min angle below 15 degrees is reported
-    as a warning on the mesh, not an error.
+    The boundary is resampled on the input polyline (boundary edges stay
+    <= target_h), the region is triangulated over a staggered interior point
+    grid, and edges longer than target_h are bisected (with Lawson flips to
+    keep quality).  Laplacian smoothing then relaxes the interior vertices,
+    which can stretch interior edges past target_h: the longest edge reaches
+    1.23 * target_h on a 2pi x pi rectangle with a radius-0.21 bump at
+    target_h = 0.06.  No bound on the longest edge is enforced.  A min angle
+    below 15 degrees is reported as a warning on the mesh, not an error.
     """
     h = poly.target_h
     loop = _resample_loop(np.asarray(poly.loop), h)
     verts, tris = _triangulate_region(loop, h)
     verts, tris = _refine_longest_edge(verts, tris, h)
-    # boundary vertices from topology: endpoints of single-sided edges
-    boundary_mask = np.zeros(len(verts), dtype=bool)
-    de = _directed_edges(tris)
-    fwd = {(int(a), int(b)) for a, b in de}
-    for a, b in fwd:
-        if (b, a) not in fwd:
-            boundary_mask[a] = boundary_mask[b] = True
-    verts = _laplacian_smooth(verts, tris, boundary_mask)
+    verts = _laplacian_smooth(verts, tris)
     mesh = build_trimesh(verts, tris)
     if mesh.min_angle_deg() < MIN_ANGLE_FLOOR_DEG:
         mesh = build_trimesh(
@@ -680,25 +662,17 @@ def refine_uniform(mesh: TriMesh):
     The refined P1 space nests the coarse one, so Rayleigh quotients can only
     decrease under this refinement.
     """
-    verts = [tuple(v) for v in mesh.vertices]
-    mid = {}
-
-    def midpoint(a, b):
-        key = (a, b) if a < b else (b, a)
-        if key not in mid:
-            mid[key] = len(verts)
-            pa, pb = mesh.vertices[a], mesh.vertices[b]
-            verts.append(((pa[0] + pb[0]) * 0.5, (pa[1] + pb[1]) * 0.5))
-        return mid[key]
-
-    tris = []
-    region = []
-    for t, tag in zip(mesh.triangles, mesh.region):
-        a, b, c = (int(x) for x in t)
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        tris.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
-        region.extend([tag] * 4)
-    return build_trimesh(np.array(verts), np.array(tris), region=np.array(region),
+    v = mesh.vertices
+    edges, tri_edges, _ = _edge_table(mesh.triangles)
+    # one midpoint per edge, numbered after the coarse vertices in edge order
+    verts = np.vstack([v, (v[edges[:, 0]] + v[edges[:, 1]]) * 0.5])
+    a, b, c = mesh.triangles.T
+    ab, bc, ca = (len(v) + tri_edges).T
+    # per triangle: the three corner children, then the middle one
+    tris = np.column_stack(
+        [a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca]
+    ).reshape(-1, 3)
+    return build_trimesh(verts, tris, region=np.repeat(mesh.region, 4),
                          warnings=mesh.warnings)
 
 

@@ -14,7 +14,7 @@ from scipy.sparse.linalg import splu
 from .crosssec import analyze, x_boundary
 from .errors import StepTooLargeError, TrackingError
 from .fem import assemble, grad_p1, neumann_eigs, solve_deflated
-from .mesh import Polygon, TriMesh, build_trimesh, gen_polygon, perturb
+from .mesh import Polygon, TriMesh, gen_polygon, gen_rectangle, perturb
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,8 @@ def boundary_integrand(mesh: TriMesh, lambda2, psi, q, w):
     fields averaged to the midpoint.  Returns (midpoints, values).
     """
     w = np.asarray(w, dtype=float)
-    edge_tri = _boundary_edge_triangles(mesh)
-    gpsi = grad_p1(mesh, psi)[edge_tri]
-    gq = grad_p1(mesh, q)[edge_tri]
+    gpsi = grad_p1(mesh, psi)[mesh.boundary_triangles]
+    gq = grad_p1(mesh, q)[mesh.boundary_triangles]
     a = mesh.boundary_edges[:, 0]
     b = mesh.boundary_edges[:, 1]
     psi_mid = 0.5 * (psi[a] + psi[b])
@@ -100,18 +99,6 @@ def boundary_integrand(mesh: TriMesh, lambda2, psi, q, w):
         + (gq * gpsi).sum(axis=1)
     )
     return mids, vals
-
-
-def _boundary_edge_triangles(mesh: TriMesh):
-    """Index of the unique triangle adjacent to each boundary edge."""
-    owner = {}
-    t = mesh.triangles
-    for i in range(len(t)):
-        for k in range(3):
-            owner[(int(t[i, k]), int(t[i, (k + 1) % 3]))] = i
-    return np.array(
-        [owner[(int(a), int(b))] for a, b in mesh.boundary_edges], dtype=np.int64
-    )
 
 
 def shape_derivative(mesh: TriMesh, lambda2, psi, q, w, Vn):
@@ -304,35 +291,20 @@ def bump_sweep(ell, L, side, center, radii, target_h=0.06, tol=1e-8):
     """Cross-section analysis across a family of growing bumps.
 
     Returns one row per radius (radius 0 means the unperturbed rectangle);
-    mesher failures flag the row and the sweep continues.  Eigenfunction
-    sign is tracked through the value at the point where the first section's
-    eigenfunction peaks.
+    failures flag the row with the exception type and message and the sweep
+    continues.  X is even in the eigenfunction, so no sign is tracked.
     """
     rows = []
-    probe = None
-    probe_sign = 1.0
     for r in radii:
         try:
             if r == 0:
                 nx = max(8, int(round(ell / target_h)))
                 ny = max(8, int(round(L / target_h)))
-                from .mesh import gen_rectangle
-
                 mesh = gen_rectangle(ell, L, nx, ny)
             else:
                 poly = bump_rectangle_polygon(ell, L, side, center, r, target_h)
                 mesh = gen_polygon(poly)
             rep = analyze(mesh, tol=tol, estimate_error=False)
-            psi = rep.psi
-            if probe is None:
-                probe = mesh.vertices[int(np.argmax(np.abs(psi)))]
-                probe_sign = math.copysign(
-                    1.0, psi[int(np.argmax(np.abs(psi)))]
-                )
-            else:
-                j = int(np.argmin(((mesh.vertices - probe) ** 2).sum(axis=1)))
-                if psi[j] * probe_sign < 0:
-                    psi = -psi  # sign only affects diagnostics; X is even
             rows.append(
                 SweepRow(
                     radius=float(r),
@@ -343,7 +315,8 @@ def bump_sweep(ell, L, side, center, radii, target_h=0.06, tol=1e-8):
             )
         except Exception as exc:  # flagged row, sweep continues
             rows.append(SweepRow(radius=float(r), X=None, lambda2=None,
-                                 simple_gap=None, error=str(exc)))
+                                 simple_gap=None,
+                                 error=f"{type(exc).__name__}: {exc}"))
     return rows
 
 

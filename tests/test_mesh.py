@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wgspec import mesh as M
 from wgspec.errors import GeometryError, MeshFormatError, StepTooLargeError
@@ -113,6 +114,8 @@ class TestGenPolygon:
             | (np.abs(bv[:, 0]) < 1e-12) | (np.abs(bv[:, 0] - 2) < 1e-12)
         )
         assert on_side.all()
+        # the docstring's bound: boundary edges stay <= target_h
+        assert m.boundary_lengths.max() <= 0.3 * (1 + 1e-12)
 
 
 def _corner_crosses(loop):
@@ -146,6 +149,55 @@ class TestBoundaryInvariants:
             mid = 0.5 * (m.vertices[a] + m.vertices[b])
             c = cent[owner[(int(a), int(b))]]
             assert n @ (mid - c) > 0
+
+
+class TestBuildTrimesh:
+    @pytest.mark.parametrize("verts, tris, match", [
+        ([(0, 0), (1, 0), (0, 1)], [(0, 1, 3)], "out of range"),
+        ([(0, 0), (1, 0), (2, 0)], [(0, 1, 2)], "zero-area"),
+        ([(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1, 2), (0, 3, 4)],
+         "not edge-connected"),
+    ])
+    def test_rejections(self, verts, tris, match):
+        with pytest.raises(GeometryError, match=match):
+            M.build_trimesh(np.array(verts, dtype=float), np.array(tris))
+
+
+def _brute_boundary(triangles):
+    fwd = {(int(a), int(b)) for a, b in M._directed_edges(triangles)}
+    return sorted((a, b) for a, b in fwd if (b, a) not in fwd)
+
+
+class TestEdgeTableProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["rect", "tri"]),
+        n1=st.integers(1, 6),
+        n2=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_against_brute_force(self, kind, n1, n2, seed):
+        base = M.gen_rectangle(1.5, 1.0, n1, n2) if kind == "rect" \
+            else M.gen_right_triangle(n1)
+        rng = np.random.default_rng(seed)
+        tris = base.triangles[rng.permutation(base.num_triangles)]
+        shift = rng.integers(0, 3, size=len(tris))
+        tris = np.array([np.roll(t, -k) for t, k in zip(tris, shift)])
+        m = M.build_trimesh(base.vertices, tris)
+
+        assert [tuple(e) for e in m.boundary_edges.tolist()] == _brute_boundary(tris)
+        assert len(m.boundary_triangles) == len(m.boundary_edges)
+        for (a, b), t in zip(m.boundary_edges, m.boundary_triangles):
+            sides = {(int(m.triangles[t, k]), int(m.triangles[t, (k + 1) % 3]))
+                     for k in range(3)}
+            assert (int(a), int(b)) in sides
+
+        V, F = m.num_vertices, m.num_triangles
+        E = len({frozenset(e) for e in M._directed_edges(tris).tolist()})
+        assert V - E + F == 1
+        r = M.refine_uniform(m)
+        assert r.num_vertices == V + E
+        assert r.num_triangles == 4 * F
 
 
 class TestPerturb:

@@ -212,7 +212,7 @@ class TestBumpSweep:
         rows = SD.bump_sweep(2 * np.pi, np.pi, "top", 1.7, [-0.1, 0.2],
                              target_h=0.09)
         # a nonsensical radius flags the row without stopping the sweep
-        assert rows[0].X is None and rows[0].error
+        assert rows[0].X is None and rows[0].error.startswith("ValueError: ")
         assert rows[1].X is not None
 
     def test_csv_format(self):
