@@ -151,7 +151,6 @@ def cmd_shapederiv(args):
         _, M = assemble(mesh)
         lam2 = float(spec.eigenvalues[1])
         psi = spec.eigenvectors[:, 1]
-        psi = psi / math.sqrt(psi @ (M @ psi))
         ref = math.sqrt(2.0 / (ell * L)) * np.cos(np.pi * mesh.vertices[:, 0] / ell)
         if psi @ (M @ ref) < 0:
             psi = -psi

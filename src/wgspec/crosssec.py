@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSectionError
-from .fem import assemble, grad_p1, neumann_eigs
+from .fem import grad_p1, neumann_eigs
 from .mesh import TriMesh, _cross2, refine_uniform
 
 
@@ -118,10 +118,7 @@ def analyze(mesh: TriMesh, origin=(0.0, 0.0), tol=1e-8, estimate_error=True):
         disc_err = abs(lam2 - lam2_f) / max(lam2_f, 1e-300)
     simple = gap_ratio > max(10.0 * tol, 5.0 * disc_err)
 
-    _, M = assemble(mesh)
-    psi = spec.eigenvectors[:, 1]
-    psi = psi / math.sqrt(psi @ (M @ psi))
-    psi = fix_sign(psi)
+    psi = fix_sign(spec.eigenvectors[:, 1])
 
     warnings = tuple(mesh.warnings)
     if not simple:

@@ -1,8 +1,9 @@
 """P1 Lagrange finite elements on triangle meshes.
 
 Assembly of the stiffness and consistent mass matrices, Neumann and
-Dirichlet generalized eigensolves by shifted block inverse iteration, and
-deflated (bordered) solves of singular shifted systems.
+Dirichlet generalized eigensolves by shift-invert Lanczos (ARPACK through
+scipy's eigsh, one sparse LU factorization per eigensolve), and deflated
+(bordered) solves of singular shifted systems.
 """
 
 from __future__ import annotations
@@ -12,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import NearDegenerateError, SolverError
 from .mesh import TriMesh
 
-MAX_ITERATIONS = 500
-_COARSE_TOL = 1e-3
+# the eigensolver shift is -SHIFT_SCALE * tr(K)/tr(M): a fixed multiple of a
+# ratio that scales like an eigenvalue, so the spectrum scales exactly
+SHIFT_SCALE = 1e-5
 
 
 @dataclass(frozen=True)
@@ -28,12 +30,17 @@ class Spectrum:
     eigenvalues are ascending (units 1/length^2); eigenvectors are nodal and
     M-orthonormal, one column per eigenvalue; residuals are
     ||K u - lambda M u|| / ||M u|| per pair; bc is "neumann" or "dirichlet".
+    shift is the Lanczos shift sigma and solves the number of solves with
+    the factorized K - sigma M (0 for a dense solve); neither enters
+    to_json.
     """
 
     bc: str
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residuals: np.ndarray
+    shift: float
+    solves: int
 
     def to_json(self):
         return json.dumps(
@@ -101,56 +108,71 @@ def grad_p1(mesh: TriMesh, u):
     return np.column_stack([gx, gy]) / area2[:, None]
 
 
-def _m_orthonormalize(X, M):
-    """Column M-orthonormalization via Cholesky of the Gram matrix."""
-    G = X.T @ (M @ X)
-    L = np.linalg.cholesky(0.5 * (G + G.T))
-    return np.linalg.solve(L, X.T).T
+def _residuals(K, M, vals, X):
+    MX = M @ X
+    return np.linalg.norm(K @ X - MX * vals[None, :], axis=0) / np.linalg.norm(MX, axis=0)
 
 
-def _block_inverse_iteration(K, M, m_block, n_pairs, tol, shift, constant=None,
-                             max_iter=MAX_ITERATIONS, rng_seed=7):
-    """Shifted block inverse iteration with Rayleigh-Ritz extraction.
-
-    Returns (values, vectors, residuals, iterations, converged) for the
-    n_pairs smallest eigenpairs; the block carries extra guard vectors.
-    If ``constant`` is given, the iteration runs M-orthogonally to it.
+def _shift_invert_eigs(K, M, k, tol, constant=None):
+    """k eigenpairs of K u = lambda M u nearest above sigma = -SHIFT_SCALE *
+    tr(K)/tr(M), by ARPACK's implicitly restarted Lanczos on one factorization
+    of the positive definite K - sigma M.  The seeded start vector and every
+    solve are projected M-orthogonally off ``constant`` (an M-normalized null
+    vector of K) if given.  Pencils too small to restart a Lanczos basis in
+    are solved densely.  Returns (values, vectors, residuals, sigma, solves).
     """
     n = K.shape[0]
-    lu = splu((K + shift * M).tocsc())
-    rng = np.random.default_rng(rng_seed)
-    X = rng.standard_normal((n, m_block))
+    sigma = -SHIFT_SCALE * K.diagonal().sum() / M.diagonal().sum()
+    skip = int(constant is not None)
+    ncv = max(2 * k + 1, 20)
+    solves = 0
+    if n - skip <= ncv:
+        from scipy.linalg import eigh
 
-    def deflate(Y):
-        if constant is not None:
-            Y -= np.outer(constant, (M @ constant).T @ Y)
-        return Y
+        _, X = eigh(K.toarray(), M.toarray(), subset_by_index=(skip, skip + k - 1))
+    else:
+        # positive definite: diagonal pivots keep the symmetric fill-reducing order
+        lu = splu((K - sigma * M).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
-    X = deflate(X)
-    X = _m_orthonormalize(X, M)
-    vals = res = None
-    for it in range(1, max_iter + 1):
-        X = lu.solve(M @ X)
-        X = deflate(X)
-        X = _m_orthonormalize(X, M)
-        A = X.T @ (K @ X)
-        w, Q = np.linalg.eigh(0.5 * (A + A.T))
-        X = X @ Q
-        vals = w[:n_pairs]
-        R = K @ X[:, :n_pairs] - (M @ X[:, :n_pairs]) * vals[None, :]
-        res = np.linalg.norm(R, axis=0) / np.linalg.norm(M @ X[:, :n_pairs], axis=0)
-        if res.max() <= tol:
-            return vals, X[:, :n_pairs], res, it, True
-    return vals, X[:, :n_pairs], res, max_iter, False
+        def project(y):
+            if constant is not None:
+                y = y - constant * (constant @ (M @ y))
+            return y
+
+        def apply_inverse(b):
+            nonlocal solves
+            solves += 1
+            return project(lu.solve(b))
+
+        v0 = project(np.random.default_rng(7).standard_normal(n))
+        try:
+            _, X = eigsh(K, k, M, sigma=sigma, which="LM", v0=v0, ncv=ncv,
+                         OPinv=LinearOperator((n, n), matvec=apply_inverse))
+        except ArpackNoConvergence as exc:
+            raise SolverError(
+                f"eigensolve did not converge after {solves} solves",
+                residuals=_residuals(K, M, exc.eigenvalues, exc.eigenvectors),
+            ) from exc
+    # Rayleigh quotients: accurate to the squared residual, unlike sigma + 1/theta
+    vals = np.einsum("ij,ij->j", X, K @ X) / np.einsum("ij,ij->j", X, M @ X)
+    order = np.argsort(vals)
+    vals, X = vals[order], X[:, order]
+    res = _residuals(K, M, vals, X)
+    if res.max() > tol:
+        raise SolverError(
+            f"eigensolve residual {res.max():.3e} exceeds tol {tol:.3e}",
+            residuals=res,
+        )
+    return vals, X, res, sigma, solves
 
 
 def neumann_eigs(mesh: TriMesh, k, tol=1e-8):
     """k+1 smallest Neumann eigenpairs of K u = lambda M u, zero mode included.
 
-    The constant mode is deflated analytically and reported as the first
-    pair.  The shift for the factorization starts at 1e-3 * tr(K)/tr(M) and
-    is retuned to 1e-3 times the first nonzero Rayleigh estimate after a
-    coarse pass.
+    The constant mode is deflated analytically and reported first; the other
+    k come from shift-invert Lanczos at sigma = -SHIFT_SCALE * tr(K)/tr(M).
+    Raises SolverError if Lanczos fails or a residual exceeds tol.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -162,34 +184,24 @@ def neumann_eigs(mesh: TriMesh, k, tol=1e-8):
     ones = np.ones(n)
     c = ones / np.sqrt(ones @ (M @ ones))
     lam1 = max(float(c @ (K @ c)), 0.0)
-
-    m_block = min(k + 3, n - 1)
-    shift0 = 1e-3 * K.diagonal().sum() / M.diagonal().sum()
-    vals, _, _, used, _ = _block_inverse_iteration(
-        K, M, m_block, min(k, m_block), _COARSE_TOL, shift0, constant=c, max_iter=30
-    )
-    shift = 1e-3 * float(vals[0])
-    vals, X, res, used2, ok = _block_inverse_iteration(
-        K, M, m_block, min(k, m_block), tol, shift, constant=c,
-        max_iter=MAX_ITERATIONS - used,
-    )
-    if not ok:
-        raise SolverError(
-            f"eigensolve did not converge in {MAX_ITERATIONS} iterations "
-            f"(best residual {res.max():.3e})",
-            residuals=res,
-        )
+    vals, X, res, sigma, solves = _shift_invert_eigs(K, M, k, tol, constant=c)
     c_res = float(np.linalg.norm(K @ c - lam1 * (M @ c)) / np.linalg.norm(M @ c))
     return Spectrum(
         bc="neumann",
         eigenvalues=np.concatenate([[lam1], vals]),
         eigenvectors=np.column_stack([c, X]),
         residuals=np.concatenate([[c_res], res]),
+        shift=sigma,
+        solves=solves,
     )
 
 
 def dirichlet_eigs(mesh: TriMesh, k, tol=1e-8):
-    """k smallest Dirichlet eigenpairs; boundary values eliminated exactly."""
+    """k smallest Dirichlet eigenpairs; boundary values eliminated exactly.
+
+    Shift-invert Lanczos on the interior pencil at sigma = -SHIFT_SCALE *
+    tr(K_ii)/tr(M_ii); raises SolverError if it fails or a residual exceeds tol.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     n = mesh.num_vertices
@@ -201,26 +213,11 @@ def dirichlet_eigs(mesh: TriMesh, k, tol=1e-8):
     K, M = assemble(mesh)
     Ki = K[interior][:, interior].tocsr()
     Mi = M[interior][:, interior].tocsr()
-
-    m_block = min(k + 3, len(interior))
-    shift0 = 1e-3 * Ki.diagonal().sum() / Mi.diagonal().sum()
-    vals, _, _, used, _ = _block_inverse_iteration(
-        Ki, Mi, m_block, min(k, m_block), _COARSE_TOL, shift0, max_iter=30
-    )
-    shift = 1e-3 * float(vals[0])
-    vals, Xi, res, _, ok = _block_inverse_iteration(
-        Ki, Mi, m_block, min(k, m_block), tol, shift,
-        max_iter=MAX_ITERATIONS - used,
-    )
-    if not ok:
-        raise SolverError(
-            f"eigensolve did not converge in {MAX_ITERATIONS} iterations "
-            f"(best residual {res.max():.3e})",
-            residuals=res,
-        )
-    X = np.zeros((n, Xi.shape[1]))
+    vals, Xi, res, sigma, solves = _shift_invert_eigs(Ki, Mi, k, tol)
+    X = np.zeros((n, k))
     X[interior] = Xi
-    return Spectrum(bc="dirichlet", eigenvalues=vals, eigenvectors=X, residuals=res)
+    return Spectrum(bc="dirichlet", eigenvalues=vals, eigenvectors=X,
+                    residuals=res, shift=sigma, solves=solves)
 
 
 @dataclass(frozen=True)

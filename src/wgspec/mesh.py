@@ -132,7 +132,8 @@ def build_trimesh(vertices, triangles, region=None, warnings=()):
     """Assemble a validated TriMesh from raw arrays.
 
     Reorients clockwise triangles, extracts the boundary topologically and
-    checks positivity of areas and edge-connectivity.
+    checks positivity of areas, that no edge lies on more than two
+    triangles, and edge-connectivity.
     """
     vertices = np.asarray(vertices, dtype=float).reshape(-1, 2)
     triangles = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
@@ -158,6 +159,10 @@ def build_trimesh(vertices, triangles, region=None, warnings=()):
         raise GeometryError("mesh contains a (nearly) zero-area triangle")
 
     _, tri_edges, counts = _edge_table(triangles)
+    if (counts > 2).any():
+        raise GeometryError(
+            "mesh is not manifold: an edge lies on more than two triangles"
+        )
     # boundary: edges on one triangle, directed as that triangle traverses them
     owner, side = np.nonzero(counts[tri_edges] == 1)
     if owner.size == 0:

@@ -30,6 +30,11 @@ class TestAnalyze:
         assert not rep.simple
         assert any("representative" in w for w in rep.warnings)
 
+    def test_psi_m_normalized(self, triangle64):
+        _, Mm = F.assemble(M.gen_right_triangle(64))
+        psi = triangle64.psi
+        assert abs(psi @ (Mm @ psi) - 1.0) <= 1e-12
+
     def test_x_identity(self, triangle64):
         rep = triangle64
         assert np.abs(rep.X_boundary - rep.X_volume).max() <= 1e-10 * (

@@ -1,10 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from wgspec import fem as F, mesh as M
-from wgspec.errors import NearDegenerateError
+from wgspec.errors import NearDegenerateError, SolverError
 
 
 @pytest.fixture(scope="module")
@@ -163,8 +167,6 @@ class TestInvariants:
         assert rel.max() <= 1e-10
 
     def test_spectrum_json(self):
-        import json
-
         s = F.neumann_eigs(M.gen_right_triangle(6), 1, tol=1e-9)
         d = json.loads(s.to_json())
         assert d["bc"] == "neumann"
@@ -176,3 +178,78 @@ class TestInvariants:
         s.save_eigenvectors(path)
         back = np.fromfile(path).reshape(2, -1).T
         assert np.allclose(back, s.eigenvectors)
+
+
+def _interior(mesh):
+    bdry = np.zeros(mesh.num_vertices, dtype=bool)
+    bdry[mesh.boundary_vertex_indices()] = True
+    return np.where(~bdry)[0]
+
+
+class TestShiftInvertSolver:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["rect", "tri"]),
+        n1=st.integers(2, 10),
+        n2=st.integers(2, 10),
+        k=st.integers(1, 4),
+        angle=st.floats(0.0, 2 * math.pi),
+        offset=st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
+    )
+    def test_against_dense_eigh(self, kind, n1, n2, k, angle, offset):
+        base = M.gen_rectangle(1.5, 1.0, n1, n2) if kind == "rect" \
+            else M.gen_right_triangle(n1 + 1)
+        R = np.array([[math.cos(angle), -math.sin(angle)],
+                      [math.sin(angle), math.cos(angle)]])
+        mesh = M.build_trimesh(base.vertices @ R.T + offset, base.triangles)
+        K, Mm = F.assemble(mesh)
+
+        s = F.neumann_eigs(mesh, k, tol=1e-9)
+        ref = sla.eigh(K.toarray(), Mm.toarray(), eigvals_only=True)[1:k + 1]
+        assert (np.abs(s.eigenvalues[1:] - ref) / ref).max() <= 1e-10
+        G = s.eigenvectors.T @ (Mm @ s.eigenvectors)
+        assert np.abs(G - np.eye(k + 1)).max() <= 1e-12
+
+        inner = _interior(mesh)
+        kd = min(k, len(inner))
+        d = F.dirichlet_eigs(mesh, kd, tol=1e-9)
+        ref_d = sla.eigh(K[inner][:, inner].toarray(), Mm[inner][:, inner].toarray(),
+                         eigvals_only=True)[:kd]
+        assert (np.abs(d.eigenvalues - ref_d) / ref_d).max() <= 1e-10
+
+    @pytest.mark.parametrize("solve", [
+        lambda: F.neumann_eigs(M.gen_rectangle(2, 1, 24, 12), 3, tol=1e-10),
+        lambda: F.dirichlet_eigs(M.gen_right_triangle(24), 2, tol=1e-10),
+    ])
+    def test_bit_identical_repeat(self, solve):
+        a, b = solve(), solve()
+        assert a.solves > 0
+        for f in ("eigenvalues", "eigenvectors", "residuals"):
+            assert np.array_equal(getattr(a, f), getattr(b, f))
+        assert (a.shift, a.solves) == (b.shift, b.solves)
+
+    @pytest.mark.parametrize("solve", [F.neumann_eigs, F.dirichlet_eigs])
+    def test_residual_gate(self, solve):
+        with pytest.raises(SolverError) as info:
+            solve(M.gen_rectangle(2, 1, 16, 8), 2, tol=1e-30)
+        res = info.value.residuals
+        assert res is not None and len(res) == 2 and (res > 1e-30).all()
+
+    def test_no_convergence_raises_solver_error(self, monkeypatch):
+        def stalled(*args, **kwargs):  # only the lowest pair converged
+            vals, vecs = eigsh(*args, **kwargs)
+            raise ArpackNoConvergence("stalled", vals[:1], vecs[:, :1])
+
+        monkeypatch.setattr(F, "eigsh", stalled)
+        with pytest.raises(SolverError) as info:
+            F.neumann_eigs(M.gen_rectangle(2, 1, 16, 8), 2)
+        res = info.value.residuals
+        assert res.shape == (1,) and res[0] <= 1e-8
+
+    def test_records_shift_and_solves(self):
+        mesh = M.gen_right_triangle(16)
+        s = F.neumann_eigs(mesh, 2, tol=1e-10)
+        K, Mm = F.assemble(mesh)
+        assert s.shift == -F.SHIFT_SCALE * K.diagonal().sum() / Mm.diagonal().sum()
+        assert s.shift < 0 and s.solves >= 1
+        assert set(json.loads(s.to_json())) == {"bc", "eigenvalues", "residuals"}

@@ -157,6 +157,9 @@ class TestBuildTrimesh:
         ([(0, 0), (1, 0), (2, 0)], [(0, 1, 2)], "zero-area"),
         ([(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1, 2), (0, 3, 4)],
          "not edge-connected"),
+        # three triangles on the edge (0, 1): area 2.0, boundary closure (0, 1)
+        ([(0, 0), (1, 0), (0.5, 1), (0.5, -1), (0.5, 2)],
+         [(0, 1, 2), (0, 1, 3), (0, 1, 4)], "not manifold"),
     ])
     def test_rejections(self, verts, tris, match):
         with pytest.raises(GeometryError, match=match):
