@@ -150,8 +150,11 @@ def s_norm_bound(b, kappa_sup, twist_dev_sup=0.0, grid=S_NORM_GRID):
 
     Without twist deviation the bound is the closed-form envelope evaluated
     on a grid plus the interval endpoint, where the sup is attained (so the
-    no-twist value is exact).  With twist deviation the sup runs over a 2-D
-    grid of the two invariants.
+    no-twist value is exact).  With twist deviation the sup over the two
+    invariants |u| <= b*kappa_sup, 0 <= v <= b*twist_dev_sup is attained on
+    the edge v = b*twist_dev_sup: |lambda1| = |u| does not depend on v,
+    |lambda3| <= |lambda2|, and |lambda2| grows with v.  So the bound is one
+    sweep of the eigenvalues over a grid in u at that v.
     """
     _check_admissible(b, kappa_sup)
     r = b * kappa_sup
@@ -160,9 +163,7 @@ def s_norm_bound(b, kappa_sup, twist_dev_sup=0.0, grid=S_NORM_GRID):
         val = float(_f_no_twist(xs).max())
         return max(val, float(_f_no_twist(np.array([r]))[0]))
     u = np.linspace(-r, r, int(grid))
-    v = np.linspace(0.0, b * twist_dev_sup, int(grid))
-    uu, vv = np.meshgrid(u, v, indexing="ij")
-    l1, l2, l3 = _m_eigenvalues(uu, vv)
+    l1, l2, l3 = _m_eigenvalues(u, np.full_like(u, b * twist_dev_sup))
     return float(
         np.maximum(np.abs(l1), np.maximum(np.abs(l2), np.abs(l3))).max()
     )

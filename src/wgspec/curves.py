@@ -1,5 +1,6 @@
 """Base-curve geometry: arclength resampling, relatively adapted parallel
-frames by ODE transport, curvature functionals, and the alignment angle.
+frames as running products of minimal rotations, curvature functionals, and
+the alignment angle.
 
 A framed curve carries a uniform arclength grid with an orthonormal frame
 (e1, e2, e3), e1 the unit tangent, whose transverse vectors turn only along
@@ -10,7 +11,7 @@ the bending vector Y.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -22,6 +23,10 @@ from .errors import (
 )
 
 _GAUSS_X, _GAUSS_W = leggauss(5)
+
+# largest tangent turning angle (rad) that one grid step may take; on coarser
+# grids the centered difference of the tangent misses much of the curvature
+MAX_STEP_TURN = math.pi / 4
 
 
 @dataclass(frozen=True)
@@ -79,9 +84,7 @@ class FramedCurve:
         return float(self.s[1] - self.s[0])
 
     def orthonormality_defect(self):
-        G = np.stack([self.e1, self.e2, self.e3], axis=2)
-        P = np.einsum("nij,nik->njk", G, G)
-        return float(np.abs(P - np.eye(3)).max())
+        return float(_frame_defect(self.e1, self.e2, self.e3).max())
 
     def to_csv(self):
         lines = ["s,k1,k2,kappa"]
@@ -197,28 +200,24 @@ def sbend():
         return np.column_stack([-np.sin(ph) * dph, np.cos(ph) * dph, np.zeros_like(s)])
 
     def gamma(s):
+        # integrate the unit tangent over panels of width <= 0.05 between the
+        # sorted knots (the parameters and 0), then shift so gamma(0) = 0
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        order = np.argsort(s)
-        svals = s[order]
+        knots = np.unique(np.append(s, 0.0))
+        gaps = np.diff(knots)
+        npan = np.maximum(1, np.ceil(gaps / 0.05)).astype(int)
+        gap = np.repeat(np.arange(len(gaps)), npan)
+        first = np.concatenate([[0], np.cumsum(npan)])
+        half = 0.5 * (gaps / npan)[gap]
+        mid = knots[gap] + (2 * (np.arange(len(gap)) - first[gap]) + 1) * half
+        ph = phi(mid[:, None] + half[:, None] * _GAUSS_X[None, :])
+        w = half[:, None] * _GAUSS_W[None, :]
+        seg = np.column_stack([(np.cos(ph) * w).sum(axis=1),
+                               (np.sin(ph) * w).sum(axis=1)])
+        pos = np.concatenate([np.zeros((1, 2)), np.cumsum(seg, axis=0)])[first]
+        pos -= pos[np.searchsorted(knots, 0.0)]
         out = np.zeros((len(s), 3))
-        pos = np.zeros(2)
-        prev = 0.0
-        acc = np.zeros((len(svals), 2))
-        # integrate the unit tangent from 0 to each requested parameter
-        for i, sv in enumerate(svals):
-            lo, hi = (prev, sv) if sv >= prev else (sv, prev)
-            npan = max(1, int(math.ceil((hi - lo) / 0.05)))
-            edges = np.linspace(lo, hi, npan + 1)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * (edges[1:] - edges[:-1])
-            nodes = (mid[:, None] + half[:, None] * _GAUSS_X[None, :]).ravel()
-            ph = phi(nodes)
-            w = (half[:, None] * _GAUSS_W[None, :]).ravel()
-            seg = np.array([(np.cos(ph) * w).sum(), (np.sin(ph) * w).sum()])
-            pos = pos + seg if sv >= prev else pos - seg
-            acc[i] = pos
-            prev = sv
-        out[order, :2] = acc
+        out[:, :2] = pos[np.searchsorted(knots, s)]
         return out
 
     def tail(t0, t1):
@@ -263,13 +262,16 @@ def from_samples(t, xyz):
 
 @dataclass(frozen=True)
 class ArcSamples:
-    """Uniform arclength grid with positions and unit tangents."""
+    """Uniform arclength grid with positions and unit tangents; iterations
+    and residual report the Newton solve for the node parameters."""
 
     s: np.ndarray
     t: np.ndarray
     gamma: np.ndarray
     tangent: np.ndarray
     total_length: float
+    iterations: int = 0
+    residual: float = 0.0
 
 
 def arclength_resample(curve: ParamCurve, N):
@@ -277,7 +279,8 @@ def arclength_resample(curve: ParamCurve, N):
 
     The cumulative arclength is a composite 5-point Gauss quadrature of
     |gamma'| over 4N subintervals; node parameters are recovered by
-    bracketed Newton on the monotone cumulative function.
+    bracketed Newton on the monotone cumulative function, stopped once every
+    node's arclength residual is at most 1e-13 * (1 + total length).
     """
     if N < 16:
         raise ValueError("N must be >= 16")
@@ -298,8 +301,9 @@ def arclength_resample(curve: ParamCurve, N):
     total = float(cum[-1])
 
     targets = np.linspace(0.0, total, N + 1)
-    # bracket each target in its panel, then Newton with bisection fallback
-    k = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, npan - 1)
+    # the end nodes are t0 and t1; bracket each interior target in its
+    # panel, then Newton with bisection fallback
+    k = np.searchsorted(cum, targets[1:-1], side="right") - 1
     lo = edges[k].copy()
     hi = edges[k + 1].copy()
     t = 0.5 * (lo + hi)
@@ -314,27 +318,30 @@ def arclength_resample(curve: ParamCurve, N):
         ).reshape(len(a), 5)
         return (sp * _GAUSS_W[None, :]).sum(axis=1) * hw
 
-    need = targets - cum[k]
-    for _ in range(80):
-        f = partial(lo * 0 + edges[k], t) - need
+    need = targets[1:-1] - cum[k]
+    a = edges[k]
+    tol = 1e-13 * (1.0 + total)
+    for iterations in range(1, 81):
+        f = partial(a, t) - need
+        residual = float(np.abs(f).max())
+        if residual <= tol:
+            break
         df = np.linalg.norm(curve.dgamma(t), axis=1)
         hi = np.where(f > 0, np.minimum(t, hi), hi)
         lo = np.where(f <= 0, np.maximum(t, lo), lo)
-        step = f / np.maximum(df, 1e-300)
-        t_new = t - step
-        bad = (t_new <= lo) | (t_new >= hi) | ~np.isfinite(t_new)
-        t_new = np.where(bad, 0.5 * (lo + hi), t_new)
-        if np.abs(f).max() <= 1e-13 * (1.0 + total):
-            t = t_new
-            break
-        t = t_new
-    t[0], t[-1] = t0, t1
+        t_new = t - f / np.maximum(df, 1e-300)
+        # after the update t is itself an end of the bracket, so a converged
+        # Newton step may land on it; only a step past an end is rejected
+        bad = (t_new < lo) | (t_new > hi) | ~np.isfinite(t_new)
+        t = np.where(bad, 0.5 * (lo + hi), t_new)
+    t = np.concatenate([[t0], t, [t1]])
 
     pts = curve.gamma(t)
     vel = curve.dgamma(t)
     tang = vel / np.linalg.norm(vel, axis=1)[:, None]
     return ArcSamples(
-        s=targets, t=t, gamma=pts, tangent=tang, total_length=total
+        s=targets, t=t, gamma=pts, tangent=tang, total_length=total,
+        iterations=iterations, residual=residual,
     )
 
 
@@ -369,16 +376,32 @@ def _tangent_derivative(tangent, h):
     return dT
 
 
+def _frame_defect(e1, e2, e3):
+    """Per-node max |G^T G - I| of the frames G = [e1 e2 e3]."""
+    G = np.stack([e1, e2, e3], axis=2)
+    return np.abs(np.einsum("nij,nik->njk", G, G) - np.eye(3)).max(axis=(1, 2))
+
+
+def _reflections(v):
+    """Householder reflections I - 2 v v^T / (v . v), one per row of v."""
+    vn = v / np.linalg.norm(v, axis=1)[:, None]
+    return np.eye(3) - 2.0 * vn[:, :, None] * vn[:, None, :]
+
+
 def rapf(arc: ArcSamples, e2_0=None, e3_0=None, name="curve"):
     """Transport a relatively parallel transverse frame along the curve.
 
-    Integrates e_j' = -(e_j . T') T with classical Runge-Kutta on the
-    arclength grid (T and T' linearly interpolated at half steps) and
-    re-orthonormalizes the transverse pair against the tangent after every
-    step.  Turning rates are k1 = T'.e2, k2 = T'.e3 and kappa = |T'|.
+    Between grid nodes the tangent follows the great-circle arc from T_j to
+    T_{j+1}; parallel transport e' = -(e . T') T along that arc is exactly the
+    minimal rotation taking T_j to T_{j+1}, the reflection in the plane normal
+    to T_j + T_{j+1} followed by the one normal to T_{j+1}.  The frame is the
+    running product of these rotations (a log2(N) doubling scan) applied to
+    (e2_0, e3_0), re-orthonormalized once against the tangent.  Turning rates
+    are k1 = T'.e2, k2 = T'.e3 and kappa = |T'|, T' by centered differences.
+    StepSizeError: a step turns T by more than MAX_STEP_TURN, or the raw
+    frame drifts from orthonormal by more than 1e-8.
     """
     T = arc.tangent
-    n = len(T)
     h = float(arc.s[1] - arc.s[0])
     if e2_0 is None or e3_0 is None:
         e2_0, e3_0 = default_transverse_frame(T[0])
@@ -390,65 +413,40 @@ def rapf(arc: ArcSamples, e2_0=None, e3_0=None, name="curve"):
     if np.linalg.det(G0) < 0:
         raise ValueError("initial frame is not positively oriented")
 
+    # the turning angle bounds the step; it also keeps T_j + T_{j+1} away
+    # from 0, where the first reflection is undefined
+    turn = np.arctan2(np.linalg.norm(np.cross(T[:-1], T[1:]), axis=1),
+                      (T[:-1] * T[1:]).sum(axis=1))
+    j = int(np.argmax(turn))
+    if turn[j] > MAX_STEP_TURN:
+        raise StepSizeError(
+            f"tangent turns {turn[j]:.3g} rad at step {j + 1} "
+            f"(limit {MAX_STEP_TURN:.3g}); increase N"
+        )
+
+    P = np.empty((len(T), 3, 3))
+    P[0] = np.eye(3)
+    P[1:] = _reflections(T[1:]) @ _reflections(T[:-1] + T[1:])
+    k = 1
+    while k < len(P):
+        P[k:] = P[k:] @ P[:-k]
+        k *= 2
+    e2 = P @ e2_0
+    e3 = P @ e3_0
+
+    drift = _frame_defect(T, e2, e3)
+    j = int(np.argmax(drift))
+    if drift[j] > 1e-8:
+        raise StepSizeError(f"frame drift {drift[j]:.2e} at step {j}; increase N")
+    e2 = e2 - (e2 * T).sum(axis=1)[:, None] * T
+    e2 /= np.linalg.norm(e2, axis=1)[:, None]
+    e3 = np.cross(T, e2)
+
     dT = _tangent_derivative(T, h)
-
-    def rhs(Tloc, dTloc, e):
-        return -np.outer(e @ dTloc, Tloc) if e.ndim == 2 else -(e @ dTloc) * Tloc
-
-    e2 = np.empty_like(T)
-    e3 = np.empty_like(T)
-    e2[0], e3[0] = e2_0, e3_0
-    for j in range(n - 1):
-        T0_, T1_ = T[j], T[j + 1]
-        dT0_, dT1_ = dT[j], dT[j + 1]
-
-        def field(x):
-            """Normalized linear tangent path and its exact derivative.
-
-            Using the analytic derivative of the interpolated path (not the
-            interpolated nodal T') makes the continuous flow preserve e.T
-            exactly, so the drift gate sees pure integrator error.
-            """
-            u = (1.0 - x) * T0_ + x * T1_
-            nu = np.linalg.norm(u)
-            Tx = u / nu
-            du = (T1_ - T0_) / h
-            return Tx, (du - Tx * (Tx @ du)) / nu
-
-        # substep where the per-step rotation angle kappa*h is large, so the
-        # pre-renormalization drift stays well under the 1e-8 gate
-        rot = h * max(np.linalg.norm(dT0_), np.linalg.norm(dT1_))
-        m = 1 + int(rot / 0.02)
-        hs = h / m
-        y = np.stack([e2[j], e3[j]])
-        for q in range(m):
-            Ta, dTa = field(q / m)
-            Tm, dTm = field((q + 0.5) / m)
-            Tb, dTb = field((q + 1.0) / m)
-            k1 = rhs(Ta, dTa, y)
-            k2 = rhs(Tm, dTm, y + 0.5 * hs * k1)
-            k3 = rhs(Tm, dTm, y + 0.5 * hs * k2)
-            k4 = rhs(Tb, dTb, y + hs * k3)
-            y = y + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-        G = np.column_stack([T1_, y[0], y[1]])
-        drift = np.abs(G.T @ G - np.eye(3)).max()
-        if drift > 1e-8:
-            raise StepSizeError(
-                f"frame drift {drift:.2e} at step {j + 1}; increase N"
-            )
-        a = y[0] - (y[0] @ T1_) * T1_
-        a /= np.linalg.norm(a)
-        b = y[1] - (y[1] @ T1_) * T1_ - (y[1] @ a) * a
-        b /= np.linalg.norm(b)
-        e2[j + 1], e3[j + 1] = a, b
-
-    k1v = (dT * e2).sum(axis=1)
-    k2v = (dT * e3).sum(axis=1)
-    kappa = np.linalg.norm(dT, axis=1)
     return FramedCurve(
         s=arc.s, t=arc.t, gamma=arc.gamma, e1=T, e2=e2, e3=e3,
-        k1=k1v, k2=k2v, kappa=kappa, name=name,
+        k1=(dT * e2).sum(axis=1), k2=(dT * e3).sum(axis=1),
+        kappa=np.linalg.norm(dT, axis=1), name=name,
     )
 
 
@@ -458,11 +456,7 @@ def frame_curve(curve: ParamCurve, N, e2_0=None, e3_0=None):
     fc = rapf(arc, e2_0, e3_0, name=curve.name)
     if curve.kappa_l1_tail is not None:
         tail = float(curve.kappa_l1_tail(curve.t0, curve.t1))
-        return FramedCurve(
-            s=fc.s, t=fc.t, gamma=fc.gamma, e1=fc.e1, e2=fc.e2, e3=fc.e3,
-            k1=fc.k1, k2=fc.k2, kappa=fc.kappa,
-            tail=tail, tail_given=True, name=fc.name,
-        )
+        return replace(fc, tail=tail, tail_given=True)
     return fc
 
 

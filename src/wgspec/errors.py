@@ -47,7 +47,10 @@ class SingularParametrizationError(ValueError):
 
 
 class StepSizeError(RuntimeError):
-    """Frame transport drifted past tolerance; a finer arclength grid is needed."""
+    """Curve sampling too coarse: too few samples for the spline, or an
+    arclength grid on which one step turns the tangent by more than
+    ``curves.MAX_STEP_TURN`` or the transported frame drifts from orthonormal;
+    more samples (a larger N) are needed."""
 
 
 class DegenerateSectionError(ValueError):

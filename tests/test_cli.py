@@ -60,6 +60,14 @@ class TestCurve:
         assert d["kappa_sup"] == 0.0 and abs(d["kappa_l1"]) < 1e-12
         assert d["Y"] == [0.0, 0.0]
 
+    def test_coarse_grid_exit_1(self, tmp_path, capsys):
+        # at the default N one step turns the tangent by 0.99 rad; the frame
+        # would otherwise report kappa_sup = 1.67 against 4
+        out = tmp_path / "cur.json"
+        assert run(["curve", "--parabola", "--scale", 2, "-o", out]) == 1
+        assert "increase N" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_too_few_samples(self, tmp_path, capsys):
         f = tmp_path / "pts.csv"
         f.write_text("0,0,0,0\n1,1,0,0\n2,2,0,0\n")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wgspec import conditions as CN
 from wgspec.curves import rotation, theta_star
@@ -129,6 +130,20 @@ class TestSNormBound:
 
     def test_twist_increases_bound(self):
         assert CN.s_norm_bound(1.0, 0.25, twist_dev_sup=0.5) > CN.s_norm_bound(1.0, 0.25)
+
+    @settings(max_examples=200, deadline=None)
+    @given(b=st.floats(0.01, 10.0), r=st.floats(0.0, 0.999),
+           twist=st.floats(1e-17, 1e3))
+    def test_twist_sweep_matches_2d_grid(self, b, r, twist):
+        # the sup over the (u, v) rectangle sits on its edge v = b*twist
+        grid = 257
+        kappa_sup = r / b
+        u = np.linspace(-b * kappa_sup, b * kappa_sup, grid)
+        v = np.linspace(0.0, b * twist, grid)
+        uu, vv = np.meshgrid(u, v, indexing="ij")
+        l1, l2, l3 = CN._m_eigenvalues(uu, vv)
+        oracle = np.maximum(np.abs(l1), np.maximum(np.abs(l2), np.abs(l3))).max()
+        assert CN.s_norm_bound(b, kappa_sup, twist, grid=grid) == oracle
 
 
 class TestLocalization:

@@ -62,6 +62,13 @@ class TestArclengthResample:
         with pytest.raises(ValueError):
             CV.arclength_resample(CV.line(), 8)
 
+    def test_constant_speed_newton_converges_fast(self):
+        # |gamma'| is constant on the helix, so one Newton step lands every
+        # node; a bracket test that rejects converged steps would bisect
+        arc = CV.arclength_resample(CV.helix(1.0, 0.5).window(4 * np.pi), 20000)
+        assert arc.iterations <= 3
+        assert arc.residual <= 1e-13 * (1.0 + arc.total_length)
+
 
 class TestRapf:
     def test_line_zero_curvature(self):
@@ -104,6 +111,47 @@ class TestRapf:
             arc = CV.arclength_resample(CV.parabola().window(50), 16)
             CV.rapf(arc)
 
+    def test_step_turn_gate(self):
+        # one step of this grid turns the tangent by 0.92 rad > MAX_STEP_TURN
+        arc = CV.arclength_resample(CV.parabola().window(5), 64)
+        turn = np.arccos(np.clip((arc.tangent[:-1] * arc.tangent[1:]).sum(axis=1), -1, 1))
+        assert turn.max() > CV.MAX_STEP_TURN
+        with pytest.raises(StepSizeError, match="increase N"):
+            CV.rapf(arc)
+
+    @pytest.mark.parametrize("R, p", [(1.0, 0.5), (0.7, -0.9)])
+    def test_helix_torsion_phase(self, R, p):
+        # in a parallel frame (k1, k2) = kappa (cos, sin)(theta0 + tau s)
+        fc = CV.frame_curve(CV.helix(R, p).window(4 * np.pi), 8000)
+        tau = p / (R * R + p * p)
+        phase = np.unwrap(np.arctan2(fc.k2, fc.k1))
+        assert np.abs(phase - phase[0] - tau * fc.s).max() <= 2e-5
+
+    def test_sequential_rotation_reference(self):
+        # the frame equals the step-by-step product of the minimal rotations
+        # taking T_j to T_{j+1} (Rodrigues' formula about T_j x T_{j+1})
+        arc = CV.arclength_resample(CV.helix(1.0, 0.3).window(6), 500)
+        fc = CV.rapf(arc)
+        T = arc.tangent
+        e2 = fc.e2[0].copy()
+        for j in range(len(T) - 1):
+            axis = np.cross(T[j], T[j + 1])
+            sin, cos = np.linalg.norm(axis), T[j] @ T[j + 1]
+            axis /= sin
+            e2 = (cos * e2 + sin * np.cross(axis, e2)
+                  + (1.0 - cos) * (axis @ e2) * axis)
+            assert np.abs(e2 - fc.e2[j + 1]).max() <= 1e-12
+
+    def test_orthonormality_defect_at_full_size(self):
+        fc = CV.frame_curve(CV.parabola().window(50), 20000)
+        assert fc.orthonormality_defect() <= 1e-14
+
+    def test_bit_identical_repeat(self):
+        arc = CV.arclength_resample(CV.helix(1.0, 0.5).window(6), 2000)
+        fa, fb = CV.rapf(arc), CV.rapf(arc)
+        for name in ("e2", "e3", "k1", "k2", "kappa"):
+            assert np.array_equal(getattr(fa, name), getattr(fb, name))
+
     def test_uniqueness(self):
         arc = CV.arclength_resample(CV.parabola().window(2), 512)
         e2, e3 = CV.default_transverse_frame(arc.tangent[0])
@@ -139,6 +187,29 @@ class TestRapf:
         fc = CV.frame_curve(curve, 8000)
         ref = np.linalg.norm(curve.ddgamma(fc.t), axis=1)
         assert np.abs(fc.kappa - ref).max() <= 1e-6
+
+
+class TestSbendGamma:
+    @staticmethod
+    def quad_gamma(s):
+        from scipy.integrate import quad
+
+        phi = lambda x: 0.5 * (1.0 - math.exp(-x * x))
+        opts = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
+        return [quad(lambda x: math.cos(phi(x)), 0.0, s, **opts)[0],
+                quad(lambda x: math.sin(phi(x)), 0.0, s, **opts)[0]]
+
+    def test_against_quad(self):
+        s = np.array([2.5, -3.0, 0.4, 2.5, 0.0, -0.01, 7.0, -3.0])
+        g = CV.sbend().gamma(s)
+        ref = np.array([self.quad_gamma(v) for v in s])
+        assert np.abs(g[:, :2] - ref).max() <= 1e-12
+        assert np.all(g[:, 2] == 0.0)
+
+    def test_scalar(self):
+        g = CV.sbend().gamma(-1.3)
+        assert g.shape == (1, 3)
+        assert np.abs(g[0, :2] - self.quad_gamma(-1.3)).max() <= 1e-12
 
 
 class TestPlanarSignedCurvature:
