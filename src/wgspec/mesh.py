@@ -254,18 +254,12 @@ def gen_rectangle(ell, L, nx, ny):
     y[ny // 2 + 1 :] = float(L) - y[: (ny + 1) // 2][::-1]
     xx, yy = np.meshgrid(x, y, indexing="ij")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
-
-    def vid(i, j):
-        return i * (ny + 1) + j
-
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((v00, v10, v01))
-            tris.append((v10, v11, v01))
-    return build_trimesh(vertices, np.array(tris))
+    # vertex (i, j) is i * (ny + 1) + j; cell (i, j) gives two triangles
+    i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    v00 = (i * (ny + 1) + j).ravel()
+    v10, v01 = v00 + ny + 1, v00 + 1
+    tris = np.column_stack([v00, v10, v01, v10, v10 + 1, v01]).reshape(-1, 3)
+    return build_trimesh(vertices, tris)
 
 
 def gen_right_triangle(n):
@@ -277,19 +271,19 @@ def gen_right_triangle(n):
     if n < 1:
         raise ValueError("n must be >= 1")
     n = int(n)
+    # grid points (i, j) with i + j <= n, numbered in row-major order
+    i, j = np.nonzero(np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n)
     index = -np.ones((n + 1, n + 1), dtype=np.int64)
-    verts = []
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            index[i, j] = len(verts)
-            verts.append((i / n, j / n))
-    tris = []
-    for i in range(n):
-        for j in range(n - i):
-            tris.append((index[i, j], index[i + 1, j], index[i, j + 1]))
-            if i + j <= n - 2:
-                tris.append((index[i + 1, j], index[i + 1, j + 1], index[i, j + 1]))
-    return build_trimesh(np.array(verts, dtype=float), np.array(tris))
+    index[i, j] = np.arange(len(i))
+    verts = np.column_stack([i / n, j / n])
+    # cell (i, j) with i + j < n: its lower triangle, then its upper one
+    # unless the hypotenuse cuts it off
+    i, j = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) < n)
+    lower = np.column_stack([index[i, j], index[i + 1, j], index[i, j + 1]])
+    upper = np.column_stack([index[i + 1, j], index[i + 1, j + 1], index[i, j + 1]])
+    tris = np.stack([lower, upper], axis=1).reshape(-1, 3)
+    has_upper = np.column_stack([np.ones(len(i), dtype=bool), i + j <= n - 2])
+    return build_trimesh(verts, tris[has_upper.ravel()])
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +399,24 @@ def _dist_to_polyline(points, loop):
     return out
 
 
+def _farther_than(points, loop, r):
+    """Mask of the points whose distance to the closed polyline exceeds r.
+
+    Equals _dist_to_polyline(points, loop) > r.  A segment comes within r of
+    a point only if one of its endpoints lies within r + half the segment's
+    length, so only points that close to a loop vertex (the bound carries
+    another half of the longest segment as margin for rounding) get the exact
+    distance.
+    """
+    from scipy.spatial import cKDTree
+
+    seg = np.sqrt(((np.roll(loop, -1, axis=0) - loop) ** 2).sum(axis=1)).max()
+    near = cKDTree(loop).query(points, distance_upper_bound=r + seg)[0] < np.inf
+    out = np.ones(len(points), dtype=bool)
+    out[near] = _dist_to_polyline(points[near], loop) > r
+    return out
+
+
 def _triangulate_region(loop, h):
     """Delaunay triangulation of the polygon region at spacing ~h.
 
@@ -430,7 +442,7 @@ def _triangulate_region(loop, h):
         grid = np.concatenate(rows) if rows else np.empty((0, 2))
         if len(grid):
             keep = _point_in_polygon(grid, loop)
-            keep &= _dist_to_polyline(grid, loop) > 0.45 * h
+            keep[keep] = _farther_than(grid[keep], loop, 0.45 * h)
             grid = grid[keep]
         pts = np.vstack([loop, grid])
 
@@ -455,7 +467,7 @@ def _triangulate_region(loop, h):
     raise GeometryError("boundary recovery failed; polygon too tangled for spacing")
 
 
-def _delaunay_flips(verts, tris, max_passes=60):
+def _delaunay_flips(verts, tris, dirty=None, max_passes=60):
     """Lawson edge flips toward the Delaunay triangulation of the point set.
 
     Connectivity-only operation (no new points); restores triangle quality
@@ -463,12 +475,26 @@ def _delaunay_flips(verts, tris, max_passes=60):
     flip predicate is the opposite-angles form (gamma_c + gamma_d > pi),
     which stays meaningful for sliver triangles where the raw incircle
     determinant underflows.
+
+    Each pass flips a greedy independent set of the flippable interior edges,
+    strongest violation first, and the passes repeat until no edge is
+    flippable.  The predicate is evaluated only on edges with a triangle
+    marked in the boolean mask ``dirty`` (default: every triangle), and after
+    each pass only on edges of the triangles that pass flipped.  This gives
+    the flips of a full scan as long as no edge between two unmarked
+    triangles is flippable, as after an earlier call that reached its
+    fixpoint.  Returns (tris, dirty, table): dirty is all False at the
+    fixpoint and marks the triangles of the last pass if max_passes ran out
+    first; table is _edge_table(tris).
     """
     tris = np.asarray(tris, dtype=np.int64).copy()
     pts = np.asarray(verts, dtype=float)
+    if dirty is None:
+        dirty = np.ones(len(tris), dtype=bool)
+    table = _edge_table(tris)
     for _ in range(max_passes):
         nt = len(tris)
-        _, tri_edges, counts = _edge_table(tris)
+        _, tri_edges, counts = table
         # each interior edge's two sides, numbered slot = side * nt + triangle
         slot = np.arange(3 * nt)
         first = np.full(len(counts), 3 * nt)
@@ -476,10 +502,11 @@ def _delaunay_flips(verts, tris, max_passes=60):
         np.minimum.at(first, tri_edges.T.ravel(), slot)
         np.maximum.at(second, tri_edges.T.ravel(), slot)
         interior = counts == 2
-        if not interior.any():
-            break
         k1, t1 = np.divmod(first[interior], nt)
         k2, t2 = np.divmod(second[interior], nt)
+        # an edge between two unchanged triangles stays unflippable
+        check = dirty[t1] | dirty[t2]
+        k1, t1, k2, t2 = k1[check], t1[check], k2[check], t2[check]
 
         a = tris[t1, k1]
         b = tris[t1, (k1 + 1) % 3]
@@ -507,11 +534,12 @@ def _delaunay_flips(verts, tris, max_passes=60):
         want &= (na1 > 1e-13 * e2) & (na2 > 1e-13 * e2)
         cand = np.where(want)[0]
         if cand.size == 0:
-            break
-        # independent subset: strongest violations first, one flip per triangle
+            return tris, np.zeros(nt, dtype=bool), table
+        # independent subset: strongest violations first, one flip per triangle;
+        # every candidate left out shares a triangle with a flip, so it is
+        # checked again next pass
         cand = cand[np.argsort(crit[cand] / (scale[cand] + 1e-300))]
         used = np.zeros(nt, dtype=bool)
-        flipped = False
         for j in cand:
             i1, i2 = t1[j], t2[j]
             if used[i1] or used[i2]:
@@ -519,10 +547,9 @@ def _delaunay_flips(verts, tris, max_passes=60):
             used[i1] = used[i2] = True
             tris[i1] = (a[j], d[j], c[j])
             tris[i2] = (d[j], b[j], c[j])
-            flipped = True
-        if not flipped:
-            break
-    return tris
+        dirty = used
+        table = _edge_table(tris)
+    return tris, dirty, table
 
 
 def _refine_longest_edge(vertices, triangles, h):
@@ -530,41 +557,40 @@ def _refine_longest_edge(vertices, triangles, h):
 
     Edges longer than the current target are bisected one generation at a
     time; a flip pass between generations keeps triangles well shaped so the
-    conformity closure stays local.
+    conformity closure stays local.  Each flip pass after the first checks
+    only the edges of the triangles the last bisection created, plus any
+    triangles left unsettled when the previous flip call ran out of passes.
     """
     verts = np.asarray(vertices, dtype=float)
     tris = np.asarray(triangles, dtype=np.int64)
+    dirty = None
     for _ in range(200):
-        tris = _delaunay_flips(verts, tris)
-        p = verts[tris]
-        emax = math.sqrt(
-            max(
-                ((p[:, 1] - p[:, 0]) ** 2).sum(axis=1).max(),
-                ((p[:, 2] - p[:, 1]) ** 2).sum(axis=1).max(),
-                ((p[:, 0] - p[:, 2]) ** 2).sum(axis=1).max(),
-            )
-        )
+        tris, dirty, (edges, tri_edges, _) = _delaunay_flips(verts, tris, dirty)
+        elen = np.linalg.norm(verts[edges[:, 1]] - verts[edges[:, 0]], axis=1)
+        emax = elen.max()
         if emax <= h:
             return verts, tris
         target = max(h, emax / 2.0)
-        verts, tris = _bisect_pass(verts, tris, target)
+        verts, tris, keep = _bisect_pass(verts, tris, edges, tri_edges, elen, target)
+        # the kept triangles come first, unchanged; their children follow
+        dirty = np.concatenate(
+            [dirty[keep], np.ones(len(tris) - keep.sum(), dtype=bool)]
+        )
     raise GeometryError("longest-edge refinement failed to reach the target size")
 
 
-def _bisect_pass(verts, tris, target):
+def _bisect_pass(verts, tris, uniq, edge_id, elen, target):
     """One marked-bisection generation: split every edge longer than target.
 
-    Marked edges are split in every adjacent triangle (2, 3 or 4 children),
-    so the pass is conforming without any closure; the interleaved flip
-    passes repair the connectivity quality afterwards.
+    uniq and edge_id are the edges and triangle sides of _edge_table(tris),
+    elen the edge lengths.  Marked edges are split in every adjacent
+    triangle (2, 3 or 4 children), so the pass is conforming without any
+    closure; the interleaved flip passes repair the connectivity quality
+    afterwards.  Returns (verts, tris, keep): the new vertices are appended,
+    and the new triangles are tris[keep] followed by the children of the
+    split ones.
     """
-    uniq, edge_id, _ = _edge_table(tris)
-    elen = np.linalg.norm(verts[uniq[:, 1]] - verts[uniq[:, 0]], axis=1)
-
     marked = elen > target
-    if not marked.any():
-        return verts, tris
-
     mid_of = -np.ones(len(uniq), dtype=np.int64)
     midx = np.where(marked)[0]
     mid_of[midx] = len(verts) + np.arange(len(midx))
@@ -596,7 +622,7 @@ def _bisect_pass(verts, tris, target):
         else:
             out.append([(v0, e01, e20), (e01, v1, e12), (e20, e12, v2), (e01, e12, e20)])
     tris = np.concatenate([np.asarray(chunk, dtype=np.int64).reshape(-1, 3) for chunk in out])
-    return verts, tris
+    return verts, tris, keep
 
 
 def _laplacian_smooth(vertices, triangles, sweeps=_SMOOTH_SWEEPS):
@@ -636,12 +662,17 @@ def gen_polygon(poly: Polygon):
 
     The boundary is resampled on the input polyline (boundary edges stay
     <= target_h), the region is triangulated over a staggered interior point
-    grid, and edges longer than target_h are bisected (with Lawson flips to
-    keep quality).  Laplacian smoothing then relaxes the interior vertices,
-    which can stretch interior edges past target_h: the longest edge reaches
-    1.23 * target_h on a 2pi x pi rectangle with a radius-0.21 bump at
-    target_h = 0.06.  No bound on the longest edge is enforced.  A min angle
-    below 15 degrees is reported as a warning on the mesh, not an error.
+    grid (points within 0.45 * target_h of the boundary dropped), and edges
+    longer than target_h are bisected one generation at a time, with Lawson
+    flips after each generation to keep quality.  Where the grid leaves a
+    gap along a side, the flips recreate edges just above target_h one
+    column further in, so the generations walk inwards: 37 of them on a
+    2pi x pi rectangle at target_h = 0.06.  Laplacian smoothing then relaxes
+    the interior vertices, which can stretch interior edges past target_h:
+    the longest edge reaches 1.23 * target_h on a 2pi x pi rectangle with a
+    radius-0.21 bump at target_h = 0.06.  No bound on the longest edge is
+    enforced.  A min angle below 15 degrees is reported as a warning on the
+    mesh, not an error.
     """
     h = poly.target_h
     loop = _resample_loop(np.asarray(poly.loop), h)
@@ -718,20 +749,17 @@ def _max_admissible_step(mesh: TriMesh, V):
     a0 = 0.5 * _cross2(u1, u2)
     a1 = 0.5 * (_cross2(u1, w2) + _cross2(w1, u2))
     a2 = 0.5 * _cross2(w1, w2)
-    best = math.inf
-    for c0, c1, c2 in zip(a0, a1, a2):
-        roots = []
-        if abs(c2) > 1e-300:
-            disc = c1 * c1 - 4.0 * c2 * c0
-            if disc >= 0:
-                sq = math.sqrt(disc)
-                roots.extend([(-c1 - sq) / (2 * c2), (-c1 + sq) / (2 * c2)])
-        elif abs(c1) > 1e-300:
-            roots.append(-c0 / c1)
-        pos = [r for r in roots if r > 0]
-        if pos:
-            best = min(best, min(pos))
-    return best
+    quad = np.abs(a2) > 1e-300
+    lin = ~quad & (np.abs(a1) > 1e-300)
+    c0, c1, c2 = a0[quad], a1[quad], a2[quad]
+    disc = c1 * c1 - 4.0 * c2 * c0
+    real = disc >= 0
+    c1, c2, sq = c1[real], c2[real], np.sqrt(disc[real])
+    roots = np.concatenate(
+        [(-c1 - sq) / (2 * c2), (-c1 + sq) / (2 * c2), -a0[lin] / a1[lin]]
+    )
+    pos = roots[roots > 0]
+    return float(pos.min()) if pos.size else math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from wgspec import mesh as M
 from wgspec.errors import GeometryError, MeshFormatError, StepTooLargeError
+from wgspec.shapederiv import bump_rectangle_polygon
 
 
 def dumbbell_loop(n_circle=256):
@@ -51,6 +52,44 @@ class TestGenRectangle:
         with pytest.raises(ValueError):
             M.gen_rectangle(1, 1, 0, 2)
 
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 5), (4, 1), (3, 7), (16, 9)])
+    def test_matches_loop_reference(self, nx, ny):
+        m = M.gen_rectangle(1.5, 0.7, nx, ny)
+        assert np.array_equal(m.triangles, _rectangle_triangles_loop(nx, ny))
+
+
+def _rectangle_triangles_loop(nx, ny):
+    """Reference: the triangle order of gen_rectangle, cell by cell."""
+
+    def vid(i, j):
+        return i * (ny + 1) + j
+
+    tris = []
+    for i in range(nx):
+        for j in range(ny):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+            tris.append((v00, v10, v01))
+            tris.append((v10, v11, v01))
+    return np.array(tris)
+
+
+def _right_triangle_loop(n):
+    """Reference: the vertex and triangle order of gen_right_triangle."""
+    index = -np.ones((n + 1, n + 1), dtype=np.int64)
+    verts = []
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            index[i, j] = len(verts)
+            verts.append((i / n, j / n))
+    tris = []
+    for i in range(n):
+        for j in range(n - i):
+            tris.append((index[i, j], index[i + 1, j], index[i, j + 1]))
+            if i + j <= n - 2:
+                tris.append((index[i + 1, j], index[i + 1, j + 1], index[i, j + 1]))
+    return np.array(verts, dtype=float), np.array(tris)
+
 
 class TestGenRightTriangle:
     def test_single(self):
@@ -77,6 +116,13 @@ class TestGenRightTriangle:
     def test_invalid(self):
         with pytest.raises(ValueError):
             M.gen_right_triangle(0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 32])
+    def test_matches_loop_reference(self, n):
+        m = M.gen_right_triangle(n)
+        verts, tris = _right_triangle_loop(n)
+        assert np.array_equal(m.vertices, verts)
+        assert np.array_equal(m.triangles, tris)
 
 
 class TestGenPolygon:
@@ -116,6 +162,16 @@ class TestGenPolygon:
         assert on_side.all()
         # the docstring's bound: boundary edges stay <= target_h
         assert m.boundary_lengths.max() <= 0.3 * (1 + 1e-12)
+
+    def test_plain_rectangle_vertex_count(self):
+        # the benchmark's closed-form rectangle; pins the mesher's output size
+        m = M.gen_polygon(M.Polygon(RECT_2PI_PI, 0.06))
+        assert m.num_vertices == 8336
+        assert m.warnings == ()
+
+
+RECT_2PI_PI = [(0, 0), (2 * np.pi, 0), (2 * np.pi, np.pi), (0, np.pi)]
+L_SHAPE = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
 
 
 def _corner_crosses(loop):
@@ -203,6 +259,109 @@ class TestEdgeTableProperties:
         assert r.num_triangles == 4 * F
 
 
+class TestLocalisedFlips:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["rect", "tri"]),
+        n1=st.integers(2, 8),
+        n2=st.integers(2, 8),
+        quantile=st.floats(0.5, 0.98),
+        first_passes=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dirty_mask_matches_full_scan(self, kind, n1, n2, quantile,
+                                          first_passes, seed):
+        base = M.gen_rectangle(1.5, 1.0, n1, n2) if kind == "rect" \
+            else M.gen_right_triangle(n1)
+        # jitter by at most 0.2 of the shortest leg, which keeps orientation
+        leg = 1.0 / max(n1, n2) if kind == "rect" else 1.0 / n1
+        rng = np.random.default_rng(seed)
+        verts = base.vertices + rng.uniform(-0.2, 0.2, base.vertices.shape) * leg
+        tris, dirty, (edges, tri_edges, _) = M._delaunay_flips(verts, base.triangles)
+        assert not dirty.any()  # a fixpoint before the bisection
+
+        elen = np.linalg.norm(verts[edges[:, 1]] - verts[edges[:, 0]], axis=1)
+        verts, tris, keep = M._bisect_pass(verts, tris, edges, tri_edges, elen,
+                                           np.quantile(elen, quantile))
+        full, full_dirty, _ = M._delaunay_flips(verts, tris)
+        assert not full_dirty.any()
+
+        # the kept triangles come first; only the children are new
+        dirty = np.arange(len(tris)) >= keep.sum()
+        local, dirty, table = M._delaunay_flips(verts, tris, dirty,
+                                                max_passes=first_passes)
+        _assert_edge_table(table, local)
+        # a call cut short hands its last flips on to the next call
+        local, dirty, table = M._delaunay_flips(verts, local, dirty)
+        _assert_edge_table(table, local)
+        assert not dirty.any()
+        assert np.array_equal(local, full)
+
+    @pytest.mark.parametrize("loop, h", [
+        (RECT_2PI_PI, 0.15),
+        (L_SHAPE, 0.08),
+        ("bump", 0.1),
+    ])
+    def test_refinement_ends_at_fixpoint(self, loop, h):
+        if loop == "bump":
+            loop = bump_rectangle_polygon(2 * np.pi, np.pi, "top", 3.0, 0.3, h).loop
+        pts, tris = M._triangulate_region(M._resample_loop(np.asarray(loop, float), h), h)
+        verts, tris = M._refine_longest_edge(pts, tris, h)
+        again, dirty, _ = M._delaunay_flips(verts, tris)
+        assert np.array_equal(again, tris)
+        assert not dirty.any()
+
+
+def _assert_edge_table(table, tris):
+    for got, want in zip(table, M._edge_table(tris)):
+        assert np.array_equal(got, want)
+
+
+class TestFartherThan:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["rect", "bump", "L", "star"]),
+        h=st.floats(0.03, 0.5),
+        resample=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_brute_force(self, kind, h, resample, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "rect":
+            loop = np.array([(0, 0), (rng.uniform(0.5, 3), 0),
+                             (rng.uniform(0.5, 3), rng.uniform(0.5, 2)),
+                             (0, rng.uniform(0.5, 2))])
+        elif kind == "bump":
+            loop = bump_rectangle_polygon(2.0, 1.0, "top", rng.uniform(0.7, 1.3),
+                                          rng.uniform(0.1, 0.6), h).loop
+        elif kind == "L":
+            loop = np.array(L_SHAPE, dtype=float)
+        else:
+            # star-shaped, hence simple and usually non-convex
+            th = np.sort(rng.uniform(0, 2 * np.pi, 12))
+            loop = np.column_stack([np.cos(th), np.sin(th)]) * rng.uniform(0.3, 1.5, (12, 1))
+        if resample:
+            loop = M._resample_loop(loop, h)
+        r = 0.45 * h
+
+        lo, hi = loop.min(axis=0) - h, loop.max(axis=0) + h
+        points = [rng.uniform(lo, hi, (200, 2))]
+        # points at distance r +- 1 ulp from segment interiors and vertices
+        i = rng.integers(0, len(loop), 100)
+        a, b = loop[i], loop[(i + 1) % len(loop)]
+        tang = (b - a) / np.linalg.norm(b - a, axis=1)[:, None]
+        normal = np.column_stack([-tang[:, 1], tang[:, 0]]) * rng.choice([-1, 1], (100, 1))
+        foot = a + rng.uniform(0, 1, (100, 1)) * (b - a)
+        phi = rng.uniform(0, 2 * np.pi, 100)
+        for d in (np.nextafter(r, 0), r, np.nextafter(r, np.inf)):
+            points.append(foot + d * normal)
+            points.append(a + d * np.column_stack([np.cos(phi), np.sin(phi)]))
+        points = np.concatenate(points)
+
+        expected = M._dist_to_polyline(points, loop) > r
+        assert np.array_equal(M._farther_than(points, loop, r), expected)
+
+
 class TestPerturb:
     def test_identity(self):
         m = M.gen_right_triangle(4)
@@ -244,6 +403,55 @@ class TestPerturb:
                 hi = mid
         assert abs(t_max - lo) <= 1e-6 * (1 + abs(t_max))
         M.perturb(m, V, 0.999 * t_max)  # just inside is fine
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["rect", "tri"]),
+        n=st.integers(1, 8),
+        field=st.sampled_from(["random", "translation", "rotation", "shear",
+                               "compression"]),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_max_step_matches_scalar_loop(self, kind, n, field, scale, seed):
+        m = M.gen_rectangle(1.5, 1.0, n, n + 1) if kind == "rect" \
+            else M.gen_right_triangle(n)
+        x, y = m.vertices.T
+        V = {
+            "random": np.random.default_rng(seed).standard_normal(m.vertices.shape),
+            "translation": np.tile([0.5, -0.25], (m.num_vertices, 1)),
+            "rotation": np.column_stack([-y, x]),
+            "shear": np.column_stack([y, np.zeros_like(y)]),
+            # areas linear in t, vanishing at t = 1
+            "compression": np.column_stack([-x, np.zeros_like(x)]),
+        }[field] * scale
+        assert M._max_admissible_step(m, V) == _max_step_loop(m, V)
+
+
+def _max_step_loop(mesh, V):
+    """Reference: the smallest positive root of each triangle's signed area
+    along v + t V, one triangle at a time."""
+    p = mesh.vertices[mesh.triangles]
+    w = V[mesh.triangles]
+    u1, u2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    w1, w2 = w[:, 1] - w[:, 0], w[:, 2] - w[:, 0]
+    a0 = 0.5 * M._cross2(u1, u2)
+    a1 = 0.5 * (M._cross2(u1, w2) + M._cross2(w1, u2))
+    a2 = 0.5 * M._cross2(w1, w2)
+    best = math.inf
+    for c0, c1, c2 in zip(a0, a1, a2):
+        roots = []
+        if abs(c2) > 1e-300:
+            disc = c1 * c1 - 4.0 * c2 * c0
+            if disc >= 0:
+                sq = math.sqrt(disc)
+                roots.extend([(-c1 - sq) / (2 * c2), (-c1 + sq) / (2 * c2)])
+        elif abs(c1) > 1e-300:
+            roots.append(-c0 / c1)
+        pos = [r for r in roots if r > 0]
+        if pos:
+            best = min(best, min(pos))
+    return best
 
 
 GMSH_OK = """$MeshFormat
