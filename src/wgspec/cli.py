@@ -14,7 +14,9 @@ import time
 
 import numpy as np
 
-from . import conditions, crosssec, curves, mesh as meshmod, shapederiv
+# the FEM and mesh modules load scipy; the commands that use them import
+# them, so `curve` and `check` run on numpy alone
+from . import conditions, curves
 
 
 def _echo(args):
@@ -36,6 +38,8 @@ def _write(path, text):
 
 
 def _load_mesh(args):
+    from . import mesh as meshmod
+
     if args.rect:
         ell, L, nx, ny = args.rect
         return meshmod.gen_rectangle(float(ell), float(L), int(nx), int(ny))
@@ -56,6 +60,8 @@ def _load_mesh(args):
 
 
 def cmd_section(args):
+    from . import crosssec
+
     mesh = _load_mesh(args)
     rep = crosssec.analyze(
         mesh, origin=tuple(args.origin), tol=args.tol,
@@ -135,6 +141,8 @@ def cmd_check(args):
 
 
 def cmd_shapederiv(args):
+    from . import mesh as meshmod, shapederiv
+
     ell, L = args.rect[0], args.rect[1]
     nx = args.nx or 128
     ny = args.ny or max(4, int(round(nx * L / ell)))
@@ -202,6 +210,8 @@ def cmd_shapederiv(args):
 
 
 def cmd_sweep(args):
+    from . import shapederiv
+
     lo, hi, step = args.radii
     radii = list(np.arange(lo, hi + 0.5 * step, step))
     rows = shapederiv.bump_sweep(

@@ -130,16 +130,15 @@ def delta_star(X, Y, lambda2, b, kappa_sup, kappa_l1):
     return min(xy / ((xy + 2.0 * b * kappa_l1 * lambda2) * b * kappa_sup), 1.0)
 
 
-def _f_no_twist(x):
-    """Spectral-norm envelope max(|x|, (x^2 + |x|(2-x)) / (2(1-x)))."""
-    x = np.asarray(x, dtype=float)
-    return np.maximum(np.abs(x), (x * x + np.abs(x) * (2.0 - x)) / (2.0 * (1.0 - x)))
-
-
 def _m_eigenvalues(u, v):
-    """Eigenvalues of the metric-perturbation matrix at k.y = u, |twist dev| |y| = v."""
+    """Eigenvalues of the metric-perturbation matrix at k.y = u, |twist dev| |y| = v.
+
+    The root is taken as sqrt(q) * sqrt((2 - u)^2 + v^2): at v = 0 that is
+    |u| (2 - u) exactly, so the eigenvalues reproduce the no-twist envelope
+    max(|u|, (u^2 + |u|(2 - u)) / (2(1 - u))) to the last bit.
+    """
     q = u * u + v * v
-    root = np.sqrt(q * ((2.0 - u) ** 2 + v * v))
+    root = np.sqrt(q) * np.sqrt((2.0 - u) ** 2 + v * v)
     lam2 = -(q + root) / (2.0 * (1.0 - u))
     lam3 = -(q - root) / (2.0 * (1.0 - u))
     return u, lam2, lam3
@@ -148,25 +147,18 @@ def _m_eigenvalues(u, v):
 def s_norm_bound(b, kappa_sup, twist_dev_sup=0.0, grid=S_NORM_GRID):
     """Upper bound for the metric-perturbation operator norm.
 
-    Without twist deviation the bound is the closed-form envelope evaluated
-    on a grid plus the interval endpoint, where the sup is attained (so the
-    no-twist value is exact).  With twist deviation the sup over the two
-    invariants |u| <= b*kappa_sup, 0 <= v <= b*twist_dev_sup is attained on
-    the edge v = b*twist_dev_sup: |lambda1| = |u| does not depend on v,
-    |lambda3| <= |lambda2|, and |lambda2| grows with v.  So the bound is one
-    sweep of the eigenvalues over a grid in u at that v.
+    The sup over the two invariants |u| <= r = b*kappa_sup and
+    0 <= v <= b*twist_dev_sup is attained on the edge v = b*twist_dev_sup:
+    |lambda1| = |u| does not depend on v, |lambda3| <= |lambda2|, and
+    |lambda2| grows with v.  So the bound is one sweep of the eigenvalues
+    over a grid in u at that v.  The grid ends at u = r, where the sup is
+    attained without twist deviation, so that value is exact.
     """
     _check_admissible(b, kappa_sup)
     r = b * kappa_sup
-    if twist_dev_sup == 0.0:
-        xs = np.linspace(-r, r, int(grid))
-        val = float(_f_no_twist(xs).max())
-        return max(val, float(_f_no_twist(np.array([r]))[0]))
     u = np.linspace(-r, r, int(grid))
     l1, l2, l3 = _m_eigenvalues(u, np.full_like(u, b * twist_dev_sup))
-    return float(
-        np.maximum(np.abs(l1), np.maximum(np.abs(l2), np.abs(l3))).max()
-    )
+    return float(np.maximum(np.abs(l1), np.maximum(np.abs(l2), np.abs(l3))).max())
 
 
 def localization(a0, s_bound):

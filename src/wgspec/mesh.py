@@ -18,7 +18,13 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import GeometryError, MeshFormatError, StepTooLargeError
 
-MIN_ANGLE_FLOOR_DEG = 15.0
+# gen_polygon: its angle bound, size-field slope, lattice step / target_h,
+# loop clearance of lattice points per spacing, and cap on repair rounds
+MIN_ANGLE_TARGET_DEG = 20.0
+GRADING = 0.25
+LATTICE_SPACING = 0.88
+WALL_GAP = 0.3
+REPAIR_ROUNDS = 12
 _SMOOTH_SWEEPS = 10
 
 
@@ -287,7 +293,7 @@ def gen_right_triangle(n):
 
 
 # ---------------------------------------------------------------------------
-# polygon mesher: resample -> ear clipping -> longest-edge bisection -> smoothing
+# polygon mesher: graded boundary and lattice -> Delaunay -> smoothing -> repair
 
 
 @dataclass(frozen=True)
@@ -350,279 +356,284 @@ def _segments_cross(p, q, r, s):
     return (d1 * d2 < 0) & (d3 * d4 < 0)
 
 
-def _resample_loop(loop, h):
-    """Insert points along each polygon segment so spacing <= h.
+def _segment_lengths(loop):
+    """Length of each loop segment i -> i+1 (mod len(loop))."""
+    return np.sqrt(((np.roll(loop, -1, axis=0) - loop) ** 2).sum(axis=1))
 
-    Original vertices are kept; inserted points lie exactly on the polyline.
+
+def _lattice(loop, h):
+    """Origin and steps ((x0, y0), (dx, dy)) of the level-0 staggered lattice.
+
+    Columns span the outermost sides parallel to y, rows the outermost sides
+    parallel to x (the bounding box where these span less than half of it),
+    so such sides fall on lattice lines: ceil(width / (LATTICE_SPACING * h))
+    columns, and the even row count nearest to height / (dx * sqrt(3) / 2).
     """
+    lo, hi = loop.min(axis=0), loop.max(axis=0)
+    nxt = np.roll(loop, -1, axis=0)
+    for axis in (0, 1):
+        at = loop[loop[:, axis] == nxt[:, axis], axis]
+        if len(at) and at.max() - at.min() >= 0.5 * (hi[axis] - lo[axis]):
+            lo[axis], hi[axis] = at.min(), at.max()
+    width, height = hi - lo
+    dx = width / max(1, math.ceil(width / (LATTICE_SPACING * h) - 1e-12))
+    rows = 2 * max(1, round(height / (dx * math.sqrt(3.0))))
+    return lo, np.array([dx, height / rows])
+
+
+def _resample_loop(loop, step):
+    """Insert points along each polygon segment at a spacing set by a size field.
+
+    step is the spacing along x and y (a scalar sets both): a segment in
+    direction (cos a, sin a) is cut at most every hypot(step_x cos a, step_y
+    sin a).  Near an end vertex whose shorter segment l is finer, the
+    spacing is l + GRADING * (distance to it); cuts fall at whole steps of
+    the integral of 1 / spacing.  Inserted points lie on the polyline.
+    """
+    sx, sy = np.broadcast_to(np.asarray(step, dtype=float), (2,))
+    seg = _segment_lengths(loop)
+    size = np.minimum(seg, np.roll(seg, 1))
     out = []
-    m = len(loop)
-    for i in range(m):
-        p, q = loop[i], loop[(i + 1) % m]
-        seg = np.linalg.norm(q - p)
-        k = max(1, int(math.ceil(seg / h - 1e-12)))
-        for j in range(k):
-            out.append(p + (q - p) * (j / k))
-    return np.array(out)
+    for p, q, length, s0, s1 in zip(loop, np.roll(loop, -1, axis=0), seg, size,
+                                    np.roll(size, -1)):
+        d = q - p
+        cap = math.hypot(sx * d[0], sy * d[1]) / length
+        t = np.linspace(0.0, 1.0, 4 * math.ceil(length / min(s0, s1, cap)) + 2)
+        local = np.minimum(cap, np.minimum(s0 + GRADING * length * t,
+                                           s1 + GRADING * length * (1.0 - t)))
+        # pieces up to t, by the trapezoid rule on length / local
+        pieces = np.concatenate([[0.0], np.cumsum(
+            0.5 * length * np.diff(t) * (1.0 / local[1:] + 1.0 / local[:-1]))])
+        total = pieces[-1]
+        # from the coarser end (a corner keeps a side on the lattice lines);
+        # a last piece under one half shares the last two equally
+        marks = np.arange(max(1, math.ceil(total - 1e-9)), dtype=float)
+        if len(marks) > 1 and total - marks[-1] < 0.5:
+            marks[-1] = 0.5 * (marks[-2] + total)
+        if s1 > s0:
+            marks = np.sort((total - marks) % total)
+        out.append(p + d * np.interp(marks, pieces, t)[:, None])
+    return np.concatenate(out)
 
 
-def _point_in_polygon(points, loop):
-    """Crossing-number test, vectorized over points."""
+def _point_in_polygon(points, loop, ends=None):
+    """Crossing-number test by a scanline over the points sorted by y.
+
+    Segments run from each loop point to the next, or to ends.  Segment
+    (a, b) crosses the rightward ray from p when min(ya, yb) <= py <
+    max(ya, yb) and p lies left of it at py; those points are one run of
+    the sorted order, so the work is the (segment, point) pairs in bands.
+    """
     x, y = points[:, 0], points[:, 1]
-    inside = np.zeros(len(points), dtype=bool)
-    m = len(loop)
-    for i in range(m):
-        x1, y1 = loop[i]
-        x2, y2 = loop[(i + 1) % m]
-        crosses = ((y1 > y) != (y2 > y)) & (
-            x < (x2 - x1) * (y - y1) / (y2 - y1 + 1e-300) + x1
-        )
-        inside ^= crosses
-    return inside
+    order = np.argsort(y, kind="stable")
+    a, b = loop, np.roll(loop, -1, axis=0) if ends is None else ends
+    start = np.searchsorted(y[order], np.minimum(a[:, 1], b[:, 1]))
+    count = np.searchsorted(y[order], np.maximum(a[:, 1], b[:, 1])) - start
+    seg = np.repeat(np.arange(len(loop)), count)
+    run = np.arange(len(seg)) - np.repeat(np.cumsum(count) - count, count)
+    idx = order[np.repeat(start, count) + run]
+    (x1, y1), (x2, y2) = a[seg].T, b[seg].T
+    crosses = x[idx] < (x2 - x1) * (y[idx] - y1) / (y2 - y1 + 1e-300) + x1
+    return np.bincount(idx[crosses], minlength=len(points)) % 2 == 1
+
+
+def _segment_distance(p, a, b):
+    """Distance from points p to segments a-b (broadcast over leading axes)."""
+    ab, ap = b - a, p - a
+    t = np.clip((ap * ab).sum(axis=-1) / ((ab * ab).sum(axis=-1) + 1e-300), 0.0, 1.0)
+    d = ap - t[..., None] * ab
+    return np.sqrt((d * d).sum(axis=-1))
 
 
 def _dist_to_polyline(points, loop):
-    """Distance from each point to the closed polyline, chunked."""
-    m = len(loop)
-    a = loop
-    b = np.roll(loop, -1, axis=0)
-    ab = b - a
-    ab2 = (ab * ab).sum(axis=1) + 1e-300
-    out = np.empty(len(points))
-    chunk = max(1, 4_000_000 // max(m, 1))
-    for s in range(0, len(points), chunk):
-        p = points[s : s + chunk]
-        ap = p[:, None, :] - a[None, :, :]
-        t = np.clip((ap * ab[None, :, :]).sum(axis=2) / ab2[None, :], 0.0, 1.0)
-        d = ap - t[:, :, None] * ab[None, :, :]
-        out[s : s + chunk] = np.sqrt((d * d).sum(axis=2).min(axis=1))
-    return out
+    """Distance from each point to the closed polyline, over every segment."""
+    ends = np.roll(loop, -1, axis=0)
+    return _segment_distance(points[:, None], loop, ends).min(axis=1)
 
 
 def _farther_than(points, loop, r):
     """Mask of the points whose distance to the closed polyline exceeds r.
 
-    Equals _dist_to_polyline(points, loop) > r.  A segment comes within r of
-    a point only if one of its endpoints lies within r + half the segment's
-    length, so only points that close to a loop vertex (the bound carries
-    another half of the longest segment as margin for rounding) get the exact
-    distance.
+    Equals _dist_to_polyline(points, loop) > r, r a scalar or one per point.
+    A segment is within r of a point only if its midpoint is within r + half
+    its length, so only those (point, segment) pairs are measured (the bound
+    adds another half of the longest segment as a margin for rounding).
     """
     from scipy.spatial import cKDTree
 
-    seg = np.sqrt(((np.roll(loop, -1, axis=0) - loop) ** 2).sum(axis=1)).max()
-    near = cKDTree(loop).query(points, distance_upper_bound=r + seg)[0] < np.inf
+    r = np.broadcast_to(r, (len(points),))
+    a, b = loop, np.roll(loop, -1, axis=0)
+    bound = r.max(initial=0.0) + _segment_lengths(loop).max()
+    pairs = cKDTree(points).sparse_distance_matrix(
+        cKDTree(0.5 * (a + b)), bound, output_type="ndarray")
+    p, s = pairs["i"], pairs["j"]
     out = np.ones(len(points), dtype=bool)
-    out[near] = _dist_to_polyline(points[near], loop) > r
+    out[p[_segment_distance(points[p], a[s], b[s]) <= r[p]]] = False
     return out
 
 
-def _triangulate_region(loop, h):
-    """Delaunay triangulation of the polygon region at spacing ~h.
+def _graded_points(loop, origin, step):
+    """Interior points of the polygon, spaced by a size field.
 
-    Interior points come from a staggered grid clipped to the polygon;
-    triangles outside the (possibly non-convex) polygon are dropped.  Any
-    boundary segment missing from the triangulation is recovered by
-    splitting it at its midpoint and retriangulating.
+    The size is min(dx, l_b + GRADING * |x - b|) over loop vertices b, l_b
+    the shorter loop segment at b.  Level 0 is the lattice of _lattice,
+    origin + ((i + (j mod 2) / 2) dx, j dy); level k halves its steps k
+    times and holds the coarser levels.  A point is kept on level
+    round(log2(dx / size)); level k >= 1 is made only over the bounding box
+    of where size <= dx * 2**(0.5 - k).  Points outside the polygon or
+    within WALL_GAP of their level's dx of the loop are dropped.
+    """
+    from scipy.spatial import cKDTree
+
+    seg = _segment_lengths(loop)
+    spacing = np.minimum(seg, np.roll(seg, 1))
+    # level k >= 1 holds the points where the size is at most cut[k - 1]
+    cut = step[0] * 2.0 ** (0.5 - np.arange(1, 53))
+    cut = cut[cut >= spacing.min()]
+    lo, hi = loop.min(axis=0), loop.max(axis=0)
+    cand, first = [], []
+    for k in range(len(cut) + 1):
+        if k:
+            reach = (cut[k - 1] - spacing) / GRADING
+            near = reach > 0
+            lo = np.maximum(lo, (loop[near] - reach[near, None]).min(axis=0))
+            hi = np.minimum(hi, (loop[near] + reach[near, None]).max(axis=0))
+        n0 = np.floor((lo - origin) / step * 2**k).astype(int) - 1
+        n1 = np.ceil((hi - origin) / step * 2**k).astype(int) + 1
+        i, j = (a.ravel() for a in np.meshgrid(np.arange(n0[0], n1[0] + 1),
+                                               np.arange(n0[1], n1[1] + 1)))
+        # the points of level k - 1 sit at even j and i = j / 2 (mod 2)
+        new = (j % 2 == 1) | (i % 2 != (j // 2) % 2) | (k == 0)
+        ij = np.column_stack([i[new] + 0.5 * (j[new] % 2), j[new]])
+        pts = origin + ij * step / 2**k
+        cand.append(pts[((pts >= lo) & (pts <= hi)).all(axis=1)])
+        first.append(np.full(len(cand[-1]), k))
+    cand, first = np.concatenate(cand), np.concatenate(first)
+    size = np.full(len(cand), step[0])
+    if len(cut):
+        src = spacing <= cut[0]
+        pairs = cKDTree(loop[src]).sparse_distance_matrix(
+            cKDTree(cand), (cut[0] - spacing.min()) / GRADING, output_type="ndarray")
+        np.minimum.at(size, pairs["j"], spacing[src][pairs["i"]] + GRADING * pairs["v"])
+    level = (size[:, None] <= cut).sum(axis=1)
+    keep = level >= first
+    cand, gap = cand[keep], WALL_GAP * step[0] / 2.0 ** level[keep]
+    inside = _point_in_polygon(cand, loop)
+    return cand[inside][_farther_than(cand[inside], loop, gap[inside])]
+
+
+def _triangulate_region(loop, inner):
+    """Delaunay triangulation of the polygon on its loop and the inner points.
+
+    Flat triangles and those with a centroid outside the polygon are
+    dropped; a loop segment missing from the triangulation is split at its
+    midpoint and the points triangulated again.  Returns (loop, pts, tris):
+    the loop with those splits, and pts, the loop then the inner points.
     """
     from scipy.spatial import Delaunay
 
-    loop = np.asarray(loop, dtype=float)
+    # qhull takes about twice as long on a lattice's cocircular quadruples;
+    # moving the inner points by 1e-10 of the extent, for qhull only, ends it
+    jitter = np.random.default_rng(0).uniform(-1e-10, 1e-10, inner.shape)
+    shifted = inner + jitter * np.ptp(loop)
     for _ in range(12):
         nb = len(loop)
-        xmin, ymin = loop.min(axis=0)
-        xmax, ymax = loop.max(axis=0)
-        dx = 0.95 * h
-        dy = dx * math.sqrt(3.0) / 2.0
-        ys = np.arange(ymin + 0.5 * dy, ymax, dy)
-        rows = []
-        for r, yv in enumerate(ys):
-            xs = np.arange(xmin + (0.25 + 0.5 * (r % 2)) * dx, xmax, dx)
-            rows.append(np.column_stack([xs, np.full(len(xs), yv)]))
-        grid = np.concatenate(rows) if rows else np.empty((0, 2))
-        if len(grid):
-            keep = _point_in_polygon(grid, loop)
-            keep[keep] = _farther_than(grid[keep], loop, 0.45 * h)
-            grid = grid[keep]
-        pts = np.vstack([loop, grid])
-
-        tri = Delaunay(pts)
-        simplices = tri.simplices
-        # drop triangles whose centroid falls outside the polygon
-        cent = pts[simplices].mean(axis=1)
-        simplices = simplices[_point_in_polygon(cent, loop)]
+        pts = np.vstack([loop, inner])
+        simplices = Delaunay(np.vstack([loop, shifted])).simplices
+        # drop triangles whose centroid falls outside the polygon, and the
+        # flat ones qhull can leave between collinear points of its hull
+        p = pts[simplices]
+        u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        flat = np.abs(_cross2(u, v)) <= 1e-12 * (
+            (u * u).sum(axis=1) + (v * v).sum(axis=1))
+        simplices = simplices[~flat & _point_in_polygon(p.mean(axis=1), loop)]
 
         # the loop points come first, so segment i is the edge (i, i+1 mod nb)
+        i, j = np.arange(nb), (np.arange(nb) + 1) % nb
         lo, hi = _edge_table(simplices)[0].T
-        present = np.zeros(nb, dtype=bool)
-        present[lo[(hi == lo + 1) & (hi < nb)]] = True
-        present[nb - 1] = ((lo == 0) & (hi == nb - 1)).any()
-        missing = np.flatnonzero(~present)
+        key = np.minimum(i, j) * len(pts) + np.maximum(i, j)
+        missing = np.flatnonzero(~np.isin(key, lo * len(pts) + hi))
         if not missing.size:
-            return pts, np.asarray(simplices, dtype=np.int64)
-        # split encroached boundary segments at their midpoints (points stay
-        # on the polyline) and retriangulate
-        mids = 0.5 * (loop[missing] + loop[(missing + 1) % nb])
-        loop = np.insert(loop, missing + 1, mids, axis=0)
+            return loop, pts, np.asarray(simplices, dtype=np.int64)
+        loop = _split_segments(loop, missing)
     raise GeometryError("boundary recovery failed; polygon too tangled for spacing")
 
 
-def _delaunay_flips(verts, tris, dirty=None, max_passes=60):
-    """Lawson edge flips toward the Delaunay triangulation of the point set.
+def _split_segments(loop, segments):
+    """The loop with the given segments split at their midpoints."""
+    segments = np.unique(segments)
+    mids = 0.5 * (loop[segments] + loop[(segments + 1) % len(loop)])
+    return np.insert(loop, segments + 1, mids, axis=0)
 
-    Connectivity-only operation (no new points); restores triangle quality
-    between bisection generations so longest-edge closure stays local.  The
-    flip predicate is the opposite-angles form (gamma_c + gamma_d > pi),
-    which stays meaningful for sliver triangles where the raw incircle
-    determinant underflows.
 
-    Each pass flips a greedy independent set of the flippable interior edges,
-    strongest violation first, and the passes repeat until no edge is
-    flippable.  The predicate is evaluated only on edges with a triangle
-    marked in the boolean mask ``dirty`` (default: every triangle), and after
-    each pass only on edges of the triangles that pass flipped.  This gives
-    the flips of a full scan as long as no edge between two unmarked
-    triangles is flippable, as after an earlier call that reached its
-    fixpoint.  Returns (tris, dirty, table): dirty is all False at the
-    fixpoint and marks the triangles of the last pass if max_passes ran out
-    first; table is _edge_table(tris).
+def _repair_points(loop, verts, tris, h):
+    """Points to insert where the mesh misses a quality bound.
+
+    A triangle with an angle below MIN_ANGLE_TARGET_DEG gets its
+    circumcentre (Ruppert, J. Algorithms 18(3), 1995), worst first, and an
+    interior edge longer than h its midpoint, longest first.  A circumcentre
+    that encroaches a loop segment (or is outside) is dropped and those
+    segments are split; so is a candidate nearer to an earlier one than half
+    its clearance from the mesh.  Returns (loop, new points), both unchanged
+    in size when the mesh meets both bounds.
     """
-    tris = np.asarray(tris, dtype=np.int64).copy()
-    pts = np.asarray(verts, dtype=float)
-    if dirty is None:
-        dirty = np.ones(len(tris), dtype=bool)
-    table = _edge_table(tris)
-    for _ in range(max_passes):
-        nt = len(tris)
-        _, tri_edges, counts = table
-        # each interior edge's two sides, numbered slot = side * nt + triangle
-        slot = np.arange(3 * nt)
-        first = np.full(len(counts), 3 * nt)
-        second = np.full(len(counts), -1)
-        np.minimum.at(first, tri_edges.T.ravel(), slot)
-        np.maximum.at(second, tri_edges.T.ravel(), slot)
-        interior = counts == 2
-        k1, t1 = np.divmod(first[interior], nt)
-        k2, t2 = np.divmod(second[interior], nt)
-        # an edge between two unchanged triangles stays unflippable
-        check = dirty[t1] | dirty[t2]
-        k1, t1, k2, t2 = k1[check], t1[check], k2[check], t2[check]
+    from scipy.spatial import cKDTree
 
-        a = tris[t1, k1]
-        b = tris[t1, (k1 + 1) % 3]
-        c = tris[t1, (k1 + 2) % 3]
-        d = tris[t2, (k2 + 2) % 3]
-        pa, pb, pc, pd = pts[a], pts[b], pts[c], pts[d]
+    # in degrees as TriMesh.min_angle_deg, so the bound it checks is this one
+    angle = np.degrees(_all_angles(verts, tris).min(axis=1))
+    bad = np.flatnonzero(angle < MIN_ANGLE_TARGET_DEG)
+    bad = bad[np.argsort(angle[bad], kind="stable")]
+    edges, _, counts = _edge_table(tris)
+    elen = np.sqrt(((verts[edges[:, 1]] - verts[edges[:, 0]]) ** 2).sum(axis=1))
+    long_ = np.flatnonzero((elen > h) & (counts == 2))
+    long_ = long_[np.argsort(-elen[long_], kind="stable")]
 
-        # angle at c over edge (a, b) plus angle at d over (a, b) exceeding pi
-        u1, v1 = pa - pc, pb - pc
-        u2, v2 = pb - pd, pa - pd
-        cos_c = (u1 * v1).sum(axis=1)
-        sin_c = np.abs(_cross2(u1, v1))
-        cos_d = (u2 * v2).sum(axis=1)
-        sin_d = np.abs(_cross2(u2, v2))
-        crit = sin_c * cos_d + cos_c * sin_d
-        scale = (
-            np.linalg.norm(u1, axis=1) * np.linalg.norm(v1, axis=1)
-            * np.linalg.norm(u2, axis=1) * np.linalg.norm(v2, axis=1)
-        )
-        want = crit < -1e-12 * scale
-        # the flipped pair (a,d,c), (d,b,c) must keep positive orientation
-        na1 = _cross2(pd - pa, pc - pa)
-        na2 = _cross2(pb - pd, pc - pd)
-        e2 = np.maximum(((pa - pb) ** 2).sum(axis=1), ((pc - pd) ** 2).sum(axis=1))
-        want &= (na1 > 1e-13 * e2) & (na2 > 1e-13 * e2)
-        cand = np.where(want)[0]
-        if cand.size == 0:
-            return tris, np.zeros(nt, dtype=bool), table
-        # independent subset: strongest violations first, one flip per triangle;
-        # every candidate left out shares a triangle with a flip, so it is
-        # checked again next pass
-        cand = cand[np.argsort(crit[cand] / (scale[cand] + 1e-300))]
-        used = np.zeros(nt, dtype=bool)
-        for j in cand:
-            i1, i2 = t1[j], t2[j]
-            if used[i1] or used[i2]:
-                continue
-            used[i1] = used[i2] = True
-            tris[i1] = (a[j], d[j], c[j])
-            tris[i2] = (d[j], b[j], c[j])
-        dirty = used
-        table = _edge_table(tris)
-    return tris, dirty, table
+    p0 = verts[tris[bad, 0]]
+    u, v = verts[tris[bad, 1]] - p0, verts[tris[bad, 2]] - p0
+    uu, vv = (u * u).sum(axis=1), (v * v).sum(axis=1)
+    off = (np.column_stack([v[:, 1] * uu - u[:, 1] * vv, u[:, 0] * vv - v[:, 0] * uu])
+           / (2.0 * _cross2(u, v))[:, None])
+    a, b = loop - (p0 + off)[:, None], np.roll(loop, -1, axis=0) - (p0 + off)[:, None]
+    encroach = (a * b).sum(axis=2) < 0
+    ok = ~encroach.any(axis=1) & _point_in_polygon(p0 + off, loop)
+    cand = np.concatenate([(p0 + off)[ok], 0.5 * (verts[edges[long_]].sum(axis=1))])
+    clear = np.concatenate([np.sqrt((off[ok] ** 2).sum(axis=1)), 0.5 * elen[long_]])
+    taken, blocked = np.zeros((2, len(cand)), dtype=bool)
+    tree = cKDTree(cand)
+    for i in range(len(cand)):
+        if not blocked[i]:
+            taken[i] = True
+            blocked[tree.query_ball_point(cand[i], 0.5 * clear[i])] = True
+    split = np.flatnonzero(encroach.any(axis=0))
+    return (_split_segments(loop, split) if split.size else loop), cand[taken]
 
 
-def _refine_longest_edge(vertices, triangles, h):
-    """Conforming longest-edge bisection with interleaved Delaunay flips.
+def _insert_near(verts, tris, extra, reach):
+    """The triangulation with the extra points, made again only near them.
 
-    Edges longer than the current target are bisected one generation at a
-    time; a flip pass between generations keeps triangles well shaped so the
-    conformity closure stays local.  Each flip pass after the first checks
-    only the edges of the triangles the last bisection created, plus any
-    triangles left unsettled when the previous flip call ran out of passes.
+    Triangles with a centroid within reach of an extra point give way to the
+    Delaunay triangles of their vertices and the extra points inside them.
+    Returns (verts + extra, tris), or None unless those keep the patch's rim
+    and use every extra point.
     """
-    verts = np.asarray(vertices, dtype=float)
-    tris = np.asarray(triangles, dtype=np.int64)
-    dirty = None
-    for _ in range(200):
-        tris, dirty, (edges, tri_edges, _) = _delaunay_flips(verts, tris, dirty)
-        elen = np.linalg.norm(verts[edges[:, 1]] - verts[edges[:, 0]], axis=1)
-        emax = elen.max()
-        if emax <= h:
-            return verts, tris
-        target = max(h, emax / 2.0)
-        verts, tris, keep = _bisect_pass(verts, tris, edges, tri_edges, elen, target)
-        # the kept triangles come first, unchanged; their children follow
-        dirty = np.concatenate(
-            [dirty[keep], np.ones(len(tris) - keep.sum(), dtype=bool)]
-        )
-    raise GeometryError("longest-edge refinement failed to reach the target size")
+    from scipy.spatial import Delaunay, cKDTree
 
-
-def _bisect_pass(verts, tris, uniq, edge_id, elen, target):
-    """One marked-bisection generation: split every edge longer than target.
-
-    uniq and edge_id are the edges and triangle sides of _edge_table(tris),
-    elen the edge lengths.  Marked edges are split in every adjacent
-    triangle (2, 3 or 4 children), so the pass is conforming without any
-    closure; the interleaved flip passes repair the connectivity quality
-    afterwards.  Returns (verts, tris, keep): the new vertices are appended,
-    and the new triangles are tris[keep] followed by the children of the
-    split ones.
-    """
-    marked = elen > target
-    mid_of = -np.ones(len(uniq), dtype=np.int64)
-    midx = np.where(marked)[0]
-    mid_of[midx] = len(verts) + np.arange(len(midx))
-    new_pts = 0.5 * (verts[uniq[midx, 0]] + verts[uniq[midx, 1]])
-    verts = np.vstack([verts, new_pts])
-
-    out = []
-    m = marked[edge_id]  # (nt, 3)
-    keep = ~m.any(axis=1)
-    out.append(tris[keep])
-    side_len = elen[edge_id]
-    for t_idx in np.where(~keep)[0]:
-        t = tris[t_idx]
-        # anchor on the longest marked side for the bisection pattern
-        rot = max(
-            (k for k in range(3) if m[t_idx, k]),
-            key=lambda k: side_len[t_idx, k],
-        )
-        v0, v1, v2 = t[rot], t[(rot + 1) % 3], t[(rot + 2) % 3]
-        e01 = mid_of[edge_id[t_idx, rot]]
-        e12 = mid_of[edge_id[t_idx, (rot + 1) % 3]]
-        e20 = mid_of[edge_id[t_idx, (rot + 2) % 3]]
-        if e12 < 0 and e20 < 0:
-            out.append([(v0, e01, v2), (e01, v1, v2)])
-        elif e12 >= 0 and e20 < 0:
-            out.append([(v0, e01, v2), (e01, v1, e12), (e01, e12, v2)])
-        elif e12 < 0 and e20 >= 0:
-            out.append([(e01, v1, v2), (e01, v2, e20), (v0, e01, e20)])
-        else:
-            out.append([(v0, e01, e20), (e01, v1, e12), (e20, e12, v2), (e01, e12, e20)])
-    tris = np.concatenate([np.asarray(chunk, dtype=np.int64).reshape(-1, 3) for chunk in out])
-    return verts, tris, keep
+    patch = cKDTree(extra).query(verts[tris].mean(axis=1),
+                                 distance_upper_bound=reach)[0] < np.inf
+    ids = np.unique(tris[patch])
+    local = np.append(ids, len(verts) + np.arange(len(extra)))[
+        Delaunay(np.vstack([verts[ids], extra])).simplices]
+    verts = np.vstack([verts, extra])
+    edges, _, counts = _edge_table(tris[patch])
+    rim = edges[counts == 1]
+    cent = verts[local].mean(axis=1)
+    local = local[_point_in_polygon(cent, verts[rim[:, 0]], verts[rim[:, 1]])]
+    kept = np.sort(_directed_edges(local), axis=1)
+    n = len(verts)
+    if len(local) != patch.sum() + 2 * len(extra) or not np.isin(
+            rim[:, 0] * n + rim[:, 1], kept[:, 0] * n + kept[:, 1]).all():
+        return None
+    return verts, np.vstack([tris[~patch], local])
 
 
 def _laplacian_smooth(vertices, triangles, sweeps=_SMOOTH_SWEEPS):
@@ -658,38 +669,41 @@ def _laplacian_smooth(vertices, triangles, sweeps=_SMOOTH_SWEEPS):
 
 
 def gen_polygon(poly: Polygon):
-    """Mesh a simple polygon at edge length about poly.target_h.
+    """Mesh a simple polygon with every angle >= 20 degrees and edge <= h.
 
-    The boundary is resampled on the input polyline (boundary edges stay
-    <= target_h), the region is triangulated over a staggered interior point
-    grid (points within 0.45 * target_h of the boundary dropped), and edges
-    longer than target_h are bisected one generation at a time, with Lawson
-    flips after each generation to keep quality.  Where the grid leaves a
-    gap along a side, the flips recreate edges just above target_h one
-    column further in, so the generations walk inwards: 37 of them on a
-    2pi x pi rectangle at target_h = 0.06.  Laplacian smoothing then relaxes
-    the interior vertices, which can stretch interior edges past target_h:
-    the longest edge reaches 1.23 * target_h on a 2pi x pi rectangle with a
-    radius-0.21 bump at target_h = 0.06.  No bound on the longest edge is
-    enforced.  A min angle below 15 degrees is reported as a warning on the
-    mesh, not an error.
+    With h = poly.target_h: a staggered lattice of column step dx <=
+    LATTICE_SPACING * h is fitted to the polygon (_lattice), the boundary is
+    resampled at the lattice step (_resample_loop), and interior points
+    follow the size field min(dx, h_b + GRADING * d), h_b the local spacing
+    of the resampled loop and d the distance to it (_graded_points).  One
+    Delaunay triangulation and Laplacian smoothing follow; then, up to
+    REPAIR_ROUNDS times, circumcentres of triangles with an angle below
+    MIN_ANGLE_TARGET_DEG and midpoints of interior edges longer than h are
+    inserted (_repair_points), else the mesh carries a warning, as it must
+    where an input corner is sharper than 20 degrees.  Tests hold both
+    bounds on bumps of radius 0.2 to 0.6 on each side of the 2pi x pi
+    rectangle at h = 0.06 to 0.15, an L shape and a dumbbell.
     """
     h = poly.target_h
-    loop = _resample_loop(np.asarray(poly.loop), h)
-    verts, tris = _triangulate_region(loop, h)
-    verts, tris = _refine_longest_edge(verts, tris, h)
+    origin, step = _lattice(poly.loop, h)
+    loop = _resample_loop(poly.loop, step)
+    loop, verts, tris = _triangulate_region(loop, _graded_points(loop, origin, step))
     verts = _laplacian_smooth(verts, tris)
+    for _ in range(REPAIR_ROUNDS):
+        new_loop, extra = _repair_points(loop, verts, tris, h)
+        if len(new_loop) == len(loop) and not len(extra):
+            return build_trimesh(verts, tris)
+        split = len(new_loop) > len(loop)
+        near = None if split else _insert_near(verts, tris, extra, 3 * h)
+        if near is None:
+            loop, verts, tris = _triangulate_region(
+                new_loop, np.vstack([verts[len(loop):], extra]))
+        else:
+            verts, tris = near
     mesh = build_trimesh(verts, tris)
-    if mesh.min_angle_deg() < MIN_ANGLE_FLOOR_DEG:
-        mesh = build_trimesh(
-            verts,
-            tris,
-            warnings=(
-                f"min angle {mesh.min_angle_deg():.2f} deg below the "
-                f"{MIN_ANGLE_FLOOR_DEG:.0f} deg quality floor",
-            ),
-        )
-    return mesh
+    return build_trimesh(verts, tris, warnings=(
+        f"quality bounds missed after {REPAIR_ROUNDS} repair rounds: min angle "
+        f"{mesh.min_angle_deg():.2f} deg, max edge {mesh.max_edge() / h:.3f} h",))
 
 
 def refine_uniform(mesh: TriMesh):

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import wgspec
 from wgspec.cli import main
 
 
@@ -141,3 +145,30 @@ class TestSweepCmd:
         rows = [ln.split(",") for ln in lines[1:]]
         norms = [np.hypot(float(r[1]), float(r[2])) for r in rows]
         assert norms[0] < norms[1]
+
+
+class TestImports:
+    def test_curve_and_check_without_scipy(self, tmp_path):
+        # scipy comes with the FEM and mesh modules, which only the section,
+        # shapederiv and sweep commands import
+        section = tmp_path / "sec.json"
+        section.write_text(json.dumps(
+            {"lambda2": np.pi ** 2, "X_boundary": [1.0, 1.0], "b": 1.0}))
+        curve, report = tmp_path / "cur.json", tmp_path / "chk.json"
+        script = f"""
+import sys
+import wgspec.cli
+assert "scipy" not in sys.modules, "import"
+assert wgspec.cli.main(["curve", "--parabola", "--window", "5", "--n", "400",
+                        "-o", {str(curve)!r}]) == 0
+code = wgspec.cli.main(["check", "--section", {str(section)!r}, "--curve",
+                       {str(curve)!r}, "--delta", "0.02", "-o", {str(report)!r}])
+assert code in (0, 2), code
+assert "scipy" not in sys.modules, "commands"
+"""
+        src = os.path.dirname(os.path.dirname(wgspec.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert set(json.loads(report.read_text())) >= {"trapped", "delta_star"}

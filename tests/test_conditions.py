@@ -109,7 +109,7 @@ class TestSNormBound:
     def test_quarter_point(self):
         # dense-scan oracle of the no-twist envelope
         xs = np.linspace(-0.25, 0.25, 1_000_001)
-        oracle = CN._f_no_twist(xs).max()
+        oracle = _no_twist_envelope(xs).max()
         val = CN.s_norm_bound(1.0, 0.25)
         assert abs(val - 1.0 / 3.0) <= 1e-9
         assert abs(val - oracle) <= 1e-9
@@ -144,6 +144,25 @@ class TestSNormBound:
         l1, l2, l3 = CN._m_eigenvalues(uu, vv)
         oracle = np.maximum(np.abs(l1), np.maximum(np.abs(l2), np.abs(l3))).max()
         assert CN.s_norm_bound(b, kappa_sup, twist, grid=grid) == oracle
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(b=st.floats(0.01, 10.0), r=st.floats(0.0, 0.999),
+           grid=st.sampled_from([2, 3, 257, 4097]))
+    def test_no_twist_matches_envelope(self, b, r, grid):
+        # the twist sweep at v = 0 against the closed-form envelope on the
+        # same grid and at the endpoint r
+        kappa_sup = r / b
+        rr = b * kappa_sup
+        xs = np.linspace(-rr, rr, grid)
+        old = max(_no_twist_envelope(xs).max(), _no_twist_envelope(np.array([rr]))[0])
+        assert abs(CN.s_norm_bound(b, kappa_sup, grid=grid) - old) <= np.spacing(old)
+
+
+def _no_twist_envelope(x):
+    """Closed-form spectral-norm envelope without twist:
+    max(|x|, (x^2 + |x|(2-x)) / (2(1-x)))."""
+    return np.maximum(np.abs(x), (x * x + np.abs(x) * (2.0 - x)) / (2.0 * (1.0 - x)))
 
 
 class TestLocalization:

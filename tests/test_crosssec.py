@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wgspec import crosssec as C, fem as F, mesh as M
 from wgspec.errors import DegenerateSectionError
@@ -132,3 +133,35 @@ class TestBRadius:
     def test_far_origin(self):
         b = C.b_radius(M.gen_right_triangle(4), origin=(100.0, 100.0))
         assert np.isfinite(b) and b > 100.0
+
+
+def _section_mesh(kind, n):
+    return M.gen_right_triangle(n) if kind == "triangle" \
+        else M.gen_rectangle(1.0 + 0.1 * n, 1.0, n + 2, n)
+
+
+class TestXCovariance:
+    """X of a rigidly moved or scaled mesh: same triangles, moved vertices."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["triangle", "rect"]), n=st.integers(4, 12),
+           theta=st.floats(0.0, 2 * math.pi))
+    def test_rotation(self, kind, n, theta):
+        base = _section_mesh(kind, n)
+        R = np.array([[math.cos(theta), -math.sin(theta)],
+                      [math.sin(theta), math.cos(theta)]])
+        turned = M.build_trimesh(base.vertices @ R.T, base.triangles)
+        X = C.analyze(base, estimate_error=False).X_boundary
+        Xr = C.analyze(turned, estimate_error=False).X_boundary
+        assert np.abs(Xr - R @ X).max() <= 1e-9 * max(1.0, np.abs(X).max())
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["triangle", "rect"]), n=st.integers(4, 12),
+           s=st.floats(0.1, 10.0))
+    def test_scaling(self, kind, n, s):
+        # psi scales as 1/s in 2-D and the boundary length as s: X as 1/s
+        base = _section_mesh(kind, n)
+        scaled = M.build_trimesh(base.vertices * s, base.triangles)
+        X = C.analyze(base, estimate_error=False).X_boundary
+        Xs = C.analyze(scaled, estimate_error=False).X_boundary
+        assert np.abs(Xs - X / s).max() <= 1e-9 * max(1.0, np.abs(X).max()) / s

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from wgspec import mesh as M
 from wgspec.errors import GeometryError, MeshFormatError, StepTooLargeError
+from wgspec.fem import neumann_eigs
 from wgspec.shapederiv import bump_rectangle_polygon
 
 
@@ -163,11 +164,51 @@ class TestGenPolygon:
         # the docstring's bound: boundary edges stay <= target_h
         assert m.boundary_lengths.max() <= 0.3 * (1 + 1e-12)
 
-    def test_plain_rectangle_vertex_count(self):
-        # the benchmark's closed-form rectangle; pins the mesher's output size
+    def test_plain_rectangle_lambda2(self):
+        # the benchmark's closed-form rectangle: lambda2 = (pi / 2pi)^2
         m = M.gen_polygon(M.Polygon(RECT_2PI_PI, 0.06))
-        assert m.num_vertices == 8336
+        lam2 = neumann_eigs(m, 2).eigenvalues[1]
+        assert abs(lam2 - 0.25) / 0.25 <= 4.6e-5
         assert m.warnings == ()
+
+
+class TestPolygonContract:
+    """The bounds gen_polygon's docstring states, on the shapes it names."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        side=st.sampled_from(["top", "bottom", "left", "right"]),
+        radius=st.floats(0.2, 0.6),
+        place=st.floats(0.0, 1.0),
+        h=st.floats(0.06, 0.15),
+    )
+    def test_bumps(self, side, radius, place, h):
+        length = 2 * np.pi if side in ("top", "bottom") else np.pi
+        # the bump stays at least h away from the rectangle's corners
+        center = radius + h + place * (length - 2 * (radius + h))
+        _assert_contract(bump_rectangle_polygon(2 * np.pi, np.pi, side, center,
+                                                radius, h))
+
+    @settings(max_examples=6, deadline=None)
+    @given(shape=st.sampled_from(["L", "dumbbell"]), h=st.floats(0.06, 0.15))
+    def test_l_shape_and_dumbbell(self, shape, h):
+        _assert_contract(M.Polygon(L_SHAPE if shape == "L" else dumbbell_loop(), h))
+
+
+def _assert_contract(poly):
+    h = poly.target_h
+    m = M.gen_polygon(poly)
+    assert m.warnings == ()
+    assert m.min_angle_deg() >= M.MIN_ANGLE_TARGET_DEG
+    assert m.max_edge() <= h
+    assert abs(m.total_area() - poly.area()) <= 1e-10 * poly.area()
+    # boundary vertices lie on the input polyline, boundary edges are <= h
+    bv = m.vertices[m.boundary_vertex_indices()]
+    assert M._dist_to_polyline(bv, poly.loop).max() <= 1e-12
+    assert m.boundary_lengths.max() <= h
+    again = M.gen_polygon(poly)
+    assert np.array_equal(again.vertices, m.vertices)
+    assert np.array_equal(again.triangles, m.triangles)
 
 
 RECT_2PI_PI = [(0, 0), (2 * np.pi, 0), (2 * np.pi, np.pi), (0, np.pi)]
@@ -259,64 +300,6 @@ class TestEdgeTableProperties:
         assert r.num_triangles == 4 * F
 
 
-class TestLocalisedFlips:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        kind=st.sampled_from(["rect", "tri"]),
-        n1=st.integers(2, 8),
-        n2=st.integers(2, 8),
-        quantile=st.floats(0.5, 0.98),
-        first_passes=st.integers(1, 3),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_dirty_mask_matches_full_scan(self, kind, n1, n2, quantile,
-                                          first_passes, seed):
-        base = M.gen_rectangle(1.5, 1.0, n1, n2) if kind == "rect" \
-            else M.gen_right_triangle(n1)
-        # jitter by at most 0.2 of the shortest leg, which keeps orientation
-        leg = 1.0 / max(n1, n2) if kind == "rect" else 1.0 / n1
-        rng = np.random.default_rng(seed)
-        verts = base.vertices + rng.uniform(-0.2, 0.2, base.vertices.shape) * leg
-        tris, dirty, (edges, tri_edges, _) = M._delaunay_flips(verts, base.triangles)
-        assert not dirty.any()  # a fixpoint before the bisection
-
-        elen = np.linalg.norm(verts[edges[:, 1]] - verts[edges[:, 0]], axis=1)
-        verts, tris, keep = M._bisect_pass(verts, tris, edges, tri_edges, elen,
-                                           np.quantile(elen, quantile))
-        full, full_dirty, _ = M._delaunay_flips(verts, tris)
-        assert not full_dirty.any()
-
-        # the kept triangles come first; only the children are new
-        dirty = np.arange(len(tris)) >= keep.sum()
-        local, dirty, table = M._delaunay_flips(verts, tris, dirty,
-                                                max_passes=first_passes)
-        _assert_edge_table(table, local)
-        # a call cut short hands its last flips on to the next call
-        local, dirty, table = M._delaunay_flips(verts, local, dirty)
-        _assert_edge_table(table, local)
-        assert not dirty.any()
-        assert np.array_equal(local, full)
-
-    @pytest.mark.parametrize("loop, h", [
-        (RECT_2PI_PI, 0.15),
-        (L_SHAPE, 0.08),
-        ("bump", 0.1),
-    ])
-    def test_refinement_ends_at_fixpoint(self, loop, h):
-        if loop == "bump":
-            loop = bump_rectangle_polygon(2 * np.pi, np.pi, "top", 3.0, 0.3, h).loop
-        pts, tris = M._triangulate_region(M._resample_loop(np.asarray(loop, float), h), h)
-        verts, tris = M._refine_longest_edge(pts, tris, h)
-        again, dirty, _ = M._delaunay_flips(verts, tris)
-        assert np.array_equal(again, tris)
-        assert not dirty.any()
-
-
-def _assert_edge_table(table, tris):
-    for got, want in zip(table, M._edge_table(tris)):
-        assert np.array_equal(got, want)
-
-
 class TestFartherThan:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -360,6 +343,86 @@ class TestFartherThan:
 
         expected = M._dist_to_polyline(points, loop) > r
         assert np.array_equal(M._farther_than(points, loop, r), expected)
+
+
+class TestPointInPolygon:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["rect", "bump", "L", "star"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_crossing_loop(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        loop = _test_loop(kind, rng)
+        lo, hi = loop.min(axis=0) - 0.1, loop.max(axis=0) + 0.1
+        mids = 0.5 * (loop + np.roll(loop, -1, axis=0))
+        # random points, the vertices, segment midpoints, and points level
+        # with a vertex, where the half-open crossing rule decides
+        level = np.column_stack([rng.uniform(lo[0], hi[0], len(loop)), loop[:, 1]])
+        points = np.concatenate([rng.uniform(lo, hi, (300, 2)), loop, mids, level])
+        assert np.array_equal(M._point_in_polygon(points, loop),
+                              _crossing_loop(points, loop))
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["rect", "bump", "L", "star"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_farther_than_per_point_radius(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        loop = M._resample_loop(_test_loop(kind, rng), 0.1)
+        points = rng.uniform(loop.min(axis=0) - 0.1, loop.max(axis=0) + 0.1, (300, 2))
+        r = rng.uniform(0.0, 0.2, len(points))
+        assert np.array_equal(M._farther_than(points, loop, r),
+                              M._dist_to_polyline(points, loop) > r)
+
+
+def _test_loop(kind, rng):
+    if kind == "rect":
+        return np.array([(0, 0), (rng.uniform(0.5, 3), 0),
+                         (rng.uniform(0.5, 3), rng.uniform(0.5, 2)),
+                         (0, rng.uniform(0.5, 2))])
+    if kind == "bump":
+        return np.asarray(bump_rectangle_polygon(2.0, 1.0, "top", rng.uniform(0.7, 1.3),
+                                                 rng.uniform(0.1, 0.6), 0.1).loop)
+    if kind == "L":
+        return np.array(L_SHAPE, dtype=float)
+    th = np.sort(rng.uniform(0, 2 * np.pi, 12))
+    return np.column_stack([np.cos(th), np.sin(th)]) * rng.uniform(0.3, 1.5, (12, 1))
+
+
+def _crossing_loop(points, loop):
+    """Reference: the crossing-number test, one segment at a time."""
+    x, y = points[:, 0], points[:, 1]
+    inside = np.zeros(len(points), dtype=bool)
+    for i in range(len(loop)):
+        x1, y1 = loop[i]
+        x2, y2 = loop[(i + 1) % len(loop)]
+        inside ^= ((y1 > y) != (y2 > y)) & (
+            x < (x2 - x1) * (y - y1) / (y2 - y1 + 1e-300) + x1)
+    return inside
+
+
+class TestInsertNear:
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["rect", "tri"]), n=st.integers(3, 9),
+           count=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_local_insertion_keeps_the_mesh(self, kind, n, count, seed):
+        base = M.gen_rectangle(1.5, 1.0, n, n) if kind == "rect" \
+            else M.gen_right_triangle(n)
+        rng = np.random.default_rng(seed)
+        # inside the domain, away from its boundary
+        extra = rng.uniform(0.2, 0.4, (count, 2))
+        done = M._insert_near(base.vertices, base.triangles, extra, 0.3)
+        if done is None:  # the local triangulation lost the rim: allowed
+            return
+        verts, tris = done
+        m = M.build_trimesh(verts, tris)
+        assert np.array_equal(verts[:base.num_vertices], base.vertices)
+        assert len(np.unique(tris)) == len(verts)
+        assert m.num_triangles == base.num_triangles + 2 * count
+        assert abs(m.total_area() - base.total_area()) <= 1e-12 * base.total_area()
+
+    def test_point_outside_is_refused(self):
+        base = M.gen_rectangle(1.0, 1.0, 4, 4)
+        extra = np.array([[0.5, 0.5], [1.2, 0.5]])
+        assert M._insert_near(base.vertices, base.triangles, extra, 0.5) is None
 
 
 class TestPerturb:
