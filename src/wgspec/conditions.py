@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import HypothesisViolationError, InadmissibleGeometryError
 
-S_NORM_GRID = 4097
+# largest cutoff width the trial-energy doubling search tries
+TRIAL_N_MAX = 10**6
 
 
 @dataclass(frozen=True)
@@ -131,34 +132,46 @@ def delta_star(X, Y, lambda2, b, kappa_sup, kappa_l1):
 
 
 def _m_eigenvalues(u, v):
-    """Eigenvalues of the metric-perturbation matrix at k.y = u, |twist dev| |y| = v.
+    """Eigenvalues of the metric-perturbation matrix at k.y = u, |twist dev| |y| = v:
+    u and -g -+ sqrt(g (g + 2)), with g = (u^2 + v^2) / (2 (1 - u)).
 
-    The root is taken as sqrt(q) * sqrt((2 - u)^2 + v^2): at v = 0 that is
-    |u| (2 - u) exactly, so the eigenvalues reproduce the no-twist envelope
-    max(|u|, (u^2 + |u|(2 - u)) / (2(1 - u))) to the last bit.
-    """
-    q = u * u + v * v
-    root = np.sqrt(q) * np.sqrt((2.0 - u) ** 2 + v * v)
-    lam2 = -(q + root) / (2.0 * (1.0 - u))
-    lam3 = -(q - root) / (2.0 * (1.0 - u))
-    return u, lam2, lam3
+    Each operation rounds monotonically, so the computed g, and with it
+    |lambda2| = g + sqrt(g (g + 2)) >= |lambda3|, never falls as v or u >= 0
+    grows and is no larger at -u than at |u| (1 + |u| >= 1 - |u|): on any grid in
+    |u| <= r, 0 <= v <= v_max the computed max is the value at (r, v_max)."""
+    g = (u * u + v * v) / (2.0 * (1.0 - u))
+    root = np.sqrt(g * (g + 2.0))
+    return u, -(g + root), root - g
 
 
-def s_norm_bound(b, kappa_sup, twist_dev_sup=0.0, grid=S_NORM_GRID):
-    """Upper bound for the metric-perturbation operator norm.
+def s_norm_bound(b, kappa_sup, twist_dev_sup=0.0):
+    """Upper bound for the metric-perturbation operator norm: the sup of the
+    eigenvalue moduli over |u| <= r = b*kappa_sup, 0 <= v <= b*twist_dev_sup,
+    attained at (u, v) = (+-r, b*twist_dev_sup), the only points evaluated.
 
-    The sup over the two invariants |u| <= r = b*kappa_sup and
-    0 <= v <= b*twist_dev_sup is attained on the edge v = b*twist_dev_sup:
-    |lambda1| = |u| does not depend on v, |lambda3| <= |lambda2|, and
-    |lambda2| grows with v.  So the bound is one sweep of the eigenvalues
-    over a grid in u at that v.  The grid ends at u = r, where the sup is
-    attained without twist deviation, so that value is exact.
+    In v: |lambda1| = |u| does not depend on v, |lambda3| <= |lambda2|, and
+    |lambda2| grows with v.  In u: with P = (u, 0), X = (0, v), Y = (2, v)
+    q = u^2 + v^2 = |P - X|^2 and |P - Y|^2 - |P - X|^2 = 4 (1 - u),
+    |lambda2| = (q + sqrt(q) sqrt((2 - u)^2 + v^2)) / (2 (1 - u))
+              = 2 |P - X| / (|P - Y| - |P - X|),
+    so |lambda2| <= c exactly where |P - X| <= c/(c + 2) |P - Y|: an
+    Apollonius disk, which meets the u-axis in an interval.  The sublevel
+    sets of |lambda1| = |u| are intervals too, hence so are those of the max
+    of the three, and its sup over [-r, r] sits at an endpoint.
+
+    Without twist deviation sqrt(q) = |u|, and the bound is the closed form
+    max(|u|, (u^2 + |u| (2 - u)) / (2 (1 - u))) at u = +-r: no square root,
+    so it stays exact where u^2 is subnormal.
     """
     _check_admissible(b, kappa_sup)
     r = b * kappa_sup
-    u = np.linspace(-r, r, int(grid))
-    l1, l2, l3 = _m_eigenvalues(u, np.full_like(u, b * twist_dev_sup))
-    return float(np.maximum(np.abs(l1), np.maximum(np.abs(l2), np.abs(l3))).max())
+    u = np.array([-r, r])
+    v = b * twist_dev_sup
+    if v == 0.0:
+        lam2 = (u * u + np.abs(u) * (2.0 - u)) / (2.0 * (1.0 - u))
+    else:
+        lam2 = -_m_eigenvalues(u, v)[1]  # |lambda3| <= |lambda2| as computed
+    return float(np.maximum(np.abs(u), lam2).max())
 
 
 def localization(a0, s_bound):
@@ -184,8 +197,7 @@ def _cutoff_sq(s, n):
     return a * a
 
 
-def trial_energy(n, X, ktheta_path, lambda2, b, kappa_sup, kappa_l1, mu0=1.0,
-                 n_max=10**6):
+def trial_energy(n, X, ktheta_path, lambda2, b, kappa_sup, kappa_l1, mu0=1.0):
     """Trial-field energy bound at cutoff half-width n, with its limit.
 
     bound(n) = -(lambda2/(2 mu0)) (integral of cutoff^2 k_theta) . X
@@ -194,7 +206,7 @@ def trial_energy(n, X, ktheta_path, lambda2, b, kappa_sup, kappa_l1, mu0=1.0,
 
     The cutoff derivative term uses the exact value 2/n.  Also returns the
     n -> infinity limit and the smallest cutoff width (doubling search up to
-    n_max) that makes the bound negative, when one exists.
+    TRIAL_N_MAX) that makes the bound negative, when one exists.
     """
     _check_admissible(b, kappa_sup)
     X = np.asarray(X, dtype=float)
@@ -223,7 +235,7 @@ def trial_energy(n, X, ktheta_path, lambda2, b, kappa_sup, kappa_l1, mu0=1.0,
     n_star = None
     if limit < 0:
         m = 1
-        while m <= n_max:
+        while m <= TRIAL_N_MAX:
             if bound_at(m) < 0:
                 lo, hi = max(1, m // 2), m
                 while lo < hi:
@@ -261,14 +273,11 @@ def rectangle_classify(lambda_2d, ell, h, medium: Medium = Medium()):
         )
     lam2n = math.pi**2 / max(h, ell) ** 2
     nu = math.sqrt(lambda_2d) * medium.c
-    if h <= ell:
-        verdict = "discrete"
-    elif h < math.pi / math.sqrt(lambda_2d):
-        verdict = "discrete"
-    else:
-        verdict = "embedded"
+    # h <= ell implies h < pi/sqrt(lambda_2d) in exact arithmetic, but with
+    # lambda_2d an ulp below pi^2/ell^2 the rounded quotient can be <= ell
+    discrete = h <= ell or h < math.pi / math.sqrt(lambda_2d)
     return RectangleClassification(
-        verdict=verdict,
+        verdict="discrete" if discrete else "embedded",
         eigenfrequencies=(-nu, nu),
         gap_edge=math.sqrt(lam2n) * medium.c,
     )

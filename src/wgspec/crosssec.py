@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSectionError
-from .fem import grad_p1, neumann_eigs
-from .mesh import TriMesh, _cross2, refine_uniform
+from .fem import _p1_gradients, grad_p1, neumann_eigs
+from .mesh import TriMesh, refine_uniform
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,6 @@ class CrossSectionReport:
     psi: np.ndarray = field(repr=False)
     mesh_stats: dict = field(default_factory=dict)
     warnings: tuple = ()
-
-    @property
-    def X(self):
-        return self.X_boundary
 
     def to_json(self):
         return json.dumps(
@@ -81,13 +77,9 @@ def x_boundary(mesh: TriMesh, psi):
 
 def x_volume(mesh: TriMesh, psi):
     """X = sum over triangles of 2 * area * mean(psi) * grad(psi)."""
-    v = mesh.vertices
-    t = mesh.triangles
-    p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    area = 0.5 * _cross2(p1 - p0, p2 - p0)
-    mean = psi[t].mean(axis=1)
-    g = grad_p1(mesh, psi)
-    return (g * (2.0 * area * mean)[:, None]).sum(axis=0)
+    area2, _ = _p1_gradients(mesh)
+    mean = psi[mesh.triangles].mean(axis=1)
+    return (grad_p1(mesh, psi) * (area2 * mean)[:, None]).sum(axis=0)
 
 
 def b_radius(mesh: TriMesh, origin=(0.0, 0.0)):

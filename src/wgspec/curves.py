@@ -50,21 +50,14 @@ class ParamCurve:
 
     def window(self, half_width):
         """Same curve restricted to [-half_width, half_width]."""
-        return ParamCurve(
-            gamma=self.gamma,
-            dgamma=self.dgamma,
-            ddgamma=self.ddgamma,
-            t0=-float(half_width),
-            t1=float(half_width),
-            asymptotically_straight=self.asymptotically_straight,
-            kappa_l1_tail=self.kappa_l1_tail,
-            name=self.name,
-        )
+        return replace(self, t0=-float(half_width), t1=float(half_width))
 
 
 @dataclass(frozen=True)
 class FramedCurve:
-    """Curve samples on a uniform arclength grid with a transported frame."""
+    """Curve samples on a uniform arclength grid with a transported frame;
+    tail is the analytic curvature integral outside the window, None when
+    the curve provides none."""
 
     s: np.ndarray
     t: np.ndarray
@@ -75,13 +68,8 @@ class FramedCurve:
     k1: np.ndarray
     k2: np.ndarray
     kappa: np.ndarray
-    tail: float = 0.0
-    tail_given: bool = False
+    tail: float | None = None
     name: str = "curve"
-
-    @property
-    def h(self):
-        return float(self.s[1] - self.s[0])
 
     def orthonormality_defect(self):
         return float(_frame_defect(self.e1, self.e2, self.e3).max())
@@ -97,18 +85,16 @@ class FramedCurve:
 # built-in curves
 
 
-def line(direction=(1.0, 0.0, 0.0), point=(0.0, 0.0, 0.0)):
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    p = np.asarray(point, dtype=float)
+def line():
+    """The straight reference guide along the x-axis, gamma(t) = (t, 0, 0)."""
 
     def gamma(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        return p[None, :] + t[:, None] * d[None, :]
+        return np.column_stack([t, np.zeros_like(t), np.zeros_like(t)])
 
     def dgamma(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.tile(d, (len(t), 1))
+        return np.tile([1.0, 0.0, 0.0], (len(t), 1))
 
     def ddgamma(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -450,13 +436,12 @@ def rapf(arc: ArcSamples, e2_0=None, e3_0=None, name="curve"):
     )
 
 
-def frame_curve(curve: ParamCurve, N, e2_0=None, e3_0=None):
-    """Resample to arclength and transport the default (or given) frame."""
-    arc = arclength_resample(curve, N)
-    fc = rapf(arc, e2_0, e3_0, name=curve.name)
+def frame_curve(curve: ParamCurve, N):
+    """Resample to N arclength steps, transport the frame that starts from
+    default_transverse_frame, and store the curve's analytic tail if any."""
+    fc = rapf(arclength_resample(curve, N), name=curve.name)
     if curve.kappa_l1_tail is not None:
-        tail = float(curve.kappa_l1_tail(curve.t0, curve.t1))
-        return replace(fc, tail=tail, tail_given=True)
+        return replace(fc, tail=float(curve.kappa_l1_tail(curve.t0, curve.t1)))
     return fc
 
 
@@ -478,21 +463,14 @@ def planar_signed_curvature(curve: ParamCurve, t):
     return k if k.size > 1 else float(k[0])
 
 
-def curvature_norms(fc: FramedCurve, tail=None):
-    """Windowed sup and L1 norms of kappa plus the tail term.
-
-    tail overrides the value stored on the framed curve; without either, the
-    tail is 0 and the result is flagged.
-    """
+def curvature_norms(fc: FramedCurve):
+    """Windowed sup and L1 norms of kappa plus the tail term stored on the
+    framed curve; a curve without one gets tail 0, flagged as missing."""
     sup = float(fc.kappa.max())
     l1 = float(np.trapezoid(fc.kappa, fc.s))
-    if tail is None:
-        tail_val = fc.tail if fc.tail_given else 0.0
-        missing = not fc.tail_given
-    else:
-        tail_val = float(tail)
-        missing = False
-    return {"sup": sup, "l1": l1, "tail": tail_val, "tail_missing": missing}
+    missing = fc.tail is None
+    return {"sup": sup, "l1": l1, "tail": 0.0 if missing else fc.tail,
+            "tail_missing": missing}
 
 
 def yvector(fc: FramedCurve):
@@ -540,7 +518,7 @@ def admissibility(b, kappa_sup):
     return Admissibility(ok=x < 1.0, det_lo=1.0 - x, det_hi=1.0 + x)
 
 
-def scale_family(fc: FramedCurve, delta, tail=None):
+def scale_family(fc: FramedCurve, delta):
     """Functionals of the slightly-curved family at scale delta in (0, 1].
 
     The sup norm scales by delta while the L1 norm and Y are invariant, so no
@@ -548,7 +526,7 @@ def scale_family(fc: FramedCurve, delta, tail=None):
     """
     if not (0.0 < delta <= 1.0):
         raise ValueError("delta must lie in (0, 1]")
-    norms = curvature_norms(fc, tail=tail)
+    norms = curvature_norms(fc)
     return {
         "delta": float(delta),
         "sup": delta * norms["sup"],

@@ -39,7 +39,7 @@ class SolverError(RuntimeError):
 
 class NearDegenerateError(RuntimeError):
     """Deflated linear solve hit a (near-)singular system: multiple eigenvalue
-    or a deflation basis that does not span the kernel."""
+    or a deflation vector that is not its eigenvector."""
 
 
 class SingularParametrizationError(ValueError):

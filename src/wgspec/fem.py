@@ -57,21 +57,16 @@ class Spectrum:
         np.asarray(self.eigenvectors, dtype=np.float64).T.tofile(path)
 
 
-def assemble(mesh: TriMesh):
-    """P1 stiffness and consistent mass matrices (CSR, symmetric).
-
-    Element integrals are exact: constant gradients for the stiffness,
-    area/12 * (2 on the diagonal, 1 off) for the mass.  The assembled
-    stiffness annihilates the constant vector up to rounding.
-    """
+def _p1_gradients(mesh: TriMesh):
+    """Twice the triangle areas, shape (nt,), and the perpendiculars of the
+    opposite edges, shape (nt, 3, 2): grad phi_i = g[:, i] / area2 for the
+    barycentric basis functions phi_i."""
     v = mesh.vertices
     t = mesh.triangles
     p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
     d1 = p1 - p0
     d2 = p2 - p0
-    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-    # gradients of the barycentric basis: grad phi_i = perp(opposite edge)/2A
+    area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
     g = np.empty((len(t), 3, 2))
     g[:, 0, 0] = p1[:, 1] - p2[:, 1]
     g[:, 0, 1] = p2[:, 0] - p1[:, 0]
@@ -79,7 +74,20 @@ def assemble(mesh: TriMesh):
     g[:, 1, 1] = p0[:, 0] - p2[:, 0]
     g[:, 2, 0] = p0[:, 1] - p1[:, 1]
     g[:, 2, 1] = p1[:, 0] - p0[:, 0]
-    g /= (2.0 * area)[:, None, None]
+    return area2, g
+
+
+def assemble(mesh: TriMesh):
+    """P1 stiffness and consistent mass matrices (CSR, symmetric).
+
+    Element integrals are exact: constant gradients for the stiffness,
+    area/12 * (2 on the diagonal, 1 off) for the mass.  The assembled
+    stiffness annihilates the constant vector up to rounding.
+    """
+    t = mesh.triangles
+    area2, g = _p1_gradients(mesh)
+    area = 0.5 * area2
+    g /= area2[:, None, None]
 
     ke = np.einsum("tid,tjd->tij", g, g) * area[:, None, None]
     me = (np.ones((3, 3)) + np.eye(3))[None, :, :] * (area / 12.0)[:, None, None]
@@ -96,16 +104,9 @@ def assemble(mesh: TriMesh):
 
 def grad_p1(mesh: TriMesh, u):
     """Per-triangle constant gradient of a nodal field, shape (nt, 2)."""
-    v = mesh.vertices
-    t = mesh.triangles
-    p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    d1 = p1 - p0
-    d2 = p2 - p0
-    area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    u0, u1, u2 = u[t[:, 0]], u[t[:, 1]], u[t[:, 2]]
-    gx = (u0 * (p1[:, 1] - p2[:, 1]) + u1 * (p2[:, 1] - p0[:, 1]) + u2 * (p0[:, 1] - p1[:, 1]))
-    gy = (u0 * (p2[:, 0] - p1[:, 0]) + u1 * (p0[:, 0] - p2[:, 0]) + u2 * (p1[:, 0] - p0[:, 0]))
-    return np.column_stack([gx, gy]) / area2[:, None]
+    area2, g = _p1_gradients(mesh)
+    ut = u[mesh.triangles, None]
+    return (ut[:, 0] * g[:, 0] + ut[:, 1] * g[:, 1] + ut[:, 2] * g[:, 2]) / area2[:, None]
 
 
 def _residuals(K, M, vals, X):
@@ -225,38 +226,29 @@ class DeflatedSolve:
     """Result of a deflated shifted solve."""
 
     x: np.ndarray
-    removed: np.ndarray  # kernel components removed from the rhs, per basis vector
+    removed: float  # component psi . rhs removed from the rhs
     residual: float
 
 
-def solve_deflated(K, M, lam, rhs, deflation_basis):
-    """Solve (K - lam*M) x = rhs M-orthogonally to the deflation basis.
+def solve_deflated(K, M, lam, rhs, psi):
+    """Solve (K - lam*M) x = rhs with x M-orthogonal to the eigenvector psi.
 
-    The rhs is first projected onto the M-orthogonal complement of the basis
-    (removed components are reported); the constrained system is solved as a
-    bordered saddle-point system [[K-lam*M, M B], [(M B)^T, 0]].
+    The rhs is first projected onto the M-orthogonal complement of psi (the
+    removed component psi . rhs is reported); the constrained system is the
+    bordered saddle-point system [[K-lam*M, M psi], [(M psi)^T, 0]].
+    NearDegenerateError: it is (nearly) singular, because lam is a multiple
+    eigenvalue or psi is not its eigenvector.
     """
     rhs = np.asarray(rhs, dtype=float)
-    n = K.shape[0]
+    psi = np.asarray(psi, dtype=float)
     A = (K - lam * M).tocsc()
-    basis = [np.asarray(b, dtype=float) for b in deflation_basis]
+    m_psi = M @ psi
 
-    removed = np.array([b @ rhs for b in basis])
-    rhs_p = rhs.copy()
-    for b, r in zip(basis, removed):
-        rhs_p -= r * (M @ b) / (b @ (M @ b))
+    removed = float(psi @ rhs)
+    rhs_p = rhs - removed * m_psi / (psi @ m_psi)
 
-    if basis:
-        MB = np.column_stack([M @ b for b in basis])
-        bordered = sparse.bmat(
-            [[A, sparse.csc_matrix(MB)], [sparse.csc_matrix(MB.T), None]],
-            format="csc",
-        )
-        full_rhs = np.concatenate([rhs_p, np.zeros(len(basis))])
-    else:
-        bordered = A
-        full_rhs = rhs_p
-
+    border = sparse.csc_matrix(m_psi[:, None])
+    bordered = sparse.bmat([[A, border], [border.T, None]], format="csc")
     try:
         lu = splu(bordered)
     except RuntimeError as exc:
@@ -265,12 +257,12 @@ def solve_deflated(K, M, lam, rhs, deflation_basis):
     if diag.min() <= 1e-12 * diag.max():
         raise NearDegenerateError(
             "bordered factorization nearly singular: eigenvalue multiplicity "
-            "or wrong deflation basis"
+            "or wrong deflation vector"
         )
-    sol = lu.solve(full_rhs)
-    x = sol[:n]
+    sol = lu.solve(np.concatenate([rhs_p, [0.0]]))
+    x = sol[:-1]
     residual = float(
-        np.linalg.norm(A @ x - rhs_p + (MB @ sol[n:] if basis else 0.0))
+        np.linalg.norm(A @ x - rhs_p + m_psi * sol[-1])
         / max(np.linalg.norm(rhs_p), 1e-300)
     )
     return DeflatedSolve(x=x, removed=removed, residual=residual)

@@ -7,7 +7,6 @@ topologically (edges adjacent to exactly one triangle).
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -19,7 +18,8 @@ from scipy.sparse.csgraph import connected_components
 from .errors import GeometryError, MeshFormatError, StepTooLargeError
 
 # gen_polygon: its angle bound, size-field slope, lattice step / target_h,
-# loop clearance of lattice points per spacing, and cap on repair rounds
+# loop clearance of lattice points per spacing, cap on repair rounds, and
+# Laplacian smoothing sweeps
 MIN_ANGLE_TARGET_DEG = 20.0
 GRADING = 0.25
 LATTICE_SPACING = 0.88
@@ -30,7 +30,8 @@ _SMOOTH_SWEEPS = 10
 
 @dataclass(frozen=True)
 class TriMesh:
-    """Conforming triangle mesh of a planar domain.
+    """Conforming triangle mesh of a planar domain filled by one homogeneous,
+    isotropic medium, so triangles carry no material tag.
 
     Attributes
     ----------
@@ -38,8 +39,6 @@ class TriMesh:
         Vertex coordinates.
     triangles : (nt, 3) int array
         Vertex indices, counterclockwise.
-    region : (nt,) int array
-        Region tag per triangle (single-material meshes use 0).
     boundary_edges : (nb, 2) int array
         Directed vertex pairs (a, b) as traversed by the adjacent triangle,
         so the domain lies on the left of a->b; sorted by (a, b).
@@ -56,7 +55,6 @@ class TriMesh:
 
     vertices: np.ndarray
     triangles: np.ndarray
-    region: np.ndarray
     boundary_edges: np.ndarray
     boundary_normals: np.ndarray
     boundary_lengths: np.ndarray
@@ -134,8 +132,9 @@ def _freeze(arr):
     return arr
 
 
-def build_trimesh(vertices, triangles, region=None, warnings=()):
-    """Assemble a validated TriMesh from raw arrays.
+def build_trimesh(vertices, triangles, warnings=()):
+    """Assemble a validated TriMesh from vertex and triangle arrays; warnings
+    are the mesher's quality notes, kept on the mesh.
 
     Reorients clockwise triangles, extracts the boundary topologically and
     checks positivity of areas, that no edge lies on more than two
@@ -195,15 +194,9 @@ def build_trimesh(vertices, triangles, region=None, warnings=()):
     if connected_components(incidence, directed=False)[0] != 1:
         raise GeometryError("mesh is not edge-connected")
 
-    if region is None:
-        region = np.zeros(len(triangles), dtype=np.int64)
-    else:
-        region = np.asarray(region, dtype=np.int64).reshape(-1)
-
     return TriMesh(
         vertices=_freeze(vertices),
         triangles=_freeze(triangles),
-        region=_freeze(region),
         boundary_edges=_freeze(bedges),
         boundary_normals=_freeze(normals),
         boundary_lengths=_freeze(lengths),
@@ -636,12 +629,13 @@ def _insert_near(verts, tris, extra, reach):
     return verts, np.vstack([tris[~patch], local])
 
 
-def _laplacian_smooth(vertices, triangles, sweeps=_SMOOTH_SWEEPS):
+def _laplacian_smooth(vertices, triangles):
     """Jacobi smoothing of interior vertices; boundary vertices stay fixed.
 
     Boundary vertices are the endpoints of edges on a single triangle.  Each
-    sweep moves interior vertices toward the mean of their neighbours and
-    halves the step globally if any triangle would invert.
+    of the _SMOOTH_SWEEPS sweeps moves interior vertices toward the mean of
+    their neighbours and halves the step globally if any triangle would
+    invert.
     """
     verts = vertices.copy()
     nv = len(verts)
@@ -655,7 +649,7 @@ def _laplacian_smooth(vertices, triangles, sweeps=_SMOOTH_SWEEPS):
     )
     deg = np.asarray(adj.sum(axis=1)).ravel()
     deg[deg == 0] = 1.0
-    for _ in range(sweeps):
+    for _ in range(_SMOOTH_SWEEPS):
         target = (adj @ verts) / deg[:, None]
         target[~interior] = verts[~interior]
         alpha = 1.0
@@ -722,8 +716,7 @@ def refine_uniform(mesh: TriMesh):
     tris = np.column_stack(
         [a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca]
     ).reshape(-1, 3)
-    return build_trimesh(verts, tris, region=np.repeat(mesh.region, 4),
-                         warnings=mesh.warnings)
+    return build_trimesh(verts, tris, warnings=mesh.warnings)
 
 
 def perturb(mesh: TriMesh, V, t):
@@ -742,8 +735,7 @@ def perturb(mesh: TriMesh, V, t):
         max_t = _max_admissible_step(mesh, V)
         raise StepTooLargeError("perturbation inverts a triangle", max_t)
     try:
-        return build_trimesh(new_verts, mesh.triangles, region=mesh.region,
-                             warnings=mesh.warnings)
+        return build_trimesh(new_verts, mesh.triangles, warnings=mesh.warnings)
     except GeometryError:
         # positive but degenerate: same remedy as an inverted element
         raise StepTooLargeError("perturbation degenerates a triangle",
@@ -781,15 +773,13 @@ def _max_admissible_step(mesh: TriMesh, V):
 
 
 def import_gmsh22(text):
-    """Parse a Gmsh MSH 2.2 ASCII stream into a TriMesh.
+    """Parse the text of a Gmsh MSH 2.2 ASCII file into a TriMesh.
 
     Only 3-node triangles (type 2) are read; 2-node lines (type 1) are
-    ignored and the boundary is recomputed topologically.
+    ignored and the boundary is recomputed topologically.  Physical and
+    elementary tags are not kept: the domain is one medium.
     """
-    if hasattr(text, "read"):
-        lines = text.read().splitlines()
-    else:
-        lines = io.StringIO(text).read().splitlines()
+    lines = text.splitlines()
 
     def find_section(name):
         for idx, ln in enumerate(lines):
@@ -826,7 +816,6 @@ def import_gmsh22(text):
     except (ValueError, IndexError):
         raise MeshFormatError("bad element count", line=i + 2)
     tris = []
-    region = []
     for k in range(n_elem):
         ln_no = i + 3 + k
         parts = lines[i + 2 + k].split()
@@ -845,10 +834,9 @@ def import_gmsh22(text):
             tris.append(tuple(id_map[nid] for nid in node_ids))
         except KeyError as exc:
             raise MeshFormatError(f"dangling node reference {exc}", line=ln_no)
-        region.append(0)
     if not tris:
         raise MeshFormatError("no triangle elements found")
-    return build_trimesh(np.array(coords), np.array(tris), region=np.array(region))
+    return build_trimesh(np.array(coords), np.array(tris))
 
 
 def export_gmsh22(mesh: TriMesh):

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -16,21 +16,24 @@ from .errors import StepTooLargeError, TrackingError
 from .fem import assemble, grad_p1, neumann_eigs, solve_deflated
 from .mesh import Polygon, TriMesh, gen_polygon, gen_rectangle, perturb
 
+# fd_check's least relative gap (lambda3 - lambda2)/lambda2 of a simple
+# lambda2, and bump_rectangle_polygon's fewest points on the half circle
+DEGENERACY_TOL = 1e-3
+MIN_ARC_POINTS = 64
+
 
 @dataclass(frozen=True)
 class AdjointState:
     """Adjoint field for one perturbation direction w.
 
-    removed is the kernel component stripped from the load; it doubles the
-    projection of X on w, so x_dot_w_estimate = removed / 2.  A large value
-    means the solvability hypothesis (X = 0) is violated and the field is
-    only indicative.
+    x_dot_w_estimate is half the kernel component stripped from the load,
+    which doubles the projection of X on w.  A large value means the
+    solvability hypothesis (X = 0) is violated and the field is only
+    indicative.
     """
 
     q: np.ndarray
-    w: np.ndarray
     ortho_defect: float
-    removed: float
     x_dot_w_estimate: float
     solvability_warning: bool
     residual: float
@@ -57,21 +60,17 @@ def adjoint_solve(mesh: TriMesh, lambda2, psi, w):
     and the shifted system is solved with the eigenfunction deflated; the
     result is re-orthogonalized against psi in the mass inner product.
     """
-    w = np.asarray(w, dtype=float)
     K, M = assemble(mesh)
     rhs = _boundary_load(mesh, psi, w)
-    sol = solve_deflated(K, M, lambda2, rhs, [psi])
+    sol = solve_deflated(K, M, lambda2, rhs, psi)
     q = sol.x
     q = q - (psi @ (M @ q)) / (psi @ (M @ psi)) * psi
     defect = float(abs(psi @ (M @ q)) / math.sqrt(max(q @ (M @ q), 1e-300)))
-    removed = float(abs(sol.removed[0]))
-    x_w = removed / 2.0
+    x_w = abs(sol.removed) / 2.0
     psi_scale = float(psi @ (M @ psi))
     return AdjointState(
         q=q,
-        w=w,
         ortho_defect=defect,
-        removed=removed,
         x_dot_w_estimate=x_w,
         solvability_warning=x_w > 1e-3 * psi_scale,
         residual=sol.residual,
@@ -104,28 +103,25 @@ def boundary_integrand(mesh: TriMesh, lambda2, psi, q, w):
 def shape_derivative(mesh: TriMesh, lambda2, psi, q, w, Vn):
     """Derivative of X.w under the boundary velocity Vn (midpoint rule).
 
-    Vn is a callable evaluated at boundary-edge midpoints or an array of
-    per-edge midpoint values.
+    Vn holds the normal velocity at each boundary-edge midpoint, in the
+    order of mesh.boundary_edges.
     """
-    mids, vals = boundary_integrand(mesh, lambda2, psi, q, w)
-    if callable(Vn):
-        vn = np.asarray(Vn(mids), dtype=float)
-    else:
-        vn = np.asarray(Vn, dtype=float)
+    _, vals = boundary_integrand(mesh, lambda2, psi, q, w)
+    vn = np.asarray(Vn, dtype=float)
     return float((vals * vn * mesh.boundary_lengths).sum())
 
 
-def harmonic_extension(mesh: TriMesh, boundary_values):
-    """Extend boundary vertex data into the interior through the stiffness
-    kernel (componentwise discrete harmonic lift)."""
-    K, _ = assemble(mesh)
+def harmonic_extension(mesh: TriMesh, V):
+    """Replace the interior values of the vertex field V, shape (nv, 2), by
+    the discrete harmonic lift of its boundary values (componentwise, through
+    the stiffness matrix)."""
+    V = np.array(V, dtype=float)
     n = mesh.num_vertices
+    K, _ = assemble(mesh)
     bmask = np.zeros(n, dtype=bool)
     bmask[mesh.boundary_vertex_indices()] = True
     interior = np.where(~bmask)[0]
     bidx = np.where(bmask)[0]
-    V = np.zeros((n, 2))
-    V[bmask] = boundary_values[bmask] if boundary_values.shape == V.shape else boundary_values
     if len(interior):
         Kii = K[interior][:, interior].tocsc()
         Kib = K[interior][:, bidx]
@@ -158,27 +154,25 @@ class ShapeDerivReport:
         )
 
 
-def fd_check(mesh: TriMesh, V, w, t_ladder, tol=1e-8, degeneracy_tol=1e-3):
+def fd_check(mesh: TriMesh, V, w, t_ladder, tol=1e-8):
     """Validate the adjoint formula against central finite differences.
 
     V is a velocity field sampled at all vertices (interior values are
     replaced by the harmonic lift of the boundary trace).  X_t.w is computed
-    by the full cross-section pipeline on perturbed meshes with the
-    eigenfunction sign tracked against the unperturbed eigenvector; the
-    derivative is Richardson-extrapolated from central differences over the
-    ladder.
+    by the full cross-section pipeline on perturbed meshes; X is even in the
+    eigenfunction, so no sign is tracked.  The derivative is
+    Richardson-extrapolated from central differences over the ladder.
+    TrackingError: (lambda3 - lambda2)/lambda2 < DEGENERACY_TOL on the base
+    mesh or on a perturbed one.
     """
     w = np.asarray(w, dtype=float)
-    V = np.asarray(V, dtype=float)
     V = harmonic_extension(mesh, V)
 
     spec = neumann_eigs(mesh, 2, tol=tol)
     lam2, lam3 = float(spec.eigenvalues[1]), float(spec.eigenvalues[2])
-    if (lam3 - lam2) / lam2 < degeneracy_tol:
+    if (lam3 - lam2) / lam2 < DEGENERACY_TOL:
         raise TrackingError("lambda2 degenerate on the base mesh")
     psi0 = spec.eigenvectors[:, 1]
-    _, M = assemble(mesh)
-    m_psi0 = M @ psi0  # perturbed meshes keep the vertex numbering
 
     adj = adjoint_solve(mesh, lam2, psi0, w)
     mids_val = shape_derivative(
@@ -190,12 +184,9 @@ def fd_check(mesh: TriMesh, V, w, t_ladder, tol=1e-8, degeneracy_tol=1e-3):
         pm = perturb(mesh, V, t)
         spec_t = neumann_eigs(pm, 2, tol=tol)
         l2, l3 = float(spec_t.eigenvalues[1]), float(spec_t.eigenvalues[2])
-        if (l3 - l2) / l2 < degeneracy_tol:
+        if (l3 - l2) / l2 < DEGENERACY_TOL:
             raise TrackingError(f"eigenvalue crossing near t = {t:g}")
-        psi_t = spec_t.eigenvectors[:, 1]
-        if psi_t @ m_psi0 < 0:
-            psi_t = -psi_t
-        return float(x_boundary(pm, psi_t) @ w)
+        return float(x_boundary(pm, spec_t.eigenvectors[:, 1]) @ w)
 
     ladder = sorted(float(t) for t in t_ladder)
     fd = {}
@@ -235,16 +226,16 @@ def _vn_from_field(mesh: TriMesh, V):
 # bump experiments on the reference rectangle
 
 
-def bump_rectangle_polygon(ell, L, side, center, radius, target_h, min_arc=64):
+def bump_rectangle_polygon(ell, L, side, center, radius, target_h):
     """Rectangle (0,ell)x(0,L) with an outward half-disk bump on one side.
 
     center is the coordinate of the bump center along the chosen side; the
-    half circle is sampled with at least max(min_arc, pi r / target_h) points
-    so the geometric error stays below the quadrature error.
+    half circle is sampled with at least max(MIN_ARC_POINTS, pi r / target_h)
+    points so the geometric error stays below the quadrature error.
     """
     if radius <= 0:
         raise ValueError("bump radius must be positive")
-    n_arc = max(int(min_arc), int(math.ceil(math.pi * radius / target_h)))
+    n_arc = max(MIN_ARC_POINTS, int(math.ceil(math.pi * radius / target_h)))
 
     def arc(cx, cy, th0, th1):
         th = np.linspace(th0, th1, n_arc + 1)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wgspec import conditions as CN
 from wgspec.curves import rotation, theta_star
@@ -134,6 +134,7 @@ class TestSNormBound:
     @settings(max_examples=200, deadline=None)
     @given(b=st.floats(0.01, 10.0), r=st.floats(0.0, 0.999),
            twist=st.floats(1e-17, 1e3))
+    @example(b=0.5, r=2.220446049250313e-16, twist=1.0)
     def test_twist_sweep_matches_2d_grid(self, b, r, twist):
         # the sup over the (u, v) rectangle sits on its edge v = b*twist
         grid = 257
@@ -143,12 +144,13 @@ class TestSNormBound:
         uu, vv = np.meshgrid(u, v, indexing="ij")
         l1, l2, l3 = CN._m_eigenvalues(uu, vv)
         oracle = np.maximum(np.abs(l1), np.maximum(np.abs(l2), np.abs(l3))).max()
-        assert CN.s_norm_bound(b, kappa_sup, twist, grid=grid) == oracle
+        assert CN.s_norm_bound(b, kappa_sup, twist) == oracle
 
 
     @settings(max_examples=200, deadline=None)
     @given(b=st.floats(0.01, 10.0), r=st.floats(0.0, 0.999),
            grid=st.sampled_from([2, 3, 257, 4097]))
+    @example(b=1.0, r=1.5330121522432028e-155, grid=2)  # u^2 is subnormal
     def test_no_twist_matches_envelope(self, b, r, grid):
         # the twist sweep at v = 0 against the closed-form envelope on the
         # same grid and at the endpoint r
@@ -156,7 +158,23 @@ class TestSNormBound:
         rr = b * kappa_sup
         xs = np.linspace(-rr, rr, grid)
         old = max(_no_twist_envelope(xs).max(), _no_twist_envelope(np.array([rr]))[0])
-        assert abs(CN.s_norm_bound(b, kappa_sup, grid=grid) - old) <= np.spacing(old)
+        assert abs(CN.s_norm_bound(b, kappa_sup) - old) <= np.spacing(old)
+
+
+class TestAdmissibilityGate:
+    @settings(max_examples=100, deadline=None)
+    @given(j=st.integers(-20, 20), k=st.integers(1, 53))
+    def test_raises_exactly_at_one(self, j, k):
+        # powers of two keep the products exact: b * kappa_sup = 1, 1 - 2^-k
+        b = 2.0**j
+        with pytest.raises(InadmissibleGeometryError):
+            CN.s_norm_bound(b, 1.0 / b)
+        with pytest.raises(InadmissibleGeometryError):
+            CN.trapped_condition((1, 0), (1, 0), 1.0, b, 1.0 / b, 1.0)
+        below = (1.0 - 2.0**-k) / b
+        assert math.isfinite(CN.s_norm_bound(b, below, twist_dev_sup=1.0 / b))
+        assert math.isfinite(
+            CN.trapped_condition((1, 0), (1, 0), 1.0, b, below, 1.0).rhs)
 
 
 def _no_twist_envelope(x):
@@ -250,6 +268,14 @@ class TestRectangleClassify:
         h = math.pi / math.sqrt(0.9 * math.pi**2)
         r = CN.rectangle_classify(0.9 * math.pi**2, 1.0, h)
         assert r.verdict == "embedded"
+
+    @settings(max_examples=200, deadline=None)
+    @given(ell=st.floats(0.01, 100.0))
+    def test_h_equal_ell_is_discrete(self, ell):
+        # lambda_2d an ulp below pi^2/ell^2: pi/sqrt(lambda_2d) rounds to
+        # <= ell for many ell, yet every h <= ell is discrete
+        lam = math.nextafter(math.pi**2 / ell**2, 0.0)
+        assert CN.rectangle_classify(lam, ell, ell).verdict == "discrete"
 
     def test_frequencies_symmetric(self):
         r = CN.rectangle_classify(0.5 * math.pi**2, 1.0, 0.7)

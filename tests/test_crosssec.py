@@ -42,10 +42,17 @@ class TestAnalyze:
             1 + np.linalg.norm(rep.X_boundary)
         )
 
-    def test_sign_invariance(self, triangle64):
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["triangle", "rect"]), n=st.integers(4, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sign_invariance(self, triangle64, kind, n, seed):
+        # bitwise: fd_check takes X from an eigenvector of either sign
         mesh = M.gen_right_triangle(64)
         xb = C.x_boundary(mesh, -triangle64.psi)
-        assert np.abs(xb - triangle64.X_boundary).max() <= 1e-14
+        assert np.array_equal(xb, triangle64.X_boundary)
+        mesh = _section_mesh(kind, n)
+        psi = np.random.default_rng(seed).standard_normal(mesh.num_vertices)
+        assert np.array_equal(C.x_boundary(mesh, -psi), C.x_boundary(mesh, psi))
 
     def test_vertex_relabeling_invariance(self):
         mesh = M.gen_right_triangle(12)

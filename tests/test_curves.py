@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from wgspec import curves as CV
 from wgspec.errors import (
@@ -245,7 +246,6 @@ class TestNormsAndY:
     def test_tail_missing_flag(self):
         fc = CV.frame_curve(CV.circle(1.0).window(1), 64)
         assert CV.curvature_norms(fc)["tail_missing"] is True
-        assert CV.curvature_norms(fc, tail=0.5)["tail"] == 0.5
 
     def test_sbend_odd_cancellation(self):
         fc = CV.frame_curve(CV.sbend().window(6), 4000)
@@ -277,6 +277,18 @@ class TestThetaStar:
         with pytest.raises(UndefinedAngleError):
             CV.theta_star((0, 0), (1, 0))
 
+    @settings(max_examples=200, deadline=None)
+    @given(X=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+           Y=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
+    def test_rotated_y_parallel_to_x(self, X, Y):
+        X, Y = np.array(X), np.array(Y)
+        nx, ny = np.linalg.norm(X), np.linalg.norm(Y)
+        assume(nx > 1e-6 and ny > 1e-6)
+        Yr = CV.rotation(CV.theta_star(X, Y)) @ Y
+        assert abs(np.linalg.norm(Yr) - ny) <= 1e-14 * ny
+        assert abs(X[0] * Yr[1] - X[1] * Yr[0]) <= 1e-13 * nx * ny
+        assert X @ Yr > 0.0
+
 
 class TestAdmissibility:
     def test_ok(self):
@@ -289,6 +301,24 @@ class TestAdmissibility:
     def test_straight_limit(self):
         a = CV.admissibility(0.0, 5.0)
         assert a.ok and a.det_lo == 1.0 and a.det_hi == 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(j=st.integers(-20, 20), k=st.integers(1, 53))
+    def test_flips_exactly_at_one(self, j, k):
+        # powers of two keep the products exact: b * kappa_sup = 1 - 2^-k
+        b = 2.0**j
+        below = CV.admissibility(b, (1.0 - 2.0**-k) / b)
+        assert below.ok and below.det_lo == 2.0**-k
+        at = CV.admissibility(b, 1.0 / b)
+        assert not at.ok and at.det_lo == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(b=st.floats(1e-3, 1e3), x=st.floats(0.5, 1.0))
+    def test_ok_iff_product_below_one(self, b, x):
+        kappa_sup = x / b
+        a = CV.admissibility(b, kappa_sup)
+        assert a.ok == (b * kappa_sup < 1.0)
+        assert a.det_lo == 1.0 - b * kappa_sup and (a.det_lo > 0.0) == a.ok
 
 
 @pytest.fixture(scope="module")

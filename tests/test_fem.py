@@ -106,7 +106,7 @@ class TestSolveDeflated:
         lam2 = s.eigenvalues[1]
         psi = s.eigenvectors[:, 1]
         rhs = Mm @ psi  # dual vector of the eigenfunction itself
-        sol = F.solve_deflated(K, Mm, lam2, rhs, [psi])
+        sol = F.solve_deflated(K, Mm, lam2, rhs, psi)
         xnorm = math.sqrt(sol.x @ (Mm @ sol.x))
         assert xnorm <= 1e-8 * math.sqrt(psi @ (Mm @ psi))
 
@@ -117,17 +117,19 @@ class TestSolveDeflated:
         lam2, psi = s.eigenvalues[1], s.eigenvectors[:, 1]
         rng = np.random.default_rng(5)
         rhs = rng.standard_normal(mesh.num_vertices)
-        sol = F.solve_deflated(K, Mm, lam2, rhs, [psi])
+        sol = F.solve_deflated(K, Mm, lam2, rhs, psi)
         assert abs(sol.x @ (Mm @ psi)) <= 1e-10 * math.sqrt(sol.x @ (Mm @ sol.x))
         assert sol.residual < 1e-8
 
-    def test_empty_basis_near_degenerate(self):
+    def test_wrong_vector_near_degenerate(self):
+        # the constant mode is M-orthogonal to psi, so (psi, 0) stays in the
+        # kernel of the bordered matrix
         mesh = M.gen_rectangle(2, 1, 24, 12)
         K, Mm = F.assemble(mesh)
         s = F.neumann_eigs(mesh, 2, tol=1e-10)
         with pytest.raises(NearDegenerateError):
             F.solve_deflated(K, Mm, s.eigenvalues[1],
-                             np.ones(mesh.num_vertices), [])
+                             np.ones(mesh.num_vertices), s.eigenvectors[:, 0])
 
 
 class TestInvariants:

@@ -154,6 +154,19 @@ class TestShapeDerivative:
         assert abs(dw - (alpha * d1 + beta * d2)) <= 1e-10 * (1 + abs(dw))
 
 
+class TestHarmonicExtension:
+    def test_boundary_kept_interior_harmonic(self):
+        mesh = M.gen_right_triangle(12)
+        rng = np.random.default_rng(3)
+        V = rng.standard_normal(mesh.vertices.shape)
+        E = SD.harmonic_extension(mesh, V)
+        bidx = mesh.boundary_vertex_indices()
+        assert np.array_equal(E[bidx], V[bidx])
+        interior = np.setdiff1d(np.arange(mesh.num_vertices), bidx)
+        K, _ = F.assemble(mesh)
+        assert np.abs((K @ E)[interior]).max() <= 1e-12 * np.abs(V).max()
+
+
 class TestFdCheck:
     def test_rigid_translation(self):
         mesh = M.gen_rectangle(2 * np.pi, np.pi, 64, 32)
