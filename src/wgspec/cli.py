@@ -1,8 +1,11 @@
 """Command-line entry point: reproducible experiments with JSON/CSV output.
 
 Exit codes: 0 success, 1 error, 2 success with warnings (e.g. a degenerate
-second eigenvalue).  Every JSON artifact echoes the invocation arguments and
-a timestamp for reproducibility.
+second eigenvalue).  An error, malformed input included, prints one
+``error: `` line to stderr.  The one exception is a usage error that
+argparse catches (an unknown flag, a missing or non-numeric value): argparse
+prints the usage and exits with its own code 2.  Every JSON artifact echoes
+the invocation arguments and a timestamp for reproducibility.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ def _load_mesh(args):
     if args.rect:
         ell, L, nx, ny = args.rect
         return meshmod.gen_rectangle(float(ell), float(L), int(nx), int(ny))
-    if args.triangle:
+    if args.triangle is not None:
         return meshmod.gen_right_triangle(int(args.triangle))
     if args.polygon:
         with open(args.polygon) as f:
@@ -143,19 +146,24 @@ def cmd_check(args):
 def cmd_shapederiv(args):
     from . import mesh as meshmod, shapederiv
 
-    ell, L = args.rect[0], args.rect[1]
-    nx = args.nx or 128
-    ny = args.ny or max(4, int(round(nx * L / ell)))
+    ell, L = args.rect
+    if not (ell > 0 and L > 0):
+        raise ValueError("rectangle dimensions must be positive")
+    nx = 128 if args.nx is None else args.nx
+    ny = max(4, int(round(nx * L / ell))) if args.ny is None else args.ny
     mesh = meshmod.gen_rectangle(ell, L, nx, ny)
     w = np.asarray(args.w, dtype=float)
-    w = w / np.linalg.norm(w)
+    norm = np.linalg.norm(w)
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"--w must be a nonzero finite vector, got {args.w}")
+    w = w / norm
 
     if args.analytic_compare:
         import math
 
         from .fem import assemble, neumann_eigs
 
-        spec = neumann_eigs(mesh, 2, tol=args.tol)
+        spec = neumann_eigs(mesh, 1, tol=args.tol)
         _, M = assemble(mesh)
         lam2 = float(spec.eigenvalues[1])
         psi = spec.eigenvectors[:, 1]
@@ -213,6 +221,9 @@ def cmd_sweep(args):
     from . import shapederiv
 
     lo, hi, step = args.radii
+    if not (0.0 <= lo <= hi < np.inf and step > 0.0):
+        raise ValueError(f"--radii needs 0 <= LO <= HI and STEP > 0, "
+                         f"got {lo:g}:{hi:g}:{step:g}")
     radii = list(np.arange(lo, hi + 0.5 * step, step))
     rows = shapederiv.bump_sweep(
         args.rect[0], args.rect[1], args.side, args.center, radii,

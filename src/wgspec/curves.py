@@ -49,7 +49,11 @@ class ParamCurve:
     name: str = "curve"
 
     def window(self, half_width):
-        """Same curve restricted to [-half_width, half_width]."""
+        """Same curve restricted to [-half_width, half_width]; ValueError
+        unless half_width is positive and finite."""
+        if not 0.0 < half_width < math.inf:
+            raise ValueError(f"window half-width must be positive and finite, "
+                             f"got {half_width!r}")
         return replace(self, t0=-float(half_width), t1=float(half_width))
 
 

@@ -21,6 +21,12 @@ from .mesh import TriMesh
 # the eigensolver shift is -SHIFT_SCALE * tr(K)/tr(M): a fixed multiple of a
 # ratio that scales like an eigenvalue, so the spectrum scales exactly
 SHIFT_SCALE = 1e-5
+# seeded noise added to a given Lanczos start vector, relative to its norm:
+# a start that spans an invariant subspace of unwanted eigenvectors (say
+# psi3 + psi4 when psi2 is wanted) makes Lanczos break down, and it can then
+# return those as converged; this floor keeps every eigenvector in the
+# Krylov space, and it added no solve to the prolonged and fd_check starts
+START_NOISE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -114,18 +120,46 @@ def _residuals(K, M, vals, X):
     return np.linalg.norm(K @ X - MX * vals[None, :], axis=0) / np.linalg.norm(MX, axis=0)
 
 
-def _shift_invert_eigs(K, M, k, tol, constant=None):
+def _shift_invert_eigs(K, M, k, tol, constant=None, v0=None):
     """k eigenpairs of K u = lambda M u nearest above sigma = -SHIFT_SCALE *
     tr(K)/tr(M), by ARPACK's implicitly restarted Lanczos on one factorization
-    of the positive definite K - sigma M.  The seeded start vector and every
-    solve are projected M-orthogonally off ``constant`` (an M-normalized null
-    vector of K) if given.  Pencils too small to restart a Lanczos basis in
-    are solved densely.  Returns (values, vectors, residuals, sigma, solves).
+    of the positive definite K - sigma M.  The start vector and every solve
+    are projected M-orthogonally off ``constant`` (an M-normalized null
+    vector of K) if given.  Without ``v0`` the start vector is seeded random
+    and the Lanczos basis has ncv = max(2k + 1, 20) vectors.  A given ``v0``
+    (shape (n,), e.g. eigenvectors of a nearby problem) starts the basis
+    instead, plus START_NOISE of the seeded vector, with ncv = 2k + 2:
+    ARPACK fills all ncv vectors before its first convergence test, so a
+    larger basis only adds solves to a good start.  ValueError if v0 has
+    the wrong shape, is not finite or vanishes after the projection.
+    Pencils too small to restart a Lanczos basis in are solved densely, and
+    v0 is not used there.  Returns (values, vectors, residuals, sigma,
+    solves).
     """
     n = K.shape[0]
     sigma = -SHIFT_SCALE * K.diagonal().sum() / M.diagonal().sum()
     skip = int(constant is not None)
-    ncv = max(2 * k + 1, 20)
+
+    def project(y):
+        if constant is not None:
+            y = y - constant * (constant @ (M @ y))
+        return y
+
+    noise = project(np.random.default_rng(7).standard_normal(n))
+    if v0 is None:
+        ncv = max(2 * k + 1, 20)
+        start = noise
+    else:
+        ncv = 2 * k + 2
+        v0 = np.asarray(v0, dtype=float)
+        if v0.shape != (n,) or not np.isfinite(v0).all():
+            raise ValueError(f"start vector must be {n} finite values")
+        start = project(v0)
+        scale = np.linalg.norm(start)
+        if not scale > 1e-10 * np.linalg.norm(v0):
+            raise ValueError("start vector vanishes after projection off the "
+                             "constant mode")
+        start = start + noise * (START_NOISE * scale / np.linalg.norm(noise))
     solves = 0
     if n - skip <= ncv:
         from scipy.linalg import eigh
@@ -136,19 +170,13 @@ def _shift_invert_eigs(K, M, k, tol, constant=None):
         lu = splu((K - sigma * M).tocsc(), permc_spec="MMD_AT_PLUS_A",
                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
-        def project(y):
-            if constant is not None:
-                y = y - constant * (constant @ (M @ y))
-            return y
-
         def apply_inverse(b):
             nonlocal solves
             solves += 1
             return project(lu.solve(b))
 
-        v0 = project(np.random.default_rng(7).standard_normal(n))
         try:
-            _, X = eigsh(K, k, M, sigma=sigma, which="LM", v0=v0, ncv=ncv,
+            _, X = eigsh(K, k, M, sigma=sigma, which="LM", v0=start, ncv=ncv,
                          OPinv=LinearOperator((n, n), matvec=apply_inverse))
         except ArpackNoConvergence as exc:
             raise SolverError(
@@ -168,12 +196,20 @@ def _shift_invert_eigs(K, M, k, tol, constant=None):
     return vals, X, res, sigma, solves
 
 
-def neumann_eigs(mesh: TriMesh, k, tol=1e-8):
+def neumann_eigs(mesh: TriMesh, k, tol=1e-8, v0=None):
     """k+1 smallest Neumann eigenpairs of K u = lambda M u, zero mode included.
 
     The constant mode is deflated analytically and reported first; the other
     k come from shift-invert Lanczos at sigma = -SHIFT_SCALE * tr(K)/tr(M).
-    Raises SolverError if Lanczos fails or a residual exceeds tol.
+    v0, a nodal vector, warm-starts the Lanczos basis: it is projected
+    M-orthogonally off the constant mode and the basis shrinks from
+    max(2k + 1, 20) to 2k + 2 vectors (see _shift_invert_eigs).  A start
+    close to the wanted eigenvectors, such as the prolonged eigenvector of
+    a coarser mesh, takes fewer solves; a poor one, even one M-orthogonal to
+    them, gives the same eigenvalues in more solves.  Without v0 the seeded
+    start is used.  Either way the result is deterministic bit for bit.
+    Raises ValueError if v0 is not n finite values or vanishes after the
+    projection, SolverError if Lanczos fails or a residual exceeds tol.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -185,7 +221,7 @@ def neumann_eigs(mesh: TriMesh, k, tol=1e-8):
     ones = np.ones(n)
     c = ones / np.sqrt(ones @ (M @ ones))
     lam1 = max(float(c @ (K @ c)), 0.0)
-    vals, X, res, sigma, solves = _shift_invert_eigs(K, M, k, tol, constant=c)
+    vals, X, res, sigma, solves = _shift_invert_eigs(K, M, k, tol, constant=c, v0=v0)
     c_res = float(np.linalg.norm(K @ c - lam1 * (M @ c)) / np.linalg.norm(M @ c))
     return Spectrum(
         bc="neumann",

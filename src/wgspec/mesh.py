@@ -719,6 +719,18 @@ def refine_uniform(mesh: TriMesh):
     return build_trimesh(verts, tris, warnings=mesh.warnings)
 
 
+def prolong_uniform(mesh: TriMesh, u):
+    """The nodal field u of mesh on refine_uniform(mesh): the coarse values,
+    then the edge-midpoint averages in the fine mesh's vertex order.
+
+    This is the exact P1 prolongation: the fine field is the same piecewise
+    linear function, because the fine P1 space nests the coarse one.
+    """
+    u = np.asarray(u, dtype=float)
+    edges = _edge_table(mesh.triangles)[0]
+    return np.concatenate([u, (u[edges[:, 0]] + u[edges[:, 1]]) * 0.5])
+
+
 def perturb(mesh: TriMesh, V, t):
     """Move vertices to v + t*V(v); connectivity is unchanged.
 

@@ -162,9 +162,14 @@ def fd_check(mesh: TriMesh, V, w, t_ladder, tol=1e-8):
     by the full cross-section pipeline on perturbed meshes; X is even in the
     eigenfunction, so no sign is tracked.  The derivative is
     Richardson-extrapolated from central differences over the ladder.
+    The +-t eigensolves start from the base psi2 + psi3 (neumann_eigs' v0).
+    ValueError: a step of t_ladder is not positive and finite.
     TrackingError: (lambda3 - lambda2)/lambda2 < DEGENERACY_TOL on the base
     mesh or on a perturbed one.
     """
+    ladder = sorted(float(t) for t in t_ladder)
+    if not (ladder and 0.0 < ladder[0] and ladder[-1] < math.inf):
+        raise ValueError(f"fd steps must be positive and finite, got {ladder}")
     w = np.asarray(w, dtype=float)
     V = harmonic_extension(mesh, V)
 
@@ -173,6 +178,8 @@ def fd_check(mesh: TriMesh, V, w, t_ladder, tol=1e-8):
     if (lam3 - lam2) / lam2 < DEGENERACY_TOL:
         raise TrackingError("lambda2 degenerate on the base mesh")
     psi0 = spec.eigenvectors[:, 1]
+    # the +-t pairs are small perturbations of the base pair: start from it
+    start = psi0 + spec.eigenvectors[:, 2]
 
     adj = adjoint_solve(mesh, lam2, psi0, w)
     mids_val = shape_derivative(
@@ -182,13 +189,12 @@ def fd_check(mesh: TriMesh, V, w, t_ladder, tol=1e-8):
 
     def x_dot_w(t):
         pm = perturb(mesh, V, t)
-        spec_t = neumann_eigs(pm, 2, tol=tol)
+        spec_t = neumann_eigs(pm, 2, tol=tol, v0=start)
         l2, l3 = float(spec_t.eigenvalues[1]), float(spec_t.eigenvalues[2])
         if (l3 - l2) / l2 < DEGENERACY_TOL:
             raise TrackingError(f"eigenvalue crossing near t = {t:g}")
         return float(x_boundary(pm, spec_t.eigenvectors[:, 1]) @ w)
 
-    ladder = sorted(float(t) for t in t_ladder)
     fd = {}
     for t in ladder:
         fd[t] = (x_dot_w(t) - x_dot_w(-t)) / (2.0 * t)

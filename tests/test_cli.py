@@ -147,6 +147,67 @@ class TestSweepCmd:
         assert norms[0] < norms[1]
 
 
+def _argv_id(argv):
+    return " ".join(str(a) for a in argv)
+
+
+# malformed input and a fragment of its error message
+_MALFORMED = [
+    (["shapederiv", "--w", 0, 0], "--w must be a nonzero"),
+    (["shapederiv", "--w", "nan", 1], "--w must be a nonzero"),
+    (["shapederiv", "--w", 1, 0, "--nx", 0], "subdivision counts"),
+    (["shapederiv", "--w", 1, 0, "--ny", 0], "subdivision counts"),
+    (["shapederiv", "--w", 1, 0, "--rect", 0, 1], "rectangle dimensions"),
+    (["shapederiv", "--w", 1, 0, "--ladder", 0, 1e-3], "fd steps"),
+    (["curve", "--window", 0], "half-width"),
+    (["curve", "--window", -1], "half-width"),
+    (["curve", "--n", 3], "N must be"),
+    (["sweep", "--radii", "0.2:0.5:0"], "--radii needs"),
+    (["sweep", "--radii", "0.2:0.5:-0.1"], "--radii needs"),
+    (["sweep", "--radii", "0.5:0.2:0.1"], "--radii needs"),
+    (["sweep", "--radii=-0.1:0.2:0.1"], "--radii needs"),
+    (["section"], "no mesh source"),
+    (["section", "--triangle", 0], "n must be >= 1"),
+    (["section", "--rect", 2, 1, 0, 4], "subdivision counts"),
+    (["section", "--gmsh", "/nonexistent/mesh.msh"], "no such file"),
+]
+
+_VALID = [
+    (["section", "--triangle", 8], 0),
+    (["section", "--rect", 2, 1, 8, 4, "--fast"], 0),
+    (["curve", "--line", "--window", 5, "--n", 64], 0),
+    (["shapederiv", "--w", 1, 0, "--rect", 8, 1, "--nx", 32, "--ny", 4,
+      "--bump-center", 3], 0),
+    (["shapederiv", "--w", 0, 1, "--analytic-compare", "--rect", 2, 1,
+      "--nx", 16], 0),
+    (["sweep", "--radii", "0.2:0.2:0.1", "--target-h", 0.3], 0),
+    (["section", "--rect", 1, 1, 8, 8], 2),  # the square: lambda2 double
+]
+
+
+class TestExitCodes:
+    """0 success, 1 error with one ``error: `` line, 2 success with warnings.
+    Usage errors keep argparse's own exit 2 (test_unknown_flag_exit)."""
+
+    @pytest.mark.parametrize("argv, message", _MALFORMED,
+                             ids=[_argv_id(argv) for argv, _ in _MALFORMED])
+    def test_malformed_input_exit_1(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(argv + ["-o", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, code", _VALID,
+                             ids=[_argv_id(argv) for argv, _ in _VALID])
+    def test_valid_input(self, argv, code, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(argv + ["-o", out]) == code
+        assert capsys.readouterr().err == ""
+        assert out.exists()
+
+
 class TestImports:
     def test_curve_and_check_without_scipy(self, tmp_path):
         # scipy comes with the FEM and mesh modules, which only the section,

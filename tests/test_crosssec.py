@@ -31,6 +31,13 @@ class TestAnalyze:
         assert not rep.simple
         assert any("representative" in w for w in rep.warnings)
 
+    def test_error_estimate_matches_a_cold_solve(self, triangle64):
+        # analyze warm-starts the refined solve from the prolonged psi
+        fine = M.refine_uniform(M.gen_right_triangle(64))
+        lam2_f = F.neumann_eigs(fine, 1, tol=1e-9).eigenvalues[1]
+        cold = abs(triangle64.lambda2 - lam2_f) / lam2_f
+        assert abs(triangle64.discretization_error - cold) <= 1e-8 * cold
+
     def test_psi_m_normalized(self, triangle64):
         _, Mm = F.assemble(M.gen_right_triangle(64))
         psi = triangle64.psi

@@ -59,6 +59,11 @@ class TestArclengthResample:
         with pytest.raises(SingularParametrizationError):
             CV.arclength_resample(bad, 32)
 
+    @pytest.mark.parametrize("half", [0.0, -1.0, math.inf, math.nan])
+    def test_window_must_be_positive_and_finite(self, half):
+        with pytest.raises(ValueError, match="half-width"):
+            CV.parabola().window(half)
+
     def test_n_too_small(self):
         with pytest.raises(ValueError):
             CV.arclength_resample(CV.line(), 8)

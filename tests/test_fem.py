@@ -222,6 +222,8 @@ class TestShiftInvertSolver:
     @pytest.mark.parametrize("solve", [
         lambda: F.neumann_eigs(M.gen_rectangle(2, 1, 24, 12), 3, tol=1e-10),
         lambda: F.dirichlet_eigs(M.gen_right_triangle(24), 2, tol=1e-10),
+        lambda: F.neumann_eigs(M.gen_rectangle(2, 1, 24, 12), 2, tol=1e-10,
+                               v0=M.gen_rectangle(2, 1, 24, 12).vertices[:, 0]),
     ])
     def test_bit_identical_repeat(self, solve):
         a, b = solve(), solve()
@@ -255,3 +257,67 @@ class TestShiftInvertSolver:
         assert s.shift == -F.SHIFT_SCALE * K.diagonal().sum() / Mm.diagonal().sum()
         assert s.shift < 0 and s.solves >= 1
         assert set(json.loads(s.to_json())) == {"bc", "eigenvalues", "residuals"}
+
+
+def _warm_mesh(kind, size, shape):
+    """A rectangle, right-triangle or L-shaped polygon mesh of at most about
+    a thousand vertices; shape in [0.2, 2] sets the aspect."""
+    if kind == "rect":
+        return M.gen_rectangle(1.0 + shape, 1.0, size + 2, size)
+    if kind == "tri":
+        return M.gen_right_triangle(size)
+    a = 1.0 + shape
+    return M.gen_polygon(M.Polygon([(0, 0), (a, 0), (a, 1), (1, 1), (1, 2), (0, 2)],
+                                   1.6 / size))
+
+
+_WARM_MESHES = dict(kind=st.sampled_from(["rect", "tri", "poly"]),
+                    size=st.integers(4, 16), shape=st.floats(0.2, 2.0))
+
+
+class TestWarmStart:
+    @settings(max_examples=20, deadline=None)
+    @given(**_WARM_MESHES)
+    def test_prolonged_start_on_the_refined_mesh(self, kind, size, shape):
+        # the error-estimate solve of crosssec.analyze
+        mesh = _warm_mesh(kind, size, shape)
+        coarse = F.neumann_eigs(mesh, 1, tol=1e-9)
+        fine = M.refine_uniform(mesh)
+        cold = F.neumann_eigs(fine, 1, tol=1e-9)
+        warm = F.neumann_eigs(fine, 1, tol=1e-9,
+                              v0=M.prolong_uniform(mesh, coarse.eigenvectors[:, 1]))
+        lam = cold.eigenvalues[1]
+        assert abs(warm.eigenvalues[1] - lam) <= 1e-12 * lam
+        assert warm.residuals.max() <= 1e-9
+        assert 0 < warm.solves < cold.solves
+
+    @settings(max_examples=20, deadline=None)
+    @given(**_WARM_MESHES, k=st.integers(1, 2),
+           start=st.sampled_from(["wanted", "orthogonal"]))
+    def test_any_start_gives_the_cold_eigenvalues(self, kind, size, shape, k, start):
+        # "orthogonal" starts from psi_{k+2} + psi_{k+3}, M-orthogonal to
+        # every wanted eigenvector psi_2 .. psi_{k+1}
+        mesh = _warm_mesh(kind, size, shape)
+        cold = F.neumann_eigs(mesh, k, tol=1e-9)
+        more = F.neumann_eigs(mesh, k + 2, tol=1e-9).eigenvectors
+        v0 = more[:, 1:k + 1] if start == "wanted" else more[:, k + 1:]
+        warm = F.neumann_eigs(mesh, k, tol=1e-9, v0=v0.sum(axis=1))
+        rel = np.abs(warm.eigenvalues[1:] - cold.eigenvalues[1:]) / cold.eigenvalues[1:]
+        assert rel.max() <= 1e-12
+        assert warm.residuals.max() <= 1e-9
+
+    @settings(max_examples=20, deadline=None)
+    @given(**_WARM_MESHES, c=st.floats(1e-3, 1e3), sign=st.sampled_from([-1, 1]))
+    def test_constant_start_raises(self, kind, size, shape, c, sign):
+        mesh = _warm_mesh(kind, size, shape)
+        with pytest.raises(ValueError, match="vanishes"):
+            F.neumann_eigs(mesh, 1, v0=np.full(mesh.num_vertices, sign * c))
+
+    @pytest.mark.parametrize("v0, match", [
+        (np.zeros(45), "vanishes"),
+        (np.ones(44), "45 finite"),
+        (np.full(45, np.nan), "45 finite"),
+    ])
+    def test_malformed_start_raises(self, v0, match):
+        with pytest.raises(ValueError, match=match):
+            F.neumann_eigs(M.gen_right_triangle(8), 1, v0=v0)

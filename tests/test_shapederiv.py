@@ -187,6 +187,13 @@ class TestFdCheck:
                           tol=1e-10)
         assert rep.discrepancy < 0.02
 
+    @pytest.mark.parametrize("ladder", [[0.0, 1e-3], [-1e-3], [1e-3, math.inf], []])
+    def test_ladder_must_be_positive_and_finite(self, ladder):
+        mesh = M.gen_rectangle(2, 1, 8, 4)
+        with pytest.raises(ValueError, match="fd steps"):
+            SD.fd_check(mesh, np.zeros_like(mesh.vertices), np.array([1.0, 0.0]),
+                        ladder)
+
     def test_inadmissible_ladder_propagates(self):
         mesh = M.gen_right_triangle(8)
         rng = np.random.default_rng(12)
