@@ -18,7 +18,8 @@ import time
 import numpy as np
 
 # the FEM and mesh modules load scipy; the commands that use them import
-# them, so `curve` and `check` run on numpy alone
+# them, so `check` and `curve` run on numpy alone, except `curve --samples`,
+# whose CubicSpline loads scipy
 from . import conditions, curves
 
 

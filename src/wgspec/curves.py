@@ -1,11 +1,12 @@
-"""Base-curve geometry: arclength resampling, relatively adapted parallel
-frames as running products of minimal rotations, curvature functionals, and
-the alignment angle.
+"""Base-curve geometry: resampling on a parameter grid, relatively adapted
+parallel frames as running products of minimal rotations, curvature
+functionals, and the alignment angle.
 
-A framed curve carries a uniform arclength grid with an orthonormal frame
-(e1, e2, e3), e1 the unit tangent, whose transverse vectors turn only along
-the tangent direction; the transverse turning rates (k1, k2) integrate to
-the bending vector Y.
+A framed curve carries nodes at equally spaced parameters, their arclengths,
+and an orthonormal frame (e1, e2, e3), e1 the unit tangent, whose transverse
+vectors turn only along the tangent direction.  The transverse turning
+rates (k1, k2) = (T'.e2, T'.e3) come from gamma'' at each node and
+integrate to the bending vector Y.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .errors import (
 _GAUSS_X, _GAUSS_W = leggauss(5)
 
 # largest tangent turning angle (rad) that one grid step may take; on coarser
-# grids the centered difference of the tangent misses much of the curvature
+# grids the trapezoid rule no longer resolves kappa, k1 and k2 between nodes,
+# and T_j + T_{j+1} nears 0, where the minimal rotation is undefined
 MAX_STEP_TURN = math.pi / 4
 
 
@@ -34,14 +36,14 @@ class ParamCurve:
     """Parametrized 3D curve (2D curves promoted with zero third coordinate).
 
     gamma, dgamma, ddgamma map an array of parameters to (n, 3) arrays;
-    ddgamma may be None when only frame transport is needed.
+    all three are required, as the frame's turning rates come from ddgamma.
     kappa_l1_tail(t0, t1), when present, is the analytic curvature integral
     outside the window (arclength measure).
     """
 
     gamma: object
     dgamma: object
-    ddgamma: object = None
+    ddgamma: object
     t0: float = -1.0
     t1: float = 1.0
     asymptotically_straight: bool = False
@@ -59,9 +61,9 @@ class ParamCurve:
 
 @dataclass(frozen=True)
 class FramedCurve:
-    """Curve samples on a uniform arclength grid with a transported frame;
-    tail is the analytic curvature integral outside the window, None when
-    the curve provides none."""
+    """Curve samples at equally spaced parameters t, with their arclengths s
+    and a transported frame; tail is the analytic curvature integral outside
+    the window, None when the curve provides none."""
 
     s: np.ndarray
     t: np.ndarray
@@ -210,12 +212,14 @@ def sbend():
         out[:, :2] = pos[np.searchsorted(knots, s)]
         return out
 
-    def tail(t0, t1):
-        from scipy.integrate import quad
+    def beyond(x):
+        # integral of |s| exp(-s^2) over [x, inf)
+        e = 0.5 * math.exp(-x * x)
+        return e if x >= 0 else 1.0 - e
 
-        lo = quad(lambda s: abs(s) * math.exp(-(s**2)), -np.inf, t0)[0]
-        hi = quad(lambda s: abs(s) * math.exp(-(s**2)), t1, np.inf)[0]
-        return float(lo + hi)
+    def tail(t0, t1):
+        # the integrand is even, so (-inf, t0] carries beyond(-t0)
+        return beyond(-t0) + beyond(t1)
 
     return ParamCurve(gamma, dgamma, ddgamma, asymptotically_straight=True,
                       kappa_l1_tail=tail, name="sbend")
@@ -252,87 +256,50 @@ def from_samples(t, xyz):
 
 @dataclass(frozen=True)
 class ArcSamples:
-    """Uniform arclength grid with positions and unit tangents; iterations
-    and residual report the Newton solve for the node parameters."""
+    """Nodes at equally spaced parameters t with their arclengths s,
+    positions, unit tangents T and arclength derivatives T'."""
 
     s: np.ndarray
     t: np.ndarray
     gamma: np.ndarray
     tangent: np.ndarray
+    dtangent: np.ndarray
     total_length: float
-    iterations: int = 0
-    residual: float = 0.0
 
 
 def arclength_resample(curve: ParamCurve, N):
-    """Place N+1 equally spaced arclength nodes on the parameter window.
+    """Sample the parameter window at N+1 equally spaced nodes.
 
     The cumulative arclength is a composite 5-point Gauss quadrature of
-    |gamma'| over 4N subintervals; node parameters are recovered by
-    bracketed Newton on the monotone cumulative function, stopped once every
-    node's arclength residual is at most 1e-13 * (1 + total length).
+    |gamma'| over 4N panels, read at every 4th panel edge.  At each node
+    T' = (gamma'' - (gamma''.T) T) / |gamma'|^2, exact for the given
+    ddgamma.  SingularParametrizationError: |gamma'| < 1e-12 at a
+    quadrature point or a node.
     """
     if N < 16:
         raise ValueError("N must be >= 16")
     N = int(N)
-    t0, t1 = float(curve.t0), float(curve.t1)
     npan = 4 * N
-    edges = np.linspace(t0, t1, npan + 1)
+    edges = np.linspace(float(curve.t0), float(curve.t1), npan + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GAUSS_X[None, :]).ravel()
+    nodes = (mid[:, None] + half[:, None] * _GAUSS_X).ravel()
     speeds = np.linalg.norm(curve.dgamma(nodes), axis=1)
-    if speeds.min() < 1e-12:
-        raise SingularParametrizationError(
-            f"|gamma'| = {speeds.min():.3e} at a quadrature point"
-        )
-    panel = (speeds.reshape(npan, 5) * _GAUSS_W[None, :]).sum(axis=1) * half
-    cum = np.concatenate([[0.0], np.cumsum(panel)])
-    total = float(cum[-1])
-
-    targets = np.linspace(0.0, total, N + 1)
-    # the end nodes are t0 and t1; bracket each interior target in its
-    # panel, then Newton with bisection fallback
-    k = np.searchsorted(cum, targets[1:-1], side="right") - 1
-    lo = edges[k].copy()
-    hi = edges[k + 1].copy()
-    t = 0.5 * (lo + hi)
-
-    def partial(a, x):
-        """Gauss-5 integral of |gamma'| from a to x (vectorized)."""
-        m = 0.5 * (a + x)
-        hw = 0.5 * (x - a)
-        pts = m[:, None] + hw[:, None] * _GAUSS_X[None, :]
-        sp = np.linalg.norm(
-            curve.dgamma(pts.ravel()), axis=1
-        ).reshape(len(a), 5)
-        return (sp * _GAUSS_W[None, :]).sum(axis=1) * hw
-
-    need = targets[1:-1] - cum[k]
-    a = edges[k]
-    tol = 1e-13 * (1.0 + total)
-    for iterations in range(1, 81):
-        f = partial(a, t) - need
-        residual = float(np.abs(f).max())
-        if residual <= tol:
-            break
-        df = np.linalg.norm(curve.dgamma(t), axis=1)
-        hi = np.where(f > 0, np.minimum(t, hi), hi)
-        lo = np.where(f <= 0, np.maximum(t, lo), lo)
-        t_new = t - f / np.maximum(df, 1e-300)
-        # after the update t is itself an end of the bracket, so a converged
-        # Newton step may land on it; only a step past an end is rejected
-        bad = (t_new < lo) | (t_new > hi) | ~np.isfinite(t_new)
-        t = np.where(bad, 0.5 * (lo + hi), t_new)
-    t = np.concatenate([[t0], t, [t1]])
-
-    pts = curve.gamma(t)
+    t = edges[::4]
     vel = curve.dgamma(t)
-    tang = vel / np.linalg.norm(vel, axis=1)[:, None]
-    return ArcSamples(
-        s=targets, t=t, gamma=pts, tangent=tang, total_length=total,
-        iterations=iterations, residual=residual,
-    )
+    speed = np.linalg.norm(vel, axis=1)
+    low = min(speeds.min(), speed.min())
+    if low < 1e-12:
+        raise SingularParametrizationError(
+            f"|gamma'| = {low:.3e} at a quadrature point or node"
+        )
+    panel = (speeds.reshape(npan, 5) * _GAUSS_W).sum(axis=1) * half
+    cum = np.concatenate([[0.0], np.cumsum(panel)])
+    tang = vel / speed[:, None]
+    acc = curve.ddgamma(t)
+    dtang = (acc - (acc * tang).sum(axis=1)[:, None] * tang) / speed[:, None] ** 2
+    return ArcSamples(s=cum[::4], t=t, gamma=curve.gamma(t), tangent=tang,
+                      dtangent=dtang, total_length=float(cum[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -356,16 +323,6 @@ def default_transverse_frame(T0):
     return e2, e3
 
 
-def _tangent_derivative(tangent, h):
-    """Centered differences of the unit tangent, one-sided at the ends."""
-    T = tangent
-    dT = np.empty_like(T)
-    dT[1:-1] = (T[2:] - T[:-2]) / (2.0 * h)
-    dT[0] = (-3.0 * T[0] + 4.0 * T[1] - T[2]) / (2.0 * h)
-    dT[-1] = (3.0 * T[-1] - 4.0 * T[-2] + T[-3]) / (2.0 * h)
-    return dT
-
-
 def _frame_defect(e1, e2, e3):
     """Per-node max |G^T G - I| of the frames G = [e1 e2 e3]."""
     G = np.stack([e1, e2, e3], axis=2)
@@ -387,12 +344,11 @@ def rapf(arc: ArcSamples, e2_0=None, e3_0=None, name="curve"):
     to T_j + T_{j+1} followed by the one normal to T_{j+1}.  The frame is the
     running product of these rotations (a log2(N) doubling scan) applied to
     (e2_0, e3_0), re-orthonormalized once against the tangent.  Turning rates
-    are k1 = T'.e2, k2 = T'.e3 and kappa = |T'|, T' by centered differences.
+    are k1 = T'.e2, k2 = T'.e3 and kappa = |T'|, with T' = arc.dtangent.
     StepSizeError: a step turns T by more than MAX_STEP_TURN, or the raw
     frame drifts from orthonormal by more than 1e-8.
     """
     T = arc.tangent
-    h = float(arc.s[1] - arc.s[0])
     if e2_0 is None or e3_0 is None:
         e2_0, e3_0 = default_transverse_frame(T[0])
     e2_0 = np.asarray(e2_0, dtype=float)
@@ -432,7 +388,7 @@ def rapf(arc: ArcSamples, e2_0=None, e3_0=None, name="curve"):
     e2 /= np.linalg.norm(e2, axis=1)[:, None]
     e3 = np.cross(T, e2)
 
-    dT = _tangent_derivative(T, h)
+    dT = arc.dtangent
     return FramedCurve(
         s=arc.s, t=arc.t, gamma=arc.gamma, e1=T, e2=e2, e3=e3,
         k1=(dT * e2).sum(axis=1), k2=(dT * e3).sum(axis=1),
@@ -441,7 +397,7 @@ def rapf(arc: ArcSamples, e2_0=None, e3_0=None, name="curve"):
 
 
 def frame_curve(curve: ParamCurve, N):
-    """Resample to N arclength steps, transport the frame that starts from
+    """Resample to N parameter steps, transport the frame that starts from
     default_transverse_frame, and store the curve's analytic tail if any."""
     fc = rapf(arclength_resample(curve, N), name=curve.name)
     if curve.kappa_l1_tail is not None:
@@ -455,8 +411,6 @@ def frame_curve(curve: ParamCurve, N):
 
 def planar_signed_curvature(curve: ParamCurve, t):
     """Signed curvature (x'y'' - y'x'') / (x'^2 + y'^2)^(3/2) of a planar curve."""
-    if curve.ddgamma is None:
-        raise ValueError("curve does not provide a second derivative")
     t = np.atleast_1d(np.asarray(t, dtype=float))
     d1 = curve.dgamma(t)
     d2 = curve.ddgamma(t)

@@ -47,8 +47,8 @@ class SingularParametrizationError(ValueError):
 
 
 class StepSizeError(RuntimeError):
-    """Curve sampling too coarse: too few samples for the spline, or an
-    arclength grid on which one step turns the tangent by more than
+    """Curve sampling too coarse: too few samples for the spline, or a
+    grid on which one step turns the tangent by more than
     ``curves.MAX_STEP_TURN`` or the transported frame drifts from orthonormal;
     more samples (a larger N) are needed."""
 

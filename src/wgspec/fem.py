@@ -130,12 +130,15 @@ def _shift_invert_eigs(K, M, k, tol, constant=None, v0=None):
     (shape (n,), e.g. eigenvectors of a nearby problem) starts the basis
     instead, plus START_NOISE of the seeded vector, with ncv = 2k + 2:
     ARPACK fills all ncv vectors before its first convergence test, so a
-    larger basis only adds solves to a good start.  ValueError if v0 has
-    the wrong shape, is not finite or vanishes after the projection.
+    larger basis only adds solves to a good start.  ValueError unless
+    0 < tol < inf, or if v0 has the wrong shape, is not finite or vanishes
+    after the projection.
     Pencils too small to restart a Lanczos basis in are solved densely, and
     v0 is not used there.  Returns (values, vectors, residuals, sigma,
     solves).
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     n = K.shape[0]
     sigma = -SHIFT_SCALE * K.diagonal().sum() / M.diagonal().sum()
     skip = int(constant is not None)

@@ -52,8 +52,8 @@ class TestCurve:
                     "-o", out, "--csv", csv])
         assert code == 0
         d = json.loads(out.read_text())
-        assert abs(d["kappa_sup"] - 2.0) < 0.3
-        assert abs(d["Y_total"][0] - np.pi) < 0.05
+        assert abs(d["kappa_sup"] - 2.0) <= 1e-12
+        assert abs(d["Y_total"][0] - np.pi) < 1e-4
         header = csv.read_text().splitlines()[0]
         assert header == "s,k1,k2,kappa"
 
@@ -65,12 +65,18 @@ class TestCurve:
         assert d["Y"] == [0.0, 0.0]
 
     def test_coarse_grid_exit_1(self, tmp_path, capsys):
-        # at the default N one step turns the tangent by 0.99 rad; the frame
-        # would otherwise report kappa_sup = 1.67 against 4
+        # at N = 16 the step from the apex t = 0 to t = 6.25 turns the
+        # tangent by 1.49 rad > MAX_STEP_TURN
         out = tmp_path / "cur.json"
-        assert run(["curve", "--parabola", "--scale", 2, "-o", out]) == 1
+        assert run(["curve", "--parabola", "--n", 16, "-o", out]) == 1
         assert "increase N" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_tight_parabola(self, tmp_path):
+        # apex curvature 2a = 4; the parameter grid has a node at the apex
+        out = tmp_path / "cur.json"
+        assert run(["curve", "--parabola", "--scale", 2, "-o", out]) == 0
+        assert abs(json.loads(out.read_text())["kappa_sup"] - 4.0) <= 1e-12
 
     def test_too_few_samples(self, tmp_path, capsys):
         f = tmp_path / "pts.csv"
@@ -170,6 +176,16 @@ _MALFORMED = [
     (["section", "--triangle", 0], "n must be >= 1"),
     (["section", "--rect", 2, 1, 0, 4], "subdivision counts"),
     (["section", "--gmsh", "/nonexistent/mesh.msh"], "no such file"),
+    (["section", "--triangle", 8, "--tol", 0], "tol must be"),
+    (["section", "--triangle", 8, "--tol", "nan"], "tol must be"),
+    (["shapederiv", "--w", 1, 0, "--rect", 8, 1, "--nx", 32, "--ny", 4,
+      "--tol", 0], "tol must be"),
+    (["shapederiv", "--w", 1, 0, "--rect", 8, 1, "--nx", 32, "--ny", 4,
+      "--tol", "nan"], "tol must be"),
+    (["sweep", "--radii", "0.2:0.2:0.1", "--target-h", 0.3, "--tol", 0],
+     "tol must be"),
+    (["sweep", "--radii", "0.2:0.2:0.1", "--target-h", 0.3, "--tol", "nan"],
+     "tol must be"),
 ]
 
 _VALID = [
@@ -211,7 +227,7 @@ class TestExitCodes:
 class TestImports:
     def test_curve_and_check_without_scipy(self, tmp_path):
         # scipy comes with the FEM and mesh modules, which only the section,
-        # shapederiv and sweep commands import
+        # shapederiv and sweep commands import, and with --samples
         section = tmp_path / "sec.json"
         section.write_text(json.dumps(
             {"lambda2": np.pi ** 2, "X_boundary": [1.0, 1.0], "b": 1.0}))
@@ -220,12 +236,13 @@ class TestImports:
 import sys
 import wgspec.cli
 assert "scipy" not in sys.modules, "import"
-assert wgspec.cli.main(["curve", "--parabola", "--window", "5", "--n", "400",
-                        "-o", {str(curve)!r}]) == 0
-code = wgspec.cli.main(["check", "--section", {str(section)!r}, "--curve",
-                       {str(curve)!r}, "--delta", "0.02", "-o", {str(report)!r}])
-assert code in (0, 2), code
-assert "scipy" not in sys.modules, "commands"
+for kind in ("--parabola", "--sbend"):
+    assert wgspec.cli.main(["curve", kind, "--window", "5", "--n", "400",
+                            "-o", {str(curve)!r}]) == 0, kind
+    code = wgspec.cli.main(["check", "--section", {str(section)!r}, "--curve",
+                           {str(curve)!r}, "--delta", "0.02", "-o", {str(report)!r}])
+    assert code in (0, 2), (kind, code)
+    assert "scipy" not in sys.modules, kind
 """
         src = os.path.dirname(os.path.dirname(wgspec.__file__))
         env = dict(os.environ, PYTHONPATH=src)

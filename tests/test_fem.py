@@ -239,6 +239,13 @@ class TestShiftInvertSolver:
         res = info.value.residuals
         assert res is not None and len(res) == 2 and (res > 1e-30).all()
 
+    @pytest.mark.parametrize("solve", [F.neumann_eigs, F.dirichlet_eigs])
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+    def test_tol_must_be_positive_and_finite(self, solve, tol):
+        # a NaN or infinite tol would switch the residual gate off
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve(M.gen_rectangle(2, 1, 16, 8), 2, tol=tol)
+
     def test_no_convergence_raises_solver_error(self, monkeypatch):
         def stalled(*args, **kwargs):  # only the lowest pair converged
             vals, vecs = eigsh(*args, **kwargs)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wgspec import fem as F, mesh as M, shapederiv as SD
-from wgspec.errors import StepTooLargeError
+from wgspec.errors import StepTooLargeError, TrackingError
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +193,14 @@ class TestFdCheck:
         with pytest.raises(ValueError, match="fd steps"):
             SD.fd_check(mesh, np.zeros_like(mesh.vertices), np.array([1.0, 0.0]),
                         ladder)
+
+    def test_degenerate_base_raises_tracking_error(self):
+        # on the unit square lambda2 = lambda3 = pi^2, so psi2 has no
+        # well-defined direction to differentiate
+        mesh = M.gen_rectangle(1, 1, 16, 16)
+        V = np.zeros_like(mesh.vertices)
+        with pytest.raises(TrackingError, match="degenerate on the base mesh"):
+            SD.fd_check(mesh, V, np.array([1.0, 0.0]), [1e-3])
 
     def test_inadmissible_ladder_propagates(self):
         mesh = M.gen_right_triangle(8)
