@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 
@@ -164,14 +165,15 @@ def cmd_shapederiv(args):
 
         from .fem import assemble, neumann_eigs
 
-        spec = neumann_eigs(mesh, 1, tol=args.tol)
-        _, M = assemble(mesh)
+        matrices = assemble(mesh)
+        M = matrices[1]
+        spec = neumann_eigs(mesh, 1, tol=args.tol, matrices=matrices)
         lam2 = float(spec.eigenvalues[1])
         psi = spec.eigenvectors[:, 1]
         ref = math.sqrt(2.0 / (ell * L)) * np.cos(np.pi * mesh.vertices[:, 0] / ell)
         if psi @ (M @ ref) < 0:
             psi = -psi
-        adj = shapederiv.adjoint_solve(mesh, lam2, psi, w)
+        adj = shapederiv.adjoint_solve(mesh, lam2, psi, w, matrices)
         if abs(w[0]) > abs(w[1]):
             q_ref = -(2.0 * math.sqrt(2.0) / math.pi) * math.sqrt(ell / L) * np.sin(
                 np.pi * mesh.vertices[:, 0] / ell
@@ -241,8 +243,20 @@ def _radii(text):
     return tuple(float(p) for p in parts)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse takes a value that starts with '-' and a digit for a flag
+    unless it is an integer or a plain decimal, so "--ladder -1e-3" or
+    "--radii -0.1:0.2:0.1" would end as a usage error before the typed
+    checks.  No wgspec flag starts with a digit, so every such value is a
+    value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="wgspec",
         description="Spectral trapping toolkit for bent/twisted waveguides",
     )

@@ -2,14 +2,16 @@
 
 A :class:`TriMesh` is immutable after construction.  All triangles are stored
 counterclockwise; the oriented boundary with outward unit normals is recovered
-topologically (edges adjacent to exactly one triangle).
+topologically (edges adjacent to exactly one triangle).  The topology of a
+triangle array is computed once, as a :class:`Connectivity` that every vertex
+set on that array shares.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
@@ -26,6 +28,55 @@ LATTICE_SPACING = 0.88
 WALL_GAP = 0.3
 REPAIR_ROUNDS = 12
 _SMOOTH_SWEEPS = 10
+
+
+@dataclass(eq=False)
+class Connectivity:
+    """Topology of one triangle array, shared by every TriMesh on it.
+
+    build_trimesh computes it once per triangle array; perturb passes it on
+    unchanged to the moved vertex set, so a shape family shares one.
+
+    Attributes (int32 arrays, read-only)
+    ----------
+    edges, tri_edges
+        The edge table (_edge_table) without its counts: the unique (lo, hi)
+        edges and the (nt, 3) edge ids of each triangle's sides 01, 12 and
+        20.  refine_uniform and prolong_uniform read it.
+    indptr, indices
+        CSR pattern of a P1 matrix: the diagonal of every vertex on a
+        triangle and both entries of every edge, columns sorted in each row.
+    scatter : (nt, 9)
+        scatter[t, 3 i + j] is the position in the pattern's data of entry
+        (i, j) of triangle t's element matrix, so fem.assemble is one
+        np.bincount per matrix.
+    column_order : None, or set by fem
+        The fill-reducing column order found by the first sparse
+        factorization on this connectivity; later factorizations reuse it.
+    """
+
+    edges: np.ndarray
+    tri_edges: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    scatter: np.ndarray
+    column_order: object = None
+
+
+def _connectivity(triangles, nv, table):
+    """Connectivity of an (nt, 3) triangle array on nv vertices from its edge
+    table."""
+    edges, tri_edges, _ = table
+    lo, hi = edges.T
+    on_triangle = np.flatnonzero(np.bincount(triangles.ravel(), minlength=nv))
+    # the P1 pattern as sorted keys row * nv + column
+    keys = np.sort(np.concatenate([on_triangle * (nv + 1), lo * nv + hi,
+                                   hi * nv + lo]))
+    entries = triangles[:, :, None] * nv + triangles[:, None, :]
+    return Connectivity(*(
+        _freeze(a.astype(np.int32)) for a in (
+            edges, tri_edges, np.searchsorted(keys, np.arange(nv + 1) * nv),
+            keys % nv, np.searchsorted(keys, entries.reshape(-1, 9)))))
 
 
 @dataclass(frozen=True)
@@ -51,6 +102,10 @@ class TriMesh:
         boundary_edges; boundary_edges[i] is a side of that triangle.
     warnings : tuple of str
         Non-fatal quality notes attached by the mesher.
+    connectivity : Connectivity
+        The topology of the triangle array, shared with every mesh that
+        perturb makes from this one; only the vertices and the boundary
+        normals and lengths differ between them.
     """
 
     vertices: np.ndarray
@@ -59,6 +114,7 @@ class TriMesh:
     boundary_normals: np.ndarray
     boundary_lengths: np.ndarray
     boundary_triangles: np.ndarray
+    connectivity: Connectivity = field(repr=False, compare=False)
     warnings: tuple = field(default_factory=tuple)
 
     @property
@@ -132,13 +188,40 @@ def _freeze(arr):
     return arr
 
 
+def _check_shapes(vertices, triangles, areas):
+    """GeometryError if a triangle is (nearly) degenerate: its area relative
+    to its longest edge squared."""
+    p = vertices[triangles]
+    emax2 = np.maximum(
+        ((p[:, 1] - p[:, 0]) ** 2).sum(axis=1),
+        np.maximum(
+            ((p[:, 2] - p[:, 1]) ** 2).sum(axis=1),
+            ((p[:, 0] - p[:, 2]) ** 2).sum(axis=1),
+        ),
+    )
+    if (areas <= 1e-13 * emax2).any():
+        raise GeometryError("mesh contains a (nearly) zero-area triangle")
+
+
+def _boundary_geometry(vertices, bedges):
+    """Outward unit normals and lengths of the directed boundary edges."""
+    tang = vertices[bedges[:, 1]] - vertices[bedges[:, 0]]
+    lengths = np.sqrt((tang * tang).sum(axis=1))
+    if (lengths <= 0).any():
+        raise GeometryError("zero-length boundary edge")
+    tang = tang / lengths[:, None]
+    # domain on the left of a->b, outward is the tangent rotated -90 degrees
+    return _freeze(np.column_stack([tang[:, 1], -tang[:, 0]])), _freeze(lengths)
+
+
 def build_trimesh(vertices, triangles, warnings=()):
     """Assemble a validated TriMesh from vertex and triangle arrays; warnings
     are the mesher's quality notes, kept on the mesh.
 
     Reorients clockwise triangles, extracts the boundary topologically and
     checks positivity of areas, that no edge lies on more than two
-    triangles, and edge-connectivity.
+    triangles, and edge-connectivity.  The mesh gets a new Connectivity,
+    built from the same edge table.
     """
     vertices = np.asarray(vertices, dtype=float).reshape(-1, 2)
     triangles = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
@@ -151,19 +234,10 @@ def build_trimesh(vertices, triangles, warnings=()):
         triangles = triangles.copy()
         triangles[flip] = triangles[flip][:, [0, 2, 1]]
         areas = np.abs(areas)
-    # shape-based degeneracy test: area relative to the longest edge squared
-    p = vertices[triangles]
-    emax2 = np.maximum(
-        ((p[:, 1] - p[:, 0]) ** 2).sum(axis=1),
-        np.maximum(
-            ((p[:, 2] - p[:, 1]) ** 2).sum(axis=1),
-            ((p[:, 0] - p[:, 2]) ** 2).sum(axis=1),
-        ),
-    )
-    if (areas <= 1e-13 * emax2).any():
-        raise GeometryError("mesh contains a (nearly) zero-area triangle")
+    _check_shapes(vertices, triangles, areas)
 
-    _, tri_edges, counts = _edge_table(triangles)
+    table = _edge_table(triangles)
+    _, tri_edges, counts = table
     if (counts > 2).any():
         raise GeometryError(
             "mesh is not manifold: an edge lies on more than two triangles"
@@ -176,13 +250,7 @@ def build_trimesh(vertices, triangles, warnings=()):
     b = triangles[owner, (side + 1) % 3]
     order = np.argsort(a * len(vertices) + b)  # the documented (a, b) order
     bedges = np.column_stack([a[order], b[order]])
-    tang = vertices[bedges[:, 1]] - vertices[bedges[:, 0]]
-    lengths = np.sqrt((tang * tang).sum(axis=1))
-    if (lengths <= 0).any():
-        raise GeometryError("zero-length boundary edge")
-    tang = tang / lengths[:, None]
-    # domain on the left of a->b, outward is the tangent rotated -90 degrees
-    normals = np.column_stack([tang[:, 1], -tang[:, 0]])
+    normals, lengths = _boundary_geometry(vertices, bedges)
 
     # triangles and edges form one bipartite graph; the mesh is edge-connected
     # when that graph is connected
@@ -198,9 +266,10 @@ def build_trimesh(vertices, triangles, warnings=()):
         vertices=_freeze(vertices),
         triangles=_freeze(triangles),
         boundary_edges=_freeze(bedges),
-        boundary_normals=_freeze(normals),
-        boundary_lengths=_freeze(lengths),
+        boundary_normals=normals,
+        boundary_lengths=lengths,
         boundary_triangles=_freeze(owner[order]),
+        connectivity=_connectivity(triangles, len(vertices), table),
         warnings=tuple(warnings),
     )
 
@@ -707,7 +776,7 @@ def refine_uniform(mesh: TriMesh):
     decrease under this refinement.
     """
     v = mesh.vertices
-    edges, tri_edges, _ = _edge_table(mesh.triangles)
+    edges, tri_edges = mesh.connectivity.edges, mesh.connectivity.tri_edges
     # one midpoint per edge, numbered after the coarse vertices in edge order
     verts = np.vstack([v, (v[edges[:, 0]] + v[edges[:, 1]]) * 0.5])
     a, b, c = mesh.triangles.T
@@ -727,31 +796,42 @@ def prolong_uniform(mesh: TriMesh, u):
     linear function, because the fine P1 space nests the coarse one.
     """
     u = np.asarray(u, dtype=float)
-    edges = _edge_table(mesh.triangles)[0]
+    edges = mesh.connectivity.edges
     return np.concatenate([u, (u[edges[:, 0]] + u[edges[:, 1]]) * 0.5])
 
 
 def perturb(mesh: TriMesh, V, t):
     """Move vertices to v + t*V(v); connectivity is unchanged.
 
-    Raises StepTooLargeError (carrying the max admissible t) if any triangle
-    would lose positive orientation.
+    The result equals build_trimesh(mesh.vertices + t*V, mesh.triangles)
+    field by field, but shares mesh.connectivity (with any column order
+    already found on it) and mesh's boundary topology: only the vertices and
+    the boundary normals and lengths are new.  Raises StepTooLargeError
+    (carrying the max admissible t) if any triangle would lose positive
+    orientation or become degenerate (the zero-area test of build_trimesh);
+    ValueError if t or V is not finite.
     """
     V = np.asarray(V, dtype=float)
     if V.shape != mesh.vertices.shape:
         raise ValueError("velocity field must be sampled at every vertex")
     t = float(t)
+    if not (math.isfinite(t) and np.isfinite(V).all()):
+        raise ValueError(f"perturbation step and velocity must be finite, "
+                         f"got t = {t!r}")
     new_verts = mesh.vertices + t * V
     areas = _signed_areas(new_verts, mesh.triangles)
     if areas.min() <= 0:
         max_t = _max_admissible_step(mesh, V)
         raise StepTooLargeError("perturbation inverts a triangle", max_t)
     try:
-        return build_trimesh(new_verts, mesh.triangles, warnings=mesh.warnings)
+        _check_shapes(new_verts, mesh.triangles, areas)
+        normals, lengths = _boundary_geometry(new_verts, mesh.boundary_edges)
     except GeometryError:
         # positive but degenerate: same remedy as an inverted element
         raise StepTooLargeError("perturbation degenerates a triangle",
                                 _max_admissible_step(mesh, V))
+    return replace(mesh, vertices=_freeze(new_verts),
+                   boundary_normals=normals, boundary_lengths=lengths)
 
 
 def _max_admissible_step(mesh: TriMesh, V):

@@ -9,11 +9,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from .crosssec import analyze, x_boundary
 from .errors import StepTooLargeError, TrackingError
-from .fem import assemble, grad_p1, neumann_eigs, solve_deflated
+from .fem import _splu_spd, assemble, grad_p1, neumann_eigs, solve_deflated
 from .mesh import Polygon, TriMesh, gen_polygon, gen_rectangle, perturb
 
 # fd_check's least relative gap (lambda3 - lambda2)/lambda2 of a simple
@@ -53,16 +52,18 @@ def _boundary_load(mesh: TriMesh, psi, w):
     return load
 
 
-def adjoint_solve(mesh: TriMesh, lambda2, psi, w):
+def adjoint_solve(mesh: TriMesh, lambda2, psi, w, matrices=None):
     """Solve the adjoint problem at lambda2 with flux -2 psi (n.w).
 
     The load is projected off the eigenfunction (removed component reported)
-    and the shifted system is solved with the eigenfunction deflated; the
-    result is re-orthogonalized against psi in the mass inner product.
+    and the shifted system is solved with the eigenfunction deflated, in the
+    column order of mesh.connectivity; the result is re-orthogonalized
+    against psi in the mass inner product.  matrices, the (K, M) of
+    assemble(mesh) if the caller has them, saves assembling them again.
     """
-    K, M = assemble(mesh)
+    K, M = assemble(mesh) if matrices is None else matrices
     rhs = _boundary_load(mesh, psi, w)
-    sol = solve_deflated(K, M, lambda2, rhs, psi)
+    sol = solve_deflated(K, M, lambda2, rhs, psi, mesh.connectivity)
     q = sol.x
     q = q - (psi @ (M @ q)) / (psi @ (M @ psi)) * psi
     defect = float(abs(psi @ (M @ q)) / math.sqrt(max(q @ (M @ q), 1e-300)))
@@ -111,21 +112,23 @@ def shape_derivative(mesh: TriMesh, lambda2, psi, q, w, Vn):
     return float((vals * vn * mesh.boundary_lengths).sum())
 
 
-def harmonic_extension(mesh: TriMesh, V):
+def harmonic_extension(mesh: TriMesh, V, matrices=None):
     """Replace the interior values of the vertex field V, shape (nv, 2), by
     the discrete harmonic lift of its boundary values (componentwise, through
-    the stiffness matrix)."""
+    the stiffness matrix, whose positive definite interior block is
+    factorized once).  matrices, the (K, M) of assemble(mesh) if the caller
+    has them, saves assembling them again."""
     V = np.array(V, dtype=float)
     n = mesh.num_vertices
-    K, _ = assemble(mesh)
+    K = assemble(mesh)[0] if matrices is None else matrices[0]
     bmask = np.zeros(n, dtype=bool)
     bmask[mesh.boundary_vertex_indices()] = True
     interior = np.where(~bmask)[0]
     bidx = np.where(bmask)[0]
     if len(interior):
-        Kii = K[interior][:, interior].tocsc()
-        Kib = K[interior][:, bidx]
-        lu = splu(Kii)
+        Ki = K[interior]
+        Kib = Ki[:, bidx]
+        lu = _splu_spd(Ki[:, interior].tocsc())
         for c in range(2):
             V[interior, c] = lu.solve(-Kib @ V[bidx, c])
     return V
@@ -162,7 +165,12 @@ def fd_check(mesh: TriMesh, V, w, t_ladder, tol=1e-8):
     by the full cross-section pipeline on perturbed meshes; X is even in the
     eigenfunction, so no sign is tracked.  The derivative is
     Richardson-extrapolated from central differences over the ladder.
-    The +-t eigensolves start from the base psi2 + psi3 (neumann_eigs' v0).
+    Each vertex set is assembled once: the base (K, M) serve the harmonic
+    lift, the base eigensolve and the adjoint.  Every mesh shares the base
+    mesh's connectivity (perturb), so the adjoint's bordered solve and the
+    +-t eigensolves reuse the column order of the base eigensolve's
+    factorization.  The +-t eigensolves start from the base psi2 + psi3
+    (neumann_eigs' v0).
     ValueError: a step of t_ladder is not positive and finite.
     TrackingError: (lambda3 - lambda2)/lambda2 < DEGENERACY_TOL on the base
     mesh or on a perturbed one.
@@ -171,9 +179,10 @@ def fd_check(mesh: TriMesh, V, w, t_ladder, tol=1e-8):
     if not (ladder and 0.0 < ladder[0] and ladder[-1] < math.inf):
         raise ValueError(f"fd steps must be positive and finite, got {ladder}")
     w = np.asarray(w, dtype=float)
-    V = harmonic_extension(mesh, V)
+    matrices = assemble(mesh)
+    V = harmonic_extension(mesh, V, matrices)
 
-    spec = neumann_eigs(mesh, 2, tol=tol)
+    spec = neumann_eigs(mesh, 2, tol=tol, matrices=matrices)
     lam2, lam3 = float(spec.eigenvalues[1]), float(spec.eigenvalues[2])
     if (lam3 - lam2) / lam2 < DEGENERACY_TOL:
         raise TrackingError("lambda2 degenerate on the base mesh")
@@ -181,7 +190,7 @@ def fd_check(mesh: TriMesh, V, w, t_ladder, tol=1e-8):
     # the +-t pairs are small perturbations of the base pair: start from it
     start = psi0 + spec.eigenvectors[:, 2]
 
-    adj = adjoint_solve(mesh, lam2, psi0, w)
+    adj = adjoint_solve(mesh, lam2, psi0, w, matrices)
     mids_val = shape_derivative(
         mesh, lam2, psi0, adj.q, w,
         _vn_from_field(mesh, V),

@@ -172,6 +172,9 @@ _MALFORMED = [
     (["sweep", "--radii", "0.2:0.5:-0.1"], "--radii needs"),
     (["sweep", "--radii", "0.5:0.2:0.1"], "--radii needs"),
     (["sweep", "--radii=-0.1:0.2:0.1"], "--radii needs"),
+    (["sweep", "--radii", "-0.1:0.2:0.1"], "--radii needs"),
+    (["shapederiv", "--w", 1, 0, "--ladder", "-1e-3"], "fd steps"),
+    (["shapederiv", "--w", 1, 0, "--ladder=-1e-3"], "fd steps"),
     (["section"], "no mesh source"),
     (["section", "--triangle", 0], "n must be >= 1"),
     (["section", "--rect", 2, 1, 0, 4], "subdivision counts"),

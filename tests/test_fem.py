@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy import sparse
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu
 
 from wgspec import fem as F, mesh as M
 from wgspec.errors import NearDegenerateError, SolverError
+from wgspec.shapederiv import _boundary_load, bump_rectangle_polygon
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +35,71 @@ class TestAssemble:
         K, _ = F.assemble(mesh)
         ones = np.ones(mesh.num_vertices)
         assert np.abs(K @ ones).max() <= 1e-12 * np.abs(K.data).max()
+
+
+def _coo_assemble(mesh):
+    """Reference assembly: element matrices from einsum, summed by scipy's
+    COO-to-CSR conversion with sum_duplicates."""
+    t = mesh.triangles
+    area2, g = F._p1_gradients(mesh)
+    area = 0.5 * area2
+    g /= area2[:, None, None]
+    ke = np.einsum("tid,tjd->tij", g, g) * area[:, None, None]
+    me = (np.ones((3, 3)) + np.eye(3))[None, :, :] * (area / 12.0)[:, None, None]
+    rows = np.repeat(t, 3, axis=1).ravel()
+    cols = np.tile(t, (1, 3)).ravel()
+    n = mesh.num_vertices
+    K = sparse.csr_matrix((ke.ravel(), (rows, cols)), shape=(n, n))
+    Mm = sparse.csr_matrix((me.ravel(), (rows, cols)), shape=(n, n))
+    K.sum_duplicates()
+    Mm.sum_duplicates()
+    return K, Mm
+
+
+def _smooth_field(mesh):
+    x, y = mesh.vertices.T
+    return np.column_stack([np.sin(2 * x + y), np.cos(x - 3 * y)])
+
+
+class TestAssemblePlan:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["rect", "tri", "bump"]),
+        n=st.integers(2, 9),
+        angle=st.floats(0.0, 2 * math.pi),
+        offset=st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
+        step=st.sampled_from([0.0, 0.1, 0.5]),
+    )
+    def test_matches_the_coo_assembly(self, kind, n, angle, offset, step):
+        if kind == "bump":
+            base = M.gen_polygon(bump_rectangle_polygon(2.0, 1.0, "top", 0.9, 0.35,
+                                                        0.9 / n))
+        elif kind == "rect":
+            base = M.gen_rectangle(1.5, 1.0, n, n + 1)
+        else:
+            base = M.gen_right_triangle(n)
+        R = np.array([[math.cos(angle), -math.sin(angle)],
+                      [math.sin(angle), math.cos(angle)]])
+        mesh = M.build_trimesh(base.vertices @ R.T + offset, base.triangles)
+        if step:  # a perturbed mesh, on the connectivity of the unperturbed one
+            V = _smooth_field(mesh)
+            mesh = M.perturb(mesh, V, step * min(M._max_admissible_step(mesh, V), 1.0))
+        for new, ref in zip(F.assemble(mesh), _coo_assemble(mesh)):
+            assert np.array_equal(new.indptr, ref.indptr)
+            assert np.array_equal(new.indices, ref.indices)
+            scale = np.abs(ref.data).max()
+            assert np.abs(new.data - ref.data).max() <= 1e-14 * scale
+            assert (new != new.T).nnz == 0  # symmetric bit for bit
+
+    def test_pattern_is_shared_and_read_only(self):
+        mesh = M.gen_right_triangle(5)
+        K, Mm = F.assemble(mesh)
+        conn = mesh.connectivity
+        for A in (K, Mm):
+            assert np.shares_memory(A.indices, conn.indices)
+            assert np.shares_memory(A.indptr, conn.indptr)
+        with pytest.raises(ValueError):
+            K.indices[0] = 1
 
 
 class TestNeumann:
@@ -328,3 +395,74 @@ class TestWarmStart:
     def test_malformed_start_raises(self, v0, match):
         with pytest.raises(ValueError, match=match):
             F.neumann_eigs(M.gen_right_triangle(8), 1, v0=v0)
+
+
+class TestColumnOrder:
+    @settings(max_examples=15, deadline=None)
+    # from 28 vertices up: smaller pencils are solved densely, unfactorized
+    @given(**dict(_WARM_MESHES, size=st.integers(6, 16)), step=st.floats(0.05, 0.5))
+    def test_reused_order_repeats_a_fresh_one(self, kind, size, shape, step):
+        mesh = _warm_mesh(kind, size, shape)
+        assert mesh.connectivity.column_order is None
+        F.neumann_eigs(mesh, 2, tol=1e-9)
+        # the order is kept, the factors that found it are not
+        assert mesh.connectivity.column_order.perm.flags.owndata
+        V = _smooth_field(mesh)
+        moved = M.perturb(mesh, V, step * min(M._max_admissible_step(mesh, V), 1.0))
+        fresh = M.build_trimesh(moved.vertices, moved.triangles)
+        assert moved.connectivity is mesh.connectivity
+        assert fresh.connectivity.column_order is None
+
+        reused = F.neumann_eigs(moved, 2, tol=1e-9)
+        again = F.neumann_eigs(fresh, 2, tol=1e-9)
+        # the same factors, so the same eigenpairs bit for bit
+        for f in ("eigenvalues", "eigenvectors", "residuals"):
+            assert np.array_equal(getattr(reused, f), getattr(again, f))
+        assert reused.fill == again.fill > 0
+
+        K, Mm = F.assemble(moved)
+        lam2, psi = reused.eigenvalues[1], reused.eigenvectors[:, 1]
+        rhs = _boundary_load(moved, psi, [0.6, 0.8])
+        sol = F.solve_deflated(K, Mm, lam2, rhs, psi, moved.connectivity)
+        # reference: the bordered matrix in SuperLU's own (COLAMD) order
+        m_psi = Mm @ psi
+        rhs_p = rhs - (psi @ rhs) * m_psi / (psi @ m_psi)
+        border = sparse.csc_matrix(m_psi[:, None])
+        bordered = sparse.bmat([[(K - lam2 * Mm).tocsc(), border],
+                                [border.T, None]], format="csc")
+        ref = splu(bordered).solve(np.append(rhs_p, 0.0))[:-1]
+        assert np.linalg.norm(sol.x - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert sol.fill > 0
+
+    def test_deflated_order_without_connectivity(self):
+        # the order found by factorizing M is the one the eigensolve found
+        mesh = M.gen_polygon(M.Polygon([(0, 0), (2, 0), (2, 1), (0, 1.3)], 0.15))
+        K, Mm = F.assemble(mesh)
+        s = F.neumann_eigs(mesh, 2, tol=1e-10, matrices=(K, Mm))
+        lam2, psi = s.eigenvalues[1], s.eigenvectors[:, 1]
+        rhs = _boundary_load(mesh, psi, [1.0, 0.0])
+        a = F.solve_deflated(K, Mm, lam2, rhs, psi, mesh.connectivity)
+        b = F.solve_deflated(K, Mm, lam2, rhs, psi)
+        assert np.array_equal(a.x, b.x) and a.fill == b.fill
+
+    def test_deflated_solve_first_keeps_its_order(self):
+        mesh = M.gen_rectangle(2, 1, 16, 8)
+        s = F.neumann_eigs(M.gen_rectangle(2, 1, 16, 8), 2, tol=1e-10)
+        K, Mm = F.assemble(mesh)
+        rhs = _boundary_load(mesh, s.eigenvectors[:, 1], [1.0, 0.0])
+        F.solve_deflated(K, Mm, s.eigenvalues[1], rhs, s.eigenvectors[:, 1],
+                         mesh.connectivity)
+        assert mesh.connectivity.column_order is not None
+        again = F.neumann_eigs(mesh, 2, tol=1e-10)
+        for f in ("eigenvalues", "eigenvectors"):
+            assert np.array_equal(getattr(again, f), getattr(s, f))
+        assert again.fill == s.fill
+
+    def test_given_matrices_are_used(self):
+        mesh = M.gen_right_triangle(12)
+        K, Mm = F.assemble(mesh)
+        a = F.neumann_eigs(mesh, 2, tol=1e-10)
+        b = F.neumann_eigs(mesh, 2, tol=1e-10, matrices=(K, Mm))
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        c = F.neumann_eigs(mesh, 2, tol=1e-10, matrices=(4.0 * K, Mm))
+        assert np.allclose(c.eigenvalues, 4.0 * a.eigenvalues, rtol=1e-10)

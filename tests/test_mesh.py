@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -426,6 +427,63 @@ class TestInsertNear:
 
 
 class TestPerturb:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["rect", "tri", "bump"]), n=st.integers(1, 8),
+           step=st.floats(0.0, 0.95), seed=st.integers(0, 2**32 - 1))
+    def test_equals_build_trimesh(self, kind, n, step, seed):
+        if kind == "bump":
+            base = M.gen_polygon(bump_rectangle_polygon(2.0, 1.0, "bottom", 1.1,
+                                                        0.3, 0.9 / n))
+        elif kind == "rect":
+            base = M.gen_rectangle(1.5, 1.0, n, n + 1)
+        else:
+            base = M.gen_right_triangle(n)
+        V = np.random.default_rng(seed).standard_normal(base.vertices.shape)
+        t = step * min(M._max_admissible_step(base, V), 10.0)
+        try:
+            ref = M.build_trimesh(base.vertices + t * V, base.triangles,
+                                  warnings=base.warnings)
+        except GeometryError:  # degenerate though positive
+            with pytest.raises(StepTooLargeError, match="degenerates"):
+                M.perturb(base, V, t)
+            return
+        p = M.perturb(base, V, t)
+        for f in fields(M.TriMesh):
+            a, b = getattr(p, f.name), getattr(ref, f.name)
+            if f.name == "connectivity":
+                assert a is base.connectivity
+                for g in fields(M.Connectivity):
+                    if g.name != "column_order":
+                        assert np.array_equal(getattr(a, g.name), getattr(b, g.name))
+            elif isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+                assert not a.flags.writeable
+            else:
+                assert a == b
+
+    @pytest.mark.parametrize("t, bad", [(math.nan, None), (math.inf, None),
+                                        (-math.inf, None), (1e-3, math.nan),
+                                        (1e-3, math.inf)])
+    def test_step_and_velocity_must_be_finite(self, t, bad):
+        # both used to give a mesh of NaN vertices
+        m = M.gen_right_triangle(3)
+        V = np.ones_like(m.vertices)
+        if bad is not None:
+            V[4, 1] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            M.perturb(m, V, t)
+
+    def test_degenerate_step_reports_bound(self):
+        # the third vertex runs onto the opposite side at t = 1
+        m = M.build_trimesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
+        V = np.array([[0.0, 0.0], [0.0, 0.0], [0.5, -1.0]])
+        with pytest.raises(StepTooLargeError, match="degenerates") as exc:
+            M.perturb(m, V, 1.0 - 1e-14)
+        assert exc.value.max_t == 1.0
+        with pytest.raises(StepTooLargeError, match="inverts") as exc:
+            M.perturb(m, V, 1.5)
+        assert exc.value.max_t == 1.0
+
     def test_identity(self):
         m = M.gen_right_triangle(4)
         V = np.random.default_rng(0).standard_normal(m.vertices.shape)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from wgspec import fem as F, mesh as M, shapederiv as SD
 from wgspec.errors import StepTooLargeError, TrackingError
@@ -166,8 +167,70 @@ class TestHarmonicExtension:
         K, _ = F.assemble(mesh)
         assert np.abs((K @ E)[interior]).max() <= 1e-12 * np.abs(V).max()
 
+    @pytest.mark.parametrize("mesh", [
+        M.gen_rectangle(8, 1, 64, 8),
+        M.gen_polygon(SD.bump_rectangle_polygon(2, 1, "top", 0.8, 0.3, 0.1)),
+    ])
+    def test_matches_a_pivoting_solve(self, mesh):
+        # reference: the interior block solved by SuperLU with its default
+        # COLAMD order and partial pivoting
+        V = np.random.default_rng(4).standard_normal(mesh.vertices.shape)
+        K, _ = F.assemble(mesh)
+        bidx = mesh.boundary_vertex_indices()
+        interior = np.setdiff1d(np.arange(mesh.num_vertices), bidx)
+        lu = splu(K[interior][:, interior].tocsc())
+        ref = V.copy()
+        for c in range(2):
+            ref[interior, c] = lu.solve(-K[interior][:, bidx] @ V[bidx, c])
+        E = SD.harmonic_extension(mesh, V, F.assemble(mesh))
+        assert np.abs(E - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(E, SD.harmonic_extension(mesh, V))
+
 
 class TestFdCheck:
+    def test_one_assembly_per_vertex_set(self, monkeypatch):
+        # the base matrices serve the lift, the eigensolve and the adjoint;
+        # each +-t mesh is assembled once and builds no topology
+        mesh = M.gen_rectangle(8, 1, 256, 32)
+        x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+        V = np.zeros_like(mesh.vertices)
+        on_top = np.abs(y - 1.0) < 1e-12
+        prof = np.cos(np.pi * (x - 3.0)) ** 2 * (np.abs(x - 3.0) < 0.5)
+        V[on_top, 1] = prof[on_top]
+        assembled, spectra, built, orders = [], [], [], []
+        originals = F.assemble, F.neumann_eigs, M.build_trimesh, F.splu
+
+        def assemble(m):
+            assembled.append(m)
+            return originals[0](m)
+
+        def neumann_eigs(*args, **kwargs):
+            spectra.append(originals[1](*args, **kwargs))
+            return spectra[-1]
+
+        def build_trimesh(*args, **kwargs):
+            built.append(args)
+            return originals[2](*args, **kwargs)
+
+        def splu(A, permc_spec, **kwargs):
+            orders.append(permc_spec)
+            return originals[3](A, permc_spec, **kwargs)
+
+        monkeypatch.setattr(F, "splu", splu)
+        monkeypatch.setattr(SD, "assemble", assemble)
+        monkeypatch.setattr(F, "assemble", assemble)
+        monkeypatch.setattr(SD, "neumann_eigs", neumann_eigs)
+        monkeypatch.setattr(M, "build_trimesh", build_trimesh)
+        SD.fd_check(mesh, V, np.array([1.0, 0.0]), [1e-3, 2e-3, 4e-3])
+        assert len(assembled) == len({id(m) for m in assembled}) == 7
+        assert {id(m.connectivity) for m in assembled} == {id(mesh.connectivity)}
+        assert built == []
+        assert len(spectra) == 7
+        assert [s.fill for s in spectra] == [364846] * 7
+        # an order is searched for the lift's interior block and by the base
+        # eigensolve; the adjoint and the six +-t eigensolves reuse the latter
+        assert orders == ["MMD_AT_PLUS_A"] * 2 + ["NATURAL"] * 7
+
     def test_rigid_translation(self):
         mesh = M.gen_rectangle(2 * np.pi, np.pi, 64, 32)
         V = np.tile([0.4, -0.3], (mesh.num_vertices, 1))
