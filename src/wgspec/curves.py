@@ -25,6 +25,11 @@ from .errors import (
 
 _GAUSS_X, _GAUSS_W = leggauss(5)
 
+# rounds of the kappa_sup search between nodes: each samples kappa at 17
+# points of a bracket and keeps the two steps around the largest, so 12
+# rounds shrink a bracket 8^12 ~ 7e10-fold, where kappa is flat to rounding
+KAPPA_SEARCH_ROUNDS = 12
+
 # largest tangent turning angle (rad) that one grid step may take; on coarser
 # grids the trapezoid rule no longer resolves kappa, k1 and k2 between nodes,
 # and T_j + T_{j+1} nears 0, where the minimal rotation is undefined
@@ -63,7 +68,9 @@ class ParamCurve:
 class FramedCurve:
     """Curve samples at equally spaced parameters t, with their arclengths s
     and a transported frame; tail is the analytic curvature integral outside
-    the window, None when the curve provides none."""
+    the window, None when the curve provides none.  kappa_sup is the sup of
+    the closed-form kappa over the window, maxima between nodes included,
+    which frame_curve sets; rapf alone leaves it None."""
 
     s: np.ndarray
     t: np.ndarray
@@ -75,6 +82,7 @@ class FramedCurve:
     k2: np.ndarray
     kappa: np.ndarray
     tail: float | None = None
+    kappa_sup: float | None = None
     name: str = "curve"
 
     def orthonormality_defect(self):
@@ -398,11 +406,12 @@ def rapf(arc: ArcSamples, e2_0=None, e3_0=None, name="curve"):
 
 def frame_curve(curve: ParamCurve, N):
     """Resample to N parameter steps, transport the frame that starts from
-    default_transverse_frame, and store the curve's analytic tail if any."""
+    default_transverse_frame, and store the sup of kappa (_kappa_sup) and
+    the curve's analytic tail if any."""
     fc = rapf(arclength_resample(curve, N), name=curve.name)
-    if curve.kappa_l1_tail is not None:
-        return replace(fc, tail=float(curve.kappa_l1_tail(curve.t0, curve.t1)))
-    return fc
+    tail = curve.kappa_l1_tail
+    return replace(fc, kappa_sup=_kappa_sup(fc, curve),
+                   tail=None if tail is None else float(tail(curve.t0, curve.t1)))
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +430,54 @@ def planar_signed_curvature(curve: ParamCurve, t):
     return k if k.size > 1 else float(k[0])
 
 
+def _closed_form_kappa(curve: ParamCurve, t):
+    """kappa = |gamma' x gamma''| / |gamma'|^3 at the parameters t."""
+    d1 = curve.dgamma(t)
+    return (np.linalg.norm(np.cross(d1, curve.ddgamma(t)), axis=1)
+            / np.linalg.norm(d1, axis=1) ** 3)
+
+
+def _kappa_sup(fc: FramedCurve, curve: ParamCurve):
+    """sup kappa over the window of curve, which fc samples: the largest
+    node value, raised to the closed form's maximum between nodes.
+
+    Between nodes kappa can rise above them by about h^2 |kappa''| / 8, which
+    the largest second difference of the node values bounds with room to
+    spare; where that bound is at rounding level (a circle or a helix) the
+    node value stands.  Otherwise the closed form is maximised on the two
+    parameter intervals beside each node that is a local maximum within
+    that bound of the largest, by KAPPA_SEARCH_ROUNDS of sampling and
+    narrowing.  Every value taken is kappa at a point of the window, so the
+    result lies between the node maximum and the true sup, and reaches the
+    latter to rounding.
+    """
+    k, t = fc.kappa, fc.t
+    sup = float(k.max())
+    rise = np.abs(np.diff(k, 2)).max(initial=0.0)
+    if rise <= 64 * np.finfo(float).eps * sup:
+        return sup
+    peak = np.flatnonzero(np.r_[True, k[1:] >= k[:-1]] & np.r_[k[:-1] >= k[1:], True]
+                          & (k >= sup - rise))
+    a, b = t[np.maximum(peak - 1, 0)], t[np.minimum(peak + 1, len(t) - 1)]
+    rows = np.arange(len(peak))
+    for _ in range(KAPPA_SEARCH_ROUNDS):
+        x = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, 17)
+        f = _closed_form_kappa(curve, x.ravel()).reshape(x.shape)
+        sup = max(sup, float(f.max()))
+        best = np.clip(f.argmax(axis=1), 1, 15)
+        a, b = x[rows, best - 1], x[rows, best + 1]
+    return sup
+
+
 def curvature_norms(fc: FramedCurve):
     """Windowed sup and L1 norms of kappa plus the tail term stored on the
-    framed curve; a curve without one gets tail 0, flagged as missing."""
-    sup = float(fc.kappa.max())
+    framed curve; a curve without one gets tail 0, flagged as missing.
+    The sup is the one frame_curve stored, maxima between nodes included.
+    ValueError: fc carries no sup (a bare rapf result), as its node values
+    alone can read low: the unsafe side of b sup(kappa) < 1."""
+    if fc.kappa_sup is None:
+        raise ValueError("framed curve carries no kappa_sup; build it with frame_curve")
+    sup = fc.kappa_sup
     l1 = float(np.trapezoid(fc.kappa, fc.s))
     missing = fc.tail is None
     return {"sup": sup, "l1": l1, "tail": 0.0 if missing else fc.tail,

@@ -2,21 +2,26 @@
 
 Assembly of the stiffness and consistent mass matrices, Neumann and
 Dirichlet generalized eigensolves by shift-invert Lanczos (ARPACK through
-scipy's eigsh, one sparse LU factorization per eigensolve), and deflated
-(bordered) solves of singular shifted systems.  Every matrix on a mesh's
-Connectivity has its P1 pattern, and every factorization on it reuses the
-fill-reducing column order that the first one found.
+scipy's eigsh, one sparse LU factorization per eigensolve), Neumann
+eigensolves of a pencil near a factorized one by LOBPCG preconditioned by
+that factor (no factorization), and deflated (bordered) solves of singular
+shifted systems.  Every matrix on a mesh's Connectivity has its P1 pattern,
+and every factorization on it reuses the fill-reducing column order that
+the first one found.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
+                                 lobpcg, splu)
 
 from .errors import NearDegenerateError, SolverError
 from .mesh import TriMesh
@@ -28,8 +33,15 @@ SHIFT_SCALE = 1e-5
 # a start that spans an invariant subspace of unwanted eigenvectors (say
 # psi3 + psi4 when psi2 is wanted) makes Lanczos break down, and it can then
 # return those as converged; this floor keeps every eigenvector in the
-# Krylov space, and it added no solve to the prolonged and fd_check starts
+# Krylov space, and it added no solve to the prolonged starts
 START_NOISE = 1e-12
+# LOBPCG iterations before a preconditioned eigensolve gives up; on the
+# factor of a mesh within t <= 4e-3 of it, fd_check's solves take 3 to 9
+LOBPCG_MAXITER = 40
+# LOBPCG stops on the absolute residual ||K x - lambda M x|| of M-normalized
+# x; it is asked for this fraction of tol * ||M x|| at the start, which
+# leaves room for ||M x|| to move before the relative residual gate
+LOBPCG_MARGIN = 0.5
 
 
 @dataclass(frozen=True)
@@ -39,9 +51,14 @@ class Spectrum:
     eigenvalues are ascending (units 1/length^2); eigenvectors are nodal and
     M-orthonormal, one column per eigenvalue; residuals are
     ||K u - lambda M u|| / ||M u|| per pair; bc is "neumann" or "dirichlet".
-    shift is the Lanczos shift sigma, solves the number of solves with
-    the factorized K - sigma M and fill the nonzeros of its L and U factors
-    (SuperLU.nnz; both 0 for a dense solve); none of them enters to_json.
+    shift is the shift sigma of the factorized K - sigma M that was solved
+    with, solves the number of vectors solved with it and fill the nonzeros
+    of its L and U factors (SuperLU.nnz).  For Lanczos that factor is this
+    pencil's; for LOBPCG it is a nearby pencil's preconditioner, solves
+    counts its applications and fill is 0, as nothing was factorized.  A
+    dense solve reports solves and fill 0.  guard holds the LOBPCG block's
+    Ritz vectors beyond the returned pairs, which are not held to tol, one
+    column each (None after Lanczos).  None of these enters to_json.
     """
 
     bc: str
@@ -51,6 +68,7 @@ class Spectrum:
     shift: float
     solves: int
     fill: int
+    guard: np.ndarray | None = None
 
     def to_json(self):
         return json.dumps(
@@ -205,20 +223,79 @@ def _factor(conn, data):
     return solve, lu.nnz
 
 
+@dataclass(frozen=True)
+class ShiftedFactor:
+    """The factorized positive definite K - sigma M of one pencil, at the
+    eigensolver shift sigma = -SHIFT_SCALE * tr(K)/tr(M).  solve maps a
+    nodal vector, or an (n, m) block of them, to (K - sigma M)^-1 times it;
+    fill is the nonzeros of the L and U factors."""
+
+    sigma: float
+    solve: Callable
+    fill: int
+
+
+def _shift(K, M):
+    return -SHIFT_SCALE * K.diagonal().sum() / M.diagonal().sum()
+
+
+def shifted_factor(K, M, connectivity=None):
+    """ShiftedFactor of the pencil (K, M).  With ``connectivity`` (K and M
+    on its P1 pattern) the factorization uses or finds its column order
+    (_factor); without, K - sigma M gets an order of its own."""
+    sigma = _shift(K, M)
+    if connectivity is None:
+        lu = _splu_spd((K - sigma * M).tocsc())
+        return ShiftedFactor(sigma, lu.solve, lu.nnz)
+    return ShiftedFactor(sigma, *_factor(connectivity, K.data - sigma * M.data))
+
+
 def _residuals(K, M, vals, X):
     MX = M @ X
     return np.linalg.norm(K @ X - MX * vals[None, :], axis=0) / np.linalg.norm(MX, axis=0)
 
 
-def _shift_invert_eigs(K, M, k, tol, constant=None, v0=None, connectivity=None):
+def _check_tol(tol):
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
+def _dense_eigs(K, M, skip, m):
+    """Eigenvectors skip, ..., skip + m - 1 (ascending) of the pencil, by a
+    dense generalized eigensolve."""
+    from scipy.linalg import eigh
+
+    return eigh(K.toarray(), M.toarray(), subset_by_index=(skip, skip + m - 1))[1]
+
+
+def _rayleigh_pairs(K, M, X, k):
+    """The Rayleigh quotients of the columns of X, ascending, X in their
+    order, and the residuals of the first k.  Rayleigh quotients are
+    accurate to the squared residual, unlike Ritz values from a shift."""
+    vals = np.einsum("ij,ij->j", X, K @ X) / np.einsum("ij,ij->j", X, M @ X)
+    order = np.argsort(vals)
+    vals, X = vals[order], X[:, order]
+    return vals, X, _residuals(K, M, vals[:k], X[:, :k])
+
+
+def _gate(res, tol):
+    if res.max() > tol:
+        raise SolverError(
+            f"eigensolve residual {res.max():.3e} exceeds tol {tol:.3e}",
+            residuals=res,
+        )
+
+
+def _shift_invert_eigs(K, M, k, tol, constant=None, v0=None, connectivity=None,
+                       factor=None):
     """k eigenpairs of K u = lambda M u nearest above sigma = -SHIFT_SCALE *
     tr(K)/tr(M), by ARPACK's implicitly restarted Lanczos on one factorization
-    of the positive definite K - sigma M.  With ``connectivity`` (K and M on
-    its P1 pattern) that factorization uses or finds its column order
-    (_factor); without, K and M get an order of their own.  The start vector
-    and every solve are projected M-orthogonally off ``constant`` (an
-    M-normalized null vector of K) if given.  Without ``v0`` the start vector is seeded random
-    and the Lanczos basis has ncv = max(2k + 1, 20) vectors.  A given ``v0``
+    of the positive definite K - sigma M: ``factor``, the ShiftedFactor of
+    this pencil if the caller keeps one, else shifted_factor(K, M,
+    connectivity).  The start vector and every solve are projected
+    M-orthogonally off ``constant`` (an M-normalized null vector of K) if
+    given.  Without ``v0`` the start vector is seeded random and the
+    Lanczos basis has ncv = max(2k + 1, 20) vectors.  A given ``v0``
     (shape (n,), e.g. eigenvectors of a nearby problem) starts the basis
     instead, plus START_NOISE of the seeded vector, with ncv = 2k + 2:
     ARPACK fills all ncv vectors before its first convergence test, so a
@@ -226,13 +303,12 @@ def _shift_invert_eigs(K, M, k, tol, constant=None, v0=None, connectivity=None):
     0 < tol < inf, or if v0 has the wrong shape, is not finite or vanishes
     after the projection.
     Pencils too small to restart a Lanczos basis in are solved densely, and
-    v0 is not used there.  Returns (values, vectors, residuals, sigma,
-    solves, fill), fill the nonzeros of the LU factors (0 if dense).
+    v0 and factor are not used there.  Returns (values, vectors, residuals,
+    sigma, solves, fill), fill the nonzeros of the LU factors (0 if dense).
     """
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    _check_tol(tol)
     n = K.shape[0]
-    sigma = -SHIFT_SCALE * K.diagonal().sum() / M.diagonal().sum()
+    sigma = _shift(K, M)
     skip = int(constant is not None)
 
     def project(y):
@@ -257,20 +333,16 @@ def _shift_invert_eigs(K, M, k, tol, constant=None, v0=None, connectivity=None):
         start = start + noise * (START_NOISE * scale / np.linalg.norm(noise))
     solves = fill = 0
     if n - skip <= ncv:
-        from scipy.linalg import eigh
-
-        _, X = eigh(K.toarray(), M.toarray(), subset_by_index=(skip, skip + k - 1))
+        X = _dense_eigs(K, M, skip, k)
     else:
-        if connectivity is None:
-            lu = _splu_spd((K - sigma * M).tocsc())
-            solve, fill = lu.solve, lu.nnz
-        else:
-            solve, fill = _factor(connectivity, K.data - sigma * M.data)
+        if factor is None:
+            factor = shifted_factor(K, M, connectivity)
+        fill = factor.fill
 
         def apply_inverse(b):
             nonlocal solves
             solves += 1
-            return project(solve(b))
+            return project(factor.solve(b))
 
         try:
             _, X = eigsh(K, k, M, sigma=sigma, which="LM", v0=start, ncv=ncv,
@@ -280,24 +352,63 @@ def _shift_invert_eigs(K, M, k, tol, constant=None, v0=None, connectivity=None):
                 f"eigensolve did not converge after {solves} solves",
                 residuals=_residuals(K, M, exc.eigenvalues, exc.eigenvectors),
             ) from exc
-    # Rayleigh quotients: accurate to the squared residual, unlike sigma + 1/theta
-    vals = np.einsum("ij,ij->j", X, K @ X) / np.einsum("ij,ij->j", X, M @ X)
-    order = np.argsort(vals)
-    vals, X = vals[order], X[:, order]
-    res = _residuals(K, M, vals, X)
-    if res.max() > tol:
-        raise SolverError(
-            f"eigensolve residual {res.max():.3e} exceeds tol {tol:.3e}",
-            residuals=res,
-        )
+    vals, X, res = _rayleigh_pairs(K, M, X, k)
+    _gate(res, tol)
     return vals, X, res, sigma, solves, fill
 
 
-def neumann_eigs(mesh: TriMesh, k, tol=1e-8, v0=None, matrices=None):
+def _lobpcg_eigs(K, M, k, tol, constant, start, solve):
+    """The m lowest Ritz pairs of K u = lambda M u above the M-normalized
+    null vector ``constant`` of K, by LOBPCG (Knyazev 2001) with B = M, the
+    constraint Y = constant, the preconditioner ``solve`` (an approximate
+    inverse of K - sigma M that maps (n, m) blocks) and the start block
+    ``start``, shape (n, m) with m >= k.  The m - k columns beyond the k-th
+    guard it against an equal or nearby eigenvalue outside the block, which
+    would stall it; only the first k pairs are held to tol.  lobpcg's
+    warnings (too few iterations; a dense solve for n - 1 < 5 m, which is
+    done here instead) are not passed on: SolverError if one of the k
+    residuals exceeds tol after LOBPCG_MAXITER iterations.  ValueError
+    unless 0 < tol < inf, or if the start is not a finite (n, m >= k)
+    block.  Returns (values, vectors, residuals, solves): m values and
+    vectors, ascending, the k residuals, and the number of vectors
+    preconditioned.
+    """
+    _check_tol(tol)
+    n = K.shape[0]
+    X = np.array(start, dtype=float)
+    if X.ndim != 2 or X.shape[0] != n or X.shape[1] < k or not np.isfinite(X).all():
+        raise ValueError(f"start block must be {n} x m finite values, m >= {k}")
+    solves = 0
+    if n - 1 < 5 * X.shape[1]:
+        vals, X, res = _rayleigh_pairs(K, M, _dense_eigs(K, M, 1, X.shape[1]), k)
+    else:
+        def precondition(B):
+            nonlocal solves
+            solves += B.shape[1]
+            # one memory layout, whichever solve: lobpcg's BLAS products
+            # round differently on C and Fortran blocks
+            return np.ascontiguousarray(solve(B))
+
+        MX = M @ X
+        scale = (np.linalg.norm(MX, axis=0)
+                 / np.sqrt(np.einsum("ij,ij->j", X, MX))).min()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            _, X = lobpcg(K, X, B=M, M=precondition, Y=constant[:, None],
+                          tol=LOBPCG_MARGIN * tol * scale, largest=False,
+                          maxiter=LOBPCG_MAXITER)
+        vals, X, res = _rayleigh_pairs(K, M, X, k)
+    _gate(res, tol)
+    return vals, X, res, solves
+
+
+def neumann_eigs(mesh: TriMesh, k, tol=1e-8, v0=None, matrices=None,
+                 factor=None, preconditioner=None):
     """k+1 smallest Neumann eigenpairs of K u = lambda M u, zero mode included.
 
     The constant mode is deflated analytically and reported first; the other
-    k come from shift-invert Lanczos at sigma = -SHIFT_SCALE * tr(K)/tr(M).
+    k come from shift-invert Lanczos at sigma = -SHIFT_SCALE * tr(K)/tr(M),
+    or by LOBPCG if a preconditioner is given.
     v0, a nodal vector, warm-starts the Lanczos basis: it is projected
     M-orthogonally off the constant mode and the basis shrinks from
     max(2k + 1, 20) to 2k + 2 vectors (see _shift_invert_eigs).  A start
@@ -308,9 +419,19 @@ def neumann_eigs(mesh: TriMesh, k, tol=1e-8, v0=None, matrices=None):
     factorization of K - sigma M reuses the column order of
     mesh.connectivity when an earlier one found it, with the same factors.
     matrices, the (K, M) of assemble(mesh) if the caller has them, saves
-    assembling them again.
-    Raises ValueError if v0 is not n finite values or vanishes after the
-    projection, SolverError if Lanczos fails or a residual exceeds tol.
+    assembling them again; factor, the shifted_factor of those matrices if
+    the caller keeps it, saves factorizing them.
+    preconditioner, the ShiftedFactor of a nearby pencil on the same vertex
+    numbering (a mesh a small perturb step away), replaces Lanczos by LOBPCG
+    preconditioned by its solve, with no factorization (_lobpcg_eigs).  v0
+    is then required, an (n, m) start block with m >= k, such as that
+    pencil's eigenvectors 2 to k + 2: columns beyond the k-th guard it
+    against a nearby eigenvalue, and only the k returned pairs are held to
+    tol.  The Spectrum reports the preconditioner's shift, its
+    applications as solves, fill 0 and the guard columns' Ritz vectors.
+    Raises ValueError if v0 is not n finite values (an n x m block with
+    m >= k under a preconditioner) or vanishes after the projection,
+    SolverError if Lanczos fails or a residual exceeds tol.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -322,8 +443,18 @@ def neumann_eigs(mesh: TriMesh, k, tol=1e-8, v0=None, matrices=None):
     ones = np.ones(n)
     c = ones / np.sqrt(ones @ (M @ ones))
     lam1 = max(float(c @ (K @ c)), 0.0)
-    vals, X, res, sigma, solves, fill = _shift_invert_eigs(
-        K, M, k, tol, constant=c, v0=v0, connectivity=mesh.connectivity)
+    if preconditioner is None:
+        vals, X, res, sigma, solves, fill = _shift_invert_eigs(
+            K, M, k, tol, constant=c, v0=v0, connectivity=mesh.connectivity,
+            factor=factor)
+        guard = None
+    else:
+        if v0 is None:
+            raise ValueError("a preconditioned eigensolve needs a start block")
+        vals, X, res, solves = _lobpcg_eigs(K, M, k, tol, c, v0,
+                                            preconditioner.solve)
+        vals, X, guard = vals[:k], X[:, :k], X[:, k:]
+        sigma, fill = preconditioner.sigma, 0
     c_res = float(np.linalg.norm(K @ c - lam1 * (M @ c)) / np.linalg.norm(M @ c))
     return Spectrum(
         bc="neumann",
@@ -333,6 +464,7 @@ def neumann_eigs(mesh: TriMesh, k, tol=1e-8, v0=None, matrices=None):
         shift=sigma,
         solves=solves,
         fill=fill,
+        guard=guard,
     )
 
 

@@ -219,14 +219,21 @@ def build_trimesh(vertices, triangles, warnings=()):
     are the mesher's quality notes, kept on the mesh.
 
     Reorients clockwise triangles, extracts the boundary topologically and
-    checks positivity of areas, that no edge lies on more than two
-    triangles, and edge-connectivity.  The mesh gets a new Connectivity,
-    built from the same edge table.
+    checks that every vertex lies on a triangle (a vertex on none, such as
+    a geometry point or arc centre of a Gmsh file, would make the P1
+    matrices singular), positivity of areas, that no edge lies on more than
+    two triangles, and edge-connectivity.  The mesh gets a new
+    Connectivity, built from the same edge table.
     """
     vertices = np.asarray(vertices, dtype=float).reshape(-1, 2)
     triangles = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
     if triangles.size and (triangles.min() < 0 or triangles.max() >= len(vertices)):
         raise GeometryError("triangle index out of range")
+    orphans = np.flatnonzero(np.bincount(triangles.ravel(),
+                                         minlength=len(vertices)) == 0)
+    if orphans.size:
+        raise GeometryError(f"{orphans.size} vertices lie on no triangle, "
+                            f"the first is vertex {orphans[0]}")
 
     areas = _signed_areas(vertices, triangles)
     flip = areas < 0
@@ -764,7 +771,7 @@ def gen_polygon(poly: Polygon):
         else:
             verts, tris = near
     mesh = build_trimesh(verts, tris)
-    return build_trimesh(verts, tris, warnings=(
+    return replace(mesh, warnings=(
         f"quality bounds missed after {REPAIR_ROUNDS} repair rounds: min angle "
         f"{mesh.min_angle_deg():.2f} deg, max edge {mesh.max_edge() / h:.3f} h",))
 

@@ -12,12 +12,21 @@ import numpy as np
 
 from .crosssec import analyze, x_boundary
 from .errors import StepTooLargeError, TrackingError
-from .fem import _splu_spd, assemble, grad_p1, neumann_eigs, solve_deflated
+from .fem import (_splu_spd, assemble, grad_p1, neumann_eigs, shifted_factor,
+                  solve_deflated)
 from .mesh import Polygon, TriMesh, gen_polygon, gen_rectangle, perturb
 
 # fd_check's least relative gap (lambda3 - lambda2)/lambda2 of a simple
 # lambda2, and bump_rectangle_polygon's fewest points on the half circle
 DEGENERACY_TOL = 1e-3
+# fd_check's least relative gap (lambda5 - lambda4)/lambda4 for a LOBPCG
+# block of psi2, psi3 and the one guard psi4; below it psi5 joins as a
+# second guard.  lobpcg waits for its guards, and one beside a nearly equal
+# eigenvalue converges slowly: on the 3 x 1 rectangle, where lambda4 and
+# lambda5 agree to 4e-7, a +-t solve took 42 iterations with one guard and
+# 17 with two.  Where one guard suffices, a second costs time: on the 8 x 1
+# rectangle (gap 0.78) two guards made fd_check about 4 % slower.
+GUARD_GAP = 0.1
 MIN_ARC_POINTS = 64
 
 
@@ -165,48 +174,44 @@ def fd_check(mesh: TriMesh, V, w, t_ladder, tol=1e-8):
     by the full cross-section pipeline on perturbed meshes; X is even in the
     eigenfunction, so no sign is tracked.  The derivative is
     Richardson-extrapolated from central differences over the ladder.
-    Each vertex set is assembled once: the base (K, M) serve the harmonic
-    lift, the base eigensolve and the adjoint.  Every mesh shares the base
-    mesh's connectivity (perturb), so the adjoint's bordered solve and the
-    +-t eigensolves reuse the column order of the base eigensolve's
-    factorization.  The +-t eigensolves start from the base psi2 + psi3
-    (neumann_eigs' v0).
+    Each vertex set is assembled once: the base (K, M) serve the base
+    eigensolve, the harmonic lift and the adjoint.  The base pencil
+    K - sigma M is factorized once (shifted_factor), for the base Lanczos
+    solve of psi2 to psi5, and as the preconditioner of every +-t
+    eigensolve, which is LOBPCG on a block of psi2, psi3 and the guard psi4
+    (and psi5 unless lambda5 clears lambda4 by GUARD_GAP), factorizes
+    nothing (neumann_eigs' preconditioner) and is started from the
+    polynomial through the blocks of the nearest steps solved so far, the
+    base one included (_central_differences).  Every mesh shares the base
+    mesh's connectivity (perturb), so the adjoint's bordered solve reuses
+    the column order of the base factorization.  The base factor is
+    released before that solve, and none outlives the check.
     ValueError: a step of t_ladder is not positive and finite.
     TrackingError: (lambda3 - lambda2)/lambda2 < DEGENERACY_TOL on the base
     mesh or on a perturbed one.
+    SolverError: an eigenpair, base or perturbed, misses tol.
     """
     ladder = sorted(float(t) for t in t_ladder)
     if not (ladder and 0.0 < ladder[0] and ladder[-1] < math.inf):
         raise ValueError(f"fd steps must be positive and finite, got {ladder}")
     w = np.asarray(w, dtype=float)
     matrices = assemble(mesh)
-    V = harmonic_extension(mesh, V, matrices)
-
-    spec = neumann_eigs(mesh, 2, tol=tol, matrices=matrices)
-    lam2, lam3 = float(spec.eigenvalues[1]), float(spec.eigenvalues[2])
+    base = shifted_factor(*matrices, mesh.connectivity)
+    spec = neumann_eigs(mesh, 4, tol=tol, matrices=matrices, factor=base)
+    lam = spec.eigenvalues
+    lam2, lam3 = float(lam[1]), float(lam[2])
     if (lam3 - lam2) / lam2 < DEGENERACY_TOL:
         raise TrackingError("lambda2 degenerate on the base mesh")
+    V = harmonic_extension(mesh, V, matrices)
     psi0 = spec.eigenvectors[:, 1]
-    # the +-t pairs are small perturbations of the base pair: start from it
-    start = psi0 + spec.eigenvectors[:, 2]
-
+    m = 3 if (lam[4] - lam[3]) / lam[3] >= GUARD_GAP else 4
+    fd = _central_differences(mesh, V, w, ladder, tol, base,
+                              spec.eigenvectors[:, 1:1 + m], matrices[1])
+    # the adjoint's bordered factorization need not share memory with it
+    del base
     adj = adjoint_solve(mesh, lam2, psi0, w, matrices)
-    mids_val = shape_derivative(
-        mesh, lam2, psi0, adj.q, w,
-        _vn_from_field(mesh, V),
-    )
-
-    def x_dot_w(t):
-        pm = perturb(mesh, V, t)
-        spec_t = neumann_eigs(pm, 2, tol=tol, v0=start)
-        l2, l3 = float(spec_t.eigenvalues[1]), float(spec_t.eigenvalues[2])
-        if (l3 - l2) / l2 < DEGENERACY_TOL:
-            raise TrackingError(f"eigenvalue crossing near t = {t:g}")
-        return float(x_boundary(pm, spec_t.eigenvectors[:, 1]) @ w)
-
-    fd = {}
-    for t in ladder:
-        fd[t] = (x_dot_w(t) - x_dot_w(-t)) / (2.0 * t)
+    mids_val = shape_derivative(mesh, lam2, psi0, adj.q, w,
+                                _vn_from_field(mesh, V))
     # Richardson on successive halvings (central differences are O(t^2))
     vals = [fd[t] for t in ladder]
     order = 2.0
@@ -227,6 +232,48 @@ def fd_check(mesh: TriMesh, V, w, t_ladder, tol=1e-8):
         discrepancy=float(disc),
         solvability_warning=adj.solvability_warning,
     )
+
+
+def _central_differences(mesh, V, w, ladder, tol, base, block, M):
+    """{t: (X_t.w - X_-t.w) / (2t)} over the ladder.  Each eigensolve is
+    LOBPCG preconditioned by the base factor on a block of psi2, psi3 and
+    guards, started from the polynomial through the blocks of the nearest
+    steps of earlier pairs (_extrapolate); block is the base mesh's, M its
+    mass matrix.  Both starts of a pair come from the same blocks, mirrored,
+    so a velocity that moves no vertex gives differences of exactly 0.
+    TrackingError: (lambda3 - lambda2)/lambda2 < DEGENERACY_TOL on a
+    perturbed mesh."""
+    # the block at each t solved so far, rotated onto the base block
+    blocks = {0.0: block}
+    m_block = M @ block
+
+    def x_dot_w(t, start):
+        pm = perturb(mesh, V, t)
+        spec = neumann_eigs(pm, 2, tol=tol, v0=start, preconditioner=base)
+        l2, l3 = float(spec.eigenvalues[1]), float(spec.eigenvalues[2])
+        if (l3 - l2) / l2 < DEGENERACY_TOL:
+            raise TrackingError(f"eigenvalue crossing near t = {t:g}")
+        X = np.column_stack([spec.eigenvectors[:, 1:], spec.guard])
+        # the rotation of X nearest to the base block: eigenvectors have no
+        # sign, and those of a multiple eigenvalue no direction
+        u, _, vt = np.linalg.svd(X.T @ m_block)
+        blocks[t] = X @ (u @ vt)
+        return float(x_boundary(pm, spec.eigenvectors[:, 1]) @ w)
+
+    fd = {}
+    for t in ladder:
+        plus, minus = _extrapolate(blocks, t), _extrapolate(blocks, -t)
+        fd[t] = (x_dot_w(t, plus) - x_dot_w(-t, minus)) / (2.0 * t)
+    return fd
+
+
+def _extrapolate(blocks, t):
+    """The polynomial through the blocks at the (up to) three steps nearest
+    to t, evaluated at t: a start for the eigenvectors at t whose error is
+    of up to third order in the step, where the base block's is of first."""
+    near = sorted(blocks, key=lambda s: abs(s - t))[:3]
+    return sum(math.prod((t - r) / (s - r) for r in near if r != s) * blocks[s]
+               for s in near)
 
 
 def _vn_from_field(mesh: TriMesh, V):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -77,6 +78,13 @@ class TestCurve:
         out = tmp_path / "cur.json"
         assert run(["curve", "--parabola", "--scale", 2, "-o", out]) == 0
         assert abs(json.loads(out.read_text())["kappa_sup"] - 4.0) <= 1e-12
+
+    def test_sbend_sup_between_nodes(self, tmp_path):
+        # |kappa| = |s| exp(-s^2) peaks at s = 1/sqrt(2), between nodes
+        out = tmp_path / "sbend.json"
+        assert run(["curve", "--sbend", "--window", 6, "-o", out]) == 0
+        ref = math.exp(-0.5) / math.sqrt(2.0)
+        assert abs(json.loads(out.read_text())["kappa_sup"] - ref) <= 1e-12
 
     def test_too_few_samples(self, tmp_path, capsys):
         f = tmp_path / "pts.csv"

@@ -248,6 +248,28 @@ class TestNormsAndY:
         fc = CV.frame_curve(CV.parabola().window(1), 20000)
         assert abs(CV.curvature_norms(fc)["sup"] - 2.0) <= 1e-12
 
+    @pytest.mark.parametrize("N", [4000, 20000, 20001])
+    def test_sbend_sup_between_nodes(self, N):
+        # the peak s = 1/sqrt(2) of |kappa| = |s| exp(-s^2) is no node: the
+        # node values read low, the closed form's maximum does not
+        curve = CV.sbend().window(6)
+        fc = CV.frame_curve(curve, N)
+        ref = math.exp(-0.5) / math.sqrt(2.0)
+        assert fc.kappa.max() < ref - 1e-10
+        assert abs(CV.curvature_norms(fc)["sup"] - ref) <= 1e-12
+
+    @pytest.mark.parametrize("curve", [CV.parabola().window(1),
+                                       CV.helix(1.0, 0.5).window(6),
+                                       CV.circle(2.0).window(1)])
+    def test_sup_at_a_node_stands(self, curve):
+        fc = CV.frame_curve(curve, 4000)
+        assert CV.curvature_norms(fc)["sup"] == fc.kappa.max()
+
+    def test_bare_rapf_has_no_sup(self):
+        fc = CV.rapf(CV.arclength_resample(CV.sbend().window(6), 4000))
+        with pytest.raises(ValueError, match="kappa_sup"):
+            CV.curvature_norms(fc)
+
     def test_parabola_turning_angle(self):
         fc = CV.frame_curve(CV.parabola().window(1), 20000)
         n = CV.curvature_norms(fc)

@@ -466,3 +466,80 @@ class TestColumnOrder:
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         c = F.neumann_eigs(mesh, 2, tol=1e-10, matrices=(4.0 * K, Mm))
         assert np.allclose(c.eigenvalues, 4.0 * a.eigenvalues, rtol=1e-10)
+
+
+class TestPreconditionedEigs:
+    @pytest.fixture(scope="class")
+    def degenerate(self, top_bump):
+        # 2pi x pi: lambda3 = lambda4 = 1, so psi3 has an equal neighbour
+        # outside a block of two
+        mesh = M.gen_rectangle(2 * np.pi, np.pi, 64, 32)
+        K, Mm = F.assemble(mesh)
+        base = F.shifted_factor(K, Mm, mesh.connectivity)
+        spec = F.neumann_eigs(mesh, 3, tol=1e-10, matrices=(K, Mm), factor=base)
+        V = top_bump(mesh, 4.0)
+        moved = M.perturb(mesh, V, 4e-3)
+        return moved, base, spec
+
+    def test_degenerate_neighbour_and_guard_meet_tol(self, degenerate):
+        moved, base, spec = degenerate
+        K, Mm = F.assemble(moved)
+        c = np.full(moved.num_vertices, 1.0 / np.sqrt(Mm.sum()))
+        vals, X, res, solves = F._lobpcg_eigs(K, Mm, 2, 1e-10, c,
+                                              spec.eigenvectors[:, 1:], base.solve)
+        assert vals.shape == (3,) and X.shape[1] == 3 and res.shape == (2,)
+        # psi2, psi3 and the guard psi4 all meet tol
+        assert res.max() <= 1e-10 and 0 < solves
+        assert F._residuals(K, Mm, vals[2:], X[:, 2:]).max() <= 1e-10
+        ref = F.neumann_eigs(moved, 3, tol=1e-10)
+        assert np.abs(vals - ref.eigenvalues[1:]).max() <= 1e-10 * vals.max()
+        assert abs(vals[1] - vals[2]) < 1e-2 * vals[1]
+
+    def test_block_without_guard_stalls(self, degenerate):
+        moved, base, spec = degenerate
+        K, Mm = F.assemble(moved)
+        c = np.full(moved.num_vertices, 1.0 / np.sqrt(Mm.sum()))
+        with pytest.raises(SolverError):
+            F._lobpcg_eigs(K, Mm, 2, 1e-10, c, spec.eigenvectors[:, 1:3],
+                           base.solve)
+
+    def test_returns_k_pairs_with_the_preconditioner_shift(self, degenerate):
+        moved, base, spec = degenerate
+        s = F.neumann_eigs(moved, 2, tol=1e-10, v0=spec.eigenvectors[:, 1:],
+                           preconditioner=base)
+        assert s.eigenvalues.shape == (3,) and s.eigenvectors.shape[1] == 3
+        assert s.residuals.max() <= 1e-10
+        assert s.shift == base.sigma and s.solves > 0 and s.fill == 0
+        assert s.guard.shape == (moved.num_vertices, 1)
+        assert F.neumann_eigs(moved, 2).guard is None
+
+    def test_unusable_preconditioner_raises_solver_error(self, degenerate):
+        moved, _, spec = degenerate
+        K, Mm = F.assemble(moved)
+        c = np.full(moved.num_vertices, 1.0 / np.sqrt(Mm.sum()))
+        # the identity leaves the pencil's conditioning as it is: lobpcg stops
+        # short, and the residual gate, not a warning, reports it
+        with pytest.raises(SolverError) as info:
+            F._lobpcg_eigs(K, Mm, 2, 1e-8, c, spec.eigenvectors[:, 1:],
+                           lambda b: b)
+        assert info.value.residuals.max() > 1e-8
+
+    def test_small_pencil_is_solved_densely(self):
+        # n - 1 < 5 m: lobpcg would warn and solve densely itself
+        mesh = M.gen_rectangle(2, 1, 4, 2)
+        K, Mm = F.assemble(mesh)
+        dense = F.neumann_eigs(mesh, 3, tol=1e-10)
+        s = F.neumann_eigs(mesh, 2, tol=1e-10, v0=dense.eigenvectors[:, 1:],
+                           preconditioner=F.shifted_factor(K, Mm))
+        assert np.allclose(s.eigenvalues, dense.eigenvalues[:3], rtol=1e-12,
+                           atol=0)
+        assert s.solves == s.fill == 0
+
+    @pytest.mark.parametrize("v0", [None, "vector", "narrow", "nan"])
+    def test_start_block_is_checked(self, degenerate, v0):
+        moved, base, spec = degenerate
+        block = spec.eigenvectors[:, 1:].copy()
+        v0 = {None: None, "vector": block[:, 0], "narrow": block[:, :1],
+              "nan": np.where(block > 0, np.nan, block)}[v0]
+        with pytest.raises(ValueError, match="start block"):
+            F.neumann_eigs(moved, 2, v0=v0, preconditioner=base)

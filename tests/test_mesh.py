@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import fields
 
@@ -165,6 +166,21 @@ class TestGenPolygon:
         # the docstring's bound: boundary edges stay <= target_h
         assert m.boundary_lengths.max() <= 0.3 * (1 + 1e-12)
 
+    def test_missed_bounds_build_one_mesh(self, monkeypatch):
+        # a 7.6 degree corner: the bounds are missed and the warning is
+        # attached to the mesh already built
+        built = []
+        original = M.build_trimesh
+
+        def build_trimesh(*args, **kwargs):
+            built.append(len(args[0]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(M, "build_trimesh", build_trimesh)
+        m = M.gen_polygon(M.Polygon([(0, 0), (3, 0), (0, 0.4)], 0.05))
+        assert built == [m.num_vertices]
+        assert len(m.warnings) == 1 and "quality bounds missed" in m.warnings[0]
+
     def test_plain_rectangle_lambda2(self):
         # the benchmark's closed-form rectangle: lambda2 = (pi / 2pi)^2
         m = M.gen_polygon(M.Polygon(RECT_2PI_PI, 0.06))
@@ -262,6 +278,19 @@ class TestBuildTrimesh:
     def test_rejections(self, verts, tris, match):
         with pytest.raises(GeometryError, match=match):
             M.build_trimesh(np.array(verts, dtype=float), np.array(tris))
+
+    def test_vertex_on_no_triangle(self):
+        # before the check, neumann_eigs failed on such a mesh with
+        # "RuntimeError: Factor is exactly singular"
+        m = M.gen_rectangle(2, 1, 16, 8)
+        verts = np.vstack([m.vertices, [(5.0, 5.0)]])
+        with pytest.raises(GeometryError, match="1 vertices lie on no triangle, "
+                           f"the first is vertex {m.num_vertices}"):
+            M.build_trimesh(verts, m.triangles)
+        text = json.dumps({"vertices": verts.tolist(),
+                           "triangles": m.triangles.tolist()})
+        with pytest.raises(GeometryError, match="no triangle"):
+            M.mesh_from_json(text)
 
 
 def _brute_boundary(triangles):
@@ -614,6 +643,13 @@ class TestGmsh:
     def test_binary_rejected(self):
         text = GMSH_OK.replace("2.2 0 8", "2.2 1 8")
         with pytest.raises(MeshFormatError, match="binary"):
+            M.import_gmsh22(text)
+
+    def test_node_on_no_triangle(self):
+        # a geometry point or arc centre that no element uses
+        text = GMSH_OK.replace("$Nodes\n4\n", "$Nodes\n5\n").replace(
+            "4 0 1 0\n", "4 0 1 0\n5 0.5 2 0\n")
+        with pytest.raises(GeometryError, match="vertex 4"):
             M.import_gmsh22(text)
 
     def test_dangling_node(self):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -226,10 +227,87 @@ class TestFdCheck:
         assert {id(m.connectivity) for m in assembled} == {id(mesh.connectivity)}
         assert built == []
         assert len(spectra) == 7
-        assert [s.fill for s in spectra] == [364846] * 7
+        # the base pencil is factorized once; the six +-t eigensolves are
+        # preconditioned by that factor and factorize nothing
+        assert [s.fill for s in spectra] == [364846] + [0] * 6
         # an order is searched for the lift's interior block and by the base
-        # eigensolve; the adjoint and the six +-t eigensolves reuse the latter
-        assert orders == ["MMD_AT_PLUS_A"] * 2 + ["NATURAL"] * 7
+        # eigensolve; the adjoint's bordered solve reuses the latter
+        assert orders == ["MMD_AT_PLUS_A"] * 2 + ["NATURAL"]
+
+    @pytest.fixture(scope="class")
+    def bump_8x1(self, top_bump):
+        # the shape-fd benchmark case: 8 x 1 rectangle, 256 x 32
+        mesh = M.gen_rectangle(8, 1, 256, 32)
+        return mesh, top_bump(mesh, 3.0)
+
+    def test_repeat_is_bit_identical(self, bump_8x1):
+        # on a fresh connectivity, whose first factorization searches the
+        # order, and again on one that reuses it
+        _, V = bump_8x1
+        fresh = M.gen_rectangle(8, 1, 256, 32)
+        a, b = (SD.fd_check(m, V, np.array([1.0, 0.0]), [1e-3, 2e-3])
+                for m in (fresh, fresh))
+        assert a.to_json() == b.to_json()
+
+    def test_fd_values_match_lanczos_solves(self, bump_8x1, monkeypatch):
+        # reference: every +-t pencil factorized and solved by Lanczos
+        mesh, V = bump_8x1
+        ladder = [1e-3, 2e-3, 4e-3]
+        rep = SD.fd_check(mesh, V, np.array([1.0, 0.0]), ladder, tol=1e-10)
+        original = SD.neumann_eigs
+
+        def lanczos(pm, k, tol, preconditioner=None, **kwargs):
+            if preconditioner is None:
+                return original(pm, k, tol=tol, **kwargs)
+            # a cold solve of one more pair, which stands in for the guard
+            s = original(pm, k + 1, tol=tol)
+            return replace(s, eigenvalues=s.eigenvalues[:-1],
+                           eigenvectors=s.eigenvectors[:, :-1],
+                           residuals=s.residuals[:-1],
+                           guard=s.eigenvectors[:, -1:])
+
+        monkeypatch.setattr(SD, "neumann_eigs", lanczos)
+        ref = SD.fd_check(mesh, V, np.array([1.0, 0.0]), ladder, tol=1e-10)
+        for t in ladder:
+            assert abs(rep.fd_values[t] - ref.fd_values[t]) <= 1e-9 * abs(ref.fd_values[t])
+
+    @pytest.mark.parametrize("ell, guards", [(8.0, 1), (3.0, 2)])
+    def test_guards(self, ell, guards, monkeypatch, top_bump):
+        # on the 3 x 1 rectangle lambda4 = lambda5 = pi^2 (modes cos(pi x)
+        # and cos(pi y)): psi5 joins the block as a second guard
+        mesh = M.gen_rectangle(ell, 1, int(16 * ell), 16)
+        V = top_bump(mesh, 1.2)
+        widths = []
+        original = SD.neumann_eigs
+
+        def neumann_eigs(pm, k, **kwargs):
+            s = original(pm, k, **kwargs)
+            if kwargs.get("preconditioner") is not None:
+                widths.append(s.guard.shape[1])
+            return s
+
+        monkeypatch.setattr(SD, "neumann_eigs", neumann_eigs)
+        SD.fd_check(mesh, V, np.array([1.0, 0.0]), [1e-3, 2e-3])
+        assert widths == [guards] * 4
+
+    def test_still_boundary_differences_vanish(self):
+        # V = 0 leaves every +-t mesh equal to the base: the mirrored starts
+        # give equal eigenvectors bit for bit, so the differences are 0
+        mesh = M.gen_rectangle(2, 1, 32, 16)
+        rep = SD.fd_check(mesh, np.zeros_like(mesh.vertices),
+                          np.array([1.0, 0.0]), [1e-3, 2e-3, 4e-3])
+        assert set(rep.fd_values.values()) == {0.0}
+        assert rep.discrepancy == 0.0
+
+    def test_extrapolation_is_exact_on_quadratics(self):
+        rng = np.random.default_rng(3)
+        a, b, c = rng.standard_normal((3, 5, 3))
+        block = lambda t: a + t * b + t * t * c
+        blocks = {t: block(t) for t in (0.0, 1e-3, -1e-3, 2e-3)}
+        for t in (-2e-3, 4e-3):
+            assert np.allclose(SD._extrapolate(blocks, t), block(t),
+                               rtol=0, atol=1e-12)
+        assert np.array_equal(SD._extrapolate({0.0: a}, 1e-3), a)
 
     def test_rigid_translation(self):
         mesh = M.gen_rectangle(2 * np.pi, np.pi, 64, 32)
