@@ -213,6 +213,10 @@ def cmd_shapederiv(args):
         V[np.abs(y - L) < 1e-12, 1] = prof[np.abs(y - L) < 1e-12]
     else:
         V[np.abs(y) < 1e-12, 1] = -prof[np.abs(y) < 1e-12]
+    if not V.any():
+        raise ValueError(f"the bump at --bump-center {c:g} with --bump-radius "
+                         f"{R:g} moves no vertex of the {side} side, of length "
+                         f"{ell:g}")
     rep = shapederiv.fd_check(mesh, V, w, args.ladder, tol=args.tol)
     payload = json.loads(rep.to_json())
     payload["config"] = _echo(args)
@@ -309,7 +313,9 @@ def build_parser():
     d.add_argument("--w", nargs=2, type=float, required=True)
     d.add_argument("--analytic-compare", action="store_true")
     d.add_argument("--bump-side", choices=["top", "bottom"], default="top")
-    d.add_argument("--bump-center", type=float, default=4.0)
+    # off the middle of the default 2 x 1 rectangle's top side, where the
+    # derivative along e1 vanishes by symmetry
+    d.add_argument("--bump-center", type=float, default=0.6)
     d.add_argument("--bump-radius", type=float, default=0.5)
     d.add_argument("--ladder", nargs="+", type=float,
                    default=[1e-3, 2e-3, 4e-3])

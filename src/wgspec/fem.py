@@ -3,11 +3,12 @@
 Assembly of the stiffness and consistent mass matrices, Neumann and
 Dirichlet generalized eigensolves by shift-invert Lanczos (ARPACK through
 scipy's eigsh, one sparse LU factorization per eigensolve), Neumann
-eigensolves of a pencil near a factorized one by LOBPCG preconditioned by
-that factor (no factorization), and deflated (bordered) solves of singular
-shifted systems.  Every matrix on a mesh's Connectivity has its P1 pattern,
-and every factorization on it reuses the fill-reducing column order that
-the first one found.
+eigensolves by LOBPCG with no factorization of their own (preconditioned by
+the factor of a nearby pencil on the same vertex numbering, or by a
+two-grid cycle across one uniform refinement on the coarse mesh's factor),
+and deflated (bordered) solves of singular shifted systems.  Every matrix
+on a mesh's Connectivity has its P1 pattern, and every factorization on it
+reuses the fill-reducing column order that the first one found.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ LOBPCG_MAXITER = 40
 # x; it is asked for this fraction of tol * ||M x|| at the start, which
 # leaves room for ||M x|| to move before the relative residual gate
 LOBPCG_MARGIN = 0.5
+# damping of the Jacobi sweeps before and after two_grid's coarse correction
+JACOBI_WEIGHT = 2.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -54,8 +57,8 @@ class Spectrum:
     shift is the shift sigma of the factorized K - sigma M that was solved
     with, solves the number of vectors solved with it and fill the nonzeros
     of its L and U factors (SuperLU.nnz).  For Lanczos that factor is this
-    pencil's; for LOBPCG it is a nearby pencil's preconditioner, solves
-    counts its applications and fill is 0, as nothing was factorized.  A
+    pencil's; for LOBPCG shift is the preconditioner's, solves counts its
+    applications and fill is 0, as nothing was factorized.  A
     dense solve reports solves and fill 0.  guard holds the LOBPCG block's
     Ritz vectors beyond the returned pairs, which are not held to tol, one
     column each (None after Lanczos).  None of these enters to_json.
@@ -225,10 +228,14 @@ def _factor(conn, data):
 
 @dataclass(frozen=True)
 class ShiftedFactor:
-    """The factorized positive definite K - sigma M of one pencil, at the
-    eigensolver shift sigma = -SHIFT_SCALE * tr(K)/tr(M).  solve maps a
-    nodal vector, or an (n, m) block of them, to (K - sigma M)^-1 times it;
-    fill is the nonzeros of the L and U factors."""
+    """An inverse of K - sigma M for one pencil, at the eigensolver shift
+    sigma = -SHIFT_SCALE * tr(K)/tr(M).  solve maps a nodal vector, or an
+    (n, m) block of them, to the inverse times it; fill is the nonzeros of
+    the L and U factors.  shifted_factor makes the exact inverse from a
+    factorization; as a preconditioner (neumann_eigs) any approximate
+    inverse of K - sigma M on the pencil's vertex numbering serves, such as
+    a nearby pencil's factor or two_grid's cycle, whose fill is the coarse
+    factor's."""
 
     sigma: float
     solve: Callable
@@ -237,6 +244,36 @@ class ShiftedFactor:
 
 def _shift(K, M):
     return -SHIFT_SCALE * K.diagonal().sum() / M.diagonal().sum()
+
+
+def two_grid(K, M, coarse, P):
+    """A preconditioner for the pencil (K, M) on a uniform refinement of a
+    mesh whose pencil is factorized: a ShiftedFactor at this pencil's shift
+    sigma whose solve is one symmetric two-grid cycle for K - sigma M
+    (Hackbusch, Multi-Grid Methods and Applications, 1985) and whose fill is
+    the coarse factor's.
+
+    The cycle is a Jacobi sweep damped by JACOBI_WEIGHT, the coarse
+    correction P (K_c - sigma_c M_c)^-1 P^T with ``coarse``, the ShiftedFactor
+    of the coarse pencil, and P its exact prolongation (mesh.prolongation),
+    then a second such sweep.  P^T K P and P^T M P are the coarse matrices,
+    so the coarse factor is an exact Galerkin coarse-grid operator up to the
+    two shifts.  K and M share one pattern, as assemble makes them; nothing
+    is factorized.
+    """
+    sigma = _shift(K, M)
+    A = sparse.csr_matrix((K.data - sigma * M.data, K.indices, K.indptr),
+                          shape=K.shape)
+    weight = JACOBI_WEIGHT / A.diagonal()
+
+    def solve(B):
+        D = weight if B.ndim == 1 else weight[:, None]
+        X = D * B
+        X += P @ coarse.solve(P.T @ (B - A @ X))
+        X += D * (B - A @ X)
+        return X
+
+    return ShiftedFactor(sigma, solve, coarse.fill)
 
 
 def shifted_factor(K, M, connectivity=None):
@@ -421,13 +458,15 @@ def neumann_eigs(mesh: TriMesh, k, tol=1e-8, v0=None, matrices=None,
     matrices, the (K, M) of assemble(mesh) if the caller has them, saves
     assembling them again; factor, the shifted_factor of those matrices if
     the caller keeps it, saves factorizing them.
-    preconditioner, the ShiftedFactor of a nearby pencil on the same vertex
-    numbering (a mesh a small perturb step away), replaces Lanczos by LOBPCG
-    preconditioned by its solve, with no factorization (_lobpcg_eigs).  v0
-    is then required, an (n, m) start block with m >= k, such as that
-    pencil's eigenvectors 2 to k + 2: columns beyond the k-th guard it
-    against a nearby eigenvalue, and only the k returned pairs are held to
-    tol.  The Spectrum reports the preconditioner's shift, its
+    preconditioner, a ShiftedFactor whose solve is any approximate inverse
+    of K - sigma M on this mesh's vertex numbering (the factor of a mesh a
+    small perturb step away, or two_grid's cycle on the factor of the mesh
+    this one refines), replaces Lanczos by LOBPCG preconditioned by that
+    solve, with no factorization (_lobpcg_eigs).  v0 is then required, an
+    (n, m) start block with m >= k, such as that pencil's eigenvectors 2
+    to k + 2, or the prolonged coarse psi2 alone: columns beyond the k-th
+    guard it against a nearby eigenvalue, and only the k returned pairs are
+    held to tol.  The Spectrum reports the preconditioner's shift, its
     applications as solves, fill 0 and the guard columns' Ritz vectors.
     Raises ValueError if v0 is not n finite values (an n x m block with
     m >= k under a preconditioner) or vanishes after the projection,

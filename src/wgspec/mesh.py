@@ -42,7 +42,7 @@ class Connectivity:
     edges, tri_edges
         The edge table (_edge_table) without its counts: the unique (lo, hi)
         edges and the (nt, 3) edge ids of each triangle's sides 01, 12 and
-        20.  refine_uniform and prolong_uniform read it.
+        20.  refine_uniform and prolongation read it.
     indptr, indices
         CSR pattern of a P1 matrix: the diagonal of every vertex on a
         triangle and both entries of every edge, columns sorted in each row.
@@ -225,6 +225,13 @@ def build_trimesh(vertices, triangles, warnings=()):
     two triangles, and edge-connectivity.  The mesh gets a new
     Connectivity, built from the same edge table.
     """
+    return _build_trimesh(vertices, triangles, warnings, None)
+
+
+def _build_trimesh(vertices, triangles, warnings, table):
+    """build_trimesh, given the edge table of the triangles (_edge_table) if
+    the caller has it, else None; it is computed here when it is None or
+    some triangle is reoriented."""
     vertices = np.asarray(vertices, dtype=float).reshape(-1, 2)
     triangles = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
     if triangles.size and (triangles.min() < 0 or triangles.max() >= len(vertices)):
@@ -243,7 +250,8 @@ def build_trimesh(vertices, triangles, warnings=()):
         areas = np.abs(areas)
     _check_shapes(vertices, triangles, areas)
 
-    table = _edge_table(triangles)
+    if table is None or flip.any():
+        table = _edge_table(triangles)
     _, tri_edges, counts = table
     if (counts > 2).any():
         raise GeometryError(
@@ -596,8 +604,9 @@ def _triangulate_region(loop, inner):
 
     Flat triangles and those with a centroid outside the polygon are
     dropped; a loop segment missing from the triangulation is split at its
-    midpoint and the points triangulated again.  Returns (loop, pts, tris):
-    the loop with those splits, and pts, the loop then the inner points.
+    midpoint and the points triangulated again.  Returns (loop, pts, tris,
+    table): the loop with those splits, pts, the loop then the inner points,
+    and the edge table of tris (_edge_table).
     """
     from scipy.spatial import Delaunay
 
@@ -619,11 +628,12 @@ def _triangulate_region(loop, inner):
 
         # the loop points come first, so segment i is the edge (i, i+1 mod nb)
         i, j = np.arange(nb), (np.arange(nb) + 1) % nb
-        lo, hi = _edge_table(simplices)[0].T
+        table = _edge_table(simplices)
+        lo, hi = table[0].T
         key = np.minimum(i, j) * len(pts) + np.maximum(i, j)
         missing = np.flatnonzero(~np.isin(key, lo * len(pts) + hi))
         if not missing.size:
-            return loop, pts, np.asarray(simplices, dtype=np.int64)
+            return loop, pts, np.asarray(simplices, dtype=np.int64), table
         loop = _split_segments(loop, missing)
     raise GeometryError("boundary recovery failed; polygon too tangled for spacing")
 
@@ -635,8 +645,9 @@ def _split_segments(loop, segments):
     return np.insert(loop, segments + 1, mids, axis=0)
 
 
-def _repair_points(loop, verts, tris, h):
-    """Points to insert where the mesh misses a quality bound.
+def _repair_points(loop, verts, tris, table, h):
+    """Points to insert where the mesh misses a quality bound; table is the
+    edge table of tris (_edge_table).
 
     A triangle with an angle below MIN_ANGLE_TARGET_DEG gets its
     circumcentre (Ruppert, J. Algorithms 18(3), 1995), worst first, and an
@@ -652,7 +663,7 @@ def _repair_points(loop, verts, tris, h):
     angle = np.degrees(_all_angles(verts, tris).min(axis=1))
     bad = np.flatnonzero(angle < MIN_ANGLE_TARGET_DEG)
     bad = bad[np.argsort(angle[bad], kind="stable")]
-    edges, _, counts = _edge_table(tris)
+    edges, _, counts = table
     elen = np.sqrt(((verts[edges[:, 1]] - verts[edges[:, 0]]) ** 2).sum(axis=1))
     long_ = np.flatnonzero((elen > h) & (counts == 2))
     long_ = long_[np.argsort(-elen[long_], kind="stable")]
@@ -705,17 +716,18 @@ def _insert_near(verts, tris, extra, reach):
     return verts, np.vstack([tris[~patch], local])
 
 
-def _laplacian_smooth(vertices, triangles):
+def _laplacian_smooth(vertices, triangles, table):
     """Jacobi smoothing of interior vertices; boundary vertices stay fixed.
 
-    Boundary vertices are the endpoints of edges on a single triangle.  Each
+    Boundary vertices are the endpoints of edges on a single triangle, read
+    from table, the edge table of triangles (_edge_table).  Each
     of the _SMOOTH_SWEEPS sweeps moves interior vertices toward the mean of
     their neighbours and halves the step globally if any triangle would
     invert.
     """
     verts = vertices.copy()
     nv = len(verts)
-    pairs, _, counts = _edge_table(triangles)
+    pairs, _, counts = table
     interior = np.ones(nv, dtype=bool)
     interior[pairs[counts == 1].ravel()] = False
     rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
@@ -757,20 +769,23 @@ def gen_polygon(poly: Polygon):
     h = poly.target_h
     origin, step = _lattice(poly.loop, h)
     loop = _resample_loop(poly.loop, step)
-    loop, verts, tris = _triangulate_region(loop, _graded_points(loop, origin, step))
-    verts = _laplacian_smooth(verts, tris)
+    # each triangle array's edge table is computed once and passed on
+    loop, verts, tris, table = _triangulate_region(
+        loop, _graded_points(loop, origin, step))
+    verts = _laplacian_smooth(verts, tris, table)
     for _ in range(REPAIR_ROUNDS):
-        new_loop, extra = _repair_points(loop, verts, tris, h)
+        new_loop, extra = _repair_points(loop, verts, tris, table, h)
         if len(new_loop) == len(loop) and not len(extra):
-            return build_trimesh(verts, tris)
+            return _build_trimesh(verts, tris, (), table)
         split = len(new_loop) > len(loop)
         near = None if split else _insert_near(verts, tris, extra, 3 * h)
         if near is None:
-            loop, verts, tris = _triangulate_region(
+            loop, verts, tris, table = _triangulate_region(
                 new_loop, np.vstack([verts[len(loop):], extra]))
         else:
             verts, tris = near
-    mesh = build_trimesh(verts, tris)
+            table = _edge_table(tris)
+    mesh = _build_trimesh(verts, tris, (), table)
     return replace(mesh, warnings=(
         f"quality bounds missed after {REPAIR_ROUNDS} repair rounds: min angle "
         f"{mesh.min_angle_deg():.2f} deg, max edge {mesh.max_edge() / h:.3f} h",))
@@ -795,16 +810,28 @@ def refine_uniform(mesh: TriMesh):
     return build_trimesh(verts, tris, warnings=mesh.warnings)
 
 
-def prolong_uniform(mesh: TriMesh, u):
-    """The nodal field u of mesh on refine_uniform(mesh): the coarse values,
-    then the edge-midpoint averages in the fine mesh's vertex order.
+def prolongation(mesh: TriMesh):
+    """The exact P1 prolongation P from mesh to refine_uniform(mesh), a CSR
+    matrix of shape (fine vertices, coarse vertices): the identity on the
+    coarse vertices, then 1/2 at both ends of each edge for its midpoint, in
+    the fine mesh's vertex order.
 
-    This is the exact P1 prolongation: the fine field is the same piecewise
-    linear function, because the fine P1 space nests the coarse one.
+    The fine P1 space nests the coarse one, so P u is the same piecewise
+    linear function as u, and P^T K_f P, P^T M_f P are the coarse matrices.
     """
-    u = np.asarray(u, dtype=float)
     edges = mesh.connectivity.edges
-    return np.concatenate([u, (u[edges[:, 0]] + u[edges[:, 1]]) * 0.5])
+    nc, ne = mesh.num_vertices, len(edges)
+    indptr = np.concatenate([np.arange(nc + 1), nc + 2 * np.arange(1, ne + 1)])
+    indices = np.concatenate([np.arange(nc), edges.ravel()])
+    data = np.concatenate([np.ones(nc), np.full(2 * ne, 0.5)])
+    return sparse.csr_matrix((data, indices, indptr), shape=(nc + ne, nc))
+
+
+def prolong_uniform(mesh: TriMesh, u):
+    """The nodal field u of mesh, or an (n, m) block of them, on
+    refine_uniform(mesh): prolongation(mesh) @ u, the coarse values, then
+    the edge-midpoint averages."""
+    return prolongation(mesh) @ np.asarray(u, dtype=float)
 
 
 def perturb(mesh: TriMesh, V, t):

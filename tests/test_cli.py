@@ -141,6 +141,15 @@ class TestShapederivCmd:
         assert d["adjoint_l2_rel_error"] < 0.01
         assert d["integrand_max_error"] < 0.1
 
+    def test_default_bump_moves_the_section(self, tmp_path):
+        # the default bump sits on the default rectangle's top side, off its
+        # middle, where the derivative along e1 would vanish by symmetry
+        out = tmp_path / "fd.json"
+        assert run(["shapederiv", "--w", 1, 0, "--nx", 32, "-o", out]) == 0
+        d = json.loads(out.read_text())
+        assert d["adjoint_value"] > 0.5
+        assert 0.0 < d["discrepancy"] < 2e-3
+
     def test_unknown_flag_exit(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["shapederiv", "--rect", 2, 1, "--w", 1, 0, "--frobnicate"])
@@ -197,6 +206,10 @@ _MALFORMED = [
      "tol must be"),
     (["sweep", "--radii", "0.2:0.2:0.1", "--target-h", 0.3, "--tol", "nan"],
      "tol must be"),
+    # a bump off the side would differentiate along V = 0 and report zeros
+    (["shapederiv", "--w", 1, 0, "--nx", 32, "--bump-center", 4],
+     "--bump-center 4 with --bump-radius 0.5 moves no vertex of the top side, "
+     "of length 2"),
 ]
 
 _VALID = [
@@ -209,6 +222,7 @@ _VALID = [
       "--nx", 16], 0),
     (["sweep", "--radii", "0.2:0.2:0.1", "--target-h", 0.3], 0),
     (["section", "--rect", 1, 1, 8, 8], 2),  # the square: lambda2 double
+    (["shapederiv", "--w", 1, 0, "--nx", 32], 0),  # the default bump
 ]
 
 

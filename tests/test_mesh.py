@@ -170,13 +170,14 @@ class TestGenPolygon:
         # a 7.6 degree corner: the bounds are missed and the warning is
         # attached to the mesh already built
         built = []
-        original = M.build_trimesh
+        original = M._build_trimesh
 
         def build_trimesh(*args, **kwargs):
             built.append(len(args[0]))
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(M, "build_trimesh", build_trimesh)
+        # build_trimesh and gen_polygon both build through _build_trimesh
+        monkeypatch.setattr(M, "_build_trimesh", build_trimesh)
         m = M.gen_polygon(M.Polygon([(0, 0), (3, 0), (0, 0.4)], 0.05))
         assert built == [m.num_vertices]
         assert len(m.warnings) == 1 and "quality bounds missed" in m.warnings[0]
@@ -714,6 +715,38 @@ class TestRefineUniform:
         Kf, Mf = assemble(fine)
         assert abs((v @ Kf @ v) / (u @ K @ u) - 1.0) <= 1e-12
         assert abs((v @ Mf @ v) / (u @ Mm @ u) - 1.0) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["rect", "tri", "bump"]), n=st.integers(2, 10),
+           angle=st.floats(0.0, 2 * math.pi),
+           offset=st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_prolongation_matrix(self, kind, n, angle, offset, seed):
+        # nested P1 spaces: P^T K_f P and P^T M_f P are the coarse matrices,
+        # and P u is the midpoint prolongation bit for bit
+        from wgspec.fem import assemble
+
+        if kind == "bump":
+            base = M.gen_polygon(bump_rectangle_polygon(2.0, 1.0, "top", 0.9, 0.35,
+                                                        0.9 / n))
+        elif kind == "rect":
+            base = M.gen_rectangle(1.5, 1.0, n, n + 1)
+        else:
+            base = M.gen_right_triangle(n)
+        R = np.array([[math.cos(angle), -math.sin(angle)],
+                      [math.sin(angle), math.cos(angle)]])
+        mesh = M.build_trimesh(base.vertices @ R.T + offset, base.triangles)
+        P = M.prolongation(mesh)
+        # the assembly rounds coordinate differences: shifted by (5, 5), the
+        # fine bump's arc cells, 0.009 wide, leave 1.2e-13 of max |K|
+        for coarse, fine in zip(assemble(mesh), assemble(M.refine_uniform(mesh))):
+            assert abs(P.T @ fine @ P - coarse).max() <= 2e-13 * abs(coarse).max()
+        U = np.random.default_rng(seed).standard_normal((mesh.num_vertices, 2))
+        lo, hi = mesh.connectivity.edges.T
+        for u in (U[:, 0], U):
+            ref = np.concatenate([u, (u[lo] + u[hi]) * 0.5])
+            assert np.array_equal(P @ u, ref)
+            assert np.array_equal(M.prolong_uniform(mesh, u), ref)
 
     def test_counts_and_area(self):
         m = M.gen_right_triangle(3)
