@@ -43,6 +43,11 @@ LOBPCG_MAXITER = 40
 # x; it is asked for this fraction of tol * ||M x|| at the start, which
 # leaves room for ||M x|| to move before the relative residual gate
 LOBPCG_MARGIN = 0.5
+# ARPACK's tol from the seeded start, relative to its Ritz values, as a
+# fraction of tol * area (see _shift_invert_eigs); on rectangles, triangles,
+# L shapes and bumps of sizes 0.1 to 100 it kept every gate residual
+# <= 0.02 tol that a machine-precision run kept <= 0.01 tol
+ARPACK_MARGIN = 1e-3
 # damping of the Jacobi sweeps before and after two_grid's coarse correction
 JACOBI_WEIGHT = 2.0 / 3.0
 
@@ -336,9 +341,23 @@ def _shift_invert_eigs(K, M, k, tol, constant=None, v0=None, connectivity=None,
     (shape (n,), e.g. eigenvectors of a nearby problem) starts the basis
     instead, plus START_NOISE of the seeded vector, with ncv = 2k + 2:
     ARPACK fills all ncv vectors before its first convergence test, so a
-    larger basis only adds solves to a good start.  ValueError unless
-    0 < tol < inf, or if v0 has the wrong shape, is not finite or vanishes
-    after the projection.
+    larger basis only adds solves to a good start.
+    ARPACK accepts a Ritz pair (theta, x) of OP = (K - sigma M)^-1 M once its
+    Ritz estimate ||OP x - theta x||_M is at most its tol times |theta|.  The
+    gate below holds ||K x - lambda M x|| / ||M x|| <= tol instead, in units
+    of lambda, and K x - lambda M x = -(lambda - sigma) (K - sigma M) (OP x -
+    theta x): K - sigma M scales the unconverged Krylov remainder by
+    eigenvalues well above lambda, so ARPACK's tol = tol left residuals up
+    to 600 tol.  From the seeded start ARPACK is therefore asked for
+    ARPACK_MARGIN * tol * area (area = 1^T M 1 makes it dimensionless, so
+    the margin holds at any length unit), not below machine precision.  It
+    still fills its basis once, so ncv + 2 solves is the floor: 22, where a
+    machine-precision tol restarts to 39 on some sections.  A given v0 keeps
+    machine precision: it may hold a wanted eigenvector only at the
+    START_NOISE level, and a looser tol accepts the unwanted pairs it spans
+    before that one grows (lambda3 returned as lambda2 from psi3 + psi4 on a
+    bump, at any tol >= 1e-14).  ValueError unless 0 < tol < inf, or if v0
+    has the wrong shape, is not finite or vanishes after the projection.
     Pencils too small to restart a Lanczos basis in are solved densely, and
     v0 and factor are not used there.  Returns (values, vectors, residuals,
     sigma, solves, fill), fill the nonzeros of the LU factors (0 if dense).
@@ -357,8 +376,10 @@ def _shift_invert_eigs(K, M, k, tol, constant=None, v0=None, connectivity=None,
     if v0 is None:
         ncv = max(2 * k + 1, 20)
         start = noise
+        arpack_tol = max(ARPACK_MARGIN * tol * M.sum(), np.finfo(float).eps)
     else:
         ncv = 2 * k + 2
+        arpack_tol = 0.0
         v0 = np.asarray(v0, dtype=float)
         if v0.shape != (n,) or not np.isfinite(v0).all():
             raise ValueError(f"start vector must be {n} finite values")
@@ -383,6 +404,7 @@ def _shift_invert_eigs(K, M, k, tol, constant=None, v0=None, connectivity=None,
 
         try:
             _, X = eigsh(K, k, M, sigma=sigma, which="LM", v0=start, ncv=ncv,
+                         tol=arpack_tol,
                          OPinv=LinearOperator((n, n), matvec=apply_inverse))
         except ArpackNoConvergence as exc:
             raise SolverError(

@@ -34,7 +34,8 @@ _SMOOTH_SWEEPS = 10
 class Connectivity:
     """Topology of one triangle array, shared by every TriMesh on it.
 
-    build_trimesh computes it once per triangle array; perturb passes it on
+    build_trimesh computes it once per triangle array, by one argsort of
+    the pattern's nv + 2 ne entries (_connectivity); perturb passes it on
     unchanged to the moved vertex set, so a shape family shares one.
 
     Attributes (int32 arrays, read-only)
@@ -49,7 +50,8 @@ class Connectivity:
     scatter : (nt, 9)
         scatter[t, 3 i + j] is the position in the pattern's data of entry
         (i, j) of triangle t's element matrix, so fem.assemble is one
-        np.bincount per matrix.
+        np.bincount per matrix.  It is gathered from the positions of the
+        diagonal entries and of each edge's two entries.
     column_order : None, or set by fem
         The fill-reducing column order found by the first sparse
         factorization on this connectivity; later factorizations reuse it.
@@ -65,18 +67,36 @@ class Connectivity:
 
 def _connectivity(triangles, nv, table):
     """Connectivity of an (nt, 3) triangle array on nv vertices from its edge
-    table."""
+    table.
+
+    The pattern's entries, the diagonal of each vertex on a triangle and
+    (lo, hi), (hi, lo) of each edge, are put in CSR order by one argsort of
+    their keys row * nv + column (all distinct).  Its inverse gives each
+    entry's position in the data, and the scatter gathers those positions
+    through the triangles' corners and tri_edges.
+    """
     edges, tri_edges, _ = table
     lo, hi = edges.T
     on_triangle = np.flatnonzero(np.bincount(triangles.ravel(), minlength=nv))
-    # the P1 pattern as sorted keys row * nv + column
-    keys = np.sort(np.concatenate([on_triangle * (nv + 1), lo * nv + hi,
-                                   hi * nv + lo]))
-    entries = triangles[:, :, None] * nv + triangles[:, None, :]
-    return Connectivity(*(
-        _freeze(a.astype(np.int32)) for a in (
-            edges, tri_edges, np.searchsorted(keys, np.arange(nv + 1) * nv),
-            keys % nv, np.searchsorted(keys, entries.reshape(-1, 9)))))
+    rows = np.concatenate([on_triangle, lo, hi])
+    cols = np.concatenate([on_triangle, hi, lo])
+    order = np.argsort(rows * nv + cols, kind="stable")
+    position = np.empty(len(order), dtype=np.int32)
+    position[order] = np.arange(len(order), dtype=np.int32)
+    diagonal = np.empty(nv, dtype=np.int32)
+    diagonal[on_triangle] = position[:len(on_triangle)]
+    upper, lower = np.split(position[len(on_triangle):], 2)
+    # side s of a triangle joins corners s and s + 1 (mod 3); its entry
+    # (s, s + 1) is the edge's (lo, hi) where corner s has the lower index
+    ascending = triangles < np.roll(triangles, -1, axis=1)
+    up, down = upper[tri_edges], lower[tri_edges]
+    scatter = np.empty((len(triangles), 9), dtype=np.int32)
+    scatter[:, (0, 4, 8)] = diagonal[triangles]
+    scatter[:, (1, 5, 6)] = np.where(ascending, up, down)
+    scatter[:, (3, 7, 2)] = np.where(ascending, down, up)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nv))])
+    return Connectivity(*(_freeze(a.astype(np.int32, copy=False)) for a in (
+        edges, tri_edges, indptr, cols[order], scatter)))
 
 
 @dataclass(frozen=True)
@@ -188,17 +208,19 @@ def _freeze(arr):
     return arr
 
 
-def _check_shapes(vertices, triangles, areas):
+def _shape_measures(vertices, triangles):
+    """Signed areas (as _signed_areas) and longest squared edge of each
+    triangle, from one difference per side."""
+    p0, p1, p2 = (vertices[triangles[:, i]] for i in range(3))
+    d01, d02, d12 = p1 - p0, p2 - p0, p2 - p1
+    emax2 = np.maximum((d01 ** 2).sum(axis=1),
+                       np.maximum((d12 ** 2).sum(axis=1), (d02 ** 2).sum(axis=1)))
+    return 0.5 * _cross2(d01, d02), emax2
+
+
+def _check_shapes(areas, emax2):
     """GeometryError if a triangle is (nearly) degenerate: its area relative
-    to its longest edge squared."""
-    p = vertices[triangles]
-    emax2 = np.maximum(
-        ((p[:, 1] - p[:, 0]) ** 2).sum(axis=1),
-        np.maximum(
-            ((p[:, 2] - p[:, 1]) ** 2).sum(axis=1),
-            ((p[:, 0] - p[:, 2]) ** 2).sum(axis=1),
-        ),
-    )
+    to its longest edge squared (_shape_measures)."""
     if (areas <= 1e-13 * emax2).any():
         raise GeometryError("mesh contains a (nearly) zero-area triangle")
 
@@ -242,13 +264,14 @@ def _build_trimesh(vertices, triangles, warnings, table):
         raise GeometryError(f"{orphans.size} vertices lie on no triangle, "
                             f"the first is vertex {orphans[0]}")
 
-    areas = _signed_areas(vertices, triangles)
+    # reorienting a triangle keeps its sides
+    areas, emax2 = _shape_measures(vertices, triangles)
     flip = areas < 0
     if flip.any():
         triangles = triangles.copy()
         triangles[flip] = triangles[flip][:, [0, 2, 1]]
         areas = np.abs(areas)
-    _check_shapes(vertices, triangles, areas)
+    _check_shapes(areas, emax2)
 
     if table is None or flip.any():
         table = _edge_table(triangles)
@@ -853,12 +876,12 @@ def perturb(mesh: TriMesh, V, t):
         raise ValueError(f"perturbation step and velocity must be finite, "
                          f"got t = {t!r}")
     new_verts = mesh.vertices + t * V
-    areas = _signed_areas(new_verts, mesh.triangles)
+    areas, emax2 = _shape_measures(new_verts, mesh.triangles)
     if areas.min() <= 0:
         max_t = _max_admissible_step(mesh, V)
         raise StepTooLargeError("perturbation inverts a triangle", max_t)
     try:
-        _check_shapes(new_verts, mesh.triangles, areas)
+        _check_shapes(areas, emax2)
         normals, lengths = _boundary_geometry(new_verts, mesh.boundary_edges)
     except GeometryError:
         # positive but degenerate: same remedy as an inverted element

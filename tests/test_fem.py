@@ -1,10 +1,11 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu
 
@@ -347,6 +348,73 @@ def _warm_mesh(kind, size, shape):
 
 _WARM_MESHES = dict(kind=st.sampled_from(["rect", "tri", "poly"]),
                     size=st.integers(4, 16), shape=st.floats(0.2, 2.0))
+
+
+def _machine_precision_eigsh(*args, **kwargs):
+    """scipy's eigsh at tol = 0, which ARPACK reads as machine precision."""
+    return eigsh(*args, **dict(kwargs, tol=0))
+
+
+class TestArpackTolerance:
+    @pytest.mark.parametrize("make", [
+        lambda: M.gen_rectangle(2.03, 1.0, 128, 64),
+        lambda: M.gen_polygon(M.Polygon(
+            [(0, 0), (2 * math.pi, 0), (2 * math.pi, math.pi), (0, math.pi)], 0.06)),
+    ], ids=["rect", "polygon"])
+    def test_cold_solve_fills_the_basis_once(self, make):
+        # ncv + 2 = 22 solves, the floor; at machine precision ARPACK
+        # restarts the basis on these sections (39 solves)
+        mesh = make()
+        s = F.neumann_eigs(mesh, 2)
+        assert s.solves == 22
+        with mock.patch.object(F, "eigsh", _machine_precision_eigsh):
+            ref = F.neumann_eigs(mesh, 2)
+        assert ref.solves > s.solves
+        rel = np.abs(s.eigenvalues[1:] - ref.eigenvalues[1:]) / ref.eigenvalues[1:]
+        assert rel.max() <= 1e-12 and s.residuals.max() <= 1e-8
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["rect", "tri", "bump"]),
+        n=st.integers(6, 18),
+        ell=st.floats(1.0, 3.0),
+        size=st.sampled_from([0.1, 1.0, 10.0]),
+        k=st.integers(1, 3),
+        start=st.sampled_from(["cold", "prolonged", "orthogonal"]),
+        tol=st.sampled_from([1e-8, 1e-9, 1e-10]),
+    )
+    # psi3 + psi4 spans an invariant subspace up to START_NOISE: at any ARPACK
+    # tol >= 1e-14 it would return lambda3 as lambda2
+    @example(kind="bump", n=6, ell=1.25, size=0.1, k=1, start="orthogonal", tol=1e-8)
+    def test_eigenvalues_of_a_machine_precision_run(self, kind, n, ell, size, k,
+                                                    start, tol):
+        if kind == "bump":
+            base = M.gen_polygon(bump_rectangle_polygon(ell, 1.0, "top", ell / 2,
+                                                        0.35, 0.9 / n))
+        elif kind == "rect":
+            base = M.gen_rectangle(ell, 1.0, round(ell * n), n)
+        else:
+            base = M.gen_right_triangle(n)
+        # warm starts, ncv = 2k + 2: the prolonged coarse eigenvectors on the
+        # refined mesh, or a poor start M-orthogonal to the wanted ones
+        v0 = None
+        if start == "prolonged":
+            coarse = F.neumann_eigs(base, k, tol=1e-9).eigenvectors[:, 1:]
+            v0 = M.prolong_uniform(base, coarse.sum(axis=1))
+            base = M.refine_uniform(base)
+        elif start == "orthogonal":
+            v0 = F.neumann_eigs(base, k + 2, tol=1e-9).eigenvectors[:, k + 1:].sum(axis=1)
+        # the residual gate is in units of lambda, 1 / size^2
+        mesh = M.build_trimesh(base.vertices * size, base.triangles)
+        with mock.patch.object(F, "eigsh", _machine_precision_eigsh):
+            try:
+                ref = F.neumann_eigs(mesh, k, tol=tol, v0=v0)
+            except SolverError:
+                return  # no claim where machine precision misses tol
+        s = F.neumann_eigs(mesh, k, tol=tol, v0=v0)
+        rel = np.abs(s.eigenvalues[1:] - ref.eigenvalues[1:]) / ref.eigenvalues[1:]
+        assert rel.max() <= 1e-12
+        assert s.residuals.max() <= tol
 
 
 class TestWarmStart:

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -297,6 +297,78 @@ class TestBuildTrimesh:
 def _brute_boundary(triangles):
     fwd = {(int(a), int(b)) for a, b in M._directed_edges(triangles)}
     return sorted((a, b) for a, b in fwd if (b, a) not in fwd)
+
+
+def _connectivity_oracle(triangles, nv, table):
+    """Connectivity's five arrays (edges, tri_edges, indptr, indices,
+    scatter) as int32, by sorting the pattern's keys row * nv + column and
+    searching every element entry among them."""
+    edges, tri_edges, _ = table
+    lo, hi = edges.T
+    on_triangle = np.flatnonzero(np.bincount(triangles.ravel(), minlength=nv))
+    keys = np.sort(np.concatenate([on_triangle * (nv + 1), lo * nv + hi,
+                                   hi * nv + lo]))
+    entries = triangles[:, :, None] * nv + triangles[:, None, :]
+    return tuple(a.astype(np.int32) for a in (
+        edges, tri_edges, np.searchsorted(keys, np.arange(nv + 1) * nv),
+        keys % nv, np.searchsorted(keys, entries.reshape(-1, 9))))
+
+
+_CONNECTIVITY_ARRAYS = ("edges", "tri_edges", "indptr", "indices", "scatter")
+
+
+class TestConnectivity:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["rect", "tri", "bump"]),
+        n=st.integers(1, 9),
+        angle=st.floats(0.0, 2 * math.pi),
+        offset=st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
+        refine=st.booleans(),
+        source=st.sampled_from(["build", "clockwise", "json", "gmsh"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_searchsorted_construction(self, kind, n, angle, offset,
+                                                   refine, source, seed):
+        from wgspec.fem import assemble
+
+        if kind == "bump":  # triangle numbering from qhull
+            base = M.gen_polygon(bump_rectangle_polygon(2.0, 1.0, "top", 0.9, 0.35,
+                                                        0.9 / n))
+        elif kind == "rect":
+            base = M.gen_rectangle(1.5, 1.0, n, n + 1)
+        else:
+            base = M.gen_right_triangle(n)
+        R = np.array([[math.cos(angle), -math.sin(angle)],
+                      [math.sin(angle), math.cos(angle)]])
+        mesh = M.build_trimesh(base.vertices @ R.T + offset, base.triangles)
+        if refine:
+            mesh = M.refine_uniform(mesh)
+        if source == "clockwise":  # build_trimesh reorients these
+            tris = mesh.triangles.copy()
+            flip = np.random.default_rng(seed).random(len(tris)) < 0.5
+            tris[flip] = tris[flip][:, ::-1]
+            mesh = M.build_trimesh(mesh.vertices, tris)
+            assert np.array_equal(mesh.triangles[flip], tris[flip][:, [0, 2, 1]])
+            assert np.array_equal(mesh.triangles[~flip], tris[~flip])
+        elif source == "json":
+            mesh = M.mesh_from_json(M.mesh_to_json(mesh))
+        elif source == "gmsh":
+            mesh = M.import_gmsh22(M.export_gmsh22(mesh))
+
+        conn = mesh.connectivity
+        ref = _connectivity_oracle(mesh.triangles, mesh.num_vertices,
+                                   M._edge_table(mesh.triangles))
+        for name, b in zip(_CONNECTIVITY_ARRAYS, ref):
+            a = getattr(conn, name)
+            assert a.dtype == np.int32 and np.array_equal(a, b), name
+            assert not a.flags.writeable, name
+        oracle = M.Connectivity(*ref)
+        for new, old in zip(assemble(mesh),
+                            assemble(replace(mesh, connectivity=oracle))):
+            assert np.array_equal(new.indptr, old.indptr)
+            assert np.array_equal(new.indices, old.indices)
+            assert np.array_equal(new.data, old.data)
 
 
 class TestEdgeTableProperties:
