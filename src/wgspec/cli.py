@@ -163,32 +163,29 @@ def cmd_shapederiv(args):
     if args.analytic_compare:
         import math
 
+        from .crosssec import analytic_rectangle
         from .fem import assemble, neumann_eigs
 
+        # psi2 = sqrt(2/(ell L)) cos(pi x/ell); DegenerateSectionError unless
+        # ell > L
+        ref = analytic_rectangle(ell, L).psi(*mesh.vertices.T)
         matrices = assemble(mesh)
         M = matrices[1]
         spec = neumann_eigs(mesh, 1, tol=args.tol, matrices=matrices)
         lam2 = float(spec.eigenvalues[1])
         psi = spec.eigenvectors[:, 1]
-        ref = math.sqrt(2.0 / (ell * L)) * np.cos(np.pi * mesh.vertices[:, 0] / ell)
         if psi @ (M @ ref) < 0:
             psi = -psi
         adj = shapederiv.adjoint_solve(mesh, lam2, psi, w, matrices)
-        if abs(w[0]) > abs(w[1]):
-            q_ref = -(2.0 * math.sqrt(2.0) / math.pi) * math.sqrt(ell / L) * np.sin(
-                np.pi * mesh.vertices[:, 0] / ell
-            )
-            integrand_ref = (4 * np.pi / (ell**2 * L)) * np.cos(
-                np.pi * mesh.vertices[:, 0] / ell
-            ) * np.sin(np.pi * mesh.vertices[:, 0] / ell)
-        else:
-            q_ref = math.sqrt(2.0 / ell) * (
-                -2.0 * mesh.vertices[:, 1] / math.sqrt(L) + math.sqrt(L)
-            ) * np.cos(np.pi * mesh.vertices[:, 0] / ell)
-            integrand_ref = (2 * np.pi**2 / ell**3) * (
-                -2 * mesh.vertices[:, 1] / L + 1
-            ) * (np.sin(np.pi * mesh.vertices[:, 0] / ell) ** 2
-                 - np.cos(np.pi * mesh.vertices[:, 0] / ell) ** 2)
+        # q and the integrand are linear in w: w1 (e1 form) + w2 (e2 form)
+        x, y = mesh.vertices.T
+        cos, sin = np.cos(np.pi * x / ell), np.sin(np.pi * x / ell)
+        q_ref = (w[0] * (-(2.0 * math.sqrt(2.0) / math.pi) * math.sqrt(ell / L) * sin)
+                 + w[1] * (math.sqrt(2.0 / ell)
+                           * (-2.0 * y / math.sqrt(L) + math.sqrt(L)) * cos))
+        integrand_ref = (w[0] * ((4 * np.pi / (ell**2 * L)) * cos * sin)
+                         + w[1] * ((2 * np.pi**2 / ell**3) * (-2 * y / L + 1)
+                                   * (sin**2 - cos**2)))
         err = adj.q - q_ref
         l2 = math.sqrt(err @ (M @ err)) / math.sqrt(q_ref @ (M @ q_ref))
         mids, vals = shapederiv.boundary_integrand(mesh, lam2, psi, adj.q, w)

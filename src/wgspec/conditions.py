@@ -1,7 +1,6 @@
 """Spectral predictions for the bent/twisted tube: the gap edge, the
-trapped-mode sufficient condition, the slightly-curved scaling threshold, the
-metric-perturbation norm bound with its localization interval, the
-trial-field energy bound, and the rectangular-waveguide classification."""
+trapped-mode sufficient condition, the slightly-curved scaling threshold, and
+the metric-perturbation norm bound with its localization interval."""
 
 from __future__ import annotations
 
@@ -11,10 +10,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import HypothesisViolationError, InadmissibleGeometryError
-
-# largest cutoff width the trial-energy doubling search tries
-TRIAL_N_MAX = 10**6
+from .errors import InadmissibleGeometryError
 
 
 @dataclass(frozen=True)
@@ -49,14 +45,6 @@ class Localization:
 
 
 @dataclass(frozen=True)
-class TrialEnergy:
-    bound: float
-    n: int
-    limit_bound: float
-    n_star: int | None
-
-
-@dataclass(frozen=True)
 class ConditionReport:
     """Everything the toolkit can say about trapping for one geometry."""
 
@@ -65,7 +53,6 @@ class ConditionReport:
     delta_star: float
     s_bound: float
     localization: Localization
-    trial: TrialEnergy | None
     inputs: dict = field(default_factory=dict)
 
     def to_json(self):
@@ -81,7 +68,9 @@ class ConditionReport:
                 "zero_isolated": self.localization.zero_isolated,
                 "note": self.localization.note,
             },
-            "trial": asdict(self.trial) if self.trial else None,
+            # always null, as no trial-field energy is computed; readers of
+            # check reports expect the key
+            "trial": None,
             "inputs": self.inputs,
         }
         return json.dumps(d, indent=2)
@@ -191,102 +180,9 @@ def localization(a0, s_bound):
     return Localization(interval=(lo, a0), zero_isolated=True, note=note)
 
 
-def _cutoff_sq(s, n):
-    """Squared trapezoidal cutoff: 1 on [-n, n], linear to 0 at |s| = 2n."""
-    a = np.clip((2.0 * n - np.abs(s)) / n, 0.0, 1.0)
-    return a * a
-
-
-def trial_energy(n, X, ktheta_path, lambda2, b, kappa_sup, kappa_l1, mu0=1.0):
-    """Trial-field energy bound at cutoff half-width n, with its limit.
-
-    bound(n) = -(lambda2/(2 mu0)) (integral of cutoff^2 k_theta) . X
-               + (lambda2/(mu0 (1 - b sup))) * (2/n)
-               + (lambda2^2/mu0) * b^2 sup l1 / (1 - b sup)
-
-    The cutoff derivative term uses the exact value 2/n.  Also returns the
-    n -> infinity limit and the smallest cutoff width (doubling search up to
-    TRIAL_N_MAX) that makes the bound negative, when one exists.
-    """
-    _check_admissible(b, kappa_sup)
-    X = np.asarray(X, dtype=float)
-    s, k = ktheta_path
-    s = np.asarray(s, dtype=float)
-    k = np.asarray(k, dtype=float)
-
-    def bound_at(m):
-        w = _cutoff_sq(s, m)
-        integral = np.array([
-            np.trapezoid(w * k[:, 0], s),
-            np.trapezoid(w * k[:, 1], s),
-        ])
-        return (
-            -(lambda2 / (2.0 * mu0)) * float(integral @ X)
-            + (lambda2 / (mu0 * (1.0 - b * kappa_sup))) * (2.0 / m)
-            + (lambda2**2 / mu0) * b * b * kappa_sup * kappa_l1 / (1.0 - b * kappa_sup)
-        )
-
-    Ytheta = np.array([np.trapezoid(k[:, 0], s), np.trapezoid(k[:, 1], s)])
-    limit = (lambda2 / (2.0 * mu0)) * (
-        -float(Ytheta @ X)
-        + 2.0 * lambda2 * b * b * kappa_sup * kappa_l1 / (1.0 - b * kappa_sup)
-    )
-
-    n_star = None
-    if limit < 0:
-        m = 1
-        while m <= TRIAL_N_MAX:
-            if bound_at(m) < 0:
-                lo, hi = max(1, m // 2), m
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if bound_at(mid) < 0:
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                n_star = lo
-                break
-            m *= 2
-
-    return TrialEnergy(bound=bound_at(n), n=int(n), limit_bound=limit,
-                       n_star=n_star)
-
-
-@dataclass(frozen=True)
-class RectangleClassification:
-    verdict: str  # "discrete" | "embedded"
-    eigenfrequencies: tuple
-    gap_edge: float
-
-
-def rectangle_classify(lambda_2d, ell, h, medium: Medium = Medium()):
-    """Fate of the planar bent-guide mode for a rectangular cross-section.
-
-    The planar Dirichlet mode at lambda_2d yields field eigenfrequencies
-    +/- sqrt(lambda_2d) c; they fall in the gap (discrete) when h <= ell or
-    h < pi/sqrt(lambda_2d), and are embedded in the essential spectrum once
-    h >= pi/sqrt(lambda_2d).
-    """
-    if not (0.0 < lambda_2d < math.pi**2 / ell**2):
-        raise HypothesisViolationError(
-            "planar eigenvalue must lie in (0, pi^2/ell^2)"
-        )
-    lam2n = math.pi**2 / max(h, ell) ** 2
-    nu = math.sqrt(lambda_2d) * medium.c
-    # h <= ell implies h < pi/sqrt(lambda_2d) in exact arithmetic, but with
-    # lambda_2d an ulp below pi^2/ell^2 the rounded quotient can be <= ell
-    discrete = h <= ell or h < math.pi / math.sqrt(lambda_2d)
-    return RectangleClassification(
-        verdict="discrete" if discrete else "embedded",
-        eigenfrequencies=(-nu, nu),
-        gap_edge=math.sqrt(lam2n) * medium.c,
-    )
-
-
 def build_report(X, Y, lambda2, b, kappa_sup, kappa_l1, theta="auto",
                  medium: Medium = Medium(), twist_dev_sup=0.0,
-                 ktheta_path=None, trial_n=64, eps0_in_rhs=False,
-                 delta=None, inputs=None):
+                 eps0_in_rhs=False, delta=None, inputs=None):
     """Assemble the full condition report for one cross-section + curve.
 
     With delta given, the trapping test, the norm bound and the localization
@@ -319,13 +215,6 @@ def build_report(X, Y, lambda2, b, kappa_sup, kappa_l1, theta="auto",
     sb = s_norm_bound(b, sup_eff, twist_dev_sup)
     loc = localization(a0, sb)
 
-    trial = None
-    if ktheta_path is not None:
-        trial = trial_energy(
-            trial_n, X, ktheta_path, lambda2, b, sup_eff, kappa_l1,
-            mu0=medium.mu0,
-        )
-
     base_inputs = {
         "X": [float(v) for v in X],
         "Y": [float(v) for v in Y],
@@ -343,5 +232,5 @@ def build_report(X, Y, lambda2, b, kappa_sup, kappa_l1, theta="auto",
         base_inputs.update(inputs)
     return ConditionReport(
         a0=a0, trapped=trapped, delta_star=dstar, s_bound=sb,
-        localization=loc, trial=trial, inputs=base_inputs,
+        localization=loc, inputs=base_inputs,
     )

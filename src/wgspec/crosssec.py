@@ -184,7 +184,8 @@ def analytic_rectangle(ell, L):
         raise ValueError("rectangle dimensions must be positive")
     if ell <= L:
         raise DegenerateSectionError(
-            "closed form requires ell > L (equal sides make lambda2 degenerate)"
+            "closed form requires ell > L (equal sides make lambda2 degenerate, "
+            "and for ell < L its mode is cos(pi y2 / L))"
         )
     ell, L = float(ell), float(L)
     amp = math.sqrt(2.0 / (ell * L))

@@ -418,18 +418,6 @@ def frame_curve(curve: ParamCurve, N):
 # curvature functionals
 
 
-def planar_signed_curvature(curve: ParamCurve, t):
-    """Signed curvature (x'y'' - y'x'') / (x'^2 + y'^2)^(3/2) of a planar curve."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    d1 = curve.dgamma(t)
-    d2 = curve.ddgamma(t)
-    speed2 = d1[:, 0] ** 2 + d1[:, 1] ** 2
-    if speed2.min() < 1e-24:
-        raise SingularParametrizationError("|gamma'| ~ 0 in curvature formula")
-    k = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / speed2**1.5
-    return k if k.size > 1 else float(k[0])
-
-
 def _closed_form_kappa(curve: ParamCurve, t):
     """kappa = |gamma' x gamma''| / |gamma'|^3 at the parameters t."""
     d1 = curve.dgamma(t)
@@ -497,11 +485,6 @@ def rotation(theta):
     return np.array([[c, -s], [s, c]])
 
 
-def yvector_theta(Y, theta):
-    """Bending vector in the frame rotated by the constant angle theta."""
-    return rotation(theta) @ np.asarray(Y, dtype=float)
-
-
 def theta_star(X, Y):
     """Unique angle in [0, 2pi) rotating Y onto the direction of X."""
     X = np.asarray(X, dtype=float)
@@ -510,38 +493,3 @@ def theta_star(X, Y):
         raise UndefinedAngleError("alignment angle undefined for zero vectors")
     ang = math.atan2(X[1], X[0]) - math.atan2(Y[1], Y[0])
     return ang % (2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class Admissibility:
-    ok: bool
-    det_lo: float
-    det_hi: float
-
-
-def admissibility(b, kappa_sup):
-    """Tube-map admissibility b*sup(kappa) < 1 with the Jacobian bounds."""
-    b = float(b)
-    kappa_sup = float(kappa_sup)
-    if b < 0 or kappa_sup < 0:
-        raise ValueError("b and kappa_sup must be nonnegative")
-    x = b * kappa_sup
-    return Admissibility(ok=x < 1.0, det_lo=1.0 - x, det_hi=1.0 + x)
-
-
-def scale_family(fc: FramedCurve, delta):
-    """Functionals of the slightly-curved family at scale delta in (0, 1].
-
-    The sup norm scales by delta while the L1 norm and Y are invariant, so no
-    re-integration is needed.
-    """
-    if not (0.0 < delta <= 1.0):
-        raise ValueError("delta must lie in (0, 1]")
-    norms = curvature_norms(fc)
-    return {
-        "delta": float(delta),
-        "sup": delta * norms["sup"],
-        "l1": norms["l1"],
-        "tail": norms["tail"],
-        "Y": yvector(fc),
-    }

@@ -65,9 +65,5 @@ class InadmissibleGeometryError(ValueError):
     """b * sup-curvature >= 1: the tube map is not a diffeomorphism."""
 
 
-class HypothesisViolationError(ValueError):
-    """Input lies outside the stated hypothesis range of a formula."""
-
-
 class TrackingError(RuntimeError):
     """Eigenpair tracking lost along a sweep (eigenvalue crossing detected)."""

@@ -1,19 +1,18 @@
 """P1 Lagrange finite elements on triangle meshes.
 
-Assembly of the stiffness and consistent mass matrices, Neumann and
-Dirichlet generalized eigensolves by shift-invert Lanczos (ARPACK through
-scipy's eigsh, one sparse LU factorization per eigensolve), Neumann
-eigensolves by LOBPCG with no factorization of their own (preconditioned by
-the factor of a nearby pencil on the same vertex numbering, or by a
-two-grid cycle across one uniform refinement on the coarse mesh's factor),
-and deflated (bordered) solves of singular shifted systems.  Every matrix
-on a mesh's Connectivity has its P1 pattern, and every factorization on it
-reuses the fill-reducing column order that the first one found.
+Assembly of the stiffness and consistent mass matrices, Neumann
+generalized eigensolves by shift-invert Lanczos (ARPACK through scipy's
+eigsh, one sparse LU factorization per eigensolve) or by LOBPCG with no
+factorization of their own (preconditioned by the factor of a nearby
+pencil on the same vertex numbering, or by a two-grid cycle across one
+uniform refinement on the coarse mesh's factor), and deflated (bordered)
+solves of singular shifted systems.  Every matrix on a mesh's Connectivity
+has its P1 pattern, and every factorization on it reuses the fill-reducing
+column order that the first one found.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -54,11 +53,11 @@ JACOBI_WEIGHT = 2.0 / 3.0
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Sorted generalized eigenpairs of (K, M).
+    """Sorted Neumann eigenpairs of (K, M), the constant mode first.
 
     eigenvalues are ascending (units 1/length^2); eigenvectors are nodal and
     M-orthonormal, one column per eigenvalue; residuals are
-    ||K u - lambda M u|| / ||M u|| per pair; bc is "neumann" or "dirichlet".
+    ||K u - lambda M u|| / ||M u|| per pair.
     shift is the shift sigma of the factorized K - sigma M that was solved
     with, solves the number of vectors solved with it and fill the nonzeros
     of its L and U factors (SuperLU.nnz).  For Lanczos that factor is this
@@ -66,10 +65,9 @@ class Spectrum:
     applications and fill is 0, as nothing was factorized.  A
     dense solve reports solves and fill 0.  guard holds the LOBPCG block's
     Ritz vectors beyond the returned pairs, which are not held to tol, one
-    column each (None after Lanczos).  None of these enters to_json.
+    column each (None after Lanczos).
     """
 
-    bc: str
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residuals: np.ndarray
@@ -77,20 +75,6 @@ class Spectrum:
     solves: int
     fill: int
     guard: np.ndarray | None = None
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "bc": self.bc,
-                "eigenvalues": [float(v) for v in self.eigenvalues],
-                "residuals": [float(r) for r in self.residuals],
-            }
-        )
-
-    def save_eigenvectors(self, path):
-        """Sidecar binary: float64 eigenvectors in nodal order, column-major
-        by eigenpair."""
-        np.asarray(self.eigenvectors, dtype=np.float64).T.tofile(path)
 
 
 def _p1_gradients(mesh: TriMesh):
@@ -302,12 +286,12 @@ def _check_tol(tol):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
-def _dense_eigs(K, M, skip, m):
-    """Eigenvectors skip, ..., skip + m - 1 (ascending) of the pencil, by a
-    dense generalized eigensolve."""
+def _dense_eigs(K, M, m):
+    """Eigenvectors 1, ..., m (ascending, the constant mode 0 skipped) of
+    the pencil, by a dense generalized eigensolve."""
     from scipy.linalg import eigh
 
-    return eigh(K.toarray(), M.toarray(), subset_by_index=(skip, skip + m - 1))[1]
+    return eigh(K.toarray(), M.toarray(), subset_by_index=(1, m))[1]
 
 
 def _rayleigh_pairs(K, M, X, k):
@@ -328,16 +312,16 @@ def _gate(res, tol):
         )
 
 
-def _shift_invert_eigs(K, M, k, tol, constant=None, v0=None, connectivity=None,
+def _shift_invert_eigs(K, M, k, tol, constant, v0=None, connectivity=None,
                        factor=None):
     """k eigenpairs of K u = lambda M u nearest above sigma = -SHIFT_SCALE *
     tr(K)/tr(M), by ARPACK's implicitly restarted Lanczos on one factorization
     of the positive definite K - sigma M: ``factor``, the ShiftedFactor of
     this pencil if the caller keeps one, else shifted_factor(K, M,
     connectivity).  The start vector and every solve are projected
-    M-orthogonally off ``constant`` (an M-normalized null vector of K) if
-    given.  Without ``v0`` the start vector is seeded random and the
-    Lanczos basis has ncv = max(2k + 1, 20) vectors.  A given ``v0``
+    M-orthogonally off ``constant``, an M-normalized null vector of K.
+    Without ``v0`` the start vector is seeded random and the Lanczos basis
+    has ncv = max(2k + 1, 20) vectors.  A given ``v0``
     (shape (n,), e.g. eigenvectors of a nearby problem) starts the basis
     instead, plus START_NOISE of the seeded vector, with ncv = 2k + 2:
     ARPACK fills all ncv vectors before its first convergence test, so a
@@ -365,12 +349,9 @@ def _shift_invert_eigs(K, M, k, tol, constant=None, v0=None, connectivity=None,
     _check_tol(tol)
     n = K.shape[0]
     sigma = _shift(K, M)
-    skip = int(constant is not None)
 
     def project(y):
-        if constant is not None:
-            y = y - constant * (constant @ (M @ y))
-        return y
+        return y - constant * (constant @ (M @ y))
 
     noise = project(np.random.default_rng(7).standard_normal(n))
     if v0 is None:
@@ -390,8 +371,8 @@ def _shift_invert_eigs(K, M, k, tol, constant=None, v0=None, connectivity=None,
                              "constant mode")
         start = start + noise * (START_NOISE * scale / np.linalg.norm(noise))
     solves = fill = 0
-    if n - skip <= ncv:
-        X = _dense_eigs(K, M, skip, k)
+    if n - 1 <= ncv:
+        X = _dense_eigs(K, M, k)
     else:
         if factor is None:
             factor = shifted_factor(K, M, connectivity)
@@ -439,7 +420,7 @@ def _lobpcg_eigs(K, M, k, tol, constant, start, solve):
         raise ValueError(f"start block must be {n} x m finite values, m >= {k}")
     solves = 0
     if n - 1 < 5 * X.shape[1]:
-        vals, X, res = _rayleigh_pairs(K, M, _dense_eigs(K, M, 1, X.shape[1]), k)
+        vals, X, res = _rayleigh_pairs(K, M, _dense_eigs(K, M, X.shape[1]), k)
     else:
         def precondition(B):
             nonlocal solves
@@ -518,7 +499,6 @@ def neumann_eigs(mesh: TriMesh, k, tol=1e-8, v0=None, matrices=None,
         sigma, fill = preconditioner.sigma, 0
     c_res = float(np.linalg.norm(K @ c - lam1 * (M @ c)) / np.linalg.norm(M @ c))
     return Spectrum(
-        bc="neumann",
         eigenvalues=np.concatenate([[lam1], vals]),
         eigenvectors=np.column_stack([c, X]),
         residuals=np.concatenate([[c_res], res]),
@@ -527,30 +507,6 @@ def neumann_eigs(mesh: TriMesh, k, tol=1e-8, v0=None, matrices=None,
         fill=fill,
         guard=guard,
     )
-
-
-def dirichlet_eigs(mesh: TriMesh, k, tol=1e-8):
-    """k smallest Dirichlet eigenpairs; boundary values eliminated exactly.
-
-    Shift-invert Lanczos on the interior pencil at sigma = -SHIFT_SCALE *
-    tr(K_ii)/tr(M_ii); raises SolverError if it fails or a residual exceeds tol.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n = mesh.num_vertices
-    bdry = np.zeros(n, dtype=bool)
-    bdry[mesh.boundary_vertex_indices()] = True
-    interior = np.where(~bdry)[0]
-    if k > len(interior):
-        raise ValueError("k exceeds the interior node count")
-    K, M = assemble(mesh)
-    Ki = K[interior][:, interior].tocsr()
-    Mi = M[interior][:, interior].tocsr()
-    vals, Xi, res, sigma, solves, fill = _shift_invert_eigs(Ki, Mi, k, tol)
-    X = np.zeros((n, k))
-    X[interior] = Xi
-    return Spectrum(bc="dirichlet", eigenvalues=vals, eigenvectors=X,
-                    residuals=res, shift=sigma, solves=solves, fill=fill)
 
 
 @dataclass(frozen=True)

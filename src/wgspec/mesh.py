@@ -1,4 +1,4 @@
-"""Planar triangle meshes: structured generators, a polygon mesher, Gmsh 2.2 I/O.
+"""Planar triangle meshes: generators, a polygon mesher, a Gmsh 2.2 reader.
 
 A :class:`TriMesh` is immutable after construction.  All triangles are stored
 counterclockwise; the oriented boundary with outward unit normals is recovered
@@ -850,13 +850,6 @@ def prolongation(mesh: TriMesh):
     return sparse.csr_matrix((data, indices, indptr), shape=(nc + ne, nc))
 
 
-def prolong_uniform(mesh: TriMesh, u):
-    """The nodal field u of mesh, or an (n, m) block of them, on
-    refine_uniform(mesh): prolongation(mesh) @ u, the coarse values, then
-    the edge-midpoint averages."""
-    return prolongation(mesh) @ np.asarray(u, dtype=float)
-
-
 def perturb(mesh: TriMesh, V, t):
     """Move vertices to v + t*V(v); connectivity is unchanged.
 
@@ -918,7 +911,7 @@ def _max_admissible_step(mesh: TriMesh, V):
 
 
 # ---------------------------------------------------------------------------
-# Gmsh MSH 2.2 ASCII subset and native JSON
+# readers: Gmsh MSH 2.2 ASCII subset and native JSON
 
 
 def import_gmsh22(text):
@@ -986,31 +979,6 @@ def import_gmsh22(text):
     if not tris:
         raise MeshFormatError("no triangle elements found")
     return build_trimesh(np.array(coords), np.array(tris))
-
-
-def export_gmsh22(mesh: TriMesh):
-    """Serialize to Gmsh MSH 2.2 ASCII with 17-significant-digit coordinates."""
-    out = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat", "$Nodes",
-           str(mesh.num_vertices)]
-    for i, (x, y) in enumerate(mesh.vertices, start=1):
-        out.append(f"{i} {x:.16e} {y:.16e} 0")
-    out.append("$EndNodes")
-    out.append("$Elements")
-    out.append(str(mesh.num_triangles))
-    for i, t in enumerate(mesh.triangles, start=1):
-        out.append(f"{i} 2 2 0 0 {t[0] + 1} {t[1] + 1} {t[2] + 1}")
-    out.append("$EndElements")
-    return "\n".join(out) + "\n"
-
-
-def mesh_to_json(mesh: TriMesh):
-    """Native JSON form: 0-based indices, full-precision coordinates."""
-    return json.dumps(
-        {
-            "vertices": [[float(x), float(y)] for x, y in mesh.vertices],
-            "triangles": [[int(a), int(b), int(c)] for a, b, c in mesh.triangles],
-        }
-    )
 
 
 def mesh_from_json(text):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crosssec import analyze, x_boundary
-from .errors import StepTooLargeError, TrackingError
+from .errors import TrackingError
 from .fem import (_splu_spd, assemble, grad_p1, neumann_eigs, shifted_factor,
                   solve_deflated)
 from .mesh import Polygon, TriMesh, gen_polygon, gen_rectangle, perturb

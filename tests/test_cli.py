@@ -35,11 +35,11 @@ class TestSection:
         assert code == 1
         assert "/nonexistent/mesh.msh" in capsys.readouterr().err
 
-    def test_gmsh_round_trip(self, tmp_path):
+    def test_gmsh_round_trip(self, tmp_path, gmsh22_text):
         from wgspec import mesh as M
 
         msh = tmp_path / "tri.msh"
-        msh.write_text(M.export_gmsh22(M.gen_right_triangle(24)))
+        msh.write_text(gmsh22_text(M.gen_right_triangle(24)))
         out = tmp_path / "sec.json"
         assert run(["section", "--gmsh", msh, "--fast", "-o", out]) == 0
         assert json.loads(out.read_text())["b"] == 1.0
@@ -106,6 +106,9 @@ class TestCheck:
                     "--delta", 0.02, "-o", out])
         assert code == 0
         d = json.loads(out.read_text())
+        assert set(d) == {"a0", "trapped", "delta_star", "s_bound",
+                          "localization", "trial", "inputs"}
+        assert d["trial"] is None
         assert d["trapped"]["holds"] is True
         assert abs(d["delta_star"] - 0.033428) < 2e-3
         lo, hi = d["localization"]["interval"]
@@ -140,6 +143,15 @@ class TestShapederivCmd:
         d = json.loads(out.read_text())
         assert d["adjoint_l2_rel_error"] < 0.01
         assert d["integrand_max_error"] < 0.1
+
+    def test_analytic_compare_oblique_w(self, tmp_path):
+        # the adjoint is linear in w: its closed form is w1 (e1 form) +
+        # w2 (e2 form)
+        out = tmp_path / "sd.json"
+        code = run(["shapederiv", "--rect", 2, 1, "--nx", 48, "--w", 1, 1,
+                    "--analytic-compare", "-o", out])
+        assert code == 0
+        assert json.loads(out.read_text())["adjoint_l2_rel_error"] < 1e-2
 
     def test_default_bump_moves_the_section(self, tmp_path):
         # the default bump sits on the default rectangle's top side, off its
@@ -182,6 +194,9 @@ _MALFORMED = [
     (["shapederiv", "--w", 1, 0, "--ny", 0], "subdivision counts"),
     (["shapederiv", "--w", 1, 0, "--rect", 0, 1], "rectangle dimensions"),
     (["shapederiv", "--w", 1, 0, "--ladder", 0, 1e-3], "fd steps"),
+    # the closed form holds on the wide rectangle only, where psi2 = cos(pi x/ell)
+    (["shapederiv", "--w", 1, 0, "--analytic-compare", "--rect", 1, 2, "--nx", 16],
+     "closed form requires ell > L"),
     (["curve", "--window", 0], "half-width"),
     (["curve", "--window", -1], "half-width"),
     (["curve", "--n", 3], "N must be"),

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from wgspec import conditions as CN
 from wgspec.curves import rotation, theta_star
-from wgspec.errors import HypothesisViolationError, InadmissibleGeometryError
+from wgspec.errors import InadmissibleGeometryError
 
 
 class TestGap:
@@ -202,90 +202,6 @@ class TestLocalization:
     def test_lower_edge_decreasing(self):
         vals = [CN.localization(1.0, s).interval[0] for s in np.linspace(0, 0.99, 25)]
         assert (np.diff(vals) < 0).all()
-
-
-def gaussian_path(A, sigma, phi, width=10.0, n=4001):
-    s = np.linspace(-width * sigma, width * sigma, n)
-    mag = A * np.exp(-(s**2) / (2 * sigma**2))
-    k = np.column_stack([mag * math.cos(phi), mag * math.sin(phi)])
-    return s, k
-
-
-class TestTrialEnergy:
-    def test_triangle_parabola_negative_limit(self):
-        # arclength path of the parabola bent at scale 0.02: curvature as a
-        # function of arclength, whose line integral is the turning angle pi
-        X = np.array([1.0, 1.0])
-        th = theta_star(X, (math.pi, 0.0))
-        t = np.linspace(-4000.0, 4000.0, 400001)
-        a = 0.02
-        speed = np.sqrt(1 + 4 * a * a * t * t)
-        s = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * np.diff(t))])
-        s -= s[len(s) // 2]
-        kap = 2 * a / (1 + 4 * a * a * t * t) ** 1.5
-        kth = np.column_stack([math.cos(th) * kap, math.sin(th) * kap])
-        te = CN.trial_energy(64, X, (s, kth), math.pi**2, 1.0, 0.04, math.pi)
-        assert te.limit_bound < 0
-        assert te.n_star is not None
-        # the limit is the trapping margin scaled by lambda2/(2 mu0); the
-        # margin uses the window's turning angle 2*atan(2aT), pi minus tail
-        turn = 2 * math.atan(2 * a * 4000.0)
-        margin = math.sqrt(2) * turn - 2 * math.pi**2 * (0.04 / 0.96) * math.pi
-        assert abs(te.limit_bound + (math.pi**2 / 2) * margin) < 1e-4 * abs(margin)
-
-    def test_orthogonal_x_positive(self):
-        s, k = gaussian_path(0.3, 1.0, 0.0)
-        X = np.array([0.0, 1.0])  # X . k_theta = 0 pointwise
-        for n in (1, 4, 64, 4096):
-            te = CN.trial_energy(n, X, (s, k), 2.0, 0.5, 0.3, 0.75)
-            assert te.bound > 0.0
-
-    def test_monotone_in_n(self):
-        s, k = gaussian_path(0.4, 1.5, 0.3)
-        X = np.array([1.0, 0.5])
-        prev = None
-        for n in [2**j for j in range(4, 14)]:
-            te = CN.trial_energy(n, X, (s, k), 1.5, 0.6, 0.4, 1.2)
-            if prev is not None:
-                assert te.bound <= prev + 1e-12
-            prev = te.bound
-
-
-class TestRectangleClassify:
-    def test_squat(self):
-        r = CN.rectangle_classify(0.9 * math.pi**2, 1.0, 0.5)
-        assert r.verdict == "discrete"
-
-    def test_slightly_tall(self):
-        r = CN.rectangle_classify(0.9 * math.pi**2, 1.0, 1.02)
-        assert r.verdict == "discrete"
-
-    def test_tall(self):
-        r = CN.rectangle_classify(0.9 * math.pi**2, 1.0, 1.2)
-        assert r.verdict == "embedded"
-
-    def test_boundary_is_embedded(self):
-        h = math.pi / math.sqrt(0.9 * math.pi**2)
-        r = CN.rectangle_classify(0.9 * math.pi**2, 1.0, h)
-        assert r.verdict == "embedded"
-
-    @settings(max_examples=200, deadline=None)
-    @given(ell=st.floats(0.01, 100.0))
-    def test_h_equal_ell_is_discrete(self, ell):
-        # lambda_2d an ulp below pi^2/ell^2: pi/sqrt(lambda_2d) rounds to
-        # <= ell for many ell, yet every h <= ell is discrete
-        lam = math.nextafter(math.pi**2 / ell**2, 0.0)
-        assert CN.rectangle_classify(lam, ell, ell).verdict == "discrete"
-
-    def test_frequencies_symmetric(self):
-        r = CN.rectangle_classify(0.5 * math.pi**2, 1.0, 0.7)
-        assert r.eigenfrequencies[0] == -r.eigenfrequencies[1]
-
-    def test_hypothesis_violation(self):
-        with pytest.raises(HypothesisViolationError):
-            CN.rectangle_classify(1.1 * math.pi**2, 1.0, 0.5)
-        with pytest.raises(HypothesisViolationError):
-            CN.rectangle_classify(-0.1, 1.0, 0.5)
 
 
 class TestBuildReport:

@@ -111,8 +111,8 @@ def _reference_analyze(mesh, tol):
     lambda2, simple)."""
     spec = F.neumann_eigs(mesh, 2, tol=tol)
     fine = M.refine_uniform(mesh)
-    lam2_f = F.neumann_eigs(fine, 1, tol=tol, v0=M.prolong_uniform(
-        mesh, spec.eigenvectors[:, 1])).eigenvalues[1]
+    v0 = M.prolongation(mesh) @ spec.eigenvectors[:, 1]
+    lam2_f = F.neumann_eigs(fine, 1, tol=tol, v0=v0).eigenvalues[1]
     lam2, lam3 = spec.eigenvalues[1:3]
     disc_err = abs(lam2 - lam2_f) / lam2_f
     return spec, lam2_f, (lam3 - lam2) / lam2 > max(10.0 * tol, 5.0 * disc_err)
