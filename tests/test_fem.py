@@ -239,6 +239,7 @@ class TestShiftInvertSolver:
 
     @pytest.mark.parametrize("solve", [
         lambda: F.neumann_eigs(M.gen_rectangle(2, 1, 24, 12), 3, tol=1e-10),
+        lambda: F.neumann_eigs(M.gen_right_triangle(24), 2, tol=1e-10),
         lambda: F.neumann_eigs(M.gen_rectangle(2, 1, 24, 12), 2, tol=1e-10,
                                v0=M.gen_rectangle(2, 1, 24, 12).vertices[:, 0]),
     ])
@@ -249,17 +250,19 @@ class TestShiftInvertSolver:
             assert np.array_equal(getattr(a, f), getattr(b, f))
         assert (a.shift, a.solves) == (b.shift, b.solves)
 
-    def test_residual_gate(self):
+    @pytest.mark.parametrize("solve", [F.neumann_eigs])
+    def test_residual_gate(self, solve):
         with pytest.raises(SolverError) as info:
-            F.neumann_eigs(M.gen_rectangle(2, 1, 16, 8), 2, tol=1e-30)
+            solve(M.gen_rectangle(2, 1, 16, 8), 2, tol=1e-30)
         res = info.value.residuals
         assert res is not None and len(res) == 2 and (res > 1e-30).all()
 
+    @pytest.mark.parametrize("solve", [F.neumann_eigs])
     @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
-    def test_tol_must_be_positive_and_finite(self, tol):
+    def test_tol_must_be_positive_and_finite(self, solve, tol):
         # a NaN or infinite tol would switch the residual gate off
         with pytest.raises(ValueError, match="tol must be positive"):
-            F.neumann_eigs(M.gen_rectangle(2, 1, 16, 8), 2, tol=tol)
+            solve(M.gen_rectangle(2, 1, 16, 8), 2, tol=tol)
 
     def test_no_convergence_raises_solver_error(self, monkeypatch):
         def stalled(*args, **kwargs):  # only the lowest pair converged
