@@ -1,5 +1,5 @@
 """Base-curve geometry: resampling on a parameter grid, relatively adapted
-parallel frames as running products of minimal rotations, curvature
+parallel frames as running sums of minimal-rotation angles, curvature
 functionals, and the alignment angle.
 
 A framed curve carries nodes at equally spaced parameters, their arclengths,
@@ -36,6 +36,11 @@ KAPPA_SEARCH_ROUNDS = 12
 MAX_STEP_TURN = math.pi / 4
 
 
+def _dot(a, b):
+    """Row dot products of two (n, 3) arrays."""
+    return np.einsum("ij,ij->i", a, b)
+
+
 @dataclass(frozen=True)
 class ParamCurve:
     """Parametrized 3D curve (2D curves promoted with zero third coordinate).
@@ -66,11 +71,12 @@ class ParamCurve:
 
 @dataclass(frozen=True)
 class FramedCurve:
-    """Curve samples at equally spaced parameters t, with their arclengths s
-    and a transported frame; tail is the analytic curvature integral outside
-    the window, None when the curve provides none.  kappa_sup is the sup of
-    the closed-form kappa over the window, maxima between nodes included,
-    which frame_curve sets; rapf alone leaves it None."""
+    """Curve samples at equally spaced parameters t, with their arclengths s,
+    a transported frame and its orthonormality defect (the value that
+    orthonormality_defect returns); tail is the analytic curvature integral
+    outside the window, None when the curve provides none.  kappa_sup is
+    the sup of the closed-form kappa over the window, maxima between nodes
+    included, which frame_curve sets; rapf alone leaves it None."""
 
     s: np.ndarray
     t: np.ndarray
@@ -81,12 +87,15 @@ class FramedCurve:
     k1: np.ndarray
     k2: np.ndarray
     kappa: np.ndarray
+    defect: float
     tail: float | None = None
     kappa_sup: float | None = None
     name: str = "curve"
 
     def orthonormality_defect(self):
-        return float(_frame_defect(self.e1, self.e2, self.e3).max())
+        """Largest |G^T G - I| over the node frames G = [e1 e2 e3], as
+        rapf's drift gate measured it on this frame."""
+        return self.defect
 
     def to_csv(self):
         lines = ["s,k1,k2,kappa"]
@@ -97,6 +106,14 @@ class FramedCurve:
 
 # ---------------------------------------------------------------------------
 # built-in curves
+
+
+def _finite(name, value):
+    """value as a float; ValueError naming the parameter unless finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def line():
@@ -119,7 +136,7 @@ def line():
 
 
 def circle(radius=1.0):
-    R = float(radius)
+    R = _finite("circle radius", radius)
 
     def gamma(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -137,7 +154,7 @@ def circle(radius=1.0):
 
 
 def helix(radius=1.0, pitch=0.5):
-    R, p = float(radius), float(pitch)
+    R, p = _finite("helix radius", radius), _finite("helix pitch", pitch)
 
     def gamma(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -156,7 +173,7 @@ def helix(radius=1.0, pitch=0.5):
 
 def parabola(scale=1.0):
     """Planar parabola (t, scale*t^2, 0); signed curvature 2a/(1+4a^2 t^2)^(3/2)."""
-    a = float(scale)
+    a = _finite("parabola scale", scale)
 
     def gamma(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -171,8 +188,10 @@ def parabola(scale=1.0):
         return np.column_stack([np.zeros_like(t), np.full_like(t, 2.0 * a), np.zeros_like(t)])
 
     def tail(t0, t1):
-        # turning angle not captured by the window [t0, t1]
-        return float((math.pi / 2 + math.atan(2 * a * t0)) + (math.pi / 2 - math.atan(2 * a * t1)))
+        # turning angle outside the window [t0, t1]: the tangent angle
+        # atan(2 a t) runs from -sgn(a) pi/2 at t = -inf to sgn(a) pi/2
+        end = math.pi / 2 * ((a > 0) - (a < 0))
+        return float(abs(math.atan(2 * a * t0) + end) + abs(end - math.atan(2 * a * t1)))
 
     return ParamCurve(gamma, dgamma, ddgamma, asymptotically_straight=True,
                       kappa_l1_tail=tail, name=f"parabola(a={a:g})")
@@ -279,7 +298,7 @@ def arclength_resample(curve: ParamCurve, N):
     """Sample the parameter window at N+1 equally spaced nodes.
 
     The cumulative arclength is a composite 5-point Gauss quadrature of
-    |gamma'| over 4N panels, read at every 4th panel edge.  At each node
+    |gamma'|, one panel per parameter step.  At each node
     T' = (gamma'' - (gamma''.T) T) / |gamma'|^2, exact for the given
     ddgamma.  SingularParametrizationError: |gamma'| < 1e-12 at a
     quadrature point or a node.
@@ -287,26 +306,24 @@ def arclength_resample(curve: ParamCurve, N):
     if N < 16:
         raise ValueError("N must be >= 16")
     N = int(N)
-    npan = 4 * N
-    edges = np.linspace(float(curve.t0), float(curve.t1), npan + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GAUSS_X).ravel()
-    speeds = np.linalg.norm(curve.dgamma(nodes), axis=1)
-    t = edges[::4]
-    vel = curve.dgamma(t)
-    speed = np.linalg.norm(vel, axis=1)
-    low = min(speeds.min(), speed.min())
+    t = np.linspace(float(curve.t0), float(curve.t1), N + 1)
+    mid = 0.5 * (t[:-1] + t[1:])
+    half = 0.5 * (t[1:] - t[:-1])
+    # gamma' at the 5N quadrature points, then at the N+1 nodes
+    vel = curve.dgamma(np.concatenate([(mid[:, None] + half[:, None] * _GAUSS_X).ravel(), t]))
+    speeds = np.sqrt(_dot(vel, vel))
+    low = speeds.min()
     if low < 1e-12:
         raise SingularParametrizationError(
             f"|gamma'| = {low:.3e} at a quadrature point or node"
         )
-    panel = (speeds.reshape(npan, 5) * _GAUSS_W).sum(axis=1) * half
+    panel = speeds[:5 * N].reshape(N, 5) @ _GAUSS_W * half
     cum = np.concatenate([[0.0], np.cumsum(panel)])
-    tang = vel / speed[:, None]
+    vel, speed = vel[5 * N:], speeds[5 * N:, None]
+    tang = vel / speed
     acc = curve.ddgamma(t)
-    dtang = (acc - (acc * tang).sum(axis=1)[:, None] * tang) / speed[:, None] ** 2
-    return ArcSamples(s=cum[::4], t=t, gamma=curve.gamma(t), tangent=tang,
+    dtang = (acc - _dot(acc, tang)[:, None] * tang) / speed**2
+    return ArcSamples(s=cum, t=t, gamma=curve.gamma(t), tangent=tang,
                       dtangent=dtang, total_length=float(cum[-1]))
 
 
@@ -332,15 +349,19 @@ def default_transverse_frame(T0):
 
 
 def _frame_defect(e1, e2, e3):
-    """Per-node max |G^T G - I| of the frames G = [e1 e2 e3]."""
-    G = np.stack([e1, e2, e3], axis=2)
-    return np.abs(np.einsum("nij,nik->njk", G, G) - np.eye(3)).max(axis=(1, 2))
+    """Per-node max |G^T G - I| of the frames G = [e1 e2 e3], from the six
+    distinct entries of the symmetric G^T G."""
+    return np.abs([_dot(e1, e1) - 1.0, _dot(e2, e2) - 1.0, _dot(e3, e3) - 1.0,
+                   _dot(e1, e2), _dot(e1, e3), _dot(e2, e3)]).max(axis=0)
 
 
-def _reflections(v):
-    """Householder reflections I - 2 v v^T / (v . v), one per row of v."""
-    vn = v / np.linalg.norm(v, axis=1)[:, None]
-    return np.eye(3) - 2.0 * vn[:, :, None] * vn[:, None, :]
+def _transverse_basis(T):
+    """A positively oriented orthonormal pair (u, v) normal to each unit row
+    of T: u = normalize(e_k x T) with k the index of T's smallest entry in
+    magnitude, so |e_k x T| >= sqrt(2/3), and v = T x u."""
+    u = np.cross(np.eye(3)[np.argmin(np.abs(T), axis=1)], T)
+    u /= np.sqrt(_dot(u, u))[:, None]
+    return u, np.cross(T, u)
 
 
 def rapf(arc: ArcSamples, e2_0=None, e3_0=None, name="curve"):
@@ -348,13 +369,15 @@ def rapf(arc: ArcSamples, e2_0=None, e3_0=None, name="curve"):
 
     Between grid nodes the tangent follows the great-circle arc from T_j to
     T_{j+1}; parallel transport e' = -(e . T') T along that arc is exactly the
-    minimal rotation taking T_j to T_{j+1}, the reflection in the plane normal
-    to T_j + T_{j+1} followed by the one normal to T_{j+1}.  The frame is the
-    running product of these rotations (a log2(N) doubling scan) applied to
-    (e2_0, e3_0), re-orthonormalized once against the tangent.  Turning rates
-    are k1 = T'.e2, k2 = T'.e3 and kappa = |T'|, with T' = arc.dtangent.
-    StepSizeError: a step turns T by more than MAX_STEP_TURN, or the raw
-    frame drifts from orthonormal by more than 1e-8.
+    minimal rotation R_j taking T_j to T_{j+1}, the reflection in the plane
+    normal to T_j + T_{j+1} followed by the one normal to T_{j+1}.  In the
+    pointwise pairs (u_j, v_j) of _transverse_basis, R_j turns u_j into
+    cos(alpha_j) u_{j+1} + sin(alpha_j) v_{j+1}, so the frame is
+    e2 = cos(theta) u + sin(theta) v, e3 = T x e2 = cos(theta) v - sin(theta) u
+    with theta the running sum of the alpha_j from the angle of e2_0.
+    Turning rates are k1 = T'.e2, k2 = T'.e3 and kappa = |T'|, with
+    T' = arc.dtangent.  StepSizeError: a step turns T by more than
+    MAX_STEP_TURN, or the frame drifts from orthonormal by more than 1e-8.
     """
     T = arc.tangent
     if e2_0 is None or e3_0 is None:
@@ -367,10 +390,13 @@ def rapf(arc: ArcSamples, e2_0=None, e3_0=None, name="curve"):
     if np.linalg.det(G0) < 0:
         raise ValueError("initial frame is not positively oriented")
 
-    # the turning angle bounds the step; it also keeps T_j + T_{j+1} away
-    # from 0, where the first reflection is undefined
-    turn = np.arctan2(np.linalg.norm(np.cross(T[:-1], T[1:]), axis=1),
-                      (T[:-1] * T[1:]).sum(axis=1))
+    # the turning angle, 2 atan(|T_{j+1} - T_j| / |T_j + T_{j+1}|), bounds
+    # the step; it also keeps T_j + T_{j+1} away from 0, where the first
+    # reflection is undefined
+    bis = T[:-1] + T[1:]
+    gap = T[1:] - T[:-1]
+    bb = _dot(bis, bis)
+    turn = 2.0 * np.arctan2(np.sqrt(_dot(gap, gap)), np.sqrt(bb))
     j = int(np.argmax(turn))
     if turn[j] > MAX_STEP_TURN:
         raise StepSizeError(
@@ -378,29 +404,26 @@ def rapf(arc: ArcSamples, e2_0=None, e3_0=None, name="curve"):
             f"(limit {MAX_STEP_TURN:.3g}); increase N"
         )
 
-    P = np.empty((len(T), 3, 3))
-    P[0] = np.eye(3)
-    P[1:] = _reflections(T[1:]) @ _reflections(T[:-1] + T[1:])
-    k = 1
-    while k < len(P):
-        P[k:] = P[k:] @ P[:-k]
-        k *= 2
-    e2 = P @ e2_0
-    e3 = P @ e3_0
+    # w_j = R_j u_j, the two reflections applied to u_j alone
+    u, v = _transverse_basis(T)
+    w = u[:-1] - (2.0 * _dot(bis, u[:-1]) / bb)[:, None] * bis
+    w -= (2.0 * _dot(T[1:], w))[:, None] * T[1:]
+    alpha = np.arctan2(_dot(w, v[1:]), _dot(w, u[1:]))
+    theta = math.atan2(e2_0 @ v[0], e2_0 @ u[0]) + np.concatenate([[0.0], np.cumsum(alpha)])
+    cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    e2 = cos * u + sin * v
+    e3 = cos * v - sin * u
 
     drift = _frame_defect(T, e2, e3)
     j = int(np.argmax(drift))
     if drift[j] > 1e-8:
         raise StepSizeError(f"frame drift {drift[j]:.2e} at step {j}; increase N")
-    e2 = e2 - (e2 * T).sum(axis=1)[:, None] * T
-    e2 /= np.linalg.norm(e2, axis=1)[:, None]
-    e3 = np.cross(T, e2)
 
     dT = arc.dtangent
     return FramedCurve(
         s=arc.s, t=arc.t, gamma=arc.gamma, e1=T, e2=e2, e3=e3,
-        k1=(dT * e2).sum(axis=1), k2=(dT * e3).sum(axis=1),
-        kappa=np.linalg.norm(dT, axis=1), name=name,
+        k1=_dot(dT, e2), k2=_dot(dT, e3), kappa=np.sqrt(_dot(dT, dT)),
+        defect=float(drift[j]), name=name,
     )
 
 
@@ -421,8 +444,8 @@ def frame_curve(curve: ParamCurve, N):
 def _closed_form_kappa(curve: ParamCurve, t):
     """kappa = |gamma' x gamma''| / |gamma'|^3 at the parameters t."""
     d1 = curve.dgamma(t)
-    return (np.linalg.norm(np.cross(d1, curve.ddgamma(t)), axis=1)
-            / np.linalg.norm(d1, axis=1) ** 3)
+    n = np.cross(d1, curve.ddgamma(t))
+    return np.sqrt(_dot(n, n)) / _dot(d1, d1) ** 1.5
 
 
 def _kappa_sup(fc: FramedCurve, curve: ParamCurve):

@@ -79,6 +79,24 @@ class TestCurve:
         assert run(["curve", "--parabola", "--scale", 2, "-o", out]) == 0
         assert abs(json.loads(out.read_text())["kappa_sup"] - 4.0) <= 1e-12
 
+    def test_mirrored_parabola(self, tmp_path):
+        # scale -1 mirrors scale 1: the same tail, Y_total negated
+        out = {}
+        for a in (1, -1):
+            f = tmp_path / f"cur{a}.json"
+            assert run(["curve", "--parabola", "--scale", a, "--n", 2000, "-o", f]) == 0
+            out[a] = json.loads(f.read_text())
+        assert out[-1]["kappa_l1_tail"] == out[1]["kappa_l1_tail"]
+        assert abs(out[-1]["kappa_l1_tail"] - 2 * (math.pi / 2 - math.atan(100))) <= 1e-14
+        assert abs(out[-1]["Y_total"][0] + out[1]["Y_total"][0]) <= 1e-12
+        assert abs(out[-1]["Y_total"][1]) <= 1e-12
+
+    def test_straight_parabola(self, tmp_path):
+        out = tmp_path / "cur.json"
+        assert run(["curve", "--parabola", "--scale", 0, "--n", 2000, "-o", out]) == 0
+        d = json.loads(out.read_text())
+        assert d["kappa_l1_tail"] == 0.0 and "Y_total" not in d
+
     def test_sbend_sup_between_nodes(self, tmp_path):
         # |kappa| = |s| exp(-s^2) peaks at s = 1/sqrt(2), between nodes
         out = tmp_path / "sbend.json"
@@ -200,6 +218,9 @@ _MALFORMED = [
     (["curve", "--window", 0], "half-width"),
     (["curve", "--window", -1], "half-width"),
     (["curve", "--n", 3], "N must be"),
+    (["curve", "--parabola", "--scale", "nan"], "parabola scale must be finite"),
+    (["curve", "--helix", "--radius", "nan"], "helix radius must be finite"),
+    (["curve", "--helix", "--pitch", "inf"], "helix pitch must be finite"),
     (["sweep", "--radii", "0.2:0.5:0"], "--radii needs"),
     (["sweep", "--radii", "0.2:0.5:-0.1"], "--radii needs"),
     (["sweep", "--radii", "0.5:0.2:0.1"], "--radii needs"),

@@ -30,6 +30,22 @@ def adaptive_simpson(f, a, b, tol=1e-10, depth=40):
     return rec(a, b, fa, fm, fb, whole, depth)
 
 
+def _four_panel_arclength(curve, N):
+    """Node arclengths on N equal parameter steps by composite 5-point Gauss
+    quadrature of |gamma'| over four panels per step."""
+    x, w = np.polynomial.legendre.leggauss(5)
+    edges = np.linspace(curve.t0, curve.t1, 4 * N + 1)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    speed = np.linalg.norm(curve.dgamma((mid[:, None] + half[:, None] * x).ravel()), axis=1)
+    panel = (speed.reshape(-1, 5) * w).sum(axis=1) * half
+    return np.concatenate([[0.0], np.cumsum(panel)])[::4]
+
+
+def _parabola_arclength(t):
+    """Arclength of (t, t^2) from its apex, signed."""
+    return 0.5 * t * np.sqrt(1.0 + 4.0 * t * t) + 0.25 * np.arcsinh(2.0 * t)
+
+
 class TestArclengthResample:
     def test_line_grid(self):
         arc = CV.arclength_resample(CV.line().window(5), 64)
@@ -87,6 +103,98 @@ class TestArclengthResample:
     def test_n_too_small(self):
         with pytest.raises(ValueError):
             CV.arclength_resample(CV.line(), 8)
+
+    @pytest.mark.parametrize("R, p", [(1.0, 0.5), (0.8, 0.8), (0.7, -0.9)])
+    def test_helix_closed_form(self, R, p):
+        # constant speed c = sqrt(R^2 + p^2): s = c (t - t0)
+        arc = CV.arclength_resample(CV.helix(R, p).window(4 * np.pi), 20000)
+        ref = math.hypot(R, p) * (arc.t - arc.t[0])
+        assert np.abs(arc.s - ref).max() <= 1e-12 * arc.total_length
+
+    def test_parabola_closed_form(self):
+        arc = CV.arclength_resample(CV.parabola().window(50), 20000)
+        ref = _parabola_arclength(arc.t) - _parabola_arclength(arc.t[0])
+        assert np.abs(arc.s - ref).max() <= 1e-12 * arc.total_length
+
+    @pytest.mark.parametrize("N", [4000, 20000])
+    def test_spline_matches_four_panels_per_step(self, N):
+        t = np.linspace(0.0, 4.0, 41)
+        curve = CV.from_samples(t, np.column_stack([np.cos(2 * t), np.sin(2 * t), 0.3 * t]))
+        arc = CV.arclength_resample(curve, N)
+        ref = _four_panel_arclength(curve, N)
+        assert np.abs(arc.s - ref).max() <= 1e-12 * arc.total_length
+
+
+def _scan_oracle(arc, e2_0):
+    """The transverse frame (e2, e3) as running products of the minimal
+    rotations R_j = H(T_{j+1}) H(T_j + T_{j+1}), H(v) = I - 2 v v^T / (v . v),
+    formed as (N, 3, 3) matrices in a log2(N) doubling scan, applied to e2_0
+    and re-orthonormalized once against the tangent."""
+    T = arc.tangent
+
+    def reflections(v):
+        vn = v / np.linalg.norm(v, axis=1)[:, None]
+        return np.eye(3) - 2.0 * vn[:, :, None] * vn[:, None, :]
+
+    P = np.empty((len(T), 3, 3))
+    P[0] = np.eye(3)
+    P[1:] = reflections(T[1:]) @ reflections(T[:-1] + T[1:])
+    k = 1
+    while k < len(P):
+        P[k:] = P[k:] @ P[:-k]
+        k *= 2
+    e2 = P @ e2_0
+    e2 = e2 - (e2 * T).sum(axis=1)[:, None] * T
+    e2 /= np.linalg.norm(e2, axis=1)[:, None]
+    return e2, np.cross(T, e2)
+
+
+def _assert_matches_scan(arc, phi):
+    # start from the default frame turned by phi about T_0
+    a2, a3 = CV.default_transverse_frame(arc.tangent[0])
+    e2_0 = math.cos(phi) * a2 + math.sin(phi) * a3
+    e3_0 = -math.sin(phi) * a2 + math.cos(phi) * a3
+    fc = CV.rapf(arc, e2_0, e3_0)
+    e2, e3 = _scan_oracle(arc, e2_0)
+    dT = arc.dtangent
+    k1, k2 = (dT * e2).sum(axis=1), (dT * e3).sum(axis=1)
+    for name, ref in (("e2", e2), ("e3", e3), ("k1", k1), ("k2", k2)):
+        assert np.abs(getattr(fc, name) - ref).max() <= 1e-12, name
+    # Y integrates the node differences over the arclength: they add up to
+    # at most their max times the curvature's L1 norm, |Y|'s own bound
+    Y = np.array([np.trapezoid(k1, arc.s), np.trapezoid(k2, arc.s)])
+    scale = max(1.0, float(np.trapezoid(fc.kappa, arc.s)))
+    assert np.abs(CV.yvector(fc) - Y).max() <= 1e-12 * scale
+
+
+class TestAngleTransportVsScan:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["helix", "parabola", "sbend"]),
+        radius=st.floats(0.2, 3.0),
+        pitch=st.floats(-2.0, 2.0),
+        scale=st.floats(-3.0, 3.0),
+        half=st.floats(0.5, 4 * math.pi),
+        N=st.integers(16, 4000),
+        phi=st.floats(0.0, 2 * math.pi),
+    )
+    def test_matches_the_doubling_scan(self, kind, radius, pitch, scale, half, N, phi):
+        curve = {"helix": lambda: CV.helix(radius, pitch).window(half),
+                 "parabola": lambda: CV.parabola(scale).window(4 * half),
+                 "sbend": lambda: CV.sbend().window(half)}[kind]()
+        arc = CV.arclength_resample(curve, N)
+        T = arc.tangent
+        assume(np.arccos(np.clip((T[:-1] * T[1:]).sum(axis=1), -1, 1)).max()
+               <= CV.MAX_STEP_TURN)
+        _assert_matches_scan(arc, phi)
+
+    @pytest.mark.parametrize("curve", [CV.parabola().window(50),
+                                       CV.helix(0.8, 0.5).window(4 * np.pi),
+                                       CV.helix(1.2, 0.8).window(4 * np.pi),
+                                       CV.sbend().window(6)],
+                             ids=["parabola", "helix-low", "helix-high", "sbend"])
+    def test_benchmark_curves(self, curve):
+        _assert_matches_scan(CV.arclength_resample(curve, 20000), 0.0)
 
 
 class TestRapf:
@@ -164,6 +272,14 @@ class TestRapf:
     def test_orthonormality_defect_at_full_size(self):
         fc = CV.frame_curve(CV.parabola().window(50), 20000)
         assert fc.orthonormality_defect() <= 1e-14
+
+    @pytest.mark.parametrize("curve", [CV.parabola().window(50),
+                                       CV.helix(1.0, 0.5).window(6)])
+    def test_defect_is_the_returned_frames(self, curve):
+        # the drift gate measures the frame rapf returns, so the stored
+        # defect is the one recomputed from it
+        fc = CV.frame_curve(curve, 4000)
+        assert fc.orthonormality_defect() == CV._frame_defect(fc.e1, fc.e2, fc.e3).max()
 
     def test_bit_identical_repeat(self):
         arc = CV.arclength_resample(CV.helix(1.0, 0.5).window(6), 2000)
@@ -290,6 +406,18 @@ class TestNormsAndY:
         ref = quad(f, -np.inf, t0)[0] + quad(f, t1, np.inf)[0]
         assert abs(CV.sbend().kappa_l1_tail(t0, t1) - ref) <= 1e-12
 
+    @pytest.mark.parametrize("t0, t1", [(-50, 50), (-1, 2), (0.5, 3), (-3, -0.5)])
+    @pytest.mark.parametrize("a", [1.0, 0.3, 2.0])
+    def test_parabola_tail_even_in_scale(self, a, t0, t1):
+        tail = CV.parabola(a).kappa_l1_tail
+        assert tail(t0, t1) == CV.parabola(-a).kappa_l1_tail(t0, t1)
+        # the L1 norm is the turning angle on the whole line, pi
+        l1 = abs(math.atan(2 * a * t1) - math.atan(2 * a * t0))
+        assert abs(tail(t0, t1) + l1 - math.pi) <= 1e-14
+
+    def test_straight_parabola_has_no_tail(self):
+        assert CV.parabola(0.0).kappa_l1_tail(-50, 50) == 0.0
+
     def test_sbend_odd_cancellation(self):
         fc = CV.frame_curve(CV.sbend().window(6), 4000)
         assert np.linalg.norm(CV.yvector(fc)) <= 1e-8
@@ -297,6 +425,19 @@ class TestNormsAndY:
     def test_rotation(self):
         Yth = CV.rotation(np.pi / 2) @ np.array([np.pi, 0.0])
         assert np.abs(Yth - [0.0, np.pi]).max() <= 1e-14
+
+
+class TestCurveParameters:
+    @pytest.mark.parametrize("make, name", [
+        (lambda v: CV.parabola(v), "parabola scale"),
+        (lambda v: CV.circle(v), "circle radius"),
+        (lambda v: CV.helix(v, 0.5), "helix radius"),
+        (lambda v: CV.helix(1.0, v), "helix pitch"),
+    ], ids=["parabola-scale", "circle-radius", "helix-radius", "helix-pitch"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, make, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            make(value)
 
 
 class TestThetaStar:
