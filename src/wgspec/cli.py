@@ -214,7 +214,7 @@ def cmd_shapederiv(args):
         raise ValueError(f"the bump at --bump-center {c:g} with --bump-radius "
                          f"{R:g} moves no vertex of the {side} side, of length "
                          f"{ell:g}")
-    rep = shapederiv.fd_check(mesh, V, w, args.ladder, tol=args.tol)
+    rep = shapederiv.fd_check(mesh, V, w, tol=args.tol)
     payload = json.loads(rep.to_json())
     payload["config"] = _echo(args)
     _write(args.output, json.dumps(payload, indent=2))
@@ -246,7 +246,7 @@ def _radii(text):
 
 class _Parser(argparse.ArgumentParser):
     """argparse takes a value that starts with '-' and a digit for a flag
-    unless it is an integer or a plain decimal, so "--ladder -1e-3" or
+    unless it is an integer or a plain decimal, so "--w -1e-3 1" or
     "--radii -0.1:0.2:0.1" would end as a usage error before the typed
     checks.  No wgspec flag starts with a digit, so every such value is a
     value."""
@@ -314,8 +314,6 @@ def build_parser():
     # derivative along e1 vanishes by symmetry
     d.add_argument("--bump-center", type=float, default=0.6)
     d.add_argument("--bump-radius", type=float, default=0.5)
-    d.add_argument("--ladder", nargs="+", type=float,
-                   default=[1e-3, 2e-3, 4e-3])
     d.add_argument("--tol", type=float, default=1e-8)
     d.add_argument("-o", "--output", default="-")
     d.set_defaults(func=cmd_shapederiv)

@@ -71,14 +71,16 @@ class ParamCurve:
 
 @dataclass(frozen=True)
 class FramedCurve:
-    """Curve samples at equally spaced parameters t, with their arclengths s,
-    a transported frame and its orthonormality defect (the value that
-    orthonormality_defect returns); tail is the analytic curvature integral
-    outside the window, None when the curve provides none.  kappa_sup is
+    """Curve samples at equally spaced parameters t, with their arclengths s
+    (the running sum of the step arclengths panel), a transported frame and
+    its orthonormality defect (the value that orthonormality_defect
+    returns); tail is the analytic curvature integral outside the window,
+    None when the curve provides none.  kappa_sup is
     the sup of the closed-form kappa over the window, maxima between nodes
     included, which frame_curve sets; rapf alone leaves it None."""
 
     s: np.ndarray
+    panel: np.ndarray
     t: np.ndarray
     gamma: np.ndarray
     e1: np.ndarray
@@ -283,10 +285,12 @@ def from_samples(t, xyz):
 
 @dataclass(frozen=True)
 class ArcSamples:
-    """Nodes at equally spaced parameters t with their arclengths s,
-    positions, unit tangents T and arclength derivatives T'."""
+    """Nodes at equally spaced parameters t with their arclengths s (the
+    running sum of the step arclengths panel), positions, unit tangents T
+    and arclength derivatives T'."""
 
     s: np.ndarray
+    panel: np.ndarray
     t: np.ndarray
     gamma: np.ndarray
     tangent: np.ndarray
@@ -323,7 +327,7 @@ def arclength_resample(curve: ParamCurve, N):
     tang = vel / speed
     acc = curve.ddgamma(t)
     dtang = (acc - _dot(acc, tang)[:, None] * tang) / speed**2
-    return ArcSamples(s=cum, t=t, gamma=curve.gamma(t), tangent=tang,
+    return ArcSamples(s=cum, panel=panel, t=t, gamma=curve.gamma(t), tangent=tang,
                       dtangent=dtang, total_length=float(cum[-1]))
 
 
@@ -421,7 +425,7 @@ def rapf(arc: ArcSamples, e2_0=None, e3_0=None, name="curve"):
 
     dT = arc.dtangent
     return FramedCurve(
-        s=arc.s, t=arc.t, gamma=arc.gamma, e1=T, e2=e2, e3=e3,
+        s=arc.s, panel=arc.panel, t=arc.t, gamma=arc.gamma, e1=T, e2=e2, e3=e3,
         k1=_dot(dT, e2), k2=_dot(dT, e3), kappa=np.sqrt(_dot(dT, dT)),
         defect=float(drift[j]), name=name,
     )
@@ -489,7 +493,7 @@ def curvature_norms(fc: FramedCurve):
     if fc.kappa_sup is None:
         raise ValueError("framed curve carries no kappa_sup; build it with frame_curve")
     sup = fc.kappa_sup
-    l1 = float(np.trapezoid(fc.kappa, fc.s))
+    l1 = _trapezoid(fc, fc.kappa)
     missing = fc.tail is None
     return {"sup": sup, "l1": l1, "tail": 0.0 if missing else fc.tail,
             "tail_missing": missing}
@@ -497,10 +501,14 @@ def curvature_norms(fc: FramedCurve):
 
 def yvector(fc: FramedCurve):
     """Windowed bending vector Y = (integral of k1, integral of k2)."""
-    return np.array([
-        np.trapezoid(fc.k1, fc.s),
-        np.trapezoid(fc.k2, fc.s),
-    ])
+    return np.array([_trapezoid(fc, fc.k1), _trapezoid(fc, fc.k2)])
+
+
+def _trapezoid(fc: FramedCurve, f):
+    """The trapezoid rule for the node values f over the step arclengths
+    fc.panel: differences of the running sum fc.s would carry its rounding,
+    of order eps s rather than eps panel."""
+    return float(fc.panel @ (f[:-1] + f[1:])) / 2.0
 
 
 def rotation(theta):

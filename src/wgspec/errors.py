@@ -66,4 +66,5 @@ class InadmissibleGeometryError(ValueError):
 
 
 class TrackingError(RuntimeError):
-    """Eigenpair tracking lost along a sweep (eigenvalue crossing detected)."""
+    """lambda2 too close to lambda3 for its eigenpair to be differentiated
+    along a shape deformation."""

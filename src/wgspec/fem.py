@@ -3,10 +3,10 @@
 Assembly of the stiffness and consistent mass matrices, Neumann
 generalized eigensolves by shift-invert Lanczos (ARPACK through scipy's
 eigsh, one sparse LU factorization per eigensolve) or by LOBPCG with no
-factorization of their own (preconditioned by the factor of a nearby
-pencil on the same vertex numbering, or by a two-grid cycle across one
-uniform refinement on the coarse mesh's factor), and deflated (bordered)
-solves of singular shifted systems.  Every matrix on a mesh's Connectivity
+factorization of its own (preconditioned by a two-grid cycle across one
+uniform refinement on the coarse mesh's factor), the exact derivatives of
+the P1 matrices along a vertex velocity, and deflated (bordered) solves of
+singular shifted systems.  Every matrix on a mesh's Connectivity
 has its P1 pattern, and every factorization on it reuses the fill-reducing
 column order that the first one found.
 """
@@ -35,8 +35,8 @@ SHIFT_SCALE = 1e-5
 # return those as converged; this floor keeps every eigenvector in the
 # Krylov space, and it added no solve to the prolonged starts
 START_NOISE = 1e-12
-# LOBPCG iterations before a preconditioned eigensolve gives up; on the
-# factor of a mesh within t <= 4e-3 of it, fd_check's solves take 3 to 9
+# LOBPCG iterations before a preconditioned eigensolve gives up; analyze's
+# two-grid estimate takes 8 to 13, up to 23 on near-double rectangles
 LOBPCG_MAXITER = 40
 # LOBPCG stops on the absolute residual ||K x - lambda M x|| of M-normalized
 # x; it is asked for this fraction of tol * ||M x|| at the start, which
@@ -47,6 +47,8 @@ LOBPCG_MARGIN = 0.5
 # L shapes and bumps of sizes 0.1 to 100 it kept every gate residual
 # <= 0.02 tol that a machine-precision run kept <= 0.01 tol
 ARPACK_MARGIN = 1e-3
+# the P1 mass element over area/12, entry (i, j) at 3 i + j
+_MASS = np.array([2.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 2.0])
 # damping of the Jacobi sweeps before and after two_grid's coarse correction
 JACOBI_WEIGHT = 2.0 / 3.0
 
@@ -63,9 +65,7 @@ class Spectrum:
     of its L and U factors (SuperLU.nnz).  For Lanczos that factor is this
     pencil's; for LOBPCG shift is the preconditioner's, solves counts its
     applications and fill is 0, as nothing was factorized.  A
-    dense solve reports solves and fill 0.  guard holds the LOBPCG block's
-    Ritz vectors beyond the returned pairs, which are not held to tol, one
-    column each (None after Lanczos).
+    dense solve reports solves and fill 0.
     """
 
     eigenvalues: np.ndarray
@@ -74,7 +74,17 @@ class Spectrum:
     shift: float
     solves: int
     fill: int
-    guard: np.ndarray | None = None
+
+
+def _edge_perps(p0, p1, p2):
+    """The perpendiculars of the opposite edges of the triangles with
+    corners p0, p1, p2 (each (nt, 2)), shape (nt, 3, 2): row i is
+    p_{i+1} - p_{i+2} turned by -90 degrees, linear in the corners."""
+    g = np.empty((len(p0), 3, 2))
+    for i, (a, b) in enumerate(((p1, p2), (p2, p0), (p0, p1))):
+        g[:, i, 0] = a[:, 1] - b[:, 1]
+        g[:, i, 1] = b[:, 0] - a[:, 0]
+    return g
 
 
 def _p1_gradients(mesh: TriMesh):
@@ -87,14 +97,7 @@ def _p1_gradients(mesh: TriMesh):
     d1 = p1 - p0
     d2 = p2 - p0
     area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    g = np.empty((len(t), 3, 2))
-    g[:, 0, 0] = p1[:, 1] - p2[:, 1]
-    g[:, 0, 1] = p2[:, 0] - p1[:, 0]
-    g[:, 1, 0] = p2[:, 1] - p0[:, 1]
-    g[:, 1, 1] = p0[:, 0] - p2[:, 0]
-    g[:, 2, 0] = p0[:, 1] - p1[:, 1]
-    g[:, 2, 1] = p1[:, 0] - p0[:, 0]
-    return area2, g
+    return area2, _edge_perps(p0, p1, p2)
 
 
 def assemble(mesh: TriMesh):
@@ -108,7 +111,6 @@ def assemble(mesh: TriMesh):
     np.bincount over connectivity.scatter, in triangle order, so K and M
     are symmetric bit for bit.
     """
-    conn = mesh.connectivity
     area2, g = _p1_gradients(mesh)
     area = 0.5 * area2
     g /= area2[:, None, None]
@@ -119,17 +121,43 @@ def assemble(mesh: TriMesh):
         for j in range(i, 3):
             ke[:, 3 * i + j] = ke[:, 3 * j + i] = (
                 gx[:, i] * gx[:, j] + gy[:, i] * gy[:, j]) * area
-    me = np.repeat(area / 12.0, 9).reshape(-1, 9)
-    me[:, ::4] *= 2.0  # the diagonal (0, 0), (1, 1), (2, 2)
+    return _summed(mesh, ke, np.outer(area / 12.0, _MASS))
 
+
+def _summed(mesh: TriMesh, *elements):
+    """Each (nt, 9) array of element matrices summed into the P1 pattern of
+    mesh.connectivity as a CSR matrix, by one np.bincount over
+    connectivity.scatter in triangle order."""
+    conn = mesh.connectivity
     n = mesh.num_vertices
     nnz = len(conn.indices)
     slots = conn.scatter.ravel()
     return tuple(
         sparse.csr_matrix((np.bincount(slots, e.ravel(), nnz), conn.indices,
                            conn.indptr), shape=(n, n))
-        for e in (ke, me)
+        for e in elements
     )
+
+
+def assemble_derivative(mesh: TriMesh, V):
+    """(dK, dM), the exact derivatives at t = 0 of assemble(perturb(mesh, V,
+    t)) for the vertex velocities V, shape (nv, 2), on the same pattern.
+
+    Per triangle the edge perpendiculars g_i are linear in the vertices, so
+    dg_i are those of V (_edge_perps), and d(area2) = sum_i g_i . V_i.  With
+    G_ij = g_i . g_j the stiffness element is G / (2 area2), whose
+    derivative is (dG + dG^T) / (2 area2) - G d(area2) / (2 area2^2) for
+    dG_ij = dg_i . g_j; the mass element is proportional to area2.
+    """
+    V = np.asarray(V, dtype=float)
+    area2, g = _p1_gradients(mesh)
+    v = [V[mesh.triangles[:, i]] for i in range(3)]
+    darea2 = np.einsum("tik,itk->t", g, v)
+    dG = np.einsum("tik,tjk->tij", _edge_perps(*v), g)
+    G = np.einsum("tik,tjk->tij", g, g)
+    dke = ((dG + dG.transpose(0, 2, 1) - G * (darea2 / area2)[:, None, None])
+           / (2.0 * area2)[:, None, None])
+    return _summed(mesh, dke.reshape(-1, 9), np.outer(darea2 / 24.0, _MASS))
 
 
 def grad_p1(mesh: TriMesh, u):
@@ -223,8 +251,7 @@ class ShiftedFactor:
     the L and U factors.  shifted_factor makes the exact inverse from a
     factorization; as a preconditioner (neumann_eigs) any approximate
     inverse of K - sigma M on the pencil's vertex numbering serves, such as
-    a nearby pencil's factor or two_grid's cycle, whose fill is the coarse
-    factor's."""
+    two_grid's cycle, whose fill is the coarse factor's."""
 
     sigma: float
     solve: Callable
@@ -398,29 +425,26 @@ def _shift_invert_eigs(K, M, k, tol, constant, v0=None, connectivity=None,
 
 
 def _lobpcg_eigs(K, M, k, tol, constant, start, solve):
-    """The m lowest Ritz pairs of K u = lambda M u above the M-normalized
+    """The k lowest Ritz pairs of K u = lambda M u above the M-normalized
     null vector ``constant`` of K, by LOBPCG (Knyazev 2001) with B = M, the
     constraint Y = constant, the preconditioner ``solve`` (an approximate
-    inverse of K - sigma M that maps (n, m) blocks) and the start block
-    ``start``, shape (n, m) with m >= k.  The m - k columns beyond the k-th
-    guard it against an equal or nearby eigenvalue outside the block, which
-    would stall it; only the first k pairs are held to tol.  lobpcg's
-    warnings (too few iterations; a dense solve for n - 1 < 5 m, which is
-    done here instead) are not passed on: SolverError if one of the k
-    residuals exceeds tol after LOBPCG_MAXITER iterations.  ValueError
-    unless 0 < tol < inf, or if the start is not a finite (n, m >= k)
-    block.  Returns (values, vectors, residuals, solves): m values and
-    vectors, ascending, the k residuals, and the number of vectors
-    preconditioned.
+    inverse of K - sigma M that maps (n, k) blocks) and the start block
+    ``start``, shape (n, k).  An eigenvalue outside the block equal or close
+    to the k-th stalls it.  lobpcg's warnings (too few iterations; a dense
+    solve for n - 1 < 5 k, which is done here instead) are not passed on:
+    SolverError if a residual exceeds tol after LOBPCG_MAXITER iterations.
+    ValueError unless 0 < tol < inf, or if the start is not a finite (n, k)
+    block.  Returns (values, vectors, residuals, solves), ascending, with
+    the number of vectors preconditioned.
     """
     _check_tol(tol)
     n = K.shape[0]
     X = np.array(start, dtype=float)
-    if X.ndim != 2 or X.shape[0] != n or X.shape[1] < k or not np.isfinite(X).all():
-        raise ValueError(f"start block must be {n} x m finite values, m >= {k}")
+    if X.shape != (n, k) or not np.isfinite(X).all():
+        raise ValueError(f"start block must be {n} x {k} finite values")
     solves = 0
-    if n - 1 < 5 * X.shape[1]:
-        vals, X, res = _rayleigh_pairs(K, M, _dense_eigs(K, M, X.shape[1]), k)
+    if n - 1 < 5 * k:
+        vals, X, res = _rayleigh_pairs(K, M, _dense_eigs(K, M, k), k)
     else:
         def precondition(B):
             nonlocal solves
@@ -462,18 +486,15 @@ def neumann_eigs(mesh: TriMesh, k, tol=1e-8, v0=None, matrices=None,
     assembling them again; factor, the shifted_factor of those matrices if
     the caller keeps it, saves factorizing them.
     preconditioner, a ShiftedFactor whose solve is any approximate inverse
-    of K - sigma M on this mesh's vertex numbering (the factor of a mesh a
-    small perturb step away, or two_grid's cycle on the factor of the mesh
-    this one refines), replaces Lanczos by LOBPCG preconditioned by that
-    solve, with no factorization (_lobpcg_eigs).  v0 is then required, an
-    (n, m) start block with m >= k, such as that pencil's eigenvectors 2
-    to k + 2, or the prolonged coarse psi2 alone: columns beyond the k-th
-    guard it against a nearby eigenvalue, and only the k returned pairs are
-    held to tol.  The Spectrum reports the preconditioner's shift, its
-    applications as solves, fill 0 and the guard columns' Ritz vectors.
-    Raises ValueError if v0 is not n finite values (an n x m block with
-    m >= k under a preconditioner) or vanishes after the projection,
-    SolverError if Lanczos fails or a residual exceeds tol.
+    of K - sigma M on this mesh's vertex numbering (such as two_grid's cycle
+    on the factor of the mesh this one refines), replaces Lanczos by LOBPCG
+    preconditioned by that solve, with no factorization (_lobpcg_eigs).  v0
+    is then required, an (n, k) start block such as the prolonged coarse
+    psi2.  The Spectrum reports the preconditioner's shift, its
+    applications as solves and fill 0.
+    Raises ValueError if v0 is not n finite values (an n x k block under a
+    preconditioner) or vanishes after the projection, SolverError if
+    Lanczos fails or a residual exceeds tol.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -489,13 +510,11 @@ def neumann_eigs(mesh: TriMesh, k, tol=1e-8, v0=None, matrices=None,
         vals, X, res, sigma, solves, fill = _shift_invert_eigs(
             K, M, k, tol, constant=c, v0=v0, connectivity=mesh.connectivity,
             factor=factor)
-        guard = None
     else:
         if v0 is None:
             raise ValueError("a preconditioned eigensolve needs a start block")
         vals, X, res, solves = _lobpcg_eigs(K, M, k, tol, c, v0,
                                             preconditioner.solve)
-        vals, X, guard = vals[:k], X[:, :k], X[:, k:]
         sigma, fill = preconditioner.sigma, 0
     c_res = float(np.linalg.norm(K @ c - lam1 * (M @ c)) / np.linalg.norm(M @ c))
     return Spectrum(
@@ -505,7 +524,6 @@ def neumann_eigs(mesh: TriMesh, k, tol=1e-8, v0=None, matrices=None,
         shift=sigma,
         solves=solves,
         fill=fill,
-        guard=guard,
     )
 
 

@@ -1,6 +1,7 @@
 """Shape sensitivity of the boundary vector X: adjoint state, the
-boundary-integral derivative formula, finite-difference validation, and the
-bump-sweep experiment on rectangles."""
+boundary-integral derivative formula, its validation against the exact
+derivative of the discrete map, and the bump-sweep experiment on
+rectangles."""
 
 from __future__ import annotations
 
@@ -12,21 +13,13 @@ import numpy as np
 
 from .crosssec import analyze, x_boundary
 from .errors import TrackingError
-from .fem import (_splu_spd, assemble, grad_p1, neumann_eigs, shifted_factor,
-                  solve_deflated)
-from .mesh import Polygon, TriMesh, gen_polygon, gen_rectangle, perturb
+from .fem import (_splu_spd, assemble, assemble_derivative, grad_p1,
+                  neumann_eigs, solve_deflated)
+from .mesh import Polygon, TriMesh, gen_polygon, gen_rectangle
 
 # fd_check's least relative gap (lambda3 - lambda2)/lambda2 of a simple
 # lambda2, and bump_rectangle_polygon's fewest points on the half circle
 DEGENERACY_TOL = 1e-3
-# fd_check's least relative gap (lambda5 - lambda4)/lambda4 for a LOBPCG
-# block of psi2, psi3 and the one guard psi4; below it psi5 joins as a
-# second guard.  lobpcg waits for its guards, and one beside a nearly equal
-# eigenvalue converges slowly: on the 3 x 1 rectangle, where lambda4 and
-# lambda5 agree to 4e-7, a +-t solve took 42 iterations with one guard and
-# 17 with two.  Where one guard suffices, a second costs time: on the 8 x 1
-# rectangle (gap 0.78) two guards made fd_check about 4 % slower.
-GUARD_GAP = 0.1
 MIN_ARC_POINTS = 64
 
 
@@ -147,8 +140,7 @@ def harmonic_extension(mesh: TriMesh, V, matrices=None):
 class ShapeDerivReport:
     w: np.ndarray
     adjoint_value: float
-    fd_values: dict
-    fd_extrapolated: float
+    discrete_value: float
     discrepancy: float
     solvability_warning: bool
 
@@ -157,8 +149,7 @@ class ShapeDerivReport:
             {
                 "w": [float(v) for v in self.w],
                 "adjoint_value": self.adjoint_value,
-                "fd_values": {str(k): v for k, v in self.fd_values.items()},
-                "fd_extrapolated": self.fd_extrapolated,
+                "discrete_value": self.discrete_value,
                 "discrepancy": self.discrepancy,
                 "solvability_warning": self.solvability_warning,
             },
@@ -166,114 +157,60 @@ class ShapeDerivReport:
         )
 
 
-def fd_check(mesh: TriMesh, V, w, t_ladder, tol=1e-8):
-    """Validate the adjoint formula against central finite differences.
+def fd_check(mesh: TriMesh, V, w, tol=1e-8):
+    """Validate the adjoint formula against the derivative of the discrete
+    map t -> X_h.w on perturb(mesh, V, t) at t = 0.
 
-    V is a velocity field sampled at all vertices (interior values are
-    replaced by the harmonic lift of the boundary trace).  X_t.w is computed
-    by the full cross-section pipeline on perturbed meshes; X is even in the
-    eigenfunction, so no sign is tracked.  The derivative is
-    Richardson-extrapolated from central differences over the ladder.
-    Each vertex set is assembled once: the base (K, M) serve the base
-    eigensolve, the harmonic lift and the adjoint.  The base pencil
-    K - sigma M is factorized once (shifted_factor), for the base Lanczos
-    solve of psi2 to psi5, and as the preconditioner of every +-t
-    eigensolve, which is LOBPCG on a block of psi2, psi3 and the guard psi4
-    (and psi5 unless lambda5 clears lambda4 by GUARD_GAP), factorizes
-    nothing (neumann_eigs' preconditioner) and is started from the
-    polynomial through the blocks of the nearest steps solved so far, the
-    base one included (_central_differences).  Every mesh shares the base
-    mesh's connectivity (perturb), so the adjoint's bordered solve reuses
-    the column order of the base factorization.  The base factor is
-    released before that solve, and none outlives the check.
-    ValueError: a step of t_ladder is not positive and finite.
-    TrackingError: (lambda3 - lambda2)/lambda2 < DEGENERACY_TOL on the base
-    mesh or on a perturbed one.
-    SolverError: an eigenpair, base or perturbed, misses tol.
+    The name is kept from when that derivative was a finite difference of
+    eigensolves on perturbed meshes; it is now exact (_discrete_derivative)
+    and needs no solve beyond the eigensolve and the adjoint.  V is a
+    velocity field sampled at all vertices (interior values are replaced by
+    the harmonic lift of the boundary trace).  The vertex set is assembled
+    once: its (K, M) serve the eigensolve, the lift and the adjoint, whose
+    bordered solve reuses the column order of the eigensolve's
+    factorization.  discrepancy is |adjoint - discrete| / |adjoint|.
+    TrackingError: (lambda3 - lambda2)/lambda2 < DEGENERACY_TOL, where psi2
+    has no well-defined direction to differentiate.
+    SolverError: an eigenpair misses tol.
     """
-    ladder = sorted(float(t) for t in t_ladder)
-    if not (ladder and 0.0 < ladder[0] and ladder[-1] < math.inf):
-        raise ValueError(f"fd steps must be positive and finite, got {ladder}")
     w = np.asarray(w, dtype=float)
     matrices = assemble(mesh)
-    base = shifted_factor(*matrices, mesh.connectivity)
-    spec = neumann_eigs(mesh, 4, tol=tol, matrices=matrices, factor=base)
-    lam = spec.eigenvalues
-    lam2, lam3 = float(lam[1]), float(lam[2])
+    spec = neumann_eigs(mesh, 2, tol=tol, matrices=matrices)
+    lam2, lam3 = float(spec.eigenvalues[1]), float(spec.eigenvalues[2])
     if (lam3 - lam2) / lam2 < DEGENERACY_TOL:
         raise TrackingError("lambda2 degenerate on the base mesh")
     V = harmonic_extension(mesh, V, matrices)
-    psi0 = spec.eigenvectors[:, 1]
-    m = 3 if (lam[4] - lam[3]) / lam[3] >= GUARD_GAP else 4
-    fd = _central_differences(mesh, V, w, ladder, tol, base,
-                              spec.eigenvectors[:, 1:1 + m], matrices[1])
-    # the adjoint's bordered factorization need not share memory with it
-    del base
-    adj = adjoint_solve(mesh, lam2, psi0, w, matrices)
-    mids_val = shape_derivative(mesh, lam2, psi0, adj.q, w,
-                                _vn_from_field(mesh, V))
-    # Richardson on successive halvings (central differences are O(t^2))
-    vals = [fd[t] for t in ladder]
-    order = 2.0
-    table = list(vals)
-    for level in range(1, len(table)):
-        fac = 2.0 ** (order * level)
-        table = [
-            (fac * table[i] - table[i + 1]) / (fac - 1.0)
-            for i in range(len(table) - 1)
-        ]
-    extrap = float(table[0])
-    disc = abs(mids_val - extrap) / max(abs(mids_val), 1e-12)
+    psi = spec.eigenvectors[:, 1]
+    adj = adjoint_solve(mesh, lam2, psi, w, matrices)
+    adjoint = shape_derivative(mesh, lam2, psi, adj.q, w, _vn_from_field(mesh, V))
+    discrete = _discrete_derivative(mesh, V, w, lam2, psi, adj.q)
     return ShapeDerivReport(
         w=w,
-        adjoint_value=mids_val,
-        fd_values=fd,
-        fd_extrapolated=extrap,
-        discrepancy=float(disc),
+        adjoint_value=adjoint,
+        discrete_value=discrete,
+        discrepancy=abs(adjoint - discrete) / max(abs(adjoint), 1e-12),
         solvability_warning=adj.solvability_warning,
     )
 
 
-def _central_differences(mesh, V, w, ladder, tol, base, block, M):
-    """{t: (X_t.w - X_-t.w) / (2t)} over the ladder.  Each eigensolve is
-    LOBPCG preconditioned by the base factor on a block of psi2, psi3 and
-    guards, started from the polynomial through the blocks of the nearest
-    steps of earlier pairs (_extrapolate); block is the base mesh's, M its
-    mass matrix.  Both starts of a pair come from the same blocks, mirrored,
-    so a velocity that moves no vertex gives differences of exactly 0.
-    TrackingError: (lambda3 - lambda2)/lambda2 < DEGENERACY_TOL on a
-    perturbed mesh."""
-    # the block at each t solved so far, rotated onto the base block
-    blocks = {0.0: block}
-    m_block = M @ block
+def _discrete_derivative(mesh: TriMesh, V, w, lam2, psi, q):
+    """d(X_h.w)/dt at t = 0 on perturb(mesh, V, t), exact.
 
-    def x_dot_w(t, start):
-        pm = perturb(mesh, V, t)
-        spec = neumann_eigs(pm, 2, tol=tol, v0=start, preconditioner=base)
-        l2, l3 = float(spec.eigenvalues[1]), float(spec.eigenvalues[2])
-        if (l3 - l2) / l2 < DEGENERACY_TOL:
-            raise TrackingError(f"eigenvalue crossing near t = {t:g}")
-        X = np.column_stack([spec.eigenvectors[:, 1:], spec.guard])
-        # the rotation of X nearest to the base block: eigenvectors have no
-        # sign, and those of a multiple eigenvalue no direction
-        u, _, vt = np.linalg.svd(X.T @ m_block)
-        blocks[t] = X @ (u @ vt)
-        return float(x_boundary(pm, spec.eigenvectors[:, 1]) @ w)
-
-    fd = {}
-    for t in ladder:
-        plus, minus = _extrapolate(blocks, t), _extrapolate(blocks, -t)
-        fd[t] = (x_dot_w(t, plus) - x_dot_w(-t, minus)) / (2.0 * t)
-    return fd
-
-
-def _extrapolate(blocks, t):
-    """The polynomial through the blocks at the (up to) three steps nearest
-    to t, evaluated at t: a start for the eigenvectors at t whose error is
-    of up to third order in the step, where the base block's is of first."""
-    near = sorted(blocks, key=lambda s: abs(s - t))[:3]
-    return sum(math.prod((t - r) / (s - r) for r in near if r != s) * blocks[s]
-               for s in near)
+    With K psi = lambda2 M psi, psi^T M psi = 1 and F = X_h.w = psi^T B psi,
+    B the boundary mass weighted by len (n.w) (x_boundary's Simpson form),
+    and q the adjoint state (load -2 B psi, q M-orthogonal to psi),
+    dF = psi^T dB psi + q^T (dK - lambda2 dM) psi - (psi^T dM psi) F.
+    len n = J (b - a) on a boundary edge a -> b, J the turn by -90 degrees,
+    so d(len n) = J (V_b - V_a); dK and dM come from assemble_derivative.
+    """
+    dK, dM = assemble_derivative(mesh, V)
+    a, b = mesh.boundary_edges.T
+    dv = V[b] - V[a]
+    pa, pb = psi[a], psi[b]
+    dB = (dv[:, 1] * w[0] - dv[:, 0] * w[1]) @ ((pa * pa + pa * pb + pb * pb) / 3.0)
+    dM_psi = dM @ psi
+    F = x_boundary(mesh, psi) @ w
+    return float(dB + q @ (dK @ psi) - lam2 * (q @ dM_psi) - (psi @ dM_psi) * F)
 
 
 def _vn_from_field(mesh: TriMesh, V):

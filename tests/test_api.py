@@ -2,6 +2,7 @@
 package or the benchmark, not only in the tests."""
 
 import ast
+import importlib
 import pathlib
 import re
 
@@ -26,3 +27,18 @@ def test_no_public_name_is_reached_only_from_tests():
         and len(re.findall(rf"\b{node.name}\b", text)) == 1
     ]
     assert set(unused) <= TEST_ORACLES, sorted(set(unused) - TEST_ORACLES)
+
+
+def test_benchmark_layers_are_bound():
+    # perfbench/spans.py wraps each LAYERS name by getattr on wgspec.<module>:
+    # a deleted or renamed function breaks every traced benchmark run
+    spans = pathlib.Path(wgspec.__file__).parents[2] / "perfbench" / "spans.py"
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(spans.read_text()).body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]
+    )
+    missing = [f"{home}.{name}" for home, names in layers.items() for name in names
+               if not hasattr(importlib.import_module(f"wgspec.{home}"), name)]
+    assert layers and not missing, missing

@@ -211,7 +211,6 @@ _MALFORMED = [
     (["shapederiv", "--w", 1, 0, "--nx", 0], "subdivision counts"),
     (["shapederiv", "--w", 1, 0, "--ny", 0], "subdivision counts"),
     (["shapederiv", "--w", 1, 0, "--rect", 0, 1], "rectangle dimensions"),
-    (["shapederiv", "--w", 1, 0, "--ladder", 0, 1e-3], "fd steps"),
     # the closed form holds on the wide rectangle only, where psi2 = cos(pi x/ell)
     (["shapederiv", "--w", 1, 0, "--analytic-compare", "--rect", 1, 2, "--nx", 16],
      "closed form requires ell > L"),
@@ -226,8 +225,6 @@ _MALFORMED = [
     (["sweep", "--radii", "0.5:0.2:0.1"], "--radii needs"),
     (["sweep", "--radii=-0.1:0.2:0.1"], "--radii needs"),
     (["sweep", "--radii", "-0.1:0.2:0.1"], "--radii needs"),
-    (["shapederiv", "--w", 1, 0, "--ladder", "-1e-3"], "fd steps"),
-    (["shapederiv", "--w", 1, 0, "--ladder=-1e-3"], "fd steps"),
     (["section"], "no mesh source"),
     (["section", "--triangle", 0], "n must be >= 1"),
     (["section", "--rect", 2, 1, 0, 4], "subdivision counts"),

@@ -389,6 +389,19 @@ class TestNormsAndY:
         assert abs(n["l1"] - 2.0 * math.atan(100.0)) <= 5e-5
         assert abs(CV.yvector(parabola_w50)[0] - n["l1"]) <= 1e-12
 
+    def test_integrals_sum_the_step_lengths(self, parabola_w50):
+        # the default parabola, s up to 5003: differences of the running
+        # sum s would move kappa_l1 and Y[0] by 2-7e-12
+        fc = parabola_w50
+        assert np.array_equal(np.cumsum(fc.panel), fc.s[1:])
+        n = CV.curvature_norms(fc)
+
+        def fsum(f):
+            return math.fsum(fc.panel * (f[:-1] + f[1:]) / 2.0)
+
+        for got, f in [(n["l1"], fc.kappa), *zip(CV.yvector(fc), (fc.k1, fc.k2))]:
+            assert abs(got - fsum(f)) <= 1e-14 * n["l1"]
+
     def test_line_zero(self):
         fc = CV.frame_curve(CV.line().window(10), 64)
         n = CV.curvature_norms(fc)

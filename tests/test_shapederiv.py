@@ -1,12 +1,13 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.linalg import splu
 
 from wgspec import fem as F, mesh as M, shapederiv as SD
-from wgspec.errors import StepTooLargeError, TrackingError
+from wgspec.crosssec import x_boundary
+from wgspec.errors import TrackingError
 
 
 @pytest.fixture(scope="module")
@@ -188,16 +189,29 @@ class TestHarmonicExtension:
         assert np.array_equal(E, SD.harmonic_extension(mesh, V))
 
 
+def _fd_oracle(mesh, V, ladder=(1e-3, 2e-3, 4e-3), tol=1e-10):
+    """dX_h/dt at t = 0 on M.perturb(mesh, V, t): central differences of
+    x_boundary over cold Lanczos solves on the +-t meshes, Richardson-
+    extrapolated over the ladder of doubling steps (the differences are even
+    in t, so each level removes the next power of t^2).  X is even in the
+    eigenfunction, so no sign is tracked."""
+    def x_boundary_at(t):
+        pm = M.perturb(mesh, V, t)
+        return x_boundary(pm, F.neumann_eigs(pm, 2, tol=tol).eigenvectors[:, 1])
+
+    table = [(x_boundary_at(t) - x_boundary_at(-t)) / (2.0 * t) for t in ladder]
+    for level in range(1, len(table)):
+        fac = 4.0 ** level
+        table = [(fac * a - b) / (fac - 1.0) for a, b in zip(table, table[1:])]
+    return table[0]
+
+
 class TestFdCheck:
-    def test_one_assembly_per_vertex_set(self, monkeypatch):
+    def test_one_assembly_per_vertex_set(self, monkeypatch, top_bump):
         # the base matrices serve the lift, the eigensolve and the adjoint;
-        # each +-t mesh is assembled once and builds no topology
+        # no mesh is perturbed or built
         mesh = M.gen_rectangle(8, 1, 256, 32)
-        x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
-        V = np.zeros_like(mesh.vertices)
-        on_top = np.abs(y - 1.0) < 1e-12
-        prof = np.cos(np.pi * (x - 3.0)) ** 2 * (np.abs(x - 3.0) < 0.5)
-        V[on_top, 1] = prof[on_top]
+        V = top_bump(mesh, 3.0)
         assembled, spectra, built, orders = [], [], [], []
         originals = F.assemble, F.neumann_eigs, M.build_trimesh, F.splu
 
@@ -222,15 +236,12 @@ class TestFdCheck:
         monkeypatch.setattr(F, "assemble", assemble)
         monkeypatch.setattr(SD, "neumann_eigs", neumann_eigs)
         monkeypatch.setattr(M, "build_trimesh", build_trimesh)
-        SD.fd_check(mesh, V, np.array([1.0, 0.0]), [1e-3, 2e-3, 4e-3])
-        assert len(assembled) == len({id(m) for m in assembled}) == 7
-        assert {id(m.connectivity) for m in assembled} == {id(mesh.connectivity)}
+        SD.fd_check(mesh, V, np.array([1.0, 0.0]))
+        assert len(assembled) == 1 and assembled[0] is mesh
         assert built == []
-        assert len(spectra) == 7
-        # the base pencil is factorized once; the six +-t eigensolves are
-        # preconditioned by that factor and factorize nothing
-        assert [s.fill for s in spectra] == [364846] + [0] * 6
-        # an order is searched for the lift's interior block and by the base
+        # one Lanczos eigensolve of psi2 and psi3 on a factorization of its own
+        assert [(len(s.eigenvalues), s.fill) for s in spectra] == [(3, 364846)]
+        # an order is searched for the lift's interior block and by the
         # eigensolve; the adjoint's bordered solve reuses the latter
         assert orders == ["MMD_AT_PLUS_A"] * 2 + ["NATURAL"]
 
@@ -245,77 +256,62 @@ class TestFdCheck:
         # order, and again on one that reuses it
         _, V = bump_8x1
         fresh = M.gen_rectangle(8, 1, 256, 32)
-        a, b = (SD.fd_check(m, V, np.array([1.0, 0.0]), [1e-3, 2e-3])
-                for m in (fresh, fresh))
+        a, b = (SD.fd_check(m, V, np.array([1.0, 0.0])) for m in (fresh, fresh))
         assert a.to_json() == b.to_json()
 
-    def test_fd_values_match_lanczos_solves(self, bump_8x1, monkeypatch):
-        # reference: every +-t pencil factorized and solved by Lanczos
-        mesh, V = bump_8x1
-        ladder = [1e-3, 2e-3, 4e-3]
-        rep = SD.fd_check(mesh, V, np.array([1.0, 0.0]), ladder, tol=1e-10)
-        original = SD.neumann_eigs
-
-        def lanczos(pm, k, tol, preconditioner=None, **kwargs):
-            if preconditioner is None:
-                return original(pm, k, tol=tol, **kwargs)
-            # a cold solve of one more pair, which stands in for the guard
-            s = original(pm, k + 1, tol=tol)
-            return replace(s, eigenvalues=s.eigenvalues[:-1],
-                           eigenvectors=s.eigenvectors[:, :-1],
-                           residuals=s.residuals[:-1],
-                           guard=s.eigenvectors[:, -1:])
-
-        monkeypatch.setattr(SD, "neumann_eigs", lanczos)
-        ref = SD.fd_check(mesh, V, np.array([1.0, 0.0]), ladder, tol=1e-10)
-        for t in ladder:
-            assert abs(rep.fd_values[t] - ref.fd_values[t]) <= 1e-9 * abs(ref.fd_values[t])
-
-    @pytest.mark.parametrize("ell, guards", [(8.0, 1), (3.0, 2)])
-    def test_guards(self, ell, guards, monkeypatch, top_bump):
-        # on the 3 x 1 rectangle lambda4 = lambda5 = pi^2 (modes cos(pi x)
-        # and cos(pi y)): psi5 joins the block as a second guard
-        mesh = M.gen_rectangle(ell, 1, int(16 * ell), 16)
-        V = top_bump(mesh, 1.2)
-        widths = []
-        original = SD.neumann_eigs
-
-        def neumann_eigs(pm, k, **kwargs):
-            s = original(pm, k, **kwargs)
-            if kwargs.get("preconditioner") is not None:
-                widths.append(s.guard.shape[1])
-            return s
-
-        monkeypatch.setattr(SD, "neumann_eigs", neumann_eigs)
-        SD.fd_check(mesh, V, np.array([1.0, 0.0]), [1e-3, 2e-3])
-        assert widths == [guards] * 4
+    @settings(max_examples=6, deadline=None)
+    @given(kind=st.sampled_from(["rect", "polygon"]), ell=st.floats(1.5, 4.0),
+           where=st.floats(0.05, 0.4), angle=st.floats(0.0, 2 * math.pi))
+    @example(kind="polygon", ell=2.0, where=0.3, angle=0.5)
+    def test_fd_values_match_lanczos_solves(self, kind, ell, where, angle,
+                                            top_bump):
+        # the exact derivative against _fd_oracle, on rectangles with a bump
+        # pushing the top side out left of the middle (where the derivative
+        # along e1 vanishes by symmetry), and on meshed polygons under a
+        # smooth field; relative to |dX_h/dt|, as d(X_h.w) vanishes for one w
+        center = 0.5 + where * (ell - 1.0)
+        if kind == "rect":
+            mesh = M.gen_rectangle(ell, 1.0, int(16 * ell), 16)
+            V = top_bump(mesh, center)
+        else:
+            mesh = M.gen_polygon(SD.bump_rectangle_polygon(ell, 1.0, "top", center,
+                                                           0.3, 0.1))
+            x, y = mesh.vertices.T
+            V = np.column_stack([np.sin(x + 2 * y), np.cos(2 * x - y)])
+        w = np.array([math.cos(angle), math.sin(angle)])
+        rep = SD.fd_check(mesh, V, w, tol=1e-10)
+        ref = _fd_oracle(mesh, SD.harmonic_extension(mesh, V))
+        assert abs(rep.discrete_value - ref @ w) <= 1e-8 * np.linalg.norm(ref)
 
     def test_still_boundary_differences_vanish(self):
-        # V = 0 leaves every +-t mesh equal to the base: the mirrored starts
-        # give equal eigenvectors bit for bit, so the differences are 0
+        # V = 0 moves no vertex: every term of the exact derivative, and of
+        # the adjoint formula, is a product with 0
         mesh = M.gen_rectangle(2, 1, 32, 16)
-        rep = SD.fd_check(mesh, np.zeros_like(mesh.vertices),
-                          np.array([1.0, 0.0]), [1e-3, 2e-3, 4e-3])
-        assert set(rep.fd_values.values()) == {0.0}
+        rep = SD.fd_check(mesh, np.zeros_like(mesh.vertices), np.array([1.0, 0.0]))
+        assert rep.discrete_value == 0.0
         assert rep.discrepancy == 0.0
 
-    def test_extrapolation_is_exact_on_quadratics(self):
-        rng = np.random.default_rng(3)
-        a, b, c = rng.standard_normal((3, 5, 3))
-        block = lambda t: a + t * b + t * t * c
-        blocks = {t: block(t) for t in (0.0, 1e-3, -1e-3, 2e-3)}
-        for t in (-2e-3, 4e-3):
-            assert np.allclose(SD._extrapolate(blocks, t), block(t),
-                               rtol=0, atol=1e-12)
-        assert np.array_equal(SD._extrapolate({0.0: a}, 1e-3), a)
-
     def test_rigid_translation(self):
+        # within rounding of the boundary term's scale |V| * integral of
+        # psi^2 over the boundary
         mesh = M.gen_rectangle(2 * np.pi, np.pi, 64, 32)
         V = np.tile([0.4, -0.3], (mesh.num_vertices, 1))
-        rep = SD.fd_check(mesh, V, np.array([1.0, 0.0]), [1e-3, 2e-3],
-                          tol=1e-10)
-        assert abs(rep.fd_extrapolated) < 1e-6
+        rep = SD.fd_check(mesh, V, np.array([1.0, 0.0]), tol=1e-10)
+        psi = F.neumann_eigs(mesh, 2, tol=1e-10).eigenvectors[:, 1]
+        pa, pb = psi[mesh.boundary_edges.T]
+        scale = 0.5 * (mesh.boundary_lengths * (pa * pa + pa * pb + pb * pb) / 3).sum()
+        assert abs(rep.discrete_value) <= 1e-14 * scale < 1e-6
         assert abs(rep.adjoint_value) < 1e-5
+
+    @pytest.mark.parametrize("w", [[1.0, 0.0], [0.0, 1.0]])
+    def test_rigid_rotation(self, w):
+        # the mesh turns rigidly about c, so X_h turns with it: dX_h/dt = J X_h
+        mesh = M.gen_right_triangle(32)
+        J = np.array([[0.0, -1.0], [1.0, 0.0]])
+        V = (mesh.vertices - [1 / 3, 1 / 3]) @ J.T
+        rep = SD.fd_check(mesh, V, np.array(w), tol=1e-10)
+        psi = F.neumann_eigs(mesh, 2, tol=1e-10).eigenvectors[:, 1]
+        assert abs(rep.discrete_value - (J @ x_boundary(mesh, psi)) @ w) <= 1e-12
 
     def test_smooth_bump_agreement(self):
         mesh = M.gen_rectangle(2 * np.pi, np.pi, 64, 32)
@@ -324,16 +320,8 @@ class TestFdCheck:
         on_top = np.abs(y - np.pi) < 1e-12
         prof = np.cos(np.pi * (x - 4.0) / 1.0) ** 2 * (np.abs(x - 4.0) < 0.5)
         V[on_top, 1] = prof[on_top]
-        rep = SD.fd_check(mesh, V, np.array([1.0, 0.0]), [1e-3, 2e-3, 4e-3],
-                          tol=1e-10)
+        rep = SD.fd_check(mesh, V, np.array([1.0, 0.0]), tol=1e-10)
         assert rep.discrepancy < 0.02
-
-    @pytest.mark.parametrize("ladder", [[0.0, 1e-3], [-1e-3], [1e-3, math.inf], []])
-    def test_ladder_must_be_positive_and_finite(self, ladder):
-        mesh = M.gen_rectangle(2, 1, 8, 4)
-        with pytest.raises(ValueError, match="fd steps"):
-            SD.fd_check(mesh, np.zeros_like(mesh.vertices), np.array([1.0, 0.0]),
-                        ladder)
 
     def test_degenerate_base_raises_tracking_error(self):
         # on the unit square lambda2 = lambda3 = pi^2, so psi2 has no
@@ -341,14 +329,7 @@ class TestFdCheck:
         mesh = M.gen_rectangle(1, 1, 16, 16)
         V = np.zeros_like(mesh.vertices)
         with pytest.raises(TrackingError, match="degenerate on the base mesh"):
-            SD.fd_check(mesh, V, np.array([1.0, 0.0]), [1e-3])
-
-    def test_inadmissible_ladder_propagates(self):
-        mesh = M.gen_right_triangle(8)
-        rng = np.random.default_rng(12)
-        V = rng.standard_normal(mesh.vertices.shape)
-        with pytest.raises(StepTooLargeError):
-            SD.fd_check(mesh, V, np.array([1.0, 0.0]), [50.0], tol=1e-8)
+            SD.fd_check(mesh, V, np.array([1.0, 0.0]))
 
 
 class TestBumpGeometry:
