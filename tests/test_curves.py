@@ -161,8 +161,13 @@ def _assert_matches_scan(arc, phi):
     for name, ref in (("e2", e2), ("e3", e3), ("k1", k1), ("k2", k2)):
         assert np.abs(getattr(fc, name) - ref).max() <= 1e-12, name
     # Y integrates the node differences over the arclength: they add up to
-    # at most their max times the curvature's L1 norm, |Y|'s own bound
-    Y = np.array([np.trapezoid(k1, arc.s), np.trapezoid(k2, arc.s)])
+    # at most their max times the curvature's L1 norm, |Y|'s own bound.  The
+    # reference sums the step lengths exactly, as yvector's quadrature does:
+    # differences of the running sum s would add rounding of order eps s
+    def trapezoid(f):
+        return math.fsum(arc.panel * (f[:-1] + f[1:]) / 2.0)
+
+    Y = np.array([trapezoid(k1), trapezoid(k2)])
     scale = max(1.0, float(np.trapezoid(fc.kappa, arc.s)))
     assert np.abs(CV.yvector(fc) - Y).max() <= 1e-12 * scale
 
