@@ -47,6 +47,9 @@ def _load_mesh(args):
 
     if args.rect:
         ell, L, nx, ny = args.rect
+        if not (nx.is_integer() and ny.is_integer()):
+            raise ValueError(f"subdivision counts must be whole numbers, got "
+                             f"{nx:g} and {ny:g}")
         return meshmod.gen_rectangle(float(ell), float(L), int(nx), int(ny))
     if args.triangle is not None:
         return meshmod.gen_right_triangle(int(args.triangle))
@@ -272,7 +275,9 @@ def build_parser():
     s.add_argument("--origin", nargs=2, type=float, default=[0.0, 0.0])
     s.add_argument("--tol", type=float, default=1e-8)
     s.add_argument("--fast", action="store_true",
-                   help="skip the refinement-based error estimate")
+                   help="skip the Crouzeix-Raviart lower bound of lambda2 "
+                        "and lambda3: discretization_error is 0 and simple "
+                        "compares the gap with 10 tol only")
     s.add_argument("-o", "--output", default="-")
     s.set_defaults(func=cmd_section)
 

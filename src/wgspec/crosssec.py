@@ -1,22 +1,19 @@
-"""Cross-section analysis: the first nonzero Neumann eigenvalue with a
-simplicity verdict, the boundary vector X by two independent formulas, and
-closed-form reference sections."""
+"""Cross-section analysis: the first nonzero Neumann eigenvalue enclosed
+between a conforming (P1) upper bound and a Crouzeix-Raviart lower bound,
+with a simplicity verdict that the enclosure proves, the boundary vector X
+by two independent formulas, and closed-form reference sections."""
 
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSectionError, SolverError
-from .fem import (_p1_gradients, assemble, grad_p1, neumann_eigs,
-                  shifted_factor, two_grid)
-from .mesh import TriMesh, prolongation, refine_uniform
-
-_log = logging.getLogger("wgspec")
+from .errors import DegenerateSectionError
+from .fem import _p1_gradients, cr_eigs, grad_p1, neumann_eigs
+from .mesh import TriMesh
 
 
 @dataclass(frozen=True)
@@ -27,6 +24,16 @@ class CrossSectionReport:
     quadrature of n |psi|^2 and by the volume form 2 integral of psi grad psi;
     for P1 fields the two agree to rounding (per-triangle divergence theorem
     on the piecewise-quadratic psi^2).
+
+    lambda2 and lambda3 are P1 eigenvalues, upper bounds by min-max for
+    those of the meshed polygon.  The lower bounds come from the
+    Crouzeix-Raviart eigenvalues t on the same mesh, lambda_k >= t / (1 +
+    (0.1893 h)^2 t) with h the largest edge (Liu, Appl. Math. Comput. 267,
+    2015; Carstensen & Gedicke, Math. Comp. 83, 2014); see fem.cr_eigs.
+    discretization_error is the relative width (lambda2 - lower) / lower of
+    lambda2's enclosure, and simple means lower(lambda3) > lambda2.  When
+    analyze skips the lower bound, discretization_error is 0 and simple
+    means gap_ratio > 10 tol.
     """
 
     lambda2: float
@@ -96,49 +103,31 @@ def b_radius(mesh: TriMesh, origin=(0.0, 0.0)):
 def analyze(mesh: TriMesh, origin=(0.0, 0.0), tol=1e-8, estimate_error=True):
     """Full cross-section report: lambda2 with simplicity verdict, X, b.
 
-    Simplicity couples the spectral gap to a one-refinement-step error
-    estimate: the gap must exceed max(10*tol, 5*estimated relative
-    discretization error).  lambda2 and lambda3 come from shift-invert
-    Lanczos on one factorization of the coarse pencil (fem.shifted_factor).
-    The estimate solves for lambda2 on refine_uniform(mesh), whose pencil
-    is assembled but not factorized: LOBPCG on one column, started from the
-    prolonged coarse psi2 and preconditioned by a two-grid cycle on the
-    coarse factor (fem.two_grid).  It agrees with a cold Lanczos solve on
-    the refined mesh to about the squared residual tolerance, in 8 to 13
-    iterations on the tests' triangles, L shapes and bumps and up to 23 on
-    near-double rectangles.  The cycle's Jacobi sweeps smooth poorly across
-    stretched cells, and a start near the refined psi3 (lambda2 and lambda3
-    swapping order under the refinement) turns slowly: where LOBPCG misses
-    tol, as on 8 x 32 cells of a 1.5 x 1 rectangle, the refined pencil is
-    factorized after all and solved by Lanczos from the same start, and the
-    "wgspec" logger records it at INFO level.  With estimate_error=False
-    (cheap mode for sweeps) only the 10*tol floor is used.
+    lambda2 and lambda3 come from shift-invert Lanczos on the P1 pencil
+    (fem.neumann_eigs); as Rayleigh quotients they bound the eigenvalues of
+    the meshed polygon from above.  cr_eigs bounds both from below, by one
+    Crouzeix-Raviart eigensolve on the same mesh.  lambda2 is then simple
+    exactly when lower(lambda3) > upper(lambda2), which proves that the
+    eigenvalues differ, and discretization_error is the relative width of
+    lambda2's enclosure, (lambda2 - lower) / lower.  With
+    estimate_error=False (cheap mode for sweeps) the lower bound is skipped:
+    discretization_error is 0 and simple means only that the P1 gap ratio
+    exceeds 10 * tol.  ValueError if the origin is not finite.
     """
     origin = np.asarray(origin, dtype=float)
-    matrices = assemble(mesh)
-    factor = shifted_factor(*matrices, mesh.connectivity)
-    spec = neumann_eigs(mesh, 2, tol=tol, matrices=matrices, factor=factor)
+    if not np.isfinite(origin).all():
+        raise ValueError(f"origin must be finite, got {origin.tolist()}")
+    spec = neumann_eigs(mesh, 2, tol=tol)
     lam2, lam3 = float(spec.eigenvalues[1]), float(spec.eigenvalues[2])
     gap_ratio = (lam3 - lam2) / lam2 if lam2 > 0 else 0.0
 
-    disc_err = 0.0
     if estimate_error:
-        fine = refine_uniform(mesh)
-        fine_matrices = assemble(fine)
-        P = prolongation(mesh)
-        # the prolonged coarse psi is an O(h^2)-accurate start on the fine mesh
-        v0 = P @ spec.eigenvectors[:, 1:2]
-        try:
-            spec_f = neumann_eigs(fine, 1, tol=tol, v0=v0, matrices=fine_matrices,
-                                  preconditioner=two_grid(*fine_matrices, factor, P))
-        except SolverError as exc:
-            _log.info("two-grid estimate solve on %d vertices failed (%s); "
-                      "factorizing the refined pencil", fine.num_vertices, exc)
-            spec_f = neumann_eigs(fine, 1, tol=tol, v0=v0[:, 0],
-                                  matrices=fine_matrices)
-        lam2_f = float(spec_f.eigenvalues[1])
-        disc_err = abs(lam2 - lam2_f) / max(lam2_f, 1e-300)
-    simple = gap_ratio > max(10.0 * tol, 5.0 * disc_err)
+        lower2, lower3 = cr_eigs(mesh, 2, tol)
+        disc_err = float((lam2 - lower2) / lower2)
+        simple = bool(lower3 > lam2)
+    else:
+        disc_err = 0.0
+        simple = gap_ratio > 10.0 * tol
 
     psi = fix_sign(spec.eigenvectors[:, 1])
 

@@ -1,27 +1,26 @@
-"""P1 Lagrange finite elements on triangle meshes.
+"""P1 Lagrange finite elements on triangle meshes, and a Crouzeix-Raviart
+lower bound for their Neumann eigenvalues.
 
 Assembly of the stiffness and consistent mass matrices, Neumann
 generalized eigensolves by shift-invert Lanczos (ARPACK through scipy's
-eigsh, one sparse LU factorization per eigensolve) or by LOBPCG with no
-factorization of its own (preconditioned by a two-grid cycle across one
-uniform refinement on the coarse mesh's factor), the exact derivatives of
-the P1 matrices along a vertex velocity, and deflated (bordered) solves of
-singular shifted systems.  Every matrix on a mesh's Connectivity
-has its P1 pattern, and every factorization on it reuses the fill-reducing
-column order that the first one found.
+eigsh, one sparse LU factorization per eigensolve), guaranteed lower
+bounds of the same eigenvalues from the Crouzeix-Raviart element on the
+same mesh (cr_eigs), the exact derivatives of the P1 matrices along a
+vertex velocity, and deflated (bordered) solves of singular shifted
+systems.  Every matrix on a mesh's Connectivity has its P1 pattern, and
+every factorization on it reuses the fill-reducing column order that the
+first one found.
 """
 
 from __future__ import annotations
 
-import warnings
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
-                                 lobpcg, splu)
+                                 splu)
 
 from .errors import NearDegenerateError, SolverError
 from .mesh import TriMesh
@@ -29,19 +28,6 @@ from .mesh import TriMesh
 # the eigensolver shift is -SHIFT_SCALE * tr(K)/tr(M): a fixed multiple of a
 # ratio that scales like an eigenvalue, so the spectrum scales exactly
 SHIFT_SCALE = 1e-5
-# seeded noise added to a given Lanczos start vector, relative to its norm:
-# a start that spans an invariant subspace of unwanted eigenvectors (say
-# psi3 + psi4 when psi2 is wanted) makes Lanczos break down, and it can then
-# return those as converged; this floor keeps every eigenvector in the
-# Krylov space, and it added no solve to the prolonged starts
-START_NOISE = 1e-12
-# LOBPCG iterations before a preconditioned eigensolve gives up; analyze's
-# two-grid estimate takes 8 to 13, up to 23 on near-double rectangles
-LOBPCG_MAXITER = 40
-# LOBPCG stops on the absolute residual ||K x - lambda M x|| of M-normalized
-# x; it is asked for this fraction of tol * ||M x|| at the start, which
-# leaves room for ||M x|| to move before the relative residual gate
-LOBPCG_MARGIN = 0.5
 # ARPACK's tol from the seeded start, relative to its Ritz values, as a
 # fraction of tol * area (see _shift_invert_eigs); on rectangles, triangles,
 # L shapes and bumps of sizes 0.1 to 100 it kept every gate residual
@@ -49,8 +35,9 @@ LOBPCG_MARGIN = 0.5
 ARPACK_MARGIN = 1e-3
 # the P1 mass element over area/12, entry (i, j) at 3 i + j
 _MASS = np.array([2.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 2.0])
-# damping of the Jacobi sweeps before and after two_grid's coarse correction
-JACOBI_WEIGHT = 2.0 / 3.0
+# the Crouzeix-Raviart interpolation constant over the largest edge h
+# (Liu, Appl. Math. Comput. 267, 2015): cr_eigs's lower bound
+CR_CONSTANT = 0.1893
 
 
 @dataclass(frozen=True)
@@ -62,10 +49,10 @@ class Spectrum:
     ||K u - lambda M u|| / ||M u|| per pair.
     shift is the shift sigma of the factorized K - sigma M that was solved
     with, solves the number of vectors solved with it and fill the nonzeros
-    of its L and U factors (SuperLU.nnz).  For Lanczos that factor is this
-    pencil's; for LOBPCG shift is the preconditioner's, solves counts its
-    applications and fill is 0, as nothing was factorized.  A
-    dense solve reports solves and fill 0.
+    of its L and U factors (SuperLU.nnz).  A dense solve reports solves and
+    fill 0.  Each eigenvalue is the Rayleigh quotient of its eigenvector, so
+    by min-max it bounds the Neumann eigenvalue of the same index from
+    above.
     """
 
     eigenvalues: np.ndarray
@@ -243,64 +230,8 @@ def _factor(conn, data):
     return solve, lu.nnz
 
 
-@dataclass(frozen=True)
-class ShiftedFactor:
-    """An inverse of K - sigma M for one pencil, at the eigensolver shift
-    sigma = -SHIFT_SCALE * tr(K)/tr(M).  solve maps a nodal vector, or an
-    (n, m) block of them, to the inverse times it; fill is the nonzeros of
-    the L and U factors.  shifted_factor makes the exact inverse from a
-    factorization; as a preconditioner (neumann_eigs) any approximate
-    inverse of K - sigma M on the pencil's vertex numbering serves, such as
-    two_grid's cycle, whose fill is the coarse factor's."""
-
-    sigma: float
-    solve: Callable
-    fill: int
-
-
 def _shift(K, M):
     return -SHIFT_SCALE * K.diagonal().sum() / M.diagonal().sum()
-
-
-def two_grid(K, M, coarse, P):
-    """A preconditioner for the pencil (K, M) on a uniform refinement of a
-    mesh whose pencil is factorized: a ShiftedFactor at this pencil's shift
-    sigma whose solve is one symmetric two-grid cycle for K - sigma M
-    (Hackbusch, Multi-Grid Methods and Applications, 1985) and whose fill is
-    the coarse factor's.
-
-    The cycle is a Jacobi sweep damped by JACOBI_WEIGHT, the coarse
-    correction P (K_c - sigma_c M_c)^-1 P^T with ``coarse``, the ShiftedFactor
-    of the coarse pencil, and P its exact prolongation (mesh.prolongation),
-    then a second such sweep.  P^T K P and P^T M P are the coarse matrices,
-    so the coarse factor is an exact Galerkin coarse-grid operator up to the
-    two shifts.  K and M share one pattern, as assemble makes them; nothing
-    is factorized.
-    """
-    sigma = _shift(K, M)
-    A = sparse.csr_matrix((K.data - sigma * M.data, K.indices, K.indptr),
-                          shape=K.shape)
-    weight = JACOBI_WEIGHT / A.diagonal()
-
-    def solve(B):
-        D = weight if B.ndim == 1 else weight[:, None]
-        X = D * B
-        X += P @ coarse.solve(P.T @ (B - A @ X))
-        X += D * (B - A @ X)
-        return X
-
-    return ShiftedFactor(sigma, solve, coarse.fill)
-
-
-def shifted_factor(K, M, connectivity=None):
-    """ShiftedFactor of the pencil (K, M).  With ``connectivity`` (K and M
-    on its P1 pattern) the factorization uses or finds its column order
-    (_factor); without, K - sigma M gets an order of its own."""
-    sigma = _shift(K, M)
-    if connectivity is None:
-        lu = _splu_spd((K - sigma * M).tocsc())
-        return ShiftedFactor(sigma, lu.solve, lu.nnz)
-    return ShiftedFactor(sigma, *_factor(connectivity, K.data - sigma * M.data))
 
 
 def _residuals(K, M, vals, X):
@@ -339,39 +270,29 @@ def _gate(res, tol):
         )
 
 
-def _shift_invert_eigs(K, M, k, tol, constant, v0=None, connectivity=None,
-                       factor=None):
+def _shift_invert_eigs(K, M, k, tol, constant, connectivity=None):
     """k eigenpairs of K u = lambda M u nearest above sigma = -SHIFT_SCALE *
     tr(K)/tr(M), by ARPACK's implicitly restarted Lanczos on one factorization
-    of the positive definite K - sigma M: ``factor``, the ShiftedFactor of
-    this pencil if the caller keeps one, else shifted_factor(K, M,
-    connectivity).  The start vector and every solve are projected
-    M-orthogonally off ``constant``, an M-normalized null vector of K.
-    Without ``v0`` the start vector is seeded random and the Lanczos basis
-    has ncv = max(2k + 1, 20) vectors.  A given ``v0``
-    (shape (n,), e.g. eigenvectors of a nearby problem) starts the basis
-    instead, plus START_NOISE of the seeded vector, with ncv = 2k + 2:
-    ARPACK fills all ncv vectors before its first convergence test, so a
-    larger basis only adds solves to a good start.
+    of the positive definite K - sigma M.  With ``connectivity`` (K and M on
+    its P1 pattern) the factorization uses or finds its column order
+    (_factor); without, K - sigma M gets an order of its own.  The seeded
+    start vector and every solve are projected M-orthogonally off
+    ``constant``, an M-normalized null vector of K, and the Lanczos basis has
+    ncv = max(2k + 1, 20) vectors.
     ARPACK accepts a Ritz pair (theta, x) of OP = (K - sigma M)^-1 M once its
     Ritz estimate ||OP x - theta x||_M is at most its tol times |theta|.  The
     gate below holds ||K x - lambda M x|| / ||M x|| <= tol instead, in units
     of lambda, and K x - lambda M x = -(lambda - sigma) (K - sigma M) (OP x -
     theta x): K - sigma M scales the unconverged Krylov remainder by
     eigenvalues well above lambda, so ARPACK's tol = tol left residuals up
-    to 600 tol.  From the seeded start ARPACK is therefore asked for
-    ARPACK_MARGIN * tol * area (area = 1^T M 1 makes it dimensionless, so
-    the margin holds at any length unit), not below machine precision.  It
-    still fills its basis once, so ncv + 2 solves is the floor: 22, where a
-    machine-precision tol restarts to 39 on some sections.  A given v0 keeps
-    machine precision: it may hold a wanted eigenvector only at the
-    START_NOISE level, and a looser tol accepts the unwanted pairs it spans
-    before that one grows (lambda3 returned as lambda2 from psi3 + psi4 on a
-    bump, at any tol >= 1e-14).  ValueError unless 0 < tol < inf, or if v0
-    has the wrong shape, is not finite or vanishes after the projection.
-    Pencils too small to restart a Lanczos basis in are solved densely, and
-    v0 and factor are not used there.  Returns (values, vectors, residuals,
-    sigma, solves, fill), fill the nonzeros of the LU factors (0 if dense).
+    to 600 tol.  ARPACK is therefore asked for ARPACK_MARGIN * tol * area
+    (area = 1^T M 1 makes it dimensionless, so the margin holds at any
+    length unit), not below machine precision.  It still fills its basis
+    once, so ncv + 2 solves is the floor: 22, where a machine-precision tol
+    restarts to 39 on some sections.  ValueError unless 0 < tol < inf.
+    Pencils too small to restart a Lanczos basis in are solved densely.
+    Returns (values, vectors, residuals, sigma, solves, fill), fill the
+    nonzeros of the LU factors (0 if dense).
     """
     _check_tol(tol)
     n = K.shape[0]
@@ -380,39 +301,27 @@ def _shift_invert_eigs(K, M, k, tol, constant, v0=None, connectivity=None,
     def project(y):
         return y - constant * (constant @ (M @ y))
 
-    noise = project(np.random.default_rng(7).standard_normal(n))
-    if v0 is None:
-        ncv = max(2 * k + 1, 20)
-        start = noise
-        arpack_tol = max(ARPACK_MARGIN * tol * M.sum(), np.finfo(float).eps)
-    else:
-        ncv = 2 * k + 2
-        arpack_tol = 0.0
-        v0 = np.asarray(v0, dtype=float)
-        if v0.shape != (n,) or not np.isfinite(v0).all():
-            raise ValueError(f"start vector must be {n} finite values")
-        start = project(v0)
-        scale = np.linalg.norm(start)
-        if not scale > 1e-10 * np.linalg.norm(v0):
-            raise ValueError("start vector vanishes after projection off the "
-                             "constant mode")
-        start = start + noise * (START_NOISE * scale / np.linalg.norm(noise))
+    ncv = max(2 * k + 1, 20)
     solves = fill = 0
     if n - 1 <= ncv:
         X = _dense_eigs(K, M, k)
     else:
-        if factor is None:
-            factor = shifted_factor(K, M, connectivity)
-        fill = factor.fill
+        if connectivity is None:
+            lu = _splu_spd((K - sigma * M).tocsc())
+            solve, fill = lu.solve, lu.nnz
+        else:
+            solve, fill = _factor(connectivity, K.data - sigma * M.data)
 
         def apply_inverse(b):
             nonlocal solves
             solves += 1
-            return project(factor.solve(b))
+            return project(solve(b))
 
         try:
-            _, X = eigsh(K, k, M, sigma=sigma, which="LM", v0=start, ncv=ncv,
-                         tol=arpack_tol,
+            _, X = eigsh(K, k, M, sigma=sigma, which="LM", ncv=ncv,
+                         v0=project(np.random.default_rng(7).standard_normal(n)),
+                         tol=max(ARPACK_MARGIN * tol * M.sum(),
+                                 np.finfo(float).eps),
                          OPinv=LinearOperator((n, n), matvec=apply_inverse))
         except ArpackNoConvergence as exc:
             raise SolverError(
@@ -424,77 +333,21 @@ def _shift_invert_eigs(K, M, k, tol, constant, v0=None, connectivity=None,
     return vals, X, res, sigma, solves, fill
 
 
-def _lobpcg_eigs(K, M, k, tol, constant, start, solve):
-    """The k lowest Ritz pairs of K u = lambda M u above the M-normalized
-    null vector ``constant`` of K, by LOBPCG (Knyazev 2001) with B = M, the
-    constraint Y = constant, the preconditioner ``solve`` (an approximate
-    inverse of K - sigma M that maps (n, k) blocks) and the start block
-    ``start``, shape (n, k).  An eigenvalue outside the block equal or close
-    to the k-th stalls it.  lobpcg's warnings (too few iterations; a dense
-    solve for n - 1 < 5 k, which is done here instead) are not passed on:
-    SolverError if a residual exceeds tol after LOBPCG_MAXITER iterations.
-    ValueError unless 0 < tol < inf, or if the start is not a finite (n, k)
-    block.  Returns (values, vectors, residuals, solves), ascending, with
-    the number of vectors preconditioned.
-    """
-    _check_tol(tol)
-    n = K.shape[0]
-    X = np.array(start, dtype=float)
-    if X.shape != (n, k) or not np.isfinite(X).all():
-        raise ValueError(f"start block must be {n} x {k} finite values")
-    solves = 0
-    if n - 1 < 5 * k:
-        vals, X, res = _rayleigh_pairs(K, M, _dense_eigs(K, M, k), k)
-    else:
-        def precondition(B):
-            nonlocal solves
-            solves += B.shape[1]
-            # one memory layout, whichever solve: lobpcg's BLAS products
-            # round differently on C and Fortran blocks
-            return np.ascontiguousarray(solve(B))
-
-        MX = M @ X
-        scale = (np.linalg.norm(MX, axis=0)
-                 / np.sqrt(np.einsum("ij,ij->j", X, MX))).min()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            _, X = lobpcg(K, X, B=M, M=precondition, Y=constant[:, None],
-                          tol=LOBPCG_MARGIN * tol * scale, largest=False,
-                          maxiter=LOBPCG_MAXITER)
-        vals, X, res = _rayleigh_pairs(K, M, X, k)
-    _gate(res, tol)
-    return vals, X, res, solves
-
-
-def neumann_eigs(mesh: TriMesh, k, tol=1e-8, v0=None, matrices=None,
-                 factor=None, preconditioner=None):
+def neumann_eigs(mesh: TriMesh, k, tol=1e-8, matrices=None):
     """k+1 smallest Neumann eigenpairs of K u = lambda M u, zero mode included.
 
     The constant mode is deflated analytically and reported first; the other
-    k come from shift-invert Lanczos at sigma = -SHIFT_SCALE * tr(K)/tr(M),
-    or by LOBPCG if a preconditioner is given.
-    v0, a nodal vector, warm-starts the Lanczos basis: it is projected
-    M-orthogonally off the constant mode and the basis shrinks from
-    max(2k + 1, 20) to 2k + 2 vectors (see _shift_invert_eigs).  A start
-    close to the wanted eigenvectors, such as the prolonged eigenvector of
-    a coarser mesh, takes fewer solves; a poor one, even one M-orthogonal to
-    them, gives the same eigenvalues in more solves.  Without v0 the seeded
-    start is used.  Either way the result is deterministic bit for bit: the
-    factorization of K - sigma M reuses the column order of
+    k come from shift-invert Lanczos at sigma = -SHIFT_SCALE * tr(K)/tr(M)
+    from a seeded start (_shift_invert_eigs).  The result is deterministic
+    bit for bit: the factorization of K - sigma M reuses the column order of
     mesh.connectivity when an earlier one found it, with the same factors.
+    Each eigenvalue is the Rayleigh quotient of its eigenvector, M-orthogonal
+    to the constants, so by min-max it is an upper bound for the Neumann
+    eigenvalue of the same index on the meshed polygon.
     matrices, the (K, M) of assemble(mesh) if the caller has them, saves
-    assembling them again; factor, the shifted_factor of those matrices if
-    the caller keeps it, saves factorizing them.
-    preconditioner, a ShiftedFactor whose solve is any approximate inverse
-    of K - sigma M on this mesh's vertex numbering (such as two_grid's cycle
-    on the factor of the mesh this one refines), replaces Lanczos by LOBPCG
-    preconditioned by that solve, with no factorization (_lobpcg_eigs).  v0
-    is then required, an (n, k) start block such as the prolonged coarse
-    psi2.  The Spectrum reports the preconditioner's shift, its
-    applications as solves and fill 0.
-    Raises ValueError if v0 is not n finite values (an n x k block under a
-    preconditioner) or vanishes after the projection, SolverError if
-    Lanczos fails or a residual exceeds tol.
+    assembling them again.
+    Raises ValueError unless 0 < tol < inf, SolverError if Lanczos fails or
+    a residual exceeds tol.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -506,16 +359,8 @@ def neumann_eigs(mesh: TriMesh, k, tol=1e-8, v0=None, matrices=None,
     ones = np.ones(n)
     c = ones / np.sqrt(ones @ (M @ ones))
     lam1 = max(float(c @ (K @ c)), 0.0)
-    if preconditioner is None:
-        vals, X, res, sigma, solves, fill = _shift_invert_eigs(
-            K, M, k, tol, constant=c, v0=v0, connectivity=mesh.connectivity,
-            factor=factor)
-    else:
-        if v0 is None:
-            raise ValueError("a preconditioned eigensolve needs a start block")
-        vals, X, res, solves = _lobpcg_eigs(K, M, k, tol, c, v0,
-                                            preconditioner.solve)
-        sigma, fill = preconditioner.sigma, 0
+    vals, X, res, sigma, solves, fill = _shift_invert_eigs(
+        K, M, k, tol, constant=c, connectivity=mesh.connectivity)
     c_res = float(np.linalg.norm(K @ c - lam1 * (M @ c)) / np.linalg.norm(M @ c))
     return Spectrum(
         eigenvalues=np.concatenate([[lam1], vals]),
@@ -525,6 +370,55 @@ def neumann_eigs(mesh: TriMesh, k, tol=1e-8, v0=None, matrices=None,
         solves=solves,
         fill=fill,
     )
+
+
+def cr_eigs(mesh: TriMesh, k, tol=1e-8):
+    """Guaranteed lower bounds of the Neumann eigenvalues lambda_2, ...,
+    lambda_{k+1} of the meshed polygon, ascending, from the Crouzeix-Raviart
+    (CR) element on the same mesh.
+
+    The CR unknowns are the edges of mesh.connectivity; the basis function
+    of the side opposite vertex i is 1 - 2 phi_i, so the element stiffness
+    is 2 g_i . g_j / area2 (_p1_gradients) and the mass, exact by midpoint
+    quadrature, is diagonal: area/3 per side.  The constant vector lies in
+    the CR space and K annihilates it.  The pencil is solved like the P1 one
+    (_shift_invert_eigs, its own column order), and each Rayleigh quotient
+    rho is widened by its Krylov-Bogoliubov radius ||K x - rho M x||_{M^-1}
+    / ||x||_M, which some CR eigenvalue lies within.  With h the largest
+    edge, lambda_k >= t / (1 + (CR_CONSTANT h)^2 t) for t = lambda_k^CR
+    (Liu, Appl. Math. Comput. 267, 2015; Carstensen & Gedicke, Math. Comp.
+    83, 2014), and the bound grows with t, so it is applied to rho minus its
+    radius.  Checked numerically rather than proved here: that the
+    constant holds for the Neumann problem with the zero mode counted as
+    lambda_1 (on rectangles and right triangles, the closed forms lie inside
+    every enclosure tried), and that the solver returns the k-th CR
+    eigenvalue and not a higher one.  Raises ValueError unless 0 < tol <
+    inf, SolverError if Lanczos fails, a residual exceeds tol or a radius
+    reaches down to the zero mode.
+    """
+    conn = mesh.connectivity
+    ne = len(conn.edges)
+    if k + 2 > ne:
+        raise ValueError("k + 2 exceeds the edge count")
+    area2, g = _p1_gradients(mesh)
+    sides = conn.tri_edges[:, (1, 2, 0)]
+    ke = 2.0 * np.einsum("tik,tjk->tij", g, g) / area2[:, None, None]
+    K = sparse.csr_matrix((ke.ravel(), (np.repeat(sides, 3, axis=1).ravel(),
+                                        np.tile(sides, 3).ravel())),
+                          shape=(ne, ne))
+    m = np.bincount(sides.ravel(), np.repeat(area2 / 6.0, 3), ne)
+    M = sparse.diags(m, format="csr")
+    constant = np.full(ne, 1.0 / np.sqrt(m.sum()))
+    vals, X, res, *_ = _shift_invert_eigs(K, M, k, tol, constant)
+    R = K @ X - (M @ X) * vals
+    radii = (np.sqrt(np.einsum("ij,ij->j", R, R / m[:, None]))
+             / np.sqrt(np.einsum("ij,ij->j", X, X * m[:, None])))
+    lower = vals - radii
+    if not lower[0] > 0.0:
+        raise SolverError(
+            f"CR eigenvalue {vals[0]:.3e} is within its residual radius "
+            f"{radii[0]:.3e} of zero", residuals=res)
+    return lower / (1.0 + (CR_CONSTANT * mesh.max_edge()) ** 2 * lower)
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ class Connectivity:
     edges, tri_edges
         The edge table (_edge_table) without its counts: the unique (lo, hi)
         edges and the (nt, 3) edge ids of each triangle's sides 01, 12 and
-        20.  refine_uniform and prolongation read it.
+        20.  refine_uniform and fem.cr_eigs read it.
     indptr, indices
         CSR pattern of a P1 matrix: the diagonal of every vertex on a
         triangle and both entries of every edge, columns sorted in each row.
@@ -831,23 +831,6 @@ def refine_uniform(mesh: TriMesh):
         [a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca]
     ).reshape(-1, 3)
     return build_trimesh(verts, tris, warnings=mesh.warnings)
-
-
-def prolongation(mesh: TriMesh):
-    """The exact P1 prolongation P from mesh to refine_uniform(mesh), a CSR
-    matrix of shape (fine vertices, coarse vertices): the identity on the
-    coarse vertices, then 1/2 at both ends of each edge for its midpoint, in
-    the fine mesh's vertex order.
-
-    The fine P1 space nests the coarse one, so P u is the same piecewise
-    linear function as u, and P^T K_f P, P^T M_f P are the coarse matrices.
-    """
-    edges = mesh.connectivity.edges
-    nc, ne = mesh.num_vertices, len(edges)
-    indptr = np.concatenate([np.arange(nc + 1), nc + 2 * np.arange(1, ne + 1)])
-    indices = np.concatenate([np.arange(nc), edges.ravel()])
-    data = np.concatenate([np.ones(nc), np.full(2 * ne, 0.5)])
-    return sparse.csr_matrix((data, indices, indptr), shape=(nc + ne, nc))
 
 
 def perturb(mesh: TriMesh, V, t):

@@ -281,10 +281,13 @@ def bump_sweep(ell, L, side, center, radii, target_h=0.06, tol=1e-8):
     Returns one row per radius (radius 0 means the unperturbed rectangle);
     failures flag the row with the exception type and message and the sweep
     continues.  X is even in the eigenfunction, so no sign is tracked.
-    ValueError unless 0 < tol < inf, before any row is computed.
+    ValueError unless 0 < tol < inf and 0 < target_h < inf, before any row
+    is computed.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if not 0.0 < target_h < math.inf:
+        raise ValueError(f"target_h must be positive and finite, got {target_h!r}")
     rows = []
     for r in radii:
         try:

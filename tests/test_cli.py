@@ -228,6 +228,11 @@ _MALFORMED = [
     (["section"], "no mesh source"),
     (["section", "--triangle", 0], "n must be >= 1"),
     (["section", "--rect", 2, 1, 0, 4], "subdivision counts"),
+    (["section", "--rect", 2, 1, 2.5, 4, "--fast"], "subdivision counts"),
+    (["section", "--rect", 2, 1, "nan", 4, "--fast"], "subdivision counts"),
+    # b would be NaN, which is not JSON
+    (["section", "--triangle", 8, "--origin", "nan", 0, "--fast"],
+     "origin must be finite"),
     (["section", "--gmsh", "/nonexistent/mesh.msh"], "no such file"),
     (["section", "--triangle", 8, "--tol", 0], "tol must be"),
     (["section", "--triangle", 8, "--tol", "nan"], "tol must be"),
@@ -239,6 +244,8 @@ _MALFORMED = [
      "tol must be"),
     (["sweep", "--radii", "0.2:0.2:0.1", "--target-h", 0.3, "--tol", "nan"],
      "tol must be"),
+    (["sweep", "--target-h", 0], "target_h must be positive"),
+    (["sweep", "--target-h", -1], "target_h must be positive"),
     # a bump off the side would differentiate along V = 0 and report zeros
     (["shapederiv", "--w", 1, 0, "--nx", 32, "--bump-center", 4],
      "--bump-center 4 with --bump-radius 0.5 moves no vertex of the top side, "

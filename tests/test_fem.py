@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu
 
@@ -271,8 +271,6 @@ class TestShiftInvertSolver:
     @pytest.mark.parametrize("solve", [
         lambda: F.neumann_eigs(M.gen_rectangle(2, 1, 24, 12), 3, tol=1e-10),
         lambda: F.neumann_eigs(M.gen_right_triangle(24), 2, tol=1e-10),
-        lambda: F.neumann_eigs(M.gen_rectangle(2, 1, 24, 12), 2, tol=1e-10,
-                               v0=M.gen_rectangle(2, 1, 24, 12).vertices[:, 0]),
     ])
     def test_bit_identical_repeat(self, solve):
         a, b = solve(), solve()
@@ -360,14 +358,10 @@ class TestArpackTolerance:
         ell=st.floats(1.0, 3.0),
         size=st.sampled_from([0.1, 1.0, 10.0]),
         k=st.integers(1, 3),
-        start=st.sampled_from(["cold", "prolonged", "orthogonal"]),
         tol=st.sampled_from([1e-8, 1e-9, 1e-10]),
     )
-    # psi3 + psi4 spans an invariant subspace up to START_NOISE: at any ARPACK
-    # tol >= 1e-14 it would return lambda3 as lambda2
-    @example(kind="bump", n=6, ell=1.25, size=0.1, k=1, start="orthogonal", tol=1e-8)
     def test_eigenvalues_of_a_machine_precision_run(self, kind, n, ell, size, k,
-                                                    start, tol):
+                                                    tol):
         if kind == "bump":
             base = M.gen_polygon(bump_rectangle_polygon(ell, 1.0, "top", ell / 2,
                                                         0.35, 0.9 / n))
@@ -375,74 +369,17 @@ class TestArpackTolerance:
             base = M.gen_rectangle(ell, 1.0, round(ell * n), n)
         else:
             base = M.gen_right_triangle(n)
-        # warm starts, ncv = 2k + 2: the prolonged coarse eigenvectors on the
-        # refined mesh, or a poor start M-orthogonal to the wanted ones
-        v0 = None
-        if start == "prolonged":
-            coarse = F.neumann_eigs(base, k, tol=1e-9).eigenvectors[:, 1:]
-            v0 = M.prolongation(base) @ coarse.sum(axis=1)
-            base = M.refine_uniform(base)
-        elif start == "orthogonal":
-            v0 = F.neumann_eigs(base, k + 2, tol=1e-9).eigenvectors[:, k + 1:].sum(axis=1)
         # the residual gate is in units of lambda, 1 / size^2
         mesh = M.build_trimesh(base.vertices * size, base.triangles)
         with mock.patch.object(F, "eigsh", _machine_precision_eigsh):
             try:
-                ref = F.neumann_eigs(mesh, k, tol=tol, v0=v0)
+                ref = F.neumann_eigs(mesh, k, tol=tol)
             except SolverError:
                 return  # no claim where machine precision misses tol
-        s = F.neumann_eigs(mesh, k, tol=tol, v0=v0)
+        s = F.neumann_eigs(mesh, k, tol=tol)
         rel = np.abs(s.eigenvalues[1:] - ref.eigenvalues[1:]) / ref.eigenvalues[1:]
         assert rel.max() <= 1e-12
         assert s.residuals.max() <= tol
-
-
-class TestWarmStart:
-    @settings(max_examples=20, deadline=None)
-    @given(**_WARM_MESHES)
-    def test_prolonged_start_on_the_refined_mesh(self, kind, size, shape):
-        # the error-estimate solve of crosssec.analyze
-        mesh = _warm_mesh(kind, size, shape)
-        coarse = F.neumann_eigs(mesh, 1, tol=1e-9)
-        fine = M.refine_uniform(mesh)
-        cold = F.neumann_eigs(fine, 1, tol=1e-9)
-        warm = F.neumann_eigs(fine, 1, tol=1e-9,
-                              v0=M.prolongation(mesh) @ coarse.eigenvectors[:, 1])
-        lam = cold.eigenvalues[1]
-        assert abs(warm.eigenvalues[1] - lam) <= 1e-12 * lam
-        assert warm.residuals.max() <= 1e-9
-        assert 0 < warm.solves < cold.solves
-
-    @settings(max_examples=20, deadline=None)
-    @given(**_WARM_MESHES, k=st.integers(1, 2),
-           start=st.sampled_from(["wanted", "orthogonal"]))
-    def test_any_start_gives_the_cold_eigenvalues(self, kind, size, shape, k, start):
-        # "orthogonal" starts from psi_{k+2} + psi_{k+3}, M-orthogonal to
-        # every wanted eigenvector psi_2 .. psi_{k+1}
-        mesh = _warm_mesh(kind, size, shape)
-        cold = F.neumann_eigs(mesh, k, tol=1e-9)
-        more = F.neumann_eigs(mesh, k + 2, tol=1e-9).eigenvectors
-        v0 = more[:, 1:k + 1] if start == "wanted" else more[:, k + 1:]
-        warm = F.neumann_eigs(mesh, k, tol=1e-9, v0=v0.sum(axis=1))
-        rel = np.abs(warm.eigenvalues[1:] - cold.eigenvalues[1:]) / cold.eigenvalues[1:]
-        assert rel.max() <= 1e-12
-        assert warm.residuals.max() <= 1e-9
-
-    @settings(max_examples=20, deadline=None)
-    @given(**_WARM_MESHES, c=st.floats(1e-3, 1e3), sign=st.sampled_from([-1, 1]))
-    def test_constant_start_raises(self, kind, size, shape, c, sign):
-        mesh = _warm_mesh(kind, size, shape)
-        with pytest.raises(ValueError, match="vanishes"):
-            F.neumann_eigs(mesh, 1, v0=np.full(mesh.num_vertices, sign * c))
-
-    @pytest.mark.parametrize("v0, match", [
-        (np.zeros(45), "vanishes"),
-        (np.ones(44), "45 finite"),
-        (np.full(45, np.nan), "45 finite"),
-    ])
-    def test_malformed_start_raises(self, v0, match):
-        with pytest.raises(ValueError, match=match):
-            F.neumann_eigs(M.gen_right_triangle(8), 1, v0=v0)
 
 
 class TestColumnOrder:
@@ -516,75 +453,55 @@ class TestColumnOrder:
         assert np.allclose(c.eigenvalues, 4.0 * a.eigenvalues, rtol=1e-10)
 
 
-class TestPreconditionedEigs:
-    @pytest.fixture(scope="class")
-    def degenerate(self, top_bump):
-        # 2pi x pi: lambda3 = lambda4 = 1, so psi3 has an equal neighbour
-        # outside a block of two
-        mesh = M.gen_rectangle(2 * np.pi, np.pi, 64, 32)
-        K, Mm = F.assemble(mesh)
-        base = F.shifted_factor(K, Mm, mesh.connectivity)
-        spec = F.neumann_eigs(mesh, 3, tol=1e-10, matrices=(K, Mm), factor=base)
-        V = top_bump(mesh, 4.0)
-        moved = M.perturb(mesh, V, 4e-3)
-        return moved, base, spec
+def _neumann_closed_form(kind, ell):
+    """lambda_2 and lambda_3 of the rectangle (0, ell) x (0, 1), pi^2 (m^2 /
+    ell^2 + n^2), or of the right triangle (0,0)-(1,0)-(0,1), pi^2 (m^2 +
+    n^2) for m >= n >= 0 (the square's modes even across the hypotenuse)."""
+    pairs = [(m, n) for m in range(4) for n in range(4)]
+    if kind == "rect":
+        vals = [math.pi ** 2 * (m * m / ell ** 2 + n * n) for m, n in pairs]
+    else:
+        vals = [math.pi ** 2 * (m * m + n * n) for m, n in pairs if m >= n]
+    return np.sort(vals)[1:3]
 
-    def test_degenerate_neighbour_and_guard_meet_tol(self, degenerate):
-        moved, base, spec = degenerate
-        K, Mm = F.assemble(moved)
-        c = np.full(moved.num_vertices, 1.0 / np.sqrt(Mm.sum()))
-        vals, X, res, solves = F._lobpcg_eigs(K, Mm, 3, 1e-10, c,
-                                              spec.eigenvectors[:, 1:], base.solve)
-        assert vals.shape == (3,) and X.shape[1] == 3 and res.shape == (3,)
-        # psi2, psi3 and its near-equal neighbour psi4 all meet tol
-        assert res.max() <= 1e-10 and 0 < solves
-        ref = F.neumann_eigs(moved, 3, tol=1e-10)
-        assert np.abs(vals - ref.eigenvalues[1:]).max() <= 1e-10 * vals.max()
-        assert abs(vals[1] - vals[2]) < 1e-2 * vals[1]
 
-    def test_block_without_guard_stalls(self, degenerate):
-        moved, base, spec = degenerate
-        K, Mm = F.assemble(moved)
-        c = np.full(moved.num_vertices, 1.0 / np.sqrt(Mm.sum()))
-        with pytest.raises(SolverError):
-            F._lobpcg_eigs(K, Mm, 2, 1e-10, c, spec.eigenvectors[:, 1:3],
-                           base.solve)
+class TestCrouzeixRaviart:
+    @settings(max_examples=25, deadline=None)
+    @given(kind=st.sampled_from(["rect", "tri"]), ell=st.floats(1.05, 3.0),
+           nx=st.integers(2, 40), ny=st.integers(2, 40), n=st.integers(2, 64),
+           s=st.floats(0.1, 10.0))
+    def test_enclosure_contains_the_closed_form(self, kind, ell, nx, ny, n, s):
+        base = M.gen_rectangle(ell, 1.0, nx, ny) if kind == "rect" \
+            else M.gen_right_triangle(n)
+        mesh = M.build_trimesh(base.vertices * s, base.triangles)
+        # the residual gate is in units of lambda, 1 / s^2
+        tol = 1e-8 / s ** 2
+        exact = _neumann_closed_form(kind, ell) / s ** 2
+        lower = F.cr_eigs(mesh, 2, tol)
+        upper = F.neumann_eigs(mesh, 2, tol=tol).eigenvalues[1:]
+        assert (lower <= exact).all() and (exact <= upper).all()
 
-    def test_returns_k_pairs_with_the_preconditioner_shift(self, degenerate):
-        moved, base, spec = degenerate
-        s = F.neumann_eigs(moved, 3, tol=1e-10, v0=spec.eigenvectors[:, 1:],
-                           preconditioner=base)
-        assert s.eigenvalues.shape == (4,) and s.eigenvectors.shape[1] == 4
-        assert s.residuals.max() <= 1e-10
-        assert s.shift == base.sigma and s.solves > 0 and s.fill == 0
+    def test_pencil_on_the_edges(self):
+        # K annihilates the constant, M is diagonal with area/3 per side, and
+        # each bound is t / (1 + (0.1893 h)^2 t) of a dense CR eigenvalue t,
+        # up to its residual radius
+        mesh = M.gen_polygon(M.Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2),
+                                        (0, 2)], 0.3))
+        with mock.patch.object(F, "_shift_invert_eigs",
+                               wraps=F._shift_invert_eigs) as solve:
+            lower = F.cr_eigs(mesh, 3, tol=1e-10)
+        K, Mm = solve.call_args.args[:2]
+        ne = len(mesh.connectivity.edges)
+        assert K.shape == Mm.shape == (ne, ne)
+        assert abs(K @ np.ones(ne)).max() <= 1e-12 * abs(K).max()
+        assert Mm.nnz == ne and abs(Mm.sum() - mesh.total_area()) <= 1e-14
+        t = sla.eigh(K.toarray(), Mm.toarray(), eigvals_only=True)[1:4]
+        bound = t / (1.0 + (F.CR_CONSTANT * mesh.max_edge()) ** 2 * t)
+        assert (np.abs(lower - bound) <= 1e-8 * t).all()
+        assert (lower < F.neumann_eigs(mesh, 3).eigenvalues[1:]).all()
 
-    def test_unusable_preconditioner_raises_solver_error(self, degenerate):
-        moved, _, spec = degenerate
-        K, Mm = F.assemble(moved)
-        c = np.full(moved.num_vertices, 1.0 / np.sqrt(Mm.sum()))
-        # the identity leaves the pencil's conditioning as it is: lobpcg stops
-        # short, and the residual gate, not a warning, reports it
-        with pytest.raises(SolverError) as info:
-            F._lobpcg_eigs(K, Mm, 3, 1e-8, c, spec.eigenvectors[:, 1:],
-                           lambda b: b)
-        assert info.value.residuals.max() > 1e-8
-
-    def test_small_pencil_is_solved_densely(self):
-        # n - 1 < 5 m: lobpcg would warn and solve densely itself
-        mesh = M.gen_rectangle(2, 1, 4, 2)
-        K, Mm = F.assemble(mesh)
-        dense = F.neumann_eigs(mesh, 3, tol=1e-10)
-        s = F.neumann_eigs(mesh, 3, tol=1e-10, v0=dense.eigenvectors[:, 1:],
-                           preconditioner=F.shifted_factor(K, Mm))
-        assert np.allclose(s.eigenvalues, dense.eigenvalues, rtol=1e-12,
-                           atol=0)
-        assert s.solves == s.fill == 0
-
-    @pytest.mark.parametrize("v0", [None, "vector", "narrow", "nan"])
-    def test_start_block_is_checked(self, degenerate, v0):
-        moved, base, spec = degenerate
-        block = spec.eigenvectors[:, 1:].copy()
-        v0 = {None: None, "vector": block[:, 0], "narrow": block[:, :1],
-              "nan": np.where(block > 0, np.nan, block)}[v0]
-        with pytest.raises(ValueError, match="start block"):
-            F.neumann_eigs(moved, 3, v0=v0, preconditioner=base)
+    def test_too_few_edges_and_bad_tol(self):
+        with pytest.raises(ValueError, match="edge count"):
+            F.cr_eigs(M.gen_right_triangle(1), 2)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            F.cr_eigs(M.gen_right_triangle(4), 2, tol=math.nan)

@@ -744,82 +744,7 @@ class TestGmsh:
         assert np.array_equal(m.triangles, m2.triangles)
 
 
-def _prolong_mesh(kind, n):
-    if kind == "rect":
-        return M.gen_rectangle(1.5, 1.0, n + 1, n)
-    if kind == "tri":
-        return M.gen_right_triangle(n)
-    return M.gen_polygon(M.Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)],
-                                   1.2 / n))
-
-
 class TestRefineUniform:
-    @settings(max_examples=30, deadline=None)
-    @given(kind=st.sampled_from(["rect", "tri", "poly"]), n=st.integers(2, 12),
-           coef=st.tuples(*[st.floats(-10, 10)] * 3))
-    def test_prolongation_reproduces_linear_fields(self, kind, n, coef):
-        mesh = _prolong_mesh(kind, n)
-        fine = M.refine_uniform(mesh)
-        a, b, c = coef
-
-        def f(v):
-            return a + b * v[:, 0] + c * v[:, 1]
-
-        u = M.prolongation(mesh) @ f(mesh.vertices)
-        assert np.array_equal(u[:mesh.num_vertices], f(mesh.vertices))
-        # exact up to the rounding of f at the midpoints (coordinates <= 2),
-        # underflow included
-        scale = abs(a) + 2.0 * (abs(b) + abs(c))
-        fp = np.finfo(float)
-        assert np.abs(u - f(fine.vertices)).max() <= 8 * fp.eps * scale + fp.tiny
-
-    @settings(max_examples=30, deadline=None)
-    @given(kind=st.sampled_from(["rect", "tri", "poly"]), n=st.integers(2, 12),
-           seed=st.integers(0, 2**32 - 1))
-    def test_prolongation_keeps_the_rayleigh_quotient(self, kind, n, seed):
-        # nested P1 spaces: the prolonged field is the same function
-        from wgspec.fem import assemble
-
-        mesh = _prolong_mesh(kind, n)
-        fine = M.refine_uniform(mesh)
-        u = np.random.default_rng(seed).standard_normal(mesh.num_vertices)
-        v = M.prolongation(mesh) @ u
-        K, Mm = assemble(mesh)
-        Kf, Mf = assemble(fine)
-        assert abs((v @ Kf @ v) / (u @ K @ u) - 1.0) <= 1e-12
-        assert abs((v @ Mf @ v) / (u @ Mm @ u) - 1.0) <= 1e-12
-
-    @settings(max_examples=30, deadline=None)
-    @given(kind=st.sampled_from(["rect", "tri", "bump"]), n=st.integers(2, 10),
-           angle=st.floats(0.0, 2 * math.pi),
-           offset=st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
-           seed=st.integers(0, 2**32 - 1))
-    def test_prolongation_matrix(self, kind, n, angle, offset, seed):
-        # nested P1 spaces: P^T K_f P and P^T M_f P are the coarse matrices,
-        # and P u is the midpoint prolongation bit for bit
-        from wgspec.fem import assemble
-
-        if kind == "bump":
-            base = M.gen_polygon(bump_rectangle_polygon(2.0, 1.0, "top", 0.9, 0.35,
-                                                        0.9 / n))
-        elif kind == "rect":
-            base = M.gen_rectangle(1.5, 1.0, n, n + 1)
-        else:
-            base = M.gen_right_triangle(n)
-        R = np.array([[math.cos(angle), -math.sin(angle)],
-                      [math.sin(angle), math.cos(angle)]])
-        mesh = M.build_trimesh(base.vertices @ R.T + offset, base.triangles)
-        P = M.prolongation(mesh)
-        # the assembly rounds coordinate differences: shifted by (5, 5), the
-        # fine bump's arc cells, 0.009 wide, leave 1.2e-13 of max |K|
-        for coarse, fine in zip(assemble(mesh), assemble(M.refine_uniform(mesh))):
-            assert abs(P.T @ fine @ P - coarse).max() <= 2e-13 * abs(coarse).max()
-        U = np.random.default_rng(seed).standard_normal((mesh.num_vertices, 2))
-        lo, hi = mesh.connectivity.edges.T
-        for u in (U[:, 0], U):
-            ref = np.concatenate([u, (u[lo] + u[hi]) * 0.5])
-            assert np.array_equal(P @ u, ref)
-
     def test_counts_and_area(self):
         m = M.gen_right_triangle(3)
         r = M.refine_uniform(m)
