@@ -1,12 +1,21 @@
 """Cross-section analysis: the first nonzero Neumann eigenvalue enclosed
 between a conforming (P1) upper bound and a Crouzeix-Raviart lower bound,
 with a simplicity verdict that the enclosure proves, the boundary vector X
-by two independent formulas, and closed-form reference sections."""
+by two independent formulas, and closed-form reference sections.
+
+The two eigensolves of analyze share only the read-only mesh.  When the
+process may run on more than one CPU, the Crouzeix-Raviart solve runs on one
+worker thread while the calling thread makes the P1 solve and everything
+computed from it; on one CPU the two run one after the other on the calling
+thread.  Either way the report is the same bit for bit.
+"""
 
 from __future__ import annotations
 
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,6 +109,14 @@ def b_radius(mesh: TriMesh, origin=(0.0, 0.0)):
     return float(np.sqrt(((bv - origin) ** 2).sum(axis=1)).max())
 
 
+def _usable_cpus():
+    """The number of CPUs this process may run on: its affinity mask where
+    the platform has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def analyze(mesh: TriMesh, origin=(0.0, 0.0), tol=1e-8, estimate_error=True):
     """Full cross-section report: lambda2 with simplicity verdict, X, b.
 
@@ -113,23 +130,51 @@ def analyze(mesh: TriMesh, origin=(0.0, 0.0), tol=1e-8, estimate_error=True):
     estimate_error=False (cheap mode for sweeps) the lower bound is skipped:
     discretization_error is 0 and simple means only that the P1 gap ratio
     exceeds 10 * tol.  ValueError if the origin is not finite.
+
+    Threads: the P1 eigensolve, psi, X, b and the mesh stats are computed
+    on the calling thread, where perfbench's span recorder, which keeps one
+    stack per process, times neumann_eigs and assemble.  The CR eigensolve,
+    which touches neither the P1 matrices nor the connectivity's column
+    order, starts before them on one worker thread and is collected last.
+    When the process may use only one CPU (_usable_cpus), a thread would
+    only slow it down, so cr_eigs is called on the calling thread after the
+    rest.  A SciPy release whose Lanczos loops serialise on a lock would
+    leave the results the same and shrink only the overlap.  Errors come in
+    the sequential order: a P1 failure is raised even when the CR solve
+    fails too, a CR SolverError or ValueError is raised as it is, and the
+    worker is joined before analyze returns or raises.
     """
     origin = np.asarray(origin, dtype=float)
     if not np.isfinite(origin).all():
         raise ValueError(f"origin must be finite, got {origin.tolist()}")
+    if not estimate_error:
+        return _report(mesh, origin, tol, None)
+    if _usable_cpus() < 2:
+        return _report(mesh, origin, tol, lambda: cr_eigs(mesh, 2, tol))
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        return _report(mesh, origin, tol,
+                       worker.submit(cr_eigs, mesh, 2, tol).result)
+
+
+def _report(mesh, origin, tol, lower_bounds):
+    """analyze's report from the P1 eigensolve on the calling thread and
+    lower_bounds(), the CR lower bounds of lambda2 and lambda3, asked for
+    last; without lower_bounds (None) the verdict rests on the P1 gap."""
     spec = neumann_eigs(mesh, 2, tol=tol)
     lam2, lam3 = float(spec.eigenvalues[1]), float(spec.eigenvalues[2])
     gap_ratio = (lam3 - lam2) / lam2 if lam2 > 0 else 0.0
+    psi = fix_sign(spec.eigenvectors[:, 1])
+    X_boundary, X_volume = x_boundary(mesh, psi), x_volume(mesh, psi)
+    b = b_radius(mesh, origin)
+    mesh_stats = mesh.stats()
 
-    if estimate_error:
-        lower2, lower3 = cr_eigs(mesh, 2, tol)
-        disc_err = float((lam2 - lower2) / lower2)
-        simple = bool(lower3 > lam2)
-    else:
+    if lower_bounds is None:
         disc_err = 0.0
         simple = gap_ratio > 10.0 * tol
-
-    psi = fix_sign(spec.eigenvectors[:, 1])
+    else:
+        lower2, lower3 = lower_bounds()
+        disc_err = float((lam2 - lower2) / lower2)
+        simple = bool(lower3 > lam2)
 
     warnings = tuple(mesh.warnings)
     if not simple:
@@ -143,12 +188,12 @@ def analyze(mesh: TriMesh, origin=(0.0, 0.0), tol=1e-8, estimate_error=True):
         simple=simple,
         gap_ratio=gap_ratio,
         discretization_error=disc_err,
-        X_boundary=x_boundary(mesh, psi),
-        X_volume=x_volume(mesh, psi),
-        b=b_radius(mesh, origin),
+        X_boundary=X_boundary,
+        X_volume=X_volume,
+        b=b,
         origin=origin,
         psi=psi,
-        mesh_stats=mesh.stats(),
+        mesh_stats=mesh_stats,
         warnings=warnings,
     )
 
