@@ -3,18 +3,16 @@ between a conforming (P1) upper bound and a Crouzeix-Raviart lower bound,
 with a simplicity verdict that the enclosure proves, the boundary vector X
 by two independent formulas, and closed-form reference sections.
 
-The two eigensolves of analyze share only the read-only mesh.  When the
-process may run on more than one CPU, the Crouzeix-Raviart solve runs on one
-worker thread while the calling thread makes the P1 solve and everything
-computed from it; on one CPU the two run one after the other on the calling
-thread.  Either way the report is the same bit for bit.
+The two eigensolves of analyze share only the read-only mesh, so the
+Crouzeix-Raviart solve runs on one worker thread while the calling thread
+makes the P1 solve and everything computed from it.  The report is the same
+bit for bit as when the two run one after the other.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -109,14 +107,6 @@ def b_radius(mesh: TriMesh, origin=(0.0, 0.0)):
     return float(np.sqrt(((bv - origin) ** 2).sum(axis=1)).max())
 
 
-def _usable_cpus():
-    """The number of CPUs this process may run on: its affinity mask where
-    the platform has one, else the machine's CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def analyze(mesh: TriMesh, origin=(0.0, 0.0), tol=1e-8, estimate_error=True):
     """Full cross-section report: lambda2 with simplicity verdict, X, b.
 
@@ -136,30 +126,26 @@ def analyze(mesh: TriMesh, origin=(0.0, 0.0), tol=1e-8, estimate_error=True):
     stack per process, times neumann_eigs and assemble.  The CR eigensolve,
     which touches neither the P1 matrices nor the connectivity's column
     order, starts before them on one worker thread and is collected last.
-    When the process may use only one CPU (_usable_cpus), a thread would
-    only slow it down, so cr_eigs is called on the calling thread after the
-    rest.  A SciPy release whose Lanczos loops serialise on a lock would
-    leave the results the same and shrink only the overlap.  Errors come in
-    the sequential order: a P1 failure is raised even when the CR solve
-    fails too, a CR SolverError or ValueError is raised as it is, and the
-    worker is joined before analyze returns or raises.
+    A SciPy release whose Lanczos loops serialise on a lock would leave the
+    results the same and shrink only the overlap.  Errors come in the
+    sequential order: a P1 failure is raised even when the CR solve fails
+    too, a CR SolverError or ValueError is raised as it is, and the worker
+    is joined before analyze returns or raises.
     """
     origin = np.asarray(origin, dtype=float)
     if not np.isfinite(origin).all():
         raise ValueError(f"origin must be finite, got {origin.tolist()}")
     if not estimate_error:
         return _report(mesh, origin, tol, None)
-    if _usable_cpus() < 2:
-        return _report(mesh, origin, tol, lambda: cr_eigs(mesh, 2, tol))
     with ThreadPoolExecutor(max_workers=1) as worker:
-        return _report(mesh, origin, tol,
-                       worker.submit(cr_eigs, mesh, 2, tol).result)
+        return _report(mesh, origin, tol, worker.submit(cr_eigs, mesh, 2, tol))
 
 
 def _report(mesh, origin, tol, lower_bounds):
     """analyze's report from the P1 eigensolve on the calling thread and
-    lower_bounds(), the CR lower bounds of lambda2 and lambda3, asked for
-    last; without lower_bounds (None) the verdict rests on the P1 gap."""
+    lower_bounds, a Future of the CR lower bounds of lambda2 and lambda3
+    whose result is asked for last; without it (None) the verdict rests on
+    the P1 gap."""
     spec = neumann_eigs(mesh, 2, tol=tol)
     lam2, lam3 = float(spec.eigenvalues[1]), float(spec.eigenvalues[2])
     gap_ratio = (lam3 - lam2) / lam2 if lam2 > 0 else 0.0
@@ -172,7 +158,7 @@ def _report(mesh, origin, tol, lower_bounds):
         disc_err = 0.0
         simple = gap_ratio > 10.0 * tol
     else:
-        lower2, lower3 = lower_bounds()
+        lower2, lower3 = lower_bounds.result()
         disc_err = float((lam2 - lower2) / lower2)
         simple = bool(lower3 > lam2)
 

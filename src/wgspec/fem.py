@@ -14,8 +14,6 @@ first one found.
 
 from __future__ import annotations
 
-import logging
-import time
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,8 +38,6 @@ _MASS = np.array([2.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 2.0])
 # the Crouzeix-Raviart interpolation constant over the largest edge h
 # (Liu, Appl. Math. Comput. 267, 2015): cr_eigs's lower bound
 CR_CONSTANT = 0.1893
-
-_log = logging.getLogger("wgspec")
 
 
 @dataclass(frozen=True)
@@ -296,13 +292,9 @@ def _shift_invert_eigs(K, M, k, tol, constant, connectivity=None):
     restarts to 39 on some sections.  ValueError unless 0 < tol < inf.
     Pencils too small to restart a Lanczos basis in are solved densely.
     Returns (values, vectors, residuals, sigma, solves, fill), fill the
-    nonzeros of the LU factors (0 if dense).  Every eigensolve that gets its
-    vectors, dense or not, writes one DEBUG record to the "wgspec" logger
-    before the gate: the pencil size, sigma, solves, fill, the largest
-    residual and the wall seconds.
+    nonzeros of the LU factors (0 if dense).
     """
     _check_tol(tol)
-    start = time.perf_counter()
     n = K.shape[0]
     sigma = _shift(K, M)
 
@@ -337,9 +329,6 @@ def _shift_invert_eigs(K, M, k, tol, constant, connectivity=None):
                 residuals=_residuals(K, M, exc.eigenvalues, exc.eigenvectors),
             ) from exc
     vals, X, res = _rayleigh_pairs(K, M, X, k)
-    _log.debug("eigensolve of size %d: shift %.6g, %d solves, LU fill %d, "
-               "largest residual %.3e, %.3f s", n, sigma, solves, fill,
-               res.max(), time.perf_counter() - start)
     _gate(res, tol)
     return vals, X, res, sigma, solves, fill
 
