@@ -124,8 +124,8 @@ def analyze(mesh: TriMesh, origin=(0.0, 0.0), tol=1e-8, estimate_error=True):
     Threads: the P1 eigensolve, psi, X, b and the mesh stats are computed
     on the calling thread, where perfbench's span recorder, which keeps one
     stack per process, times neumann_eigs and assemble.  The CR eigensolve,
-    which touches neither the P1 matrices nor the connectivity's column
-    order, starts before them on one worker thread and is collected last.
+    which shares only the immutable mesh with them, starts before them on
+    one worker thread and is collected last.
     A SciPy release whose Lanczos loops serialise on a lock would leave the
     results the same and shrink only the overlap.  Errors come in the
     sequential order: a P1 failure is raised even when the CR solve fails

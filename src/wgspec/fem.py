@@ -6,16 +6,13 @@ generalized eigensolves by shift-invert Lanczos (ARPACK through scipy's
 eigsh, one sparse LU factorization per eigensolve), guaranteed lower
 bounds of the same eigenvalues from the Crouzeix-Raviart element on the
 same mesh (cr_eigs), the exact derivatives of the P1 matrices along a
-vertex velocity, and deflated (bordered) solves of singular shifted
-systems.  Every matrix on a mesh's Connectivity has its P1 pattern, and
-every factorization on it reuses the fill-reducing column order that the
-first one found.
+vertex velocity, and deflated solves of singular shifted systems.  Every
+factorization is one SuperLU call that finds its own fill-reducing order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -161,75 +158,6 @@ def _splu_spd(A):
                 options={"SymmetricMode": True})
 
 
-class _ColumnOrder:
-    """A symmetric permutation of a square CSR pattern (indptr, indices),
-    as index maps onto the permuted CSC matrix: vertex i becomes row and
-    column perm[i].
-
-    A symmetric matrix's CSR arrays are its CSC arrays.  Each permuted
-    column keeps its rows in their stored order: SuperLU's symbolic step
-    visits a column's rows in that order, so factorizing the permuted matrix
-    in its NATURAL order repeats, bit for bit, the factorization in which
-    SuperLU found perm.
-    """
-
-    def __init__(self, indptr, indices, perm):
-        self.pattern = indptr, indices
-        self.perm = perm
-
-    @cached_property
-    def _permuted(self):
-        """(inv, indptr, take, indices): the inverse permutation and the
-        permuted CSC pattern, whose data is data[take]; built on first use,
-        as a connectivity factorized once never needs them."""
-        indptr, indices = self.pattern
-        inv = np.argsort(self.perm)
-        counts = np.diff(indptr)[inv]
-        new_indptr = np.concatenate([[0], np.cumsum(counts)])
-        take = (np.repeat(indptr[inv] - new_indptr[:-1], counts)
-                + np.arange(new_indptr[-1]))
-        return inv, new_indptr, take, self.perm[indices[take]]
-
-    def factor(self, data, border=None, **options):
-        """SuperLU factors, in the NATURAL order, of the permuted symmetric
-        matrix with CSR data `data` on the pattern, or of the bordered
-        [[A, border], [border^T, 0]] with the border last; and a solve that
-        takes and returns vectors in the original numbering."""
-        n = len(self.perm)
-        perm = self.perm
-        inv, indptr, take, indices = self._permuted
-        data = data[take]
-        if border is not None:
-            ends = indptr[1:]
-            data = np.concatenate([np.insert(data, ends, border[inv]), border])
-            indices = np.concatenate([np.insert(indices, ends, n), perm])
-            indptr = np.append(indptr + np.arange(n + 1), indptr[-1] + 2 * n)
-            perm, inv = np.append(perm, n), np.append(inv, n)
-            n += 1
-        A = sparse.csc_matrix((data, indices, indptr), shape=(n, n))
-        A.has_canonical_format = True  # no duplicates; keep the row order
-        lu = splu(A, permc_spec="NATURAL", **options)
-        return lu, lambda b: lu.solve(b[inv])[perm]
-
-
-def _factor(conn, data):
-    """(solve, fill) of the positive definite matrix with CSR data `data` on
-    the P1 pattern of the Connectivity conn.  The first factorization on conn
-    finds the MMD order and keeps it as conn.column_order; later ones reuse
-    it, with the same factors bit for bit as a search for the order."""
-    if conn.column_order is None:
-        n = len(conn.indptr) - 1
-        lu = _splu_spd(sparse.csc_matrix((data, conn.indices, conn.indptr),
-                                         shape=(n, n)))
-        # perm_c is a view that would keep the factors alive: copy it
-        conn.column_order = _ColumnOrder(conn.indptr, conn.indices,
-                                         lu.perm_c.copy())
-        return lu.solve, lu.nnz
-    lu, solve = conn.column_order.factor(data, diag_pivot_thresh=0.0,
-                                         options={"SymmetricMode": True})
-    return solve, lu.nnz
-
-
 def _shift(K, M):
     return -SHIFT_SCALE * K.diagonal().sum() / M.diagonal().sum()
 
@@ -270,13 +198,11 @@ def _gate(res, tol):
         )
 
 
-def _shift_invert_eigs(K, M, k, tol, constant, connectivity=None):
+def _shift_invert_eigs(K, M, k, tol, constant):
     """k eigenpairs of K u = lambda M u nearest above sigma = -SHIFT_SCALE *
     tr(K)/tr(M), by ARPACK's implicitly restarted Lanczos on one factorization
-    of the positive definite K - sigma M.  With ``connectivity`` (K and M on
-    its P1 pattern) the factorization uses or finds its column order
-    (_factor); without, K - sigma M gets an order of its own.  The seeded
-    start vector and every solve are projected M-orthogonally off
+    of the positive definite K - sigma M (_splu_spd).  The seeded start
+    vector and every solve are projected M-orthogonally off
     ``constant``, an M-normalized null vector of K, and the Lanczos basis has
     ncv = max(2k + 1, 20) vectors.
     ARPACK accepts a Ritz pair (theta, x) of OP = (K - sigma M)^-1 M once its
@@ -306,16 +232,13 @@ def _shift_invert_eigs(K, M, k, tol, constant, connectivity=None):
     if n - 1 <= ncv:
         X = _dense_eigs(K, M, k)
     else:
-        if connectivity is None:
-            lu = _splu_spd((K - sigma * M).tocsc())
-            solve, fill = lu.solve, lu.nnz
-        else:
-            solve, fill = _factor(connectivity, K.data - sigma * M.data)
+        lu = _splu_spd((K - sigma * M).tocsc())
+        fill = lu.nnz
 
         def apply_inverse(b):
             nonlocal solves
             solves += 1
-            return project(solve(b))
+            return project(lu.solve(b))
 
         try:
             _, X = eigsh(K, k, M, sigma=sigma, which="LM", ncv=ncv,
@@ -338,9 +261,8 @@ def neumann_eigs(mesh: TriMesh, k, tol=1e-8, matrices=None):
 
     The constant mode is deflated analytically and reported first; the other
     k come from shift-invert Lanczos at sigma = -SHIFT_SCALE * tr(K)/tr(M)
-    from a seeded start (_shift_invert_eigs).  The result is deterministic
-    bit for bit: the factorization of K - sigma M reuses the column order of
-    mesh.connectivity when an earlier one found it, with the same factors.
+    from a seeded start (_shift_invert_eigs), so the result is deterministic
+    bit for bit.
     Each eigenvalue is the Rayleigh quotient of its eigenvector, M-orthogonal
     to the constants, so by min-max it is an upper bound for the Neumann
     eigenvalue of the same index on the meshed polygon.
@@ -360,7 +282,7 @@ def neumann_eigs(mesh: TriMesh, k, tol=1e-8, matrices=None):
     c = ones / np.sqrt(ones @ (M @ ones))
     lam1 = max(float(c @ (K @ c)), 0.0)
     vals, X, res, sigma, solves, fill = _shift_invert_eigs(
-        K, M, k, tol, constant=c, connectivity=mesh.connectivity)
+        K, M, k, tol, constant=c)
     c_res = float(np.linalg.norm(K @ c - lam1 * (M @ c)) / np.linalg.norm(M @ c))
     return Spectrum(
         eigenvalues=np.concatenate([[lam1], vals]),
@@ -382,7 +304,7 @@ def cr_eigs(mesh: TriMesh, k, tol=1e-8):
     is 2 g_i . g_j / area2 (_p1_gradients) and the mass, exact by midpoint
     quadrature, is diagonal: area/3 per side.  The constant vector lies in
     the CR space and K annihilates it.  The pencil is solved like the P1 one
-    (_shift_invert_eigs, its own column order), and each Rayleigh quotient
+    (_shift_invert_eigs), and each Rayleigh quotient
     rho is widened by its Krylov-Bogoliubov radius ||K x - rho M x||_{M^-1}
     / ||x||_M, which some CR eigenvalue lies within.  With h the largest
     edge, lambda_k >= t / (1 + (CR_CONSTANT h)^2 t) for t = lambda_k^CR
@@ -424,7 +346,7 @@ def cr_eigs(mesh: TriMesh, k, tol=1e-8):
 @dataclass(frozen=True)
 class DeflatedSolve:
     """Result of a deflated shifted solve; fill is the nonzero count of the
-    bordered matrix's LU factors (SuperLU.nnz)."""
+    pinned matrix's LU factors (SuperLU.nnz)."""
 
     x: np.ndarray
     removed: float  # component psi . rhs removed from the rhs
@@ -432,20 +354,21 @@ class DeflatedSolve:
     fill: int
 
 
-def solve_deflated(K, M, lam, rhs, psi, connectivity=None):
+def solve_deflated(K, M, lam, rhs, psi):
     """Solve (K - lam*M) x = rhs with x M-orthogonal to the eigenvector psi.
 
     The rhs is first projected onto the M-orthogonal complement of psi (the
-    removed component psi . rhs is reported); the constrained system is the
-    bordered saddle-point system [[K-lam*M, M psi], [(M psi)^T, 0]].  K and
-    M come from assemble on a mesh whose connectivity is ``connectivity``:
-    the bordered matrix is factorized with partial pivoting in that
-    connectivity's column order, found by its first eigensolve, with the
-    border last.  Without a connectivity, or before any factorization on it,
-    the order is found by factorizing M, which has the same pattern, and
-    kept on the connectivity if there is one.
-    NearDegenerateError: it is (nearly) singular, because lam is a multiple
-    eigenvalue or psi is not its eigenvector.
+    removed component psi . rhs is reported).  K and M come from assemble:
+    symmetric, on one pattern.  K - lam*M is singular, so one node is
+    pinned: with j = argmax |psi|, row and column j become those of the
+    identity, and that matrix is factorized once with partial pivoting.
+    When lam is simple it is nonsingular, as psi_j != 0.  One solve with
+    two right-hand sides gives a solution x0 with x0_j = 0 and the kernel
+    vector phi with phi_j = 1; x = x0 - (psi^T M x0 / psi^T M phi) phi.
+    NearDegenerateError: a pivot is at most 1e-12 of the largest, because
+    lam is a multiple eigenvalue, or |psi^T M phi| <= 1e-8 ||psi||_M
+    ||phi||_M, because psi is M-orthogonal to the kernel and so is not its
+    eigenvector.
     """
     rhs = np.asarray(rhs, dtype=float)
     psi = np.asarray(psi, dtype=float)
@@ -454,31 +377,33 @@ def solve_deflated(K, M, lam, rhs, psi, connectivity=None):
     removed = float(psi @ rhs)
     rhs_p = rhs - removed * m_psi / (psi @ m_psi)
 
-    order = None if connectivity is None else connectivity.column_order
-    if order is None:
-        order = _ColumnOrder(K.indptr, K.indices,
-                             _splu_spd(M.tocsc()).perm_c.copy())
-        if connectivity is not None:
-            connectivity.column_order = order
-    a_data = K.data - lam * M.data
+    j = int(np.argmax(np.abs(psi)))
+    row = slice(K.indptr[j], K.indptr[j + 1])
+    data = K.data - lam * M.data
+    loads = np.column_stack([rhs_p, np.zeros_like(rhs_p)])
+    loads[K.indices[row], 1] = -data[row]  # column j: the matrix is symmetric
+    loads[j] = 0.0, 1.0
+    data[K.indices == j] = 0.0
+    data[row] = K.indices[row] == j
     try:
-        # relax=1 keeps SuperLU's fundamental supernodes: relaxed ones pad
-        # these factors with explicit zeros (693,899 stored entries against
-        # 493,306 on the 128 x 64 rectangle, factorized in 54 ms against 39)
-        lu, solve = order.factor(a_data, border=m_psi, relax=1)
+        # symmetric, so its CSR arrays are its CSC arrays.  relax=1 keeps
+        # SuperLU's fundamental supernodes: relaxed ones pad these factors
+        # with explicit zeros (477,364 stored entries against 469,660 on the
+        # 128 x 64 rectangle)
+        lu = splu(sparse.csc_matrix((data, K.indices, K.indptr), shape=K.shape),
+                  permc_spec="MMD_AT_PLUS_A", relax=1)
     except RuntimeError as exc:
-        raise NearDegenerateError(f"bordered factorization singular: {exc}")
+        raise NearDegenerateError(f"pinned factorization singular: {exc}")
     diag = np.abs(lu.U.diagonal())
     if diag.min() <= 1e-12 * diag.max():
         raise NearDegenerateError(
-            "bordered factorization nearly singular: eigenvalue multiplicity "
-            "or wrong deflation vector"
-        )
-    sol = solve(np.concatenate([rhs_p, [0.0]]))
-    x = sol[:-1]
-    A = sparse.csr_matrix((a_data, K.indices, K.indptr), shape=K.shape)
-    residual = float(
-        np.linalg.norm(A @ x - rhs_p + m_psi * sol[-1])
-        / max(np.linalg.norm(rhs_p), 1e-300)
-    )
+            "pinned factorization nearly singular: eigenvalue multiplicity")
+    x0, phi = lu.solve(loads).T
+    overlap = m_psi @ phi
+    if abs(overlap) <= 1e-8 * np.sqrt((psi @ m_psi) * (phi @ (M @ phi))):
+        raise NearDegenerateError(
+            "kernel M-orthogonal to psi: wrong deflation vector")
+    x = x0 - (m_psi @ x0 / overlap) * phi
+    residual = float(np.linalg.norm(K @ x - lam * (M @ x) - rhs_p)
+                     / max(np.linalg.norm(rhs_p), 1e-300))
     return DeflatedSolve(x=x, removed=removed, residual=residual, fill=lu.nnz)

@@ -30,7 +30,7 @@ REPAIR_ROUNDS = 12
 _SMOOTH_SWEEPS = 10
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Connectivity:
     """Topology of one triangle array, shared by every TriMesh on it.
 
@@ -52,9 +52,6 @@ class Connectivity:
         (i, j) of triangle t's element matrix, so fem.assemble is one
         np.bincount per matrix.  It is gathered from the positions of the
         diagonal entries and of each edge's two entries.
-    column_order : None, or set by fem
-        The fill-reducing column order found by the first sparse
-        factorization on this connectivity; later factorizations reuse it.
     """
 
     edges: np.ndarray
@@ -62,7 +59,6 @@ class Connectivity:
     indptr: np.ndarray
     indices: np.ndarray
     scatter: np.ndarray
-    column_order: object = None
 
 
 def _connectivity(triangles, nv, table):
@@ -241,11 +237,11 @@ def build_trimesh(vertices, triangles, warnings=()):
     are the mesher's quality notes, kept on the mesh.
 
     Reorients clockwise triangles, extracts the boundary topologically and
-    checks that every vertex lies on a triangle (a vertex on none, such as
-    a geometry point or arc centre of a Gmsh file, would make the P1
-    matrices singular), positivity of areas, that no edge lies on more than
-    two triangles, and edge-connectivity.  The mesh gets a new
-    Connectivity, built from the same edge table.
+    checks that the coordinates are finite, that every vertex lies on a
+    triangle (a vertex on none, such as a geometry point or arc centre of a
+    Gmsh file, would make the P1 matrices singular), positivity of areas,
+    that no edge lies on more than two triangles, and edge-connectivity.
+    The mesh gets a new Connectivity, built from the same edge table.
     """
     return _build_trimesh(vertices, triangles, warnings, None)
 
@@ -256,6 +252,10 @@ def _build_trimesh(vertices, triangles, warnings, table):
     some triangle is reoriented."""
     vertices = np.asarray(vertices, dtype=float).reshape(-1, 2)
     triangles = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+    bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+    if bad.size:
+        raise GeometryError(f"{bad.size} vertices have a non-finite "
+                            f"coordinate, the first is vertex {bad[0]}")
     if triangles.size and (triangles.min() < 0 or triangles.max() >= len(vertices)):
         raise GeometryError("triangle index out of range")
     orphans = np.flatnonzero(np.bincount(triangles.ravel(),
@@ -405,12 +405,14 @@ class Polygon:
 
     def __init__(self, loop, target_h):
         loop = np.asarray(loop, dtype=float).reshape(-1, 2)
+        if not np.isfinite(loop).all():
+            raise GeometryError("polygon loop has a non-finite coordinate")
         if len(loop) >= 2 and np.allclose(loop[0], loop[-1]):
             loop = loop[:-1]
         if len(loop) < 3:
             raise GeometryError("polygon needs at least 3 distinct points")
-        if not target_h > 0:
-            raise ValueError("target_h must be positive")
+        if not 0.0 < target_h < math.inf:
+            raise ValueError(f"target_h must be positive and finite, got {target_h!r}")
         if _shoelace(loop) < 0:
             loop = loop[::-1].copy()
         if _self_intersects(loop):
@@ -837,12 +839,11 @@ def perturb(mesh: TriMesh, V, t):
     """Move vertices to v + t*V(v); connectivity is unchanged.
 
     The result equals build_trimesh(mesh.vertices + t*V, mesh.triangles)
-    field by field, but shares mesh.connectivity (with any column order
-    already found on it) and mesh's boundary topology: only the vertices and
-    the boundary normals and lengths are new.  Raises StepTooLargeError
-    (carrying the max admissible t) if any triangle would lose positive
-    orientation or become degenerate (the zero-area test of build_trimesh);
-    ValueError if t or V is not finite.
+    field by field, but shares mesh.connectivity and mesh's boundary
+    topology: only the vertices and the boundary normals and lengths are
+    new.  Raises StepTooLargeError (carrying the max admissible t) if any
+    triangle would lose positive orientation or become degenerate (the
+    zero-area test of build_trimesh); ValueError if t or V is not finite.
     """
     V = np.asarray(V, dtype=float)
     if V.shape != mesh.vertices.shape:
@@ -902,7 +903,9 @@ def import_gmsh22(text):
 
     Only 3-node triangles (type 2) are read; 2-node lines (type 1) are
     ignored and the boundary is recomputed topologically.  Physical and
-    elementary tags are not kept: the domain is one medium.
+    elementary tags are not kept: the domain is one medium.  A malformed
+    record, or a section that ends before its count of records, raises
+    MeshFormatError with the 1-based line number.
     """
     lines = text.splitlines()
 
@@ -912,8 +915,23 @@ def import_gmsh22(text):
                 return idx
         raise MeshFormatError(f"missing ${name} section")
 
+    def records(name, what):
+        """(1-based line number, fields) of each record of section $name,
+        as many as the count on the line after its header announces."""
+        i = find_section(name)
+        try:
+            count = int(lines[i + 1])
+        except (ValueError, IndexError):
+            raise MeshFormatError(f"bad {what} count", line=i + 2)
+        for k in range(count):
+            ln_no = i + 3 + k
+            if ln_no > len(lines) or lines[ln_no - 1].startswith("$"):
+                raise MeshFormatError(f"${name} section ends after {k} of its "
+                                      f"{count} {what} records", line=ln_no)
+            yield ln_no, lines[ln_no - 1].split()
+
     i = find_section("MeshFormat")
-    header = lines[i + 1].split()
+    header = lines[i + 1].split() if i + 1 < len(lines) else []
     if len(header) < 3:
         raise MeshFormatError("malformed $MeshFormat header", line=i + 2)
     if header[0] not in ("2.2", "2"):
@@ -921,34 +939,25 @@ def import_gmsh22(text):
     if header[1] != "0":
         raise MeshFormatError("binary MSH files are not supported", line=i + 2)
 
-    i = find_section("Nodes")
-    try:
-        n_nodes = int(lines[i + 1])
-    except (ValueError, IndexError):
-        raise MeshFormatError("bad node count", line=i + 2)
     id_map = {}
     coords = []
-    for k in range(n_nodes):
-        parts = lines[i + 2 + k].split()
-        if len(parts) < 3:
-            raise MeshFormatError("bad node record", line=i + 3 + k)
-        id_map[int(parts[0])] = k
-        coords.append((float(parts[1]), float(parts[2])))
+    for ln_no, parts in records("Nodes", "node"):
+        try:
+            id_map[int(parts[0])] = len(coords)
+            coords.append((float(parts[1]), float(parts[2])))
+        except (ValueError, IndexError):
+            raise MeshFormatError(f"bad node record {' '.join(parts)!r}",
+                                  line=ln_no)
 
-    i = find_section("Elements")
-    try:
-        n_elem = int(lines[i + 1])
-    except (ValueError, IndexError):
-        raise MeshFormatError("bad element count", line=i + 2)
     tris = []
-    for k in range(n_elem):
-        ln_no = i + 3 + k
-        parts = lines[i + 2 + k].split()
-        if len(parts) < 2:
-            raise MeshFormatError("bad element record", line=ln_no)
-        etype = int(parts[1])
-        ntags = int(parts[2]) if len(parts) > 2 else 0
-        node_ids = [int(x) for x in parts[3 + ntags:]]
+    for ln_no, parts in records("Elements", "element"):
+        try:
+            etype = int(parts[1])
+            ntags = int(parts[2]) if len(parts) > 2 else 0
+            node_ids = [int(x) for x in parts[3 + ntags:]]
+        except (ValueError, IndexError):
+            raise MeshFormatError(f"bad element record {' '.join(parts)!r}",
+                                  line=ln_no)
         if etype == 1:
             continue
         if etype != 2:

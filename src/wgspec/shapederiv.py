@@ -58,14 +58,14 @@ def adjoint_solve(mesh: TriMesh, lambda2, psi, w, matrices=None):
     """Solve the adjoint problem at lambda2 with flux -2 psi (n.w).
 
     The load is projected off the eigenfunction (removed component reported)
-    and the shifted system is solved with the eigenfunction deflated, in the
-    column order of mesh.connectivity; the result is re-orthogonalized
+    and the shifted system is solved with the eigenfunction deflated
+    (solve_deflated, one factorization); the result is re-orthogonalized
     against psi in the mass inner product.  matrices, the (K, M) of
     assemble(mesh) if the caller has them, saves assembling them again.
     """
     K, M = assemble(mesh) if matrices is None else matrices
     rhs = _boundary_load(mesh, psi, w)
-    sol = solve_deflated(K, M, lambda2, rhs, psi, mesh.connectivity)
+    sol = solve_deflated(K, M, lambda2, rhs, psi)
     q = sol.x
     q = q - (psi @ (M @ q)) / (psi @ (M @ psi)) * psi
     defect = float(abs(psi @ (M @ q)) / math.sqrt(max(q @ (M @ q), 1e-300)))
@@ -166,9 +166,8 @@ def fd_check(mesh: TriMesh, V, w, tol=1e-8):
     and needs no solve beyond the eigensolve and the adjoint.  V is a
     velocity field sampled at all vertices (interior values are replaced by
     the harmonic lift of the boundary trace).  The vertex set is assembled
-    once: its (K, M) serve the eigensolve, the lift and the adjoint, whose
-    bordered solve reuses the column order of the eigensolve's
-    factorization.  discrepancy is |adjoint - discrete| / |adjoint|.
+    once: its (K, M) serve the eigensolve, the lift and the adjoint, each
+    of which factorizes its own matrix once.  discrepancy is |adjoint - discrete| / |adjoint|.
     TrackingError: (lambda3 - lambda2)/lambda2 < DEGENERACY_TOL, where psi2
     has no well-defined direction to differentiate.
     SolverError: an eigenpair misses tol.

@@ -197,14 +197,36 @@ class TestSolveDeflated:
         assert sol.residual < 1e-8
 
     def test_wrong_vector_near_degenerate(self):
-        # the constant mode is M-orthogonal to psi, so (psi, 0) stays in the
-        # kernel of the bordered matrix
+        # the constant mode is M-orthogonal to psi, the kernel of
+        # K - lambda2 M
         mesh = M.gen_rectangle(2, 1, 24, 12)
         K, Mm = F.assemble(mesh)
         s = F.neumann_eigs(mesh, 2, tol=1e-10)
         with pytest.raises(NearDegenerateError):
             F.solve_deflated(K, Mm, s.eigenvalues[1],
                              np.ones(mesh.num_vertices), s.eigenvectors[:, 0])
+
+    def test_multiple_eigenvalue_near_degenerate(self):
+        # the unit square, each of 8 x 8 cells cut into four at its centre:
+        # the mesh keeps the square's symmetries, so lambda2 = lambda3
+        n = 8
+        g = np.linspace(0.0, 1.0, n + 1)
+        i, j = (a.ravel() for a in np.meshgrid(np.arange(n), np.arange(n)))
+        corner = j * (n + 1) + i
+        centre = (n + 1) ** 2 + np.arange(n * n)
+        ring = [corner, corner + 1, corner + n + 2, corner + n + 1, corner]
+        mesh = M.build_trimesh(
+            np.vstack([np.column_stack([np.tile(g, n + 1), np.repeat(g, n + 1)]),
+                       np.column_stack([(i + 0.5) / n, (j + 0.5) / n])]),
+            np.concatenate([np.column_stack([a, b, centre])
+                            for a, b in zip(ring, ring[1:])]))
+        K, Mm = F.assemble(mesh)
+        s = F.neumann_eigs(mesh, 2, tol=1e-10, matrices=(K, Mm))
+        lam2, lam3 = s.eigenvalues[1:]
+        assert lam3 - lam2 <= 1e-14 * lam2
+        rhs = np.random.default_rng(2).standard_normal(mesh.num_vertices)
+        with pytest.raises(NearDegenerateError, match="multiplicity"):
+            F.solve_deflated(K, Mm, lam2, rhs, s.eigenvectors[:, 1])
 
 
 class TestInvariants:
@@ -386,29 +408,15 @@ class TestColumnOrder:
     @settings(max_examples=15, deadline=None)
     # from 28 vertices up: smaller pencils are solved densely, unfactorized
     @given(**dict(_WARM_MESHES, size=st.integers(6, 16)), step=st.floats(0.05, 0.5))
-    def test_reused_order_repeats_a_fresh_one(self, kind, size, shape, step):
+    def test_deflated_solve_matches_the_bordered_one(self, kind, size, shape, step):
         mesh = _warm_mesh(kind, size, shape)
-        assert mesh.connectivity.column_order is None
-        F.neumann_eigs(mesh, 2, tol=1e-9)
-        # the order is kept, the factors that found it are not
-        assert mesh.connectivity.column_order.perm.flags.owndata
         V = _smooth_field(mesh)
         moved = M.perturb(mesh, V, step * min(M._max_admissible_step(mesh, V), 1.0))
-        fresh = M.build_trimesh(moved.vertices, moved.triangles)
-        assert moved.connectivity is mesh.connectivity
-        assert fresh.connectivity.column_order is None
-
-        reused = F.neumann_eigs(moved, 2, tol=1e-9)
-        again = F.neumann_eigs(fresh, 2, tol=1e-9)
-        # the same factors, so the same eigenpairs bit for bit
-        for f in ("eigenvalues", "eigenvectors", "residuals"):
-            assert np.array_equal(getattr(reused, f), getattr(again, f))
-        assert reused.fill == again.fill > 0
-
         K, Mm = F.assemble(moved)
-        lam2, psi = reused.eigenvalues[1], reused.eigenvectors[:, 1]
+        s = F.neumann_eigs(moved, 2, tol=1e-9, matrices=(K, Mm))
+        lam2, psi = s.eigenvalues[1], s.eigenvectors[:, 1]
         rhs = _boundary_load(moved, psi, [0.6, 0.8])
-        sol = F.solve_deflated(K, Mm, lam2, rhs, psi, moved.connectivity)
+        sol = F.solve_deflated(K, Mm, lam2, rhs, psi)
         # reference: the bordered matrix in SuperLU's own (COLAMD) order
         m_psi = Mm @ psi
         rhs_p = rhs - (psi @ rhs) * m_psi / (psi @ m_psi)
@@ -418,30 +426,6 @@ class TestColumnOrder:
         ref = splu(bordered).solve(np.append(rhs_p, 0.0))[:-1]
         assert np.linalg.norm(sol.x - ref) <= 1e-12 * np.linalg.norm(ref)
         assert sol.fill > 0
-
-    def test_deflated_order_without_connectivity(self):
-        # the order found by factorizing M is the one the eigensolve found
-        mesh = M.gen_polygon(M.Polygon([(0, 0), (2, 0), (2, 1), (0, 1.3)], 0.15))
-        K, Mm = F.assemble(mesh)
-        s = F.neumann_eigs(mesh, 2, tol=1e-10, matrices=(K, Mm))
-        lam2, psi = s.eigenvalues[1], s.eigenvectors[:, 1]
-        rhs = _boundary_load(mesh, psi, [1.0, 0.0])
-        a = F.solve_deflated(K, Mm, lam2, rhs, psi, mesh.connectivity)
-        b = F.solve_deflated(K, Mm, lam2, rhs, psi)
-        assert np.array_equal(a.x, b.x) and a.fill == b.fill
-
-    def test_deflated_solve_first_keeps_its_order(self):
-        mesh = M.gen_rectangle(2, 1, 16, 8)
-        s = F.neumann_eigs(M.gen_rectangle(2, 1, 16, 8), 2, tol=1e-10)
-        K, Mm = F.assemble(mesh)
-        rhs = _boundary_load(mesh, s.eigenvectors[:, 1], [1.0, 0.0])
-        F.solve_deflated(K, Mm, s.eigenvalues[1], rhs, s.eigenvectors[:, 1],
-                         mesh.connectivity)
-        assert mesh.connectivity.column_order is not None
-        again = F.neumann_eigs(mesh, 2, tol=1e-10)
-        for f in ("eigenvalues", "eigenvectors"):
-            assert np.array_equal(getattr(again, f), getattr(s, f))
-        assert again.fill == s.fill
 
     def test_given_matrices_are_used(self):
         mesh = M.gen_right_triangle(12)

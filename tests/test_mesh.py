@@ -155,6 +155,16 @@ class TestGenPolygon:
         with pytest.raises(GeometryError):
             M.Polygon([(0, 0), (1, 1), (1, 0), (0, 1)], 0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_loop(self, bad):
+        with pytest.raises(GeometryError, match="non-finite"):
+            M.Polygon([(0, 0), (1, 0), (1, bad), (0, 1)], 0.1)
+
+    @pytest.mark.parametrize("h", [math.inf, math.nan, 0.0])
+    def test_target_h_positive_and_finite(self, h):
+        with pytest.raises(ValueError, match="target_h must be positive and finite"):
+            M.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)], h)
+
     def test_boundary_on_polyline(self):
         m = M.gen_polygon(M.Polygon([(0, 0), (2, 0), (2, 1), (0, 1)], 0.3))
         bv = m.vertices[m.boundary_vertex_indices()]
@@ -556,8 +566,7 @@ class TestPerturb:
             if f.name == "connectivity":
                 assert a is base.connectivity
                 for g in fields(M.Connectivity):
-                    if g.name != "column_order":
-                        assert np.array_equal(getattr(a, g.name), getattr(b, g.name))
+                    assert np.array_equal(getattr(a, g.name), getattr(b, g.name))
             elif isinstance(a, np.ndarray):
                 assert a.dtype == b.dtype and np.array_equal(a, b), f.name
                 assert not a.flags.writeable
@@ -730,6 +739,40 @@ class TestGmsh:
         text = GMSH_OK.replace("3 2 2 0 1 1 3 4", "3 2 2 0 1 1 3 9")
         with pytest.raises(MeshFormatError, match="dangling"):
             M.import_gmsh22(text)
+
+    @pytest.mark.parametrize("old, new, line, message", [
+        # a count above the records, running into $EndNodes or $EndElements
+        ("$Nodes\n4\n", "$Nodes\n6\n", 10, "ends after 4 of its 6 node"),
+        ("$Elements\n3\n", "$Elements\n4\n", 16, "ends after 3 of its 4 element"),
+        ("2 1 0 0", "2 x 0 0", 7, "bad node record '2 x 0 0'"),
+        ("3 1 1 0", "3 1", 8, "bad node record '3 1'"),
+        ("2 2 2 0 1 1 2 3", "2 2 2 0 1 1 2 y", 14, "bad element record"),
+        ("2 2 2 0 1 1 2 3", "2 two", 14, "bad element record '2 two'"),
+    ])
+    def test_malformed_records(self, old, new, line, message):
+        with pytest.raises(MeshFormatError, match=message) as info:
+            M.import_gmsh22(GMSH_OK.replace(old, new))
+        assert info.value.line == line
+
+    def test_file_ends_inside_a_section(self):
+        text = GMSH_OK[:GMSH_OK.index("3 1 1 0")]
+        with pytest.raises(MeshFormatError, match="ends after 2 of its 4") as info:
+            M.import_gmsh22(text)
+        assert info.value.line == 8
+
+    @pytest.mark.parametrize("reader", ["json", "gmsh"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_vertex(self, reader, bad, gmsh22_text, mesh_json):
+        m = M.gen_rectangle(2, 1, 8, 4)
+        vertices = m.vertices.copy()
+        vertices[5, 1] = bad
+        m = replace(m, vertices=vertices)
+        with pytest.raises(GeometryError, match="non-finite coordinate, the "
+                                                "first is vertex 5"):
+            if reader == "json":
+                M.mesh_from_json(mesh_json(m))
+            else:
+                M.import_gmsh22(gmsh22_text(m))
 
     def test_round_trip(self, gmsh22_text):
         m = M.gen_right_triangle(5)

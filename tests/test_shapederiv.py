@@ -241,9 +241,9 @@ class TestFdCheck:
         assert built == []
         # one Lanczos eigensolve of psi2 and psi3 on a factorization of its own
         assert [(len(s.eigenvalues), s.fill) for s in spectra] == [(3, 364846)]
-        # an order is searched for the lift's interior block and by the
-        # eigensolve; the adjoint's bordered solve reuses the latter
-        assert orders == ["MMD_AT_PLUS_A"] * 2 + ["NATURAL"]
+        # the eigensolve, the lift's interior block and the adjoint's pinned
+        # matrix are each factorized once, in an order searched for it
+        assert orders == ["MMD_AT_PLUS_A"] * 3
 
     @pytest.fixture(scope="class")
     def bump_8x1(self, top_bump):
@@ -252,8 +252,8 @@ class TestFdCheck:
         return mesh, top_bump(mesh, 3.0)
 
     def test_repeat_is_bit_identical(self, bump_8x1):
-        # on a fresh connectivity, whose first factorization searches the
-        # order, and again on one that reuses it
+        # twice on one mesh: the first run leaves nothing on it that the
+        # second reads
         _, V = bump_8x1
         fresh = M.gen_rectangle(8, 1, 256, 32)
         a, b = (SD.fd_check(m, V, np.array([1.0, 0.0])) for m in (fresh, fresh))
