@@ -92,7 +92,7 @@ _CURVES = {
 
 def cmd_curve(args):
     if args.samples:
-        data = np.loadtxt(args.samples, delimiter=",")
+        data = np.loadtxt(args.samples, delimiter=",", ndmin=2)
         curve = curves.from_samples(data[:, 0], data[:, 1:])
     else:
         curve = _CURVES[args.kind](args).window(args.window)

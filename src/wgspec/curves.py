@@ -2,7 +2,7 @@
 parallel frames as running sums of minimal-rotation angles, curvature
 functionals, and the alignment angle.
 
-A framed curve carries nodes at equally spaced parameters, their arclengths,
+A framed curve carries equally spaced parameters, their arclengths,
 and an orthonormal frame (e1, e2, e3), e1 the unit tangent, whose transverse
 vectors turn only along the tangent direction.  The transverse turning
 rates (k1, k2) = (T'.e2, T'.e3) come from gamma'' at each node and
@@ -45,13 +45,12 @@ def _dot(a, b):
 class ParamCurve:
     """Parametrized 3D curve (2D curves promoted with zero third coordinate).
 
-    gamma, dgamma, ddgamma map an array of parameters to (n, 3) arrays;
-    all three are required, as the frame's turning rates come from ddgamma.
+    dgamma, ddgamma map an array of parameters to (n, 3) arrays gamma',
+    gamma''; both are required, as the frame comes from them alone.
     kappa_l1_tail(t0, t1), when present, is the analytic curvature integral
     outside the window (arclength measure).
     """
 
-    gamma: object
     dgamma: object
     ddgamma: object
     t0: float = -1.0
@@ -71,7 +70,7 @@ class ParamCurve:
 
 @dataclass(frozen=True)
 class FramedCurve:
-    """Curve samples at equally spaced parameters t, with their arclengths s
+    """Equally spaced parameters t with their arclengths s
     (the running sum of the step arclengths panel), a transported frame and
     its orthonormality defect (the value that orthonormality_defect
     returns); tail is the analytic curvature integral outside the window,
@@ -82,7 +81,6 @@ class FramedCurve:
     s: np.ndarray
     panel: np.ndarray
     t: np.ndarray
-    gamma: np.ndarray
     e1: np.ndarray
     e2: np.ndarray
     e3: np.ndarray
@@ -119,11 +117,7 @@ def _finite(name, value):
 
 
 def line():
-    """The straight reference guide along the x-axis, gamma(t) = (t, 0, 0)."""
-
-    def gamma(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.column_stack([t, np.zeros_like(t), np.zeros_like(t)])
+    """The straight reference guide along the x-axis, the curve (t, 0, 0)."""
 
     def dgamma(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -133,16 +127,12 @@ def line():
         t = np.atleast_1d(np.asarray(t, dtype=float))
         return np.zeros((len(t), 3))
 
-    return ParamCurve(gamma, dgamma, ddgamma, asymptotically_straight=True,
+    return ParamCurve(dgamma, ddgamma, asymptotically_straight=True,
                       kappa_l1_tail=lambda t0, t1: 0.0, name="line")
 
 
 def circle(radius=1.0):
     R = _finite("circle radius", radius)
-
-    def gamma(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.column_stack([R * np.cos(t), R * np.sin(t), np.zeros_like(t)])
 
     def dgamma(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -152,15 +142,11 @@ def circle(radius=1.0):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         return np.column_stack([-R * np.cos(t), -R * np.sin(t), np.zeros_like(t)])
 
-    return ParamCurve(gamma, dgamma, ddgamma, name=f"circle(R={R:g})")
+    return ParamCurve(dgamma, ddgamma, name=f"circle(R={R:g})")
 
 
 def helix(radius=1.0, pitch=0.5):
     R, p = _finite("helix radius", radius), _finite("helix pitch", pitch)
-
-    def gamma(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.column_stack([R * np.cos(t), R * np.sin(t), p * t])
 
     def dgamma(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -170,16 +156,12 @@ def helix(radius=1.0, pitch=0.5):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         return np.column_stack([-R * np.cos(t), -R * np.sin(t), np.zeros_like(t)])
 
-    return ParamCurve(gamma, dgamma, ddgamma, name=f"helix(R={R:g},p={p:g})")
+    return ParamCurve(dgamma, ddgamma, name=f"helix(R={R:g},p={p:g})")
 
 
 def parabola(scale=1.0):
     """Planar parabola (t, scale*t^2, 0); signed curvature 2a/(1+4a^2 t^2)^(3/2)."""
     a = _finite("parabola scale", scale)
-
-    def gamma(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.column_stack([t, a * t * t, np.zeros_like(t)])
 
     def dgamma(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -195,7 +177,7 @@ def parabola(scale=1.0):
         end = math.pi / 2 * ((a > 0) - (a < 0))
         return float(abs(math.atan(2 * a * t0) + end) + abs(end - math.atan(2 * a * t1)))
 
-    return ParamCurve(gamma, dgamma, ddgamma, asymptotically_straight=True,
+    return ParamCurve(dgamma, ddgamma, asymptotically_straight=True,
                       kappa_l1_tail=tail, name=f"parabola(a={a:g})")
 
 
@@ -220,27 +202,6 @@ def sbend():
         dph = s * np.exp(-(s**2))
         return np.column_stack([-np.sin(ph) * dph, np.cos(ph) * dph, np.zeros_like(s)])
 
-    def gamma(s):
-        # integrate the unit tangent over panels of width <= 0.05 between the
-        # sorted knots (the parameters and 0), then shift so gamma(0) = 0
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        knots = np.unique(np.append(s, 0.0))
-        gaps = np.diff(knots)
-        npan = np.maximum(1, np.ceil(gaps / 0.05)).astype(int)
-        gap = np.repeat(np.arange(len(gaps)), npan)
-        first = np.concatenate([[0], np.cumsum(npan)])
-        half = 0.5 * (gaps / npan)[gap]
-        mid = knots[gap] + (2 * (np.arange(len(gap)) - first[gap]) + 1) * half
-        ph = phi(mid[:, None] + half[:, None] * _GAUSS_X[None, :])
-        w = half[:, None] * _GAUSS_W[None, :]
-        seg = np.column_stack([(np.cos(ph) * w).sum(axis=1),
-                               (np.sin(ph) * w).sum(axis=1)])
-        pos = np.concatenate([np.zeros((1, 2)), np.cumsum(seg, axis=0)])[first]
-        pos -= pos[np.searchsorted(knots, 0.0)]
-        out = np.zeros((len(s), 3))
-        out[:, :2] = pos[np.searchsorted(knots, s)]
-        return out
-
     def beyond(x):
         # integral of |s| exp(-s^2) over [x, inf)
         e = 0.5 * math.exp(-x * x)
@@ -250,12 +211,12 @@ def sbend():
         # the integrand is even, so (-inf, t0] carries beyond(-t0)
         return beyond(-t0) + beyond(t1)
 
-    return ParamCurve(gamma, dgamma, ddgamma, asymptotically_straight=True,
+    return ParamCurve(dgamma, ddgamma, asymptotically_straight=True,
                       kappa_l1_tail=tail, name="sbend")
 
 
 def from_samples(t, xyz):
-    """Cubic-spline curve through (t_i, gamma_i) samples."""
+    """Cubic-spline curve through samples (t_i, x_i), by its derivatives."""
     from scipy.interpolate import CubicSpline
 
     t = np.asarray(t, dtype=float)
@@ -267,15 +228,11 @@ def from_samples(t, xyz):
     if len(t) < 8:
         raise StepSizeError("too few curve samples; provide at least 8 points")
     sp = CubicSpline(t, xyz, axis=0)
-    d1 = sp.derivative(1)
-    d2 = sp.derivative(2)
+    d1, d2 = sp.derivative(1), sp.derivative(2)
     return ParamCurve(
-        gamma=lambda s: np.atleast_2d(sp(np.asarray(s, dtype=float))),
         dgamma=lambda s: np.atleast_2d(d1(np.asarray(s, dtype=float))),
         ddgamma=lambda s: np.atleast_2d(d2(np.asarray(s, dtype=float))),
-        t0=float(t[0]),
-        t1=float(t[-1]),
-        name="samples",
+        t0=float(t[0]), t1=float(t[-1]), name="samples",
     )
 
 
@@ -286,16 +243,14 @@ def from_samples(t, xyz):
 @dataclass(frozen=True)
 class ArcSamples:
     """Nodes at equally spaced parameters t with their arclengths s (the
-    running sum of the step arclengths panel), positions, unit tangents T
-    and arclength derivatives T'."""
+    running sum of the step arclengths panel), unit tangents T and
+    arclength derivatives T'."""
 
     s: np.ndarray
     panel: np.ndarray
     t: np.ndarray
-    gamma: np.ndarray
     tangent: np.ndarray
     dtangent: np.ndarray
-    total_length: float
 
 
 def arclength_resample(curve: ParamCurve, N):
@@ -327,8 +282,7 @@ def arclength_resample(curve: ParamCurve, N):
     tang = vel / speed
     acc = curve.ddgamma(t)
     dtang = (acc - _dot(acc, tang)[:, None] * tang) / speed**2
-    return ArcSamples(s=cum, panel=panel, t=t, gamma=curve.gamma(t), tangent=tang,
-                      dtangent=dtang, total_length=float(cum[-1]))
+    return ArcSamples(s=cum, panel=panel, t=t, tangent=tang, dtangent=dtang)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +379,7 @@ def rapf(arc: ArcSamples, e2_0=None, e3_0=None, name="curve"):
 
     dT = arc.dtangent
     return FramedCurve(
-        s=arc.s, panel=arc.panel, t=arc.t, gamma=arc.gamma, e1=T, e2=e2, e3=e3,
+        s=arc.s, panel=arc.panel, t=arc.t, e1=T, e2=e2, e3=e3,
         k1=_dot(dT, e2), k2=_dot(dT, e3), kappa=np.sqrt(_dot(dT, dT)),
         defect=float(drift[j]), name=name,
     )

@@ -237,10 +237,12 @@ def build_trimesh(vertices, triangles, warnings=()):
     are the mesher's quality notes, kept on the mesh.
 
     Reorients clockwise triangles, extracts the boundary topologically and
-    checks that the coordinates are finite, that every vertex lies on a
-    triangle (a vertex on none, such as a geometry point or arc centre of a
-    Gmsh file, would make the P1 matrices singular), positivity of areas,
-    that no edge lies on more than two triangles, and edge-connectivity.
+    checks that the vertices have shape (nv, 2) and finite coordinates, that
+    the triangles have shape (nt, 3) and whole-number entries, that every
+    vertex lies on a triangle (a vertex on none, such as a geometry point or
+    arc centre of a Gmsh file, would make the P1 matrices singular),
+    positivity of areas, that no edge lies on more than two triangles, and
+    edge-connectivity.
     The mesh gets a new Connectivity, built from the same edge table.
     """
     return _build_trimesh(vertices, triangles, warnings, None)
@@ -250,8 +252,15 @@ def _build_trimesh(vertices, triangles, warnings, table):
     """build_trimesh, given the edge table of the triangles (_edge_table) if
     the caller has it, else None; it is computed here when it is None or
     some triangle is reoriented."""
-    vertices = np.asarray(vertices, dtype=float).reshape(-1, 2)
-    triangles = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+    vertices, given = np.asarray(vertices, dtype=float), np.asarray(triangles)
+    for name, arr, cols in (("vertices", vertices, 2), ("triangles", given, 3)):
+        if arr.ndim != 2 or arr.shape[1] != cols:
+            raise GeometryError(f"{name} must have shape (n{name[0]}, {cols}), "
+                                f"got {arr.shape}")
+    with np.errstate(invalid="ignore"):  # NaN or huge entries fail below
+        triangles = given.astype(np.int64, copy=False)
+    if not (triangles == given).all():
+        raise GeometryError("triangles must hold whole-number vertex indices")
     bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
     if bad.size:
         raise GeometryError(f"{bad.size} vertices have a non-finite "

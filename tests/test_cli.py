@@ -44,6 +44,29 @@ class TestSection:
         assert run(["section", "--gmsh", msh, "--fast", "-o", out]) == 0
         assert json.loads(out.read_text())["b"] == 1.0
 
+    @pytest.mark.parametrize("mesh, message", [
+        # before: the entry 2.7 was truncated to 2 and the run failed later,
+        # with "k + 2 exceeds the vertex count"
+        ({"vertices": [[0, 0], [1, 0], [0, 1]], "triangles": [[0, 1, 2.7]]},
+         "triangles must hold whole-number vertex indices"),
+        # before: reshaped into nine planar points, "4 vertices lie on no
+        # triangle"
+        ({"vertices": [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
+                       [0.5, 0.5, 0], [2, 0, 0]],
+          "triangles": [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]},
+         "vertices must have shape (nv, 2), got (6, 3)"),
+        # before: regrouped into two triangles and a report written
+        ({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
+          "triangles": [[0, 1], [2, 1], [3, 2]]},
+         "triangles must have shape (nt, 3), got (3, 2)"),
+    ], ids=["fraction", "spatial vertices", "index pairs"])
+    def test_malformed_mesh_json_exit_1(self, mesh, message, tmp_path, capsys):
+        f, out = tmp_path / "mesh.json", tmp_path / "sec.json"
+        f.write_text(json.dumps(mesh))
+        assert run(["section", "--mesh-json", f, "--fast", "-o", out]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestCurve:
     def test_parabola_summary(self, tmp_path):
@@ -110,6 +133,19 @@ class TestCurve:
         code = run(["curve", "--samples", f])
         assert code == 1
         assert "at least 8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("0,1,0,0\n", "too few curve samples"),
+        ("0\n1\n2\n3\n4\n5\n6\n7\n8\n", "samples must be (n, 2) or (n, 3)"),
+    ], ids=["one row", "one column"])
+    def test_one_row_or_column(self, text, message, tmp_path, capsys):
+        # before: numpy's "too many indices for array"
+        f, out = tmp_path / "pts.csv", tmp_path / "cur.json"
+        f.write_text(text)
+        assert run(["curve", "--samples", f, "-o", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
 
 
 class TestCheck:

@@ -303,6 +303,31 @@ class TestBuildTrimesh:
         with pytest.raises(GeometryError, match="no triangle"):
             M.mesh_from_json(text)
 
+    # before the checks, the arrays were reshaped to (-1, 2) and (-1, 3) and
+    # the triangle entries truncated to integers
+    @pytest.mark.parametrize("verts, tris, match", [
+        # [0, 1, 2.7] was read as the triangle [0, 1, 2]
+        ([(0, 0), (1, 0), (0, 1)], [(0, 1, 2.7)],
+         "triangles must hold whole-number vertex indices"),
+        ([(0, 0), (1, 0), (0, 1)], [(0, 1, math.nan)],
+         "triangles must hold whole-number vertex indices"),
+        # six points in space were read as nine planar points
+        ([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0.5, 0.5, 0), (2, 0, 0)],
+         [(0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)],
+         r"vertices must have shape \(nv, 2\), got \(6, 3\)"),
+        # three index pairs were read as two triangles
+        ([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1), (2, 1), (3, 2)],
+         r"triangles must have shape \(nt, 3\), got \(3, 2\)"),
+        ([(0, 0), (1, 0), (0, 1)], [0, 1, 2],
+         r"triangles must have shape \(nt, 3\), got \(3,\)"),
+    ], ids=["fraction", "nan", "spatial vertices", "index pairs", "flat"])
+    def test_array_shapes_and_indices(self, verts, tris, match):
+        with pytest.raises(GeometryError, match=match):
+            M.build_trimesh(np.array(verts, dtype=float), np.array(tris))
+        text = json.dumps({"vertices": verts, "triangles": tris})
+        with pytest.raises(GeometryError, match=match):
+            M.mesh_from_json(text)
+
 
 def _brute_boundary(triangles):
     fwd = {(int(a), int(b)) for a, b in M._directed_edges(triangles)}
