@@ -15,6 +15,7 @@ import json
 import re
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -92,7 +93,13 @@ _CURVES = {
 
 def cmd_curve(args):
     if args.samples:
-        data = np.loadtxt(args.samples, delimiter=",", ndmin=2)
+        # numpy warns on an empty file; the error below names the fault
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            data = np.loadtxt(args.samples, delimiter=",", ndmin=2)
+        if not data.size:
+            raise ValueError(f"no curve samples in {args.samples}")
         curve = curves.from_samples(data[:, 0], data[:, 1:])
     else:
         curve = _CURVES[args.kind](args).window(args.window)

@@ -402,12 +402,17 @@ def gen_right_triangle(n):
 
 
 # ---------------------------------------------------------------------------
-# polygon mesher: graded boundary and lattice -> Delaunay -> smoothing -> repair
+# polygon mesher: graded boundary and lattice -> Delaunay (lattice triangles by
+# index, qhull near the boundary) -> smoothing -> repair
 
 
 @dataclass(frozen=True)
 class Polygon:
-    """Simple counterclockwise polygon with a target mesh size."""
+    """Simple counterclockwise polygon with a target mesh size.
+
+    A last point that repeats the first to within 1e-12 of the loop's
+    extent closes the loop and is dropped, at any scale of the coordinates.
+    """
 
     loop: np.ndarray
     target_h: float
@@ -416,7 +421,8 @@ class Polygon:
         loop = np.asarray(loop, dtype=float).reshape(-1, 2)
         if not np.isfinite(loop).all():
             raise GeometryError("polygon loop has a non-finite coordinate")
-        if len(loop) >= 2 and np.allclose(loop[0], loop[-1]):
+        if len(loop) >= 2 and (np.abs(loop[-1] - loop[0]).max()
+                               <= 1e-12 * np.ptp(loop, axis=0).max()):
             loop = loop[:-1]
         if len(loop) < 3:
             raise GeometryError("polygon needs at least 3 distinct points")
@@ -592,7 +598,9 @@ def _graded_points(loop, origin, step):
     times and holds the coarser levels.  A point is kept on level
     round(log2(dx / size)); level k >= 1 is made only over the bounding box
     of where size <= dx * 2**(0.5 - k).  Points outside the polygon or
-    within WALL_GAP of their level's dx of the loop are dropped.
+    within WALL_GAP of their level's dx of the loop are dropped.  Returns
+    the points, level 0 first, and the lattice coordinates (i, j) of the
+    level-0 points.
     """
     from scipy.spatial import cKDTree
 
@@ -617,8 +625,11 @@ def _graded_points(loop, origin, step):
         new = (j % 2 == 1) | (i % 2 != (j // 2) % 2) | (k == 0)
         ij = np.column_stack([i[new] + 0.5 * (j[new] % 2), j[new]])
         pts = origin + ij * step / 2**k
-        cand.append(pts[((pts >= lo) & (pts <= hi)).all(axis=1)])
+        box = ((pts >= lo) & (pts <= hi)).all(axis=1)
+        cand.append(pts[box])
         first.append(np.full(len(cand[-1]), k))
+        if not k:
+            lattice_ij = np.column_stack([i, j])[box]
     cand, first = np.concatenate(cand), np.concatenate(first)
     size = np.full(len(cand), step[0])
     if len(cut):
@@ -627,31 +638,139 @@ def _graded_points(loop, origin, step):
             cKDTree(cand), (cut[0] - spacing.min()) / GRADING, output_type="ndarray")
         np.minimum.at(size, pairs["j"], spacing[src][pairs["i"]] + GRADING * pairs["v"])
     level = (size[:, None] <= cut).sum(axis=1)
-    keep = level >= first
-    cand, gap = cand[keep], WALL_GAP * step[0] / 2.0 ** level[keep]
-    inside = _point_in_polygon(cand, loop)
-    return cand[inside][_farther_than(cand[inside], loop, gap[inside])]
+    kept = np.flatnonzero(level >= first)
+    kept = kept[_point_in_polygon(cand[kept], loop)]
+    kept = kept[_farther_than(cand[kept], loop, WALL_GAP * step[0] / 2.0 ** level[kept])]
+    # level 0 comes first in cand, so its points stay first in the output
+    return cand[kept], lattice_ij[kept[first[kept] == 0]]
 
 
-def _triangulate_region(loop, inner):
+def _circumcentres(p):
+    """Circumcentres of the triangles p, shape (n, 3, 2), as offsets from
+    their first corners."""
+    u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    uu, vv = (u * u).sum(axis=1), (v * v).sum(axis=1)
+    return (np.column_stack([v[:, 1] * uu - u[:, 1] * vv, u[:, 0] * vv - v[:, 0] * uu])
+            / (2.0 * _cross2(u, v))[:, None])
+
+
+def _lattice_delaunay(pts, first, ij, origin, step):
+    """Delaunay(pts).simplices up to order, with qhull run on the points
+    near the loop and the finer levels only.  pts from index first on are
+    level-0 points of _graded_points on the lattice (origin, step) of
+    _lattice, with lattice coordinates ij, each moved by at most 1e-10 of
+    the extent (_triangulate_region's jitter).
+
+    In the cell (i, j), s = j mod 2, the lattice has an up triangle (i, j),
+    (i + 1, j), (i + s, j + 1) and a down triangle (i + 1, j), (i + s + 1,
+    j + 1), (i + s, j + 1); all are congruent, with circumradius R.  One
+    whose circumcircle clears every point off the lattice by a margin
+    (1e-6 R, and 1e-8 of the extent for the jitter) is certified: it is a
+    Delaunay triangle.  Only a point in a stencil of cells around the cell
+    can lie in that circumcircle.  The nearest other lattice points must
+    clear it by the margin too, else, as when dy <= dx / 2, qhull
+    triangulates all the points.  A lattice point whose six triangles are
+    certified is surrounded, and its star is those six.  Every other
+    Delaunay triangle has three corners that are not surrounded, so it is
+    one of their qhull triangles whose circumcircle holds no surrounded
+    point; a certified triangle without a surrounded corner is taken from
+    there, so none comes twice.
+
+    Where four points off the lattice are cocircular to within about 1e-9
+    of the squared circumradius, as a straight loop side and a row of finer
+    points nearly are, qhull picks a diagonal by the order in which it adds
+    the points, here and on all the points alike; the two picks can differ.
+    """
+    from scipy.spatial import Delaunay, cKDTree
+
+    dx, dy = step
+    rise = (dy * dy - dx * dx / 4) / (2 * dy)  # circumcentre over the base
+    R = dy - rise
+    margin = 1e-6 * R + 1e-8 * np.ptp(pts)
+    # the lattice points across the base and across a slanted side
+    if not len(ij) or min(2 * rise, math.hypot(dx, R) - R) <= margin:
+        return Delaunay(pts).simplices
+    # cells from lo, an even row, so that (j mod 2) keeps each row's offset
+    lo = ij.min(axis=0) - [0, ij[:, 1].min() % 2]
+    i, j = (ij - lo).T
+    ni, nj = i.max() + 1, j.max() + 1
+    grid = np.full((ni + 2, nj + 1), -1)
+    grid[i, j] = first + np.arange(len(ij))
+    ci, cj = np.ogrid[:ni, :nj]
+    s = cj % 2
+    tris = np.stack([grid[ci, cj], grid[ci + 1, cj], grid[ci + s, cj + 1],
+                     grid[ci + 1, cj], grid[ci + s + 1, cj + 1], grid[ci + s, cj + 1]],
+                    axis=-1).reshape(ni, nj, 2, 3)
+    certified = (tris >= 0).all(axis=-1)
+
+    # a point off the lattice voids each triangle k (0 up, 1 down) of cell
+    # (a, b) whose circumcentre, at ((a + (b mod 2) / 2 + (1 + k) / 2) dx,
+    # (b + k) dy + (1 - 2k) rise) from cell (0, 0), is within R + margin
+    q = (np.delete(pts, np.s_[first:first + len(ij)], axis=0) - origin) / step - lo
+    reach = np.ceil((R + margin) / step).astype(int) + 1
+    b = np.floor(q[:, 1, None]).astype(int) + np.arange(-reach[1], reach[1] + 1)
+    a = (np.floor(q[:, 0, None] - b % 2 / 2).astype(int)[..., None]
+         + np.arange(-reach[0], reach[0] + 1))
+    # axes: point, row, column, k
+    a, b, k = np.broadcast_arrays(a[..., None], b[..., None, None], np.arange(2))
+    qx, qy = (q[:, c, None, None, None] for c in (0, 1))
+    gap = np.hypot((a + b % 2 / 2 + (1 + k) / 2 - qx) * dx,
+                   (b + k - qy) * dy + (1 - 2 * k) * rise)
+    hit = (gap <= R + margin) & (a >= 0) & (a < ni) & (b >= 0) & (b < nj)
+    certified[a[hit], b[hit], k[hit]] = False
+    tris = tris[certified]
+    surrounded = np.bincount(tris.ravel(), minlength=len(pts)) == 6
+    if not surrounded.any():
+        return Delaunay(pts).simplices
+
+    rest = np.flatnonzero(~surrounded)
+    found = rest[Delaunay(pts[rest]).simplices]
+    p = pts[found]
+    with np.errstate(divide="ignore", invalid="ignore"):  # flat triangles
+        off = _circumcentres(p)
+    radii = np.sqrt((off * off).sum(axis=1))
+    clear = ~np.isfinite(radii)
+    nearest = cKDTree(pts[surrounded]).query((p[:, 0] + off)[~clear])[0]
+    clear[~clear] = nearest >= radii[~clear]
+    return np.vstack([tris[surrounded[tris].any(axis=1)], found[clear]])
+
+
+def _in_order(tris):
+    """The triangles, each turned to start at its least vertex, in
+    lexicographic order: one array for each set of oriented triangles,
+    whatever order qhull or _lattice_delaunay gave them in."""
+    turn = tris.argmin(axis=1)[:, None] + np.arange(3)
+    tris = np.take_along_axis(tris, turn % 3, axis=1)
+    return tris[np.lexsort(tris.T[::-1])]
+
+
+def _triangulate_region(loop, inner, lattice=None):
     """Delaunay triangulation of the polygon on its loop and the inner points.
 
-    Flat triangles and those with a centroid outside the polygon are
-    dropped; a loop segment missing from the triangulation is split at its
-    midpoint and the points triangulated again.  Returns (loop, pts, tris,
-    table): the loop with those splits, pts, the loop then the inner points,
-    and the edge table of tris (_edge_table).
+    lattice, if given, is (ij, origin, step): the first len(ij) inner
+    points are level-0 points of _graded_points on the lattice (origin,
+    step), with lattice coordinates ij, whose triangles are known
+    (_lattice_delaunay); else qhull triangulates every point.  Flat
+    triangles and those with a centroid outside the polygon are dropped; a
+    loop segment missing from the triangulation is split at its midpoint
+    and the points triangulated again.  Returns (loop, pts, tris, table):
+    the loop with those splits, pts, the loop then the inner points, tris
+    in the order of _in_order, and the edge table of tris (_edge_table).
     """
     from scipy.spatial import Delaunay
 
     # qhull takes about twice as long on a lattice's cocircular quadruples;
-    # moving the inner points by 1e-10 of the extent, for qhull only, ends it
+    # moving the inner points by 1e-10 of the extent, for the triangulation
+    # only, ends it and leaves the lattice triangles (_lattice_delaunay) a
+    # unique Delaunay triangulation
     jitter = np.random.default_rng(0).uniform(-1e-10, 1e-10, inner.shape)
     shifted = inner + jitter * np.ptp(loop)
     for _ in range(12):
         nb = len(loop)
         pts = np.vstack([loop, inner])
-        simplices = Delaunay(np.vstack([loop, shifted])).simplices
+        shown = np.vstack([loop, shifted])
+        simplices = _in_order(Delaunay(shown).simplices if lattice is None
+                              else _lattice_delaunay(shown, nb, *lattice))
         # drop triangles whose centroid falls outside the polygon, and the
         # flat ones qhull can leave between collinear points of its hull
         p = pts[simplices]
@@ -702,11 +821,7 @@ def _repair_points(loop, verts, tris, table, h):
     long_ = np.flatnonzero((elen > h) & (counts == 2))
     long_ = long_[np.argsort(-elen[long_], kind="stable")]
 
-    p0 = verts[tris[bad, 0]]
-    u, v = verts[tris[bad, 1]] - p0, verts[tris[bad, 2]] - p0
-    uu, vv = (u * u).sum(axis=1), (v * v).sum(axis=1)
-    off = (np.column_stack([v[:, 1] * uu - u[:, 1] * vv, u[:, 0] * vv - v[:, 0] * uu])
-           / (2.0 * _cross2(u, v))[:, None])
+    p0, off = verts[tris[bad, 0]], _circumcentres(verts[tris[bad]])
     a, b = loop - (p0 + off)[:, None], np.roll(loop, -1, axis=0) - (p0 + off)[:, None]
     encroach = (a * b).sum(axis=2) < 0
     ok = ~encroach.any(axis=1) & _point_in_polygon(p0 + off, loop)
@@ -791,8 +906,9 @@ def gen_polygon(poly: Polygon):
     LATTICE_SPACING * h is fitted to the polygon (_lattice), the boundary is
     resampled at the lattice step (_resample_loop), and interior points
     follow the size field min(dx, h_b + GRADING * d), h_b the local spacing
-    of the resampled loop and d the distance to it (_graded_points).  One
-    Delaunay triangulation and Laplacian smoothing follow; then, up to
+    of the resampled loop and d the distance to it (_graded_points).  Their
+    Delaunay triangulation follows, the lattice's triangles built by index
+    and the rest by qhull (_lattice_delaunay), and Laplacian smoothing; up to
     REPAIR_ROUNDS times, circumcentres of triangles with an angle below
     MIN_ANGLE_TARGET_DEG and midpoints of interior edges longer than h are
     inserted (_repair_points), else the mesh carries a warning, as it must
@@ -804,8 +920,8 @@ def gen_polygon(poly: Polygon):
     origin, step = _lattice(poly.loop, h)
     loop = _resample_loop(poly.loop, step)
     # each triangle array's edge table is computed once and passed on
-    loop, verts, tris, table = _triangulate_region(
-        loop, _graded_points(loop, origin, step))
+    inner, ij = _graded_points(loop, origin, step)
+    loop, verts, tris, table = _triangulate_region(loop, inner, (ij, origin, step))
     verts = _laplacian_smooth(verts, tris, table)
     for _ in range(REPAIR_ROUNDS):
         new_loop, extra = _repair_points(loop, verts, tris, table, h)

@@ -243,6 +243,126 @@ RECT_2PI_PI = [(0, 0), (2 * np.pi, 0), (2 * np.pi, np.pi), (0, np.pi)]
 L_SHAPE = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
 
 
+class TestPolygonScale:
+    @settings(max_examples=30, deadline=None)
+    @given(shape=st.sampled_from(["rect", "triangle", "L"]),
+           closed=st.booleans(), exponent=st.floats(-12.0, 6.0))
+    def test_area_scales_as_s_squared(self, shape, closed, exponent):
+        # before: the closing-point check's absolute tolerance of 1e-8
+        # dropped a real vertex of the 2e-9 x 1e-9 rectangle
+        loop = np.array({"rect": [(0, 0), (2, 0), (2, 1), (0, 1)],
+                         "triangle": [(0, 0), (1, 0), (0, 1)],
+                         "L": L_SHAPE}[shape], dtype=float)
+        s = 10.0 ** exponent
+        ref = M.Polygon(loop, 0.1)
+        points = np.vstack([loop, loop[:1]]) if closed else loop
+        poly = M.Polygon(s * points, s * 0.1)
+        assert len(poly.loop) == len(loop)
+        assert abs(poly.area() - s * s * ref.area()) <= 1e-12 * s * s * ref.area()
+
+
+def _lattice_case(poly):
+    """The loop, the points qhull gets (the loop, then the inner points
+    moved as _triangulate_region moves them) and the lattice of
+    gen_polygon's first triangulation."""
+    origin, step = M._lattice(poly.loop, poly.target_h)
+    loop = M._resample_loop(poly.loop, step)
+    inner, ij = M._graded_points(loop, origin, step)
+    jitter = np.random.default_rng(0).uniform(-1e-10, 1e-10, inner.shape)
+    return loop, np.vstack([loop, inner + jitter * np.ptp(loop)]), (ij, origin, step)
+
+
+def _row_set(tris):
+    return set(map(tuple, np.sort(tris, axis=1).tolist()))
+
+
+@pytest.fixture
+def qhull_sizes(monkeypatch):
+    """The point count of every scipy.spatial.Delaunay call, in order."""
+    import scipy.spatial
+
+    sizes, qhull = [], scipy.spatial.Delaunay
+
+    def delaunay(points):
+        sizes.append(len(points))
+        return qhull(points)
+
+    monkeypatch.setattr(scipy.spatial, "Delaunay", delaunay)
+    return sizes
+
+
+class TestLatticeDelaunay:
+    """_lattice_delaunay against qhull on all the points."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        kind=st.sampled_from(["rect", "L", "bump"]),
+        side=st.sampled_from(["top", "bottom", "left", "right"]),
+        radius=st.floats(0.15, 0.65),
+        place=st.floats(0.0, 1.0),
+        size=st.tuples(st.floats(1.0, 2 * np.pi), st.floats(0.5, np.pi)),
+        h=st.floats(0.04, 0.2),
+    )
+    def test_equals_qhull_on_all_points(self, kind, side, radius, place, size, h):
+        from scipy.spatial import Delaunay
+
+        if kind == "rect":
+            poly = M.Polygon([(0, 0), (size[0], 0), size, (0, size[1])], h)
+        elif kind == "L":
+            poly = M.Polygon(np.array(L_SHAPE) * size[1], h)
+        else:
+            length = 2 * np.pi if side in ("top", "bottom") else np.pi
+            center = radius + h + place * (length - 2 * (radius + h))
+            poly = bump_rectangle_polygon(2 * np.pi, np.pi, side, center, radius, h)
+        loop, pts, lattice = _lattice_case(poly)
+        got = _row_set(M._lattice_delaunay(pts, len(loop), *lattice))
+        ref = _row_set(Delaunay(pts).simplices)
+        assert len(got) == len(ref)
+        # where four points are cocircular to within rounding, qhull's
+        # diagonal depends on the order it adds the points, so the two may
+        # differ there and only there
+        for t in got ^ ref:
+            p = pts[list(t)]
+            off = M._circumcentres(p[None])[0]
+            others = [v for u in got ^ ref for v in u if v not in t]
+            power = ((pts[others] - p[0] - off) ** 2).sum(axis=1) - off @ off
+            assert np.abs(power).min() <= 1e-8 * (off @ off), t
+
+    def test_qhull_gets_the_points_near_the_boundary(self, qhull_sizes):
+        m = M.gen_polygon(M.Polygon(RECT_2PI_PI, 0.06))
+        # 774 of the 8314 points
+        assert qhull_sizes[0] < 0.2 * m.num_vertices
+        assert max(qhull_sizes) == qhull_sizes[0]
+
+    def test_falls_back_when_lattice_triangles_are_obtuse(self, qhull_sizes):
+        from scipy.spatial import Delaunay
+
+        # dy = 0.02 <= dx / 2 = 0.0263: the lattice's own Delaunay
+        # triangulation is another one
+        poly = M.Polygon([(0, 0), (3, 0), (3, 0.04), (0, 0.04)], 0.06)
+        loop, pts, (ij, origin, step) = _lattice_case(poly)
+        assert step[1] <= step[0] / 2 and len(ij)
+        got = M._lattice_delaunay(pts, len(loop), ij, origin, step)
+        assert qhull_sizes == [len(pts)]
+        assert _row_set(got) == _row_set(Delaunay(pts).simplices)
+
+    @pytest.mark.parametrize("poly", [
+        M.Polygon(RECT_2PI_PI, 0.06),
+        M.Polygon(L_SHAPE, 0.06),
+        bump_rectangle_polygon(2 * np.pi, np.pi, "top", 1.7, 0.3, 0.06),
+        bump_rectangle_polygon(2.0, 1.0, "top", 0.9, 0.35, 0.1),
+    ], ids=["rect", "L", "sweep bump", "small bump"])
+    def test_gen_polygon_as_with_qhull_alone(self, poly, monkeypatch):
+        from scipy.spatial import Delaunay
+
+        m = M.gen_polygon(poly)
+        monkeypatch.setattr(M, "_lattice_delaunay",
+                            lambda pts, *lattice: Delaunay(pts).simplices)
+        ref = M.gen_polygon(poly)
+        assert np.array_equal(m.vertices, ref.vertices)
+        assert np.array_equal(m.triangles, ref.triangles)
+
+
 def _corner_crosses(loop):
     prv = np.roll(loop, 1, axis=0)
     nxt = np.roll(loop, -1, axis=0)
@@ -368,7 +488,7 @@ class TestConnectivity:
                                                    gmsh22_text, mesh_json):
         from wgspec.fem import assemble
 
-        if kind == "bump":  # triangle numbering from qhull
+        if kind == "bump":  # triangle numbering of the polygon mesher
             base = M.gen_polygon(bump_rectangle_polygon(2.0, 1.0, "top", 0.9, 0.35,
                                                         0.9 / n))
         elif kind == "rect":
