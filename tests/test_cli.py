@@ -256,7 +256,7 @@ _MALFORMED = [
     (["curve", "--parabola", "--scale", "nan"], "parabola scale must be finite"),
     (["curve", "--helix", "--radius", "nan"], "helix radius must be finite"),
     (["curve", "--helix", "--pitch", "inf"], "helix pitch must be finite"),
-    # before: numpy's warning, then "samples must be (n, 2) or (n, 3)"
+    # an empty file: one error line, no numpy warning
     (["curve", "--samples", os.devnull], "no curve samples"),
     (["sweep", "--radii", "0.2:0.5:0"], "--radii needs"),
     (["sweep", "--radii", "0.2:0.5:-0.1"], "--radii needs"),
