@@ -918,7 +918,8 @@ def gen_polygon(poly: Polygon):
     follow the size field min(dx, h_b + GRADING * d), h_b the local spacing
     of the resampled loop and d the distance to it (_graded_points).  Their
     Delaunay triangulation follows, the lattice's triangles built by index
-    and the rest by qhull (_lattice_delaunay), and Laplacian smoothing; up to
+    and the rest by qhull where that gives qhull's own triangles, else all
+    by qhull (_lattice_delaunay), and Laplacian smoothing; up to
     REPAIR_ROUNDS times, circumcentres of triangles with an angle below
     MIN_ANGLE_TARGET_DEG and midpoints of interior edges longer than h are
     inserted (_repair_points), else the mesh carries a warning, as it must

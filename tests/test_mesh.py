@@ -363,8 +363,8 @@ class TestLatticeDelaunay:
         M.Polygon(RECT_2PI_PI, 0.06),
         M.Polygon(RECT_2PI_PI, 0.15),
         M.Polygon(L_SHAPE, 0.06),
-        # the default sweep's r = 0.5 row: qhull on the points near the
-        # boundary alone picks another diagonal of four cocircular points
+        # the default sweep's r = 0.5 row, with four points cocircular up to
+        # the jitter
         bump_rectangle_polygon(2 * np.pi, np.pi, "top", 1.7, 0.5, 0.06),
         bump_rectangle_polygon(2.0, 1.0, "top", 0.9, 0.35, 0.1),
     ], ids=["rect", "rect coarse", "L", "sweep bump", "small bump"])
