@@ -118,9 +118,11 @@ def cmd_curve(args):
         "orthonormality_defect": fc.orthonormality_defect(),
         "config": _echo(args),
     }
-    # for planar sign-constant curvature the tail extends Y exactly
-    planar = float(np.abs(fc.k2).max()) <= 1e-10
-    sign_const = fc.k1.min() >= -1e-12 or fc.k1.max() <= 1e-12
+    # for planar sign-constant curvature the tail extends Y exactly; k1 and
+    # k2 are compared with kappa_sup, so the tests hold in every length unit
+    sup = norms["sup"]
+    planar = float(np.abs(fc.k2).max()) <= 1e-10 * sup
+    sign_const = fc.k1.min() >= -1e-12 * sup or fc.k1.max() <= 1e-12 * sup
     if planar and sign_const and norms["tail"] > 0 and not norms["tail_missing"]:
         sgn = 1.0 if fc.k1.max() > 0 else -1.0
         summary["Y_total"] = [float(Y[0] + sgn * norms["tail"]), float(Y[1])]
@@ -216,10 +218,9 @@ def cmd_shapederiv(args):
     V = np.zeros_like(mesh.vertices)
     side = args.bump_side
     prof = np.cos(np.pi * (x - c) / (2 * R)) ** 2 * (np.abs(x - c) < R)
-    if side == "top":
-        V[np.abs(y - L) < 1e-12, 1] = prof[np.abs(y - L) < 1e-12]
-    else:
-        V[np.abs(y) < 1e-12, 1] = -prof[np.abs(y) < 1e-12]
+    # gen_rectangle places the top and bottom sides at exactly y = L and 0
+    on_side = y == (L if side == "top" else 0.0)
+    V[on_side, 1] = prof[on_side] if side == "top" else -prof[on_side]
     if not V.any():
         raise ValueError(f"the bump at --bump-center {c:g} with --bump-radius "
                          f"{R:g} moves no vertex of the {side} side, of length "
@@ -266,6 +267,10 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
+_TOL_HELP = ("bound on each eigenpair's relative residual ||K u - lambda M u|| "
+             "/ (lambda ||M u||), the same in every length unit")
+
+
 def build_parser():
     p = _Parser(
         prog="wgspec",
@@ -280,7 +285,7 @@ def build_parser():
     s.add_argument("--gmsh", metavar="FILE.msh")
     s.add_argument("--mesh-json", metavar="FILE.json")
     s.add_argument("--origin", nargs=2, type=float, default=[0.0, 0.0])
-    s.add_argument("--tol", type=float, default=1e-8)
+    s.add_argument("--tol", type=float, default=1e-8, help=_TOL_HELP)
     s.add_argument("--fast", action="store_true",
                    help="skip the Crouzeix-Raviart lower bound of lambda2 "
                         "and lambda3: discretization_error is 0 and simple "
@@ -326,7 +331,7 @@ def build_parser():
     # derivative along e1 vanishes by symmetry
     d.add_argument("--bump-center", type=float, default=0.6)
     d.add_argument("--bump-radius", type=float, default=0.5)
-    d.add_argument("--tol", type=float, default=1e-8)
+    d.add_argument("--tol", type=float, default=1e-8, help=_TOL_HELP)
     d.add_argument("-o", "--output", default="-")
     d.set_defaults(func=cmd_shapederiv)
 
@@ -338,7 +343,7 @@ def build_parser():
     w.add_argument("--radii", type=_radii, default=(0.2, 0.64, 0.05),
                    metavar="LO:HI:STEP")
     w.add_argument("--target-h", type=float, default=0.06)
-    w.add_argument("--tol", type=float, default=1e-8)
+    w.add_argument("--tol", type=float, default=1e-8, help=_TOL_HELP)
     w.add_argument("-o", "--output", default="-")
     w.set_defaults(func=cmd_sweep)
     return p

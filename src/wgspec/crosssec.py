@@ -119,7 +119,9 @@ def analyze(mesh: TriMesh, origin=(0.0, 0.0), tol=1e-8, estimate_error=True):
     lambda2's enclosure, (lambda2 - lower) / lower.  With
     estimate_error=False (cheap mode for sweeps) the lower bound is skipped:
     discretization_error is 0 and simple means only that the P1 gap ratio
-    exceeds 10 * tol.  ValueError if the origin is not finite.
+    exceeds 10 * tol.  tol bounds the relative residual ||K u - lambda M u||
+    / (lambda ||M u||) of every eigenpair, in every length unit.  ValueError
+    if the origin is not finite.
 
     Threads: the P1 eigensolve, psi, X, b and the mesh stats are computed
     on the calling thread, where perfbench's span recorder, which keeps one
@@ -148,7 +150,7 @@ def _report(mesh, origin, tol, lower_bounds):
     the P1 gap."""
     spec = neumann_eigs(mesh, 2, tol=tol)
     lam2, lam3 = float(spec.eigenvalues[1]), float(spec.eigenvalues[2])
-    gap_ratio = (lam3 - lam2) / lam2 if lam2 > 0 else 0.0
+    gap_ratio = (lam3 - lam2) / lam2  # lam2 > 0, or neumann_eigs raises
     psi = fix_sign(spec.eigenvectors[:, 1])
     X_boundary, X_volume = x_boundary(mesh, psi), x_volume(mesh, psi)
     b = b_radius(mesh, origin)

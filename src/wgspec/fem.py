@@ -25,10 +25,8 @@ from .mesh import TriMesh
 # the eigensolver shift is -SHIFT_SCALE * tr(K)/tr(M): a fixed multiple of a
 # ratio that scales like an eigenvalue, so the spectrum scales exactly
 SHIFT_SCALE = 1e-5
-# ARPACK's tol from the seeded start, relative to its Ritz values, as a
-# fraction of tol * area (see _shift_invert_eigs); on rectangles, triangles,
-# L shapes and bumps of sizes 0.1 to 100 it kept every gate residual
-# <= 0.02 tol that a machine-precision run kept <= 0.01 tol
+# ARPACK's tol, relative to its Ritz values, as a fraction of the gate's
+# relative tol (see _shift_invert_eigs)
 ARPACK_MARGIN = 1e-3
 # the P1 mass element over area/12, entry (i, j) at 3 i + j
 _MASS = np.array([2.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 2.0])
@@ -42,8 +40,9 @@ class Spectrum:
     """Sorted Neumann eigenpairs of (K, M), the constant mode first.
 
     eigenvalues are ascending (units 1/length^2); eigenvectors are nodal and
-    M-orthonormal, one column per eigenvalue; residuals are
-    ||K u - lambda M u|| / ||M u|| per pair.
+    M-orthonormal, one column per eigenvalue; residuals are the relative
+    residuals ||K u - lambda M u|| / (lambda ||M u||) per pair, dimensionless,
+    the constant mode's taken relative to lambda_2.
     shift is the shift sigma of the factorized K - sigma M that was solved
     with, solves the number of vectors solved with it and fill the nonzeros
     of its L and U factors (SuperLU.nnz).  A dense solve reports solves and
@@ -163,8 +162,13 @@ def _shift(K, M):
 
 
 def _residuals(K, M, vals, X):
+    """The relative residual ||K x - lambda M x|| / (lambda ||M x||) of each
+    pair (lambda, x): dimensionless, so one tol holds in every length unit.
+    SolverError unless every lambda > 0."""
+    if not (vals > 0.0).all():
+        raise SolverError(f"eigenvalue {vals.min():.3e} is not positive")
     MX = M @ X
-    return np.linalg.norm(K @ X - MX * vals[None, :], axis=0) / np.linalg.norm(MX, axis=0)
+    return np.linalg.norm(K @ X - MX * vals, axis=0) / (vals * np.linalg.norm(MX, axis=0))
 
 
 def _check_tol(tol):
@@ -206,16 +210,14 @@ def _shift_invert_eigs(K, M, k, tol, constant):
     ``constant``, an M-normalized null vector of K, and the Lanczos basis has
     ncv = max(2k + 1, 20) vectors.
     ARPACK accepts a Ritz pair (theta, x) of OP = (K - sigma M)^-1 M once its
-    Ritz estimate ||OP x - theta x||_M is at most its tol times |theta|.  The
-    gate below holds ||K x - lambda M x|| / ||M x|| <= tol instead, in units
-    of lambda, and K x - lambda M x = -(lambda - sigma) (K - sigma M) (OP x -
-    theta x): K - sigma M scales the unconverged Krylov remainder by
-    eigenvalues well above lambda, so ARPACK's tol = tol left residuals up
-    to 600 tol.  ARPACK is therefore asked for ARPACK_MARGIN * tol * area
-    (area = 1^T M 1 makes it dimensionless, so the margin holds at any
-    length unit), not below machine precision.  It still fills its basis
-    once, so ncv + 2 solves is the floor: 22, where a machine-precision tol
-    restarts to 39 on some sections.  ValueError unless 0 < tol < inf.
+    Ritz estimate ||OP x - theta x||_M is at most its tol times |theta|, and
+    K x - lambda M x = -(lambda - sigma) (K - sigma M) (OP x - theta x):
+    K - sigma M scales the unconverged Krylov remainder by eigenvalues well
+    above lambda.  So to hold the gate on the relative residual ||K x -
+    lambda M x|| / (lambda ||M x||) <= tol (_residuals), ARPACK is asked for
+    ARPACK_MARGIN * tol, not below machine precision.  It still fills its
+    basis once, so ncv + 2 solves is the floor: 22, where a machine-precision
+    tol restarts to 39 on some sections.  ValueError unless 0 < tol < inf.
     Pencils too small to restart a Lanczos basis in are solved densely.
     Returns (values, vectors, residuals, sigma, solves, fill), fill the
     nonzeros of the LU factors (0 if dense).
@@ -243,8 +245,7 @@ def _shift_invert_eigs(K, M, k, tol, constant):
         try:
             _, X = eigsh(K, k, M, sigma=sigma, which="LM", ncv=ncv,
                          v0=project(np.random.default_rng(7).standard_normal(n)),
-                         tol=max(ARPACK_MARGIN * tol * M.sum(),
-                                 np.finfo(float).eps),
+                         tol=max(ARPACK_MARGIN * tol, np.finfo(float).eps),
                          OPinv=LinearOperator((n, n), matvec=apply_inverse))
         except ArpackNoConvergence as exc:
             raise SolverError(
@@ -268,8 +269,9 @@ def neumann_eigs(mesh: TriMesh, k, tol=1e-8, matrices=None):
     eigenvalue of the same index on the meshed polygon.
     matrices, the (K, M) of assemble(mesh) if the caller has them, saves
     assembling them again.
-    Raises ValueError unless 0 < tol < inf, SolverError if Lanczos fails or
-    a residual exceeds tol.
+    Raises ValueError unless 0 < tol < inf, SolverError if Lanczos fails, an
+    eigenvalue is not positive or a relative residual ||K u - lambda M u|| /
+    (lambda ||M u||) exceeds tol.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -283,7 +285,7 @@ def neumann_eigs(mesh: TriMesh, k, tol=1e-8, matrices=None):
     lam1 = max(float(c @ (K @ c)), 0.0)
     vals, X, res, sigma, solves, fill = _shift_invert_eigs(
         K, M, k, tol, constant=c)
-    c_res = float(np.linalg.norm(K @ c - lam1 * (M @ c)) / np.linalg.norm(M @ c))
+    c_res = float(np.linalg.norm(K @ c - lam1 * (M @ c)) / (vals[0] * np.linalg.norm(M @ c)))
     return Spectrum(
         eigenvalues=np.concatenate([[lam1], vals]),
         eigenvectors=np.column_stack([c, X]),
@@ -315,8 +317,8 @@ def cr_eigs(mesh: TriMesh, k, tol=1e-8):
     lambda_1 (on rectangles and right triangles, the closed forms lie inside
     every enclosure tried), and that the solver returns the k-th CR
     eigenvalue and not a higher one.  Raises ValueError unless 0 < tol <
-    inf, SolverError if Lanczos fails, a residual exceeds tol or a radius
-    reaches down to the zero mode.
+    inf, SolverError if Lanczos fails, a relative residual ||K x - rho M x||
+    / (rho ||M x||) exceeds tol or a radius reaches down to the zero mode.
     """
     conn = mesh.connectivity
     ne = len(conn.edges)

@@ -153,11 +153,9 @@ class TriMesh:
         return float(np.degrees(_all_angles(self.vertices, self.triangles).min()))
 
     def max_edge(self):
-        v, t = self.vertices, self.triangles
-        e = np.concatenate(
-            [v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 1]], v[t[:, 0]] - v[t[:, 2]]]
-        )
-        return float(np.sqrt((e * e).sum(axis=1)).max())
+        """Longest edge, over the edges of connectivity."""
+        a, b = self.vertices[self.connectivity.edges.T]
+        return float(np.sqrt(((b - a) ** 2).sum(axis=1)).max())
 
     def boundary_vertex_indices(self):
         return np.unique(self.boundary_edges)
@@ -817,8 +815,9 @@ def _repair_points(loop, verts, tris, table, h):
     interior edge longer than h its midpoint, longest first.  A circumcentre
     that encroaches a loop segment (or is outside) is dropped and those
     segments are split; so is a candidate nearer to an earlier one than half
-    its clearance from the mesh.  Returns (loop, new points), both unchanged
-    in size when the mesh meets both bounds.
+    its clearance from the mesh.  Returns (loop, new points, min angle in
+    degrees, max edge); the loop and the points are unchanged in size when
+    the mesh meets both bounds, and may be so when it misses one.
     """
     from scipy.spatial import cKDTree
 
@@ -844,7 +843,8 @@ def _repair_points(loop, verts, tris, table, h):
             taken[i] = True
             blocked[tree.query_ball_point(cand[i], 0.5 * clear[i])] = True
     split = np.flatnonzero(encroach.any(axis=0))
-    return (_split_segments(loop, split) if split.size else loop), cand[taken]
+    return ((_split_segments(loop, split) if split.size else loop), cand[taken],
+            float(angle.min()), float(elen.max()))
 
 
 def _insert_near(verts, tris, extra, reach):
@@ -922,8 +922,9 @@ def gen_polygon(poly: Polygon):
     by qhull (_lattice_delaunay), and Laplacian smoothing; up to
     REPAIR_ROUNDS times, circumcentres of triangles with an angle below
     MIN_ANGLE_TARGET_DEG and midpoints of interior edges longer than h are
-    inserted (_repair_points), else the mesh carries a warning, as it must
-    where an input corner is sharper than 20 degrees.  Tests hold both
+    inserted (_repair_points).  A mesh that still misses a bound, after the
+    last round or with no point left to insert, carries a warning, as it
+    must where an input corner is sharper than 20 degrees.  Tests hold both
     bounds on bumps of radius 0.2 to 0.6 on each side of the 2pi x pi
     rectangle at h = 0.06 to 0.15, an L shape and a dumbbell.
     """
@@ -934,10 +935,10 @@ def gen_polygon(poly: Polygon):
     inner, ij = _graded_points(loop, origin, step)
     loop, verts, tris, table = _triangulate_region(loop, inner, (ij, step))
     verts = _laplacian_smooth(verts, tris, table)
-    for _ in range(REPAIR_ROUNDS):
-        new_loop, extra = _repair_points(loop, verts, tris, table, h)
-        if len(new_loop) == len(loop) and not len(extra):
-            return _build_trimesh(verts, tris, (), table)
+    for rounds in range(REPAIR_ROUNDS + 1):
+        new_loop, extra, angle, edge = _repair_points(loop, verts, tris, table, h)
+        if rounds == REPAIR_ROUNDS or len(new_loop) == len(loop) and not len(extra):
+            break
         split = len(new_loop) > len(loop)
         near = None if split else _insert_near(verts, tris, extra, 3 * h)
         if near is None:
@@ -946,10 +947,10 @@ def gen_polygon(poly: Polygon):
         else:
             verts, tris = near
             table = _edge_table(tris)
-    mesh = _build_trimesh(verts, tris, (), table)
-    return replace(mesh, warnings=(
-        f"quality bounds missed after {REPAIR_ROUNDS} repair rounds: min angle "
-        f"{mesh.min_angle_deg():.2f} deg, max edge {mesh.max_edge() / h:.3f} h",))
+    missed = () if angle >= MIN_ANGLE_TARGET_DEG and edge <= h else (
+        f"quality bounds missed after {rounds} repair rounds: min angle "
+        f"{angle:.2f} deg, max edge {edge / h:.3f} h",)
+    return _build_trimesh(verts, tris, missed, table)
 
 
 def refine_uniform(mesh: TriMesh):

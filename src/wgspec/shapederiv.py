@@ -21,6 +21,9 @@ from .mesh import Polygon, TriMesh, gen_polygon, gen_rectangle
 # lambda2, and bump_rectangle_polygon's fewest points on the half circle
 DEGENERACY_TOL = 1e-3
 MIN_ARC_POINTS = 64
+# the rectangle's sides in loop order, each with its direction
+_SIDES = {"bottom": (1.0, 0.0), "right": (0.0, 1.0), "top": (-1.0, 0.0),
+          "left": (0.0, -1.0)}
 
 
 @dataclass(frozen=True)
@@ -28,9 +31,9 @@ class AdjointState:
     """Adjoint field for one perturbation direction w.
 
     x_dot_w_estimate is half the kernel component stripped from the load,
-    which doubles the projection of X on w.  A large value means the
-    solvability hypothesis (X = 0) is violated and the field is only
-    indicative.
+    which doubles the projection of X on w.  A value above 1e-3
+    sqrt(lambda2), which like X is in 1/length, means the solvability
+    hypothesis (X = 0) is violated and the field is only indicative.
     """
 
     q: np.ndarray
@@ -55,27 +58,26 @@ def _boundary_load(mesh: TriMesh, psi, w):
 
 
 def adjoint_solve(mesh: TriMesh, lambda2, psi, w, matrices=None):
-    """Solve the adjoint problem at lambda2 with flux -2 psi (n.w).
+    """Solve the adjoint problem at lambda2 with flux -2 psi (n.w), psi the
+    M-normalized eigenvector of lambda2 (as neumann_eigs returns it).
 
     The load is projected off the eigenfunction (removed component reported)
     and the shifted system is solved with the eigenfunction deflated
-    (solve_deflated, one factorization); the result is re-orthogonalized
-    against psi in the mass inner product.  matrices, the (K, M) of
-    assemble(mesh) if the caller has them, saves assembling them again.
+    (solve_deflated, one factorization), which returns q M-orthogonal to
+    psi.  matrices, the (K, M) of assemble(mesh) if the caller has them,
+    saves assembling them again.
     """
     K, M = assemble(mesh) if matrices is None else matrices
     rhs = _boundary_load(mesh, psi, w)
     sol = solve_deflated(K, M, lambda2, rhs, psi)
     q = sol.x
-    q = q - (psi @ (M @ q)) / (psi @ (M @ psi)) * psi
-    defect = float(abs(psi @ (M @ q)) / math.sqrt(max(q @ (M @ q), 1e-300)))
+    defect = float(abs(psi @ (M @ q)) / math.sqrt(q @ (M @ q))) if q.any() else 0.0
     x_w = abs(sol.removed) / 2.0
-    psi_scale = float(psi @ (M @ psi))
     return AdjointState(
         q=q,
         ortho_defect=defect,
         x_dot_w_estimate=x_w,
-        solvability_warning=x_w > 1e-3 * psi_scale,
+        solvability_warning=x_w > 1e-3 * math.sqrt(lambda2),
         residual=sol.residual,
     )
 
@@ -227,42 +229,28 @@ def _vn_from_field(mesh: TriMesh, V):
 def bump_rectangle_polygon(ell, L, side, center, radius, target_h):
     """Rectangle (0,ell)x(0,L) with an outward half-disk bump on one side.
 
-    center is the coordinate of the bump center along the chosen side; the
-    half circle is sampled with at least max(MIN_ARC_POINTS, pi r / target_h)
-    points so the geometric error stays below the quadrature error.
+    The loop runs counterclockwise; the chosen side has direction d and
+    outward normal n.  center is the coordinate of the bump center m along
+    that side, and the bump runs from m - r d over the half circle m + r
+    (-cos t d + sin t n), 0 < t < pi, to m + r d.  The half circle is sampled
+    with at least max(MIN_ARC_POINTS, pi r / target_h) points so the
+    geometric error stays below the quadrature error.
     """
     if radius <= 0:
         raise ValueError("bump radius must be positive")
+    if side not in _SIDES:
+        raise ValueError(f"side must be one of {', '.join(_SIDES)}, got {side!r}")
     n_arc = max(MIN_ARC_POINTS, int(math.ceil(math.pi * radius / target_h)))
-
-    def arc(cx, cy, th0, th1):
-        th = np.linspace(th0, th1, n_arc + 1)
-        return np.column_stack([cx + radius * np.cos(th), cy + radius * np.sin(th)])
-
-    corners = [(0.0, 0.0), (ell, 0.0), (ell, L), (0.0, L)]
-    names = ["bottom", "right", "top", "left"]
-    pts = []
-    for k in range(4):
-        pts.append(np.asarray(corners[k], dtype=float))
-        if names[k] != side:
-            continue
-        if side == "bottom":
-            pts.append(np.array([center - radius, 0.0]))
-            pts.extend(arc(center, 0.0, math.pi, 2.0 * math.pi)[1:-1])
-            pts.append(np.array([center + radius, 0.0]))
-        elif side == "right":
-            pts.append(np.array([ell, center - radius]))
-            pts.extend(arc(ell, center, -math.pi / 2.0, math.pi / 2.0)[1:-1])
-            pts.append(np.array([ell, center + radius]))
-        elif side == "top":
-            pts.append(np.array([center + radius, L]))
-            pts.extend(arc(center, L, 0.0, math.pi)[1:-1])
-            pts.append(np.array([center - radius, L]))
-        elif side == "left":
-            pts.append(np.array([0.0, center + radius]))
-            pts.extend(arc(0.0, center, math.pi / 2.0, 1.5 * math.pi)[1:-1])
-            pts.append(np.array([0.0, center - radius]))
-    return Polygon(np.array(pts), target_h)
+    corners = np.array([(0.0, 0.0), (ell, 0.0), (ell, L), (0.0, L)])
+    k = list(_SIDES).index(side)
+    d = np.array(_SIDES[side])
+    n = np.array([d[1], -d[0]])
+    m = np.where(d != 0.0, center, corners[k])
+    t = np.linspace(0.0, math.pi, n_arc + 1)
+    bump = m + radius * (np.outer(-np.cos(t), d) + np.outer(np.sin(t), n))
+    # the ends exactly on the side: sin(pi) rounds to 1.2e-16, not 0
+    bump[0], bump[-1] = m - radius * d, m + radius * d
+    return Polygon(np.vstack([corners[:k + 1], bump, corners[k + 1:]]), target_h)
 
 
 @dataclass(frozen=True)

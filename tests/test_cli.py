@@ -1,11 +1,14 @@
+import functools
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wgspec
 from wgspec.cli import main
@@ -234,6 +237,100 @@ class TestSweepCmd:
         rows = [ln.split(",") for ln in lines[1:]]
         norms = [np.hypot(float(r[1]), float(r[2])) for r in rows]
         assert norms[0] < norms[1]
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_section(kind):
+    """One small mesh of each kind in its own length unit."""
+    from wgspec import mesh as M
+    from wgspec.shapederiv import bump_rectangle_polygon
+
+    if kind == "rect":
+        return M.gen_rectangle(2.03, 1.0, 24, 12)
+    if kind == "triangle":
+        return M.gen_right_triangle(16)
+    return M.gen_polygon(bump_rectangle_polygon(2.0, 1.0, "top", 0.9, 0.35, 0.15))
+
+
+@functools.lru_cache(maxsize=None)
+def _scaled_check(kind, s):
+    """analyze's reports (with and without the enclosure) of the section
+    scaled by s, and the exit code and report of `check` on the scaled
+    section against the parabola scaled by s: (t, t^2 / s) for |t| <= 2 s."""
+    from wgspec import crosssec as C, mesh as M
+
+    base = _unit_section(kind)
+    mesh = M.build_trimesh(base.vertices * s, base.triangles)
+    full = C.analyze(mesh)
+    fast = C.analyze(mesh, estimate_error=False)
+    with tempfile.TemporaryDirectory() as d:
+        sec, cur, out = (os.path.join(d, f) for f in
+                         ("sec.json", "cur.json", "check.json"))
+        with open(sec, "w") as f:
+            f.write(full.to_json())
+        assert run(["curve", "--parabola", "--scale", repr(1.0 / s), "--window",
+                    repr(2.0 * s), "--n", 2000, "-o", cur]) == 0
+        code = run(["check", "--section", sec, "--curve", cur, "--delta", 0.02,
+                    "-o", out])
+        with open(out) as f:
+            return full, fast, code, json.load(f)
+
+
+class TestLengthUnit:
+    """The same section and curve in another length unit: lambda scales as
+    1/s^2, X as 1/s and b as s, and every verdict stays."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(kind=st.sampled_from(["rect", "triangle", "bump"]),
+           s=st.floats(1e-3, 1e3))
+    def test_reports_scale_and_verdicts_stay(self, kind, s):
+        ref_full, ref_fast, ref_code, ref_check = _scaled_check(kind, 1.0)
+        full, fast, code, check = _scaled_check(kind, s)
+        for rep, ref in ((full, ref_full), (fast, ref_fast)):
+            for got, want in ((rep.lambda2 * s * s, ref.lambda2),
+                              (rep.lambda3 * s * s, ref.lambda3),
+                              (rep.b / s, ref.b)):
+                assert abs(got - want) <= 1e-9 * want
+            # X of the rectangle vanishes to rounding: sqrt(lambda2) sets
+            # the scale of X
+            scale = max(np.abs(ref.X_boundary).max(), math.sqrt(ref.lambda2))
+            assert np.abs(rep.X_boundary * s - ref.X_boundary).max() <= 1e-9 * scale
+        assert full.simple == fast.simple == ref_full.simple == ref_fast.simple
+        assert code == ref_code
+        assert check["trapped"]["holds"] == ref_check["trapped"]["holds"]
+
+    def test_small_rectangle_passes_the_gate(self, tmp_path):
+        # the residual gate is relative to lambda: the 2 x 1 rectangle in a
+        # unit 100 times smaller passes too, with lambda2 scaled by 1e4
+        lam = {}
+        for rect in ((0.02, 0.01), (2, 1)):
+            out = tmp_path / "sec.json"
+            assert run(["section", "--rect", *rect, 64, 32, "--fast", "-o", out]) == 0
+            lam[rect] = json.loads(out.read_text())["lambda2"]
+        assert abs(lam[0.02, 0.01] * 1e-4 - lam[2, 1]) <= 1e-9 * lam[2, 1]
+
+    def test_shapederiv_on_a_small_rectangle(self, tmp_path):
+        # the bumped side is found by y == L, and the discrepancy, a ratio,
+        # is the same in every unit
+        d = {}
+        for s in (1.0, 1e-3):
+            out = tmp_path / "fd.json"
+            assert run(["shapederiv", "--w", 1, 0, "--rect", 8 * s, s, "--nx", 64,
+                        "--ny", 8, "--bump-center", repr(3 * s), "--bump-radius",
+                        repr(0.5 * s), "-o", out]) == 0
+            d[s] = json.loads(out.read_text())
+        assert abs(d[1e-3]["discrepancy"] - d[1.0]["discrepancy"]) <= 1e-6
+        assert d[1e-3]["solvability_warning"] is d[1.0]["solvability_warning"] is False
+
+    def test_tiny_parabola_keeps_its_tail(self, tmp_path):
+        # the parabola (t, t^2) in a unit 1e7 times smaller: kappa_sup is
+        # 2e7 and |k2| reaches 1.2e-9 by rounding, yet the curve is planar
+        out = tmp_path / "cur.json"
+        assert run(["curve", "--parabola", "--scale", 1e7, "--window", 5e-6,
+                    "--n", 4000, "-o", out]) == 0
+        d = json.loads(out.read_text())
+        assert abs(d["kappa_sup"] * 1e-7 - 2.0) <= 1e-9
+        assert abs(d["Y_total"][0] - np.pi) < 1e-3
 
 
 def _argv_id(argv):

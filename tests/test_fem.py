@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -308,6 +309,40 @@ class TestShiftInvertSolver:
         res = info.value.residuals
         assert res is not None and len(res) == 2 and (res > 1e-30).all()
 
+    def test_residuals_relative_to_lambda(self):
+        # ||K u - lambda M u|| / (lambda ||M u||), the constant mode's
+        # relative to lambda2
+        mesh = M.gen_right_triangle(12)
+        K, Mm = F.assemble(mesh)
+        s = F.neumann_eigs(mesh, 2)
+        U, lam = s.eigenvectors, s.eigenvalues
+        R = np.linalg.norm(K @ U - (Mm @ U) * lam, axis=0) / np.linalg.norm(Mm @ U, axis=0)
+        ref = R / np.concatenate([[lam[1]], lam[1:]])
+        assert np.abs(s.residuals - ref).max() <= 1e-12 * ref.max()
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+    def test_nonpositive_eigenvalue_raises(self, lam):
+        # no relative residual exists there, and the division would warn
+        mesh = M.gen_rectangle(2, 1, 4, 2)
+        K, Mm = F.assemble(mesh)
+        X = np.ones((mesh.num_vertices, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="not positive"):
+                F._residuals(K, Mm, np.array([lam, 1.0]), X)
+
+    def test_constant_pair_raises_without_warning(self, monkeypatch):
+        # a solver that returns the constant mode: its Rayleigh quotient is
+        # zero up to rounding, of either sign
+        def constant(K, k, *args, **kwargs):
+            return np.zeros(k), np.ones((K.shape[0], k))
+
+        monkeypatch.setattr(F, "eigsh", constant)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError):
+                F.neumann_eigs(M.gen_rectangle(2, 1, 16, 8), 2)
+
     @pytest.mark.parametrize("solve", [F.neumann_eigs])
     @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
     def test_tol_must_be_positive_and_finite(self, solve, tol):
@@ -391,7 +426,7 @@ class TestArpackTolerance:
             base = M.gen_rectangle(ell, 1.0, round(ell * n), n)
         else:
             base = M.gen_right_triangle(n)
-        # the residual gate is in units of lambda, 1 / size^2
+        # the residual gate is relative to lambda, the same at every size
         mesh = M.build_trimesh(base.vertices * size, base.triangles)
         with mock.patch.object(F, "eigsh", _machine_precision_eigsh):
             try:
@@ -402,6 +437,23 @@ class TestArpackTolerance:
         rel = np.abs(s.eigenvalues[1:] - ref.eigenvalues[1:]) / ref.eigenvalues[1:]
         assert rel.max() <= 1e-12
         assert s.residuals.max() <= tol
+
+
+    @settings(max_examples=10, deadline=None)
+    @given(s=st.floats(1e-3, 1e3))
+    def test_same_solve_in_every_unit(self, s):
+        # ARPACK's tol and the gate are both relative to the eigenvalues: the
+        # scaled pencil takes the same solves (39 at s = 1) to the scaled
+        # eigenvalues, and the Crouzeix-Raviart bounds scale with them
+        base = M.gen_rectangle(2, 1, 64, 32)
+        mesh = M.build_trimesh(base.vertices * s, base.triangles)
+        ref, got = F.neumann_eigs(base, 2), F.neumann_eigs(mesh, 2)
+        assert got.solves == ref.solves
+        assert np.abs(got.eigenvalues[1:] * s * s - ref.eigenvalues[1:]).max() \
+            <= 1e-9 * ref.eigenvalues[2]
+        assert got.residuals.max() <= 1e-8
+        lower, lower_ref = F.cr_eigs(mesh, 2), F.cr_eigs(base, 2)
+        assert np.abs(lower * s * s - lower_ref).max() <= 1e-9 * lower_ref.max()
 
 
 class TestColumnOrder:
@@ -458,11 +510,9 @@ class TestCrouzeixRaviart:
         base = M.gen_rectangle(ell, 1.0, nx, ny) if kind == "rect" \
             else M.gen_right_triangle(n)
         mesh = M.build_trimesh(base.vertices * s, base.triangles)
-        # the residual gate is in units of lambda, 1 / s^2
-        tol = 1e-8 / s ** 2
         exact = _neumann_closed_form(kind, ell) / s ** 2
-        lower = F.cr_eigs(mesh, 2, tol)
-        upper = F.neumann_eigs(mesh, 2, tol=tol).eigenvalues[1:]
+        lower = F.cr_eigs(mesh, 2)
+        upper = F.neumann_eigs(mesh, 2).eigenvalues[1:]
         assert (lower <= exact).all() and (exact <= upper).all()
 
     def test_pencil_on_the_edges(self):

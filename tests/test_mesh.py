@@ -192,6 +192,17 @@ class TestGenPolygon:
         assert built == [m.num_vertices]
         assert len(m.warnings) == 1 and "quality bounds missed" in m.warnings[0]
 
+    def test_silent_sliver_is_reported(self):
+        # far from the origin this ellipse keeps a sliver that repair leaves
+        # (its circumcentre lies outside): no point is left to insert, and
+        # the bounds are still missed
+        t = np.linspace(0.0, 2 * np.pi, 199, endpoint=False)
+        loop = np.column_stack([3 * np.cos(t), np.sin(t)]) + 1e3
+        m = M.gen_polygon(M.Polygon(loop, 0.05))
+        assert m.min_angle_deg() < M.MIN_ANGLE_TARGET_DEG
+        assert len(m.warnings) == 1 and "quality bounds missed" in m.warnings[0]
+        assert f"min angle {m.min_angle_deg():.2f} deg" in m.warnings[0]
+
     def test_plain_rectangle_lambda2(self):
         # the benchmark's closed-form rectangle: lambda2 = (pi / 2pi)^2
         m = M.gen_polygon(M.Polygon(RECT_2PI_PI, 0.06))
@@ -407,6 +418,23 @@ class TestBoundaryInvariants:
             mid = 0.5 * (m.vertices[a] + m.vertices[b])
             c = cent[owner[(int(a), int(b))]]
             assert n @ (mid - c) > 0
+
+
+class TestMaxEdge:
+    @settings(max_examples=30, deadline=None)
+    @given(nx=st.integers(1, 12), ny=st.integers(1, 12),
+           seed=st.integers(0, 2 ** 32 - 1), s=st.floats(1e-3, 1e3))
+    def test_equals_the_per_triangle_form(self, nx, ny, seed, s):
+        # each edge once, from connectivity.edges, against the three sides
+        # of every triangle: the same set of lengths, so the same maximum
+        base = M.gen_rectangle(2.0, 1.0, nx, ny)
+        jitter = np.random.default_rng(seed).uniform(-0.1, 0.1, base.vertices.shape)
+        v = s * (base.vertices + jitter * [2.0 / nx, 1.0 / ny])
+        mesh = M.build_trimesh(v, base.triangles)
+        t = mesh.triangles
+        e = np.concatenate([v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 1]],
+                            v[t[:, 0]] - v[t[:, 2]]])
+        assert mesh.max_edge() == float(np.sqrt((e * e).sum(axis=1)).max())
 
 
 class TestBuildTrimesh:

@@ -78,6 +78,18 @@ class TestAdjointSolve:
         assert adj.solvability_warning
         assert abs(adj.x_dot_w_estimate - 1.0) < 0.05
 
+    @pytest.mark.parametrize("s", [1e-3, 1e3])
+    def test_solvability_warning_in_every_unit(self, s):
+        # X.w and sqrt(lambda2) both scale as 1/s: the triangle warns and
+        # the rectangle, where X = 0, does not
+        for base, warns in ((M.gen_right_triangle(16), True),
+                            (M.gen_rectangle(2, 1, 32, 16), False)):
+            mesh = M.build_trimesh(base.vertices * s, base.triangles)
+            spec = F.neumann_eigs(mesh, 2)
+            adj = SD.adjoint_solve(mesh, float(spec.eigenvalues[1]),
+                                   spec.eigenvectors[:, 1], np.array([1.0, 0.0]))
+            assert adj.solvability_warning is warns
+
 
 class TestBoundaryIntegrand:
     def test_closed_forms_pointwise(self, rect_section):
@@ -347,6 +359,27 @@ class TestBumpGeometry:
         for side in ("top", "bottom", "left", "right"):
             poly = SD.bump_rectangle_polygon(2 * np.pi, np.pi, side, 1.5, 0.2, 0.1)
             assert poly.area() > 2 * np.pi * np.pi
+
+    @pytest.mark.parametrize("side, m, outward", [
+        ("bottom", (1.5, 0.0), (0, -1)), ("right", (2 * np.pi, 1.5), (1, 0)),
+        ("top", (1.5, np.pi), (0, 1)), ("left", (0.0, 1.5), (-1, 0)),
+    ])
+    def test_half_circle_on_each_side(self, side, m, outward):
+        # the ends lie on the side at m -+ r along it, the points between
+        # them on the outer half of the circle of radius r about m
+        loop = SD.bump_rectangle_polygon(2 * np.pi, np.pi, side, 1.5, 0.2, 0.1).loop
+        d = loop - m
+        dist = np.hypot(*d.T)
+        on = np.flatnonzero(np.abs(dist - 0.2) <= 1e-15)
+        assert len(on) == SD.MIN_ARC_POINTS + 1 and (np.diff(on) == 1).all()
+        ends, arc = d[on[[0, -1]]], d[on[1:-1]]
+        assert (ends @ outward == 0.0).all()
+        assert (np.abs(np.abs(ends).sum(axis=1) - 0.2) <= 1e-15).all()
+        assert (arc @ outward > 0.0).all()
+
+    def test_unknown_side(self):
+        with pytest.raises(ValueError, match="side must be one of"):
+            SD.bump_rectangle_polygon(2.0, 1.0, "middle", 1.0, 0.2, 0.1)
 
 
 class TestBumpSweep:
