@@ -28,6 +28,13 @@ LATTICE_SPACING = 0.88
 WALL_GAP = 0.3
 REPAIR_ROUNDS = 12
 _SMOOTH_SWEEPS = 10
+# the triangulation moves the inner points by up to _JITTER of the extent E
+# (_jittered); four points count as cocircular when a circumcircle of
+# radius R misses the fourth by at most 1e-9 R + _TIE E^2 / R.  qhull
+# follows the exact in-circle test only where the fourth misses by more
+# than about 5e-15 E^2 / R (measured at E / R = 240, 480 and 1900)
+_JITTER = 1e-6
+_TIE = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -654,11 +661,11 @@ def _circumcentres(p):
             / (2.0 * _cross2(u, v))[:, None])
 
 
-def _circle_test(pts, tris, tree, margin):
-    """+1 for each triangle whose circumcircle clears every point of pts
-    but its corners by 1e-6 of its radius plus margin, -1 for one that
-    holds such a point by that much, and 0 where four points are cocircular
-    to within it; tree is cKDTree(pts), and flat triangles give +1."""
+def _circle_test(pts, tris, tree, tie):
+    """+1 for each triangle whose circumcircle, of radius R, clears every
+    point of pts but its corners by 1e-9 R + tie / R, -1 for one that holds
+    such a point by that much, and 0 where four points are cocircular to
+    within it; tree is cKDTree(pts), and flat triangles give +1."""
     p = pts[tris]
     with np.errstate(divide="ignore", invalid="ignore"):
         off = _circumcentres(p)
@@ -669,7 +676,8 @@ def _circle_test(pts, tris, tree, margin):
     dist, idx = tree.query((p[:, 0] + off)[solid], k=4)
     other = (idx[:, :, None] != tris[solid, None, :]).all(axis=2)
     gap = dist[np.arange(len(dist)), other.argmax(axis=1)] - radii[solid]
-    sign[solid] = np.where(np.abs(gap) <= 1e-6 * radii[solid] + margin, 0, np.sign(gap))
+    band = 1e-9 * radii[solid] + tie / radii[solid]
+    sign[solid] = np.where(np.abs(gap) <= band, 0, np.sign(gap))
     return sign
 
 
@@ -678,15 +686,16 @@ def _lattice_delaunay(pts, first, ij, step):
     on the points near the loop and the finer levels, or None where qhull
     must triangulate all the points.  pts from index first on are level-0
     points of _graded_points on the lattice of steps step, with lattice
-    coordinates ij, each moved by at most 1e-10 of the extent
-    (_triangulate_region's jitter).
+    coordinates ij, each moved by at most _JITTER of the extent in each
+    coordinate (_jittered).
 
     In the cell (i, j), s = j mod 2, the lattice has an up triangle (i, j),
     (i + 1, j), (i + s, j + 1) and a down triangle (i + 1, j), (i + s + 1,
-    j + 1), (i + s, j + 1).  When dy > dx / 2 they are acute (else the
-    result is None), and one whose circumcircle clears every point off the
-    lattice by a margin (1e-6 of its radius, and 1e-8 of the extent for the
-    jitter) is a Delaunay triangle.  A lattice point whose six triangles
+    j + 1), (i + s, j + 1).  When dy > dx / 2 they are acute, and their
+    circumcircles clear the other lattice points by more than the jitter
+    can close plus the tie margin of _circle_test (else the result is
+    None); one whose circumcircle clears every point off the lattice by
+    that margin is a Delaunay triangle.  A lattice point whose six triangles
     are such is surrounded, and its star is those six.  Every other
     Delaunay triangle has three corners that are not surrounded, so it is
     one of their qhull triangles whose circumcircle holds no other point;
@@ -695,28 +704,34 @@ def _lattice_delaunay(pts, first, ij, step):
 
     qhull picks the diagonal of four points cocircular to within the margin
     by the order in which it adds the points, so the result is None
-    wherever such four meet in a circle that holds no other point.  A
-    straight loop side and a row of finer points make them, up to the
-    jitter, on most polygons with finer levels, so there they are looked
-    for among the points off the lattice first; then among all the
-    triangles from qhull.
+    wherever such four meet in a circle that holds no other point: first
+    among the points off the lattice, where there are finer levels, then
+    among all the triangles from qhull.  The jitter moves the cocircular
+    quadruples of straight loop sides and rows of finer points that far
+    off their circles, so few polygons come to either test.
     """
     from scipy.spatial import Delaunay, cKDTree
 
     dx, dy = step
     rise = (dy * dy - dx * dx / 4) / (2 * dy)  # circumcentre over a base
     R = dy - rise
-    margin = 1e-8 * np.ptp(pts)
+    extent = np.ptp(pts)
+    tie = _TIE * extent**2
+    # the jitter moves each point by at most sqrt(2) _JITTER extent, and a
+    # lattice triangle's circumcentre by at most 2.5 times that (dy / dx in
+    # (1/2, 3/2), as _lattice makes it), so its gaps to the points by at
+    # most 7 times that
+    slack = 1e-9 * R + tie / R + 10 * _JITTER * extent
     # the lattice points across a base and across a slanted side clear a
     # lattice triangle's circumcircle by these
-    if not len(ij) or min(2 * rise, math.hypot(dx, R) - R) <= 1e-6 * R + margin:
+    if not len(ij) or min(2 * rise, math.hypot(dx, R) - R) <= slack:
         return None
     off = np.ones(len(pts), dtype=bool)
     off[first:first + len(ij)] = False
     tree = cKDTree(pts)
     if first + len(ij) < len(pts):  # finer levels
         off_tris = np.flatnonzero(off)[Delaunay(pts[off]).simplices]
-        if (_circle_test(pts, off_tris, tree, margin) == 0).any():
+        if (_circle_test(pts, off_tris, tree, tie) == 0).any():
             return None
     # cells from lo, an even row, so that (j mod 2) keeps each row's offset
     lo = ij.min(axis=0) - [0, ij[:, 1].min() % 2]
@@ -731,23 +746,40 @@ def _lattice_delaunay(pts, first, ij, step):
                     axis=-1).reshape(-1, 3)
     tris = tris[(tris >= 0).all(axis=1)]
     # a point off the lattice within reach of a circumcentre is within 2
-    # reach of every corner, so only such triangles are tested (each ball
-    # holds its centre, so none is empty)
-    reach = R * (1 + 1e-6) + margin
+    # reach of every corner, so only such triangles are tested
+    reach = R + slack
     close = np.zeros(len(pts), dtype=bool)
-    close[np.concatenate(tree.query_ball_point(pts[off], 2 * reach))] = True
+    close[tree.sparse_distance_matrix(cKDTree(pts[off]), 2 * reach,
+                                      output_type="ndarray")["i"]] = True
     near = np.flatnonzero(close[tris].all(axis=1))
-    tris = np.delete(tris, near[_circle_test(pts, tris[near], tree, margin) < 1], axis=0)
+    tris = np.delete(tris, near[_circle_test(pts, tris[near], tree, tie) < 1], axis=0)
     surrounded = np.bincount(tris.ravel(), minlength=len(pts)) == 6
     if not surrounded.any():
         return None
 
     rest = np.flatnonzero(~surrounded)
     found = rest[Delaunay(pts[rest]).simplices]
-    sign = _circle_test(pts, found, tree, margin)
+    sign = _circle_test(pts, found, tree, tie)
     if (sign == 0).any():
         return None
     return np.vstack([tris[surrounded[tris].any(axis=1)], found[sign > 0]])
+
+
+def _jittered(loop, inner):
+    """The inner points, each coordinate moved by a seeded draw of at most
+    _JITTER of the loop's extent, or of 1e4 times its shortest segment where
+    that is less.
+
+    qhull takes about twice as long on a lattice's cocircular quadruples,
+    and picks their diagonal by the order in which it adds the points.
+    Moved this far, four points miss a common circle by more than qhull
+    resolves, on all but a few polygons (_lattice_delaunay finds those).
+    The cap keeps each move below 1.5e-2 of that segment, so the points of
+    _graded_points, at least 0.2 of it from the loop, stay on their side.
+    """
+    scale = min(np.ptp(loop), 1e4 * _segment_lengths(loop).min())
+    draws = np.random.default_rng(0).uniform(-_JITTER, _JITTER, inner.shape)
+    return inner + draws * scale
 
 
 def _triangulate_region(loop, inner, lattice=None):
@@ -765,13 +797,8 @@ def _triangulate_region(loop, inner, lattice=None):
     """
     from scipy.spatial import Delaunay
 
-    # qhull takes about twice as long on a lattice's cocircular quadruples;
-    # moving the inner points by 1e-10 of the extent, for the triangulation
-    # only, ends it.  qhull does not resolve so small a move, so where it
-    # leaves four points cocircular, their diagonal is qhull's pick on all
-    # the points (_lattice_delaunay)
-    jitter = np.random.default_rng(0).uniform(-1e-10, 1e-10, inner.shape)
-    shifted = inner + jitter * np.ptp(loop)
+    # the inner points moved (_jittered), for the triangulation only
+    shifted = _jittered(loop, inner)
     for _ in range(12):
         nb = len(loop)
         pts = np.vstack([loop, inner])
@@ -916,10 +943,11 @@ def gen_polygon(poly: Polygon):
     LATTICE_SPACING * h is fitted to the polygon (_lattice), the boundary is
     resampled at the lattice step (_resample_loop), and interior points
     follow the size field min(dx, h_b + GRADING * d), h_b the local spacing
-    of the resampled loop and d the distance to it (_graded_points).  Their
-    Delaunay triangulation follows, the lattice's triangles built by index
-    and the rest by qhull where that gives qhull's own triangles, else all
-    by qhull (_lattice_delaunay), and Laplacian smoothing; up to
+    of the resampled loop and d the distance to it (_graded_points).  The
+    Delaunay triangulation of the points, moved by _JITTER of the extent
+    for it alone (_jittered), follows: the lattice's triangles built by
+    index and the rest by qhull where that gives qhull's own triangles,
+    else all by qhull (_lattice_delaunay).  Then Laplacian smoothing; up to
     REPAIR_ROUNDS times, circumcentres of triangles with an angle below
     MIN_ANGLE_TARGET_DEG and midpoints of interior edges longer than h are
     inserted (_repair_points).  A mesh that still misses a bound, after the

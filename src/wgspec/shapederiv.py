@@ -169,7 +169,9 @@ def fd_check(mesh: TriMesh, V, w, tol=1e-8):
     velocity field sampled at all vertices (interior values are replaced by
     the harmonic lift of the boundary trace).  The vertex set is assembled
     once: its (K, M) serve the eigensolve, the lift and the adjoint, each
-    of which factorizes its own matrix once.  discrepancy is |adjoint - discrete| / |adjoint|.
+    of which factorizes its own matrix once.  discrepancy is |adjoint -
+    discrete| / max(|adjoint|, |discrete|), 0 where both are 0, so it reads
+    the same in every unit of length.
     TrackingError: (lambda3 - lambda2)/lambda2 < DEGENERACY_TOL, where psi2
     has no well-defined direction to differentiate.
     SolverError: an eigenpair misses tol.
@@ -189,7 +191,7 @@ def fd_check(mesh: TriMesh, V, w, tol=1e-8):
         w=w,
         adjoint_value=adjoint,
         discrete_value=discrete,
-        discrepancy=abs(adjoint - discrete) / max(abs(adjoint), 1e-12),
+        discrepancy=abs(adjoint - discrete) / (max(abs(adjoint), abs(discrete)) or 1.0),
         solvability_warning=adj.solvability_warning,
     )
 

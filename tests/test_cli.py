@@ -322,6 +322,19 @@ class TestLengthUnit:
         assert abs(d[1e-3]["discrepancy"] - d[1.0]["discrepancy"]) <= 1e-6
         assert d[1e-3]["solvability_warning"] is d[1.0]["solvability_warning"] is False
 
+    def test_shapederiv_discrepancy_on_large_rectangles(self, tmp_path):
+        # d(X.w)/dt is 3.4e-16 on the 8e7 x 1e7 rectangle: the discrepancy
+        # has no floor in its units, so it reads as at 8 x 1
+        d = {}
+        for s in (1.0, 1e5, 1e7):
+            out = tmp_path / "fd.json"
+            assert run(["shapederiv", "--w", 1, 0, "--rect", 8 * s, s, "--nx", 64,
+                        "--ny", 8, "--bump-center", repr(3 * s), "--bump-radius",
+                        repr(0.5 * s), "-o", out]) == 0
+            d[s] = json.loads(out.read_text())["discrepancy"]
+        assert d[1.0] > 1e-4
+        assert all(abs(v - d[1.0]) <= 1e-6 * d[1.0] for v in d.values()), d
+
     def test_tiny_parabola_keeps_its_tail(self, tmp_path):
         # the parabola (t, t^2) in a unit 1e7 times smaller: kappa_sup is
         # 2e7 and |k2| reaches 1.2e-9 by rounding, yet the curve is planar

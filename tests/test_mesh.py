@@ -1,6 +1,8 @@
 import json
 import math
+import random
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -192,6 +194,13 @@ class TestGenPolygon:
         assert built == [m.num_vertices]
         assert len(m.warnings) == 1 and "quality bounds missed" in m.warnings[0]
 
+    def test_segment_shorter_than_the_jitter(self):
+        # a corner cut by 3e-6: the jitter, 6e-6 of the extent uncapped,
+        # would move the finer points next to that segment across the loop
+        cut = 3e-6
+        _assert_contract(M.Polygon([(0, 0), (2 * np.pi - cut, 0), (2 * np.pi, cut),
+                                    (2 * np.pi, np.pi), (0, np.pi)], 0.15))
+
     def test_silent_sliver_is_reported(self):
         # far from the origin this ellipse keeps a sliver that repair leaves
         # (its circumcentre lies outside): no point is left to insert, and
@@ -294,12 +303,51 @@ def _lattice_case(poly):
     origin, step = M._lattice(poly.loop, poly.target_h)
     loop = M._resample_loop(poly.loop, step)
     inner, ij = M._graded_points(loop, origin, step)
-    jitter = np.random.default_rng(0).uniform(-1e-10, 1e-10, inner.shape)
-    return loop, np.vstack([loop, inner + jitter * np.ptp(loop)]), (ij, step)
+    return loop, np.vstack([loop, M._jittered(loop, inner)]), (ij, step)
 
 
 def _row_set(tris):
     return set(map(tuple, np.sort(tris, axis=1).tolist()))
+
+
+def _in_circle(a, b, c, d):
+    """Exact sign of d against the circle through a, b and c: +1 inside,
+    -1 outside, 0 on it."""
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = (
+        [Fraction(float(x)) for x in pt] for pt in (a, b, c, d))
+    rows = [(x - dx, y - dy) for x, y in ((ax, ay), (bx, by), (cx, cy))]
+    (p, q, r), (s, t, u), (v, w, z) = ((x, y, x * x + y * y) for x, y in rows)
+    det = p * (t * z - u * w) - q * (s * z - u * v) + r * (s * w - t * v)
+    turn = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return (det > 0) - (det < 0) if turn > 0 else (det < 0) - (det > 0)
+
+
+def _tie_case(extra):
+    """The points _lattice_delaunay takes: four loop corners, the 10 x 10
+    lattice of steps (2, 2), then the finer-level points extra.  The up
+    triangle (0, 0), (2, 0), (1, 2) has the circumcircle of centre (1, 3/4)
+    and radius 5/4."""
+    i, j = (a.ravel() for a in np.meshgrid(np.arange(10), np.arange(10)))
+    ij = np.column_stack([i, j])
+    lattice = np.column_stack([2.0 * i + j % 2, 2.0 * j])
+    corners = [(-3.1, -2.9), (22.3, -3.3), (21.7, 21.1), (-2.7, 20.9)]
+    return np.vstack([corners, lattice, np.reshape(extra, (-1, 2))]), ij, (2.0, 2.0)
+
+
+def _sweep_bumps():
+    """The default sweep's 10 bumps, then the polygon-sweep benchmark's bump
+    at the seeds 1 to 8."""
+    polys = {f"sweep r={r:.2f}": bump_rectangle_polygon(2 * np.pi, np.pi, "top", 1.7, r, 0.06)
+             for r in np.arange(0.2, 0.665, 0.05)}
+    for seed in range(1, 9):
+        rng = random.Random(seed)
+        radius, center = rng.uniform(0.2, 0.3), rng.uniform(1.5, 4.5)
+        polys[f"seed {seed}"] = bump_rectangle_polygon(2 * np.pi, np.pi, "top", center,
+                                                       radius, 0.06)
+    return polys
+
+
+SWEEP_BUMPS = _sweep_bumps()
 
 
 @pytest.fixture
@@ -352,14 +400,58 @@ class TestLatticeDelaunay:
         # 742 of the 8314 points
         assert max(qhull_sizes) < 0.2 * m.num_vertices
 
-    @pytest.mark.parametrize("radius, calls", [(0.3, 1), (0.45, 2)])
-    def test_falls_back_where_points_are_cocircular(self, radius, calls, qhull_sizes):
-        # a straight side and a row of finer points: at r = 0.3 the points
-        # off the lattice show it, at r = 0.45 the triangles from qhull do
-        poly = bump_rectangle_polygon(2 * np.pi, np.pi, "top", 1.7, radius, 0.06)
-        loop, pts, lattice = _lattice_case(poly)
-        assert M._lattice_delaunay(pts, len(loop), *lattice) is None
+    @pytest.mark.parametrize("extra, circle, calls", [
+        # a rectangle of finer points inside the up triangle: the points off
+        # the lattice show it
+        ([(0.75, 0.5625), (1.0, 0.5625), (1.0, 0.6875), (0.75, 0.6875)], [-4, -3, -2], 1),
+        # a finer point on the up triangle's circumcircle: the triangles
+        # from qhull show it
+        ([(1.75, 1.75)], [4, 5, 14], 2),
+    ], ids=["off the lattice", "from qhull"])
+    def test_falls_back_where_points_are_cocircular(self, extra, circle, calls, qhull_sizes):
+        from scipy.spatial import Delaunay
+
+        pts, ij, step = _tie_case(extra)
+        # the last point lies on the circle through the points circle
+        assert _in_circle(*pts[circle], pts[-1]) == 0
+        assert M._lattice_delaunay(pts, 4, ij, step) is None
         assert len(qhull_sizes) == calls
+        # without the tie, the same points take the lattice path
+        pts[-1] += 0.01
+        got = M._lattice_delaunay(pts, 4, ij, step)
+        assert got is not None and _row_set(got) == _row_set(Delaunay(pts).simplices)
+
+    @pytest.mark.parametrize("name", SWEEP_BUMPS)
+    def test_bumps_take_the_lattice_path(self, name, qhull_sizes):
+        # the jitter moves the cocircular quadruples of a straight side and a
+        # row of finer points apart by more than the tie margin
+        poly = SWEEP_BUMPS[name]
+        origin, step = M._lattice(poly.loop, poly.target_h)
+        loop = M._resample_loop(poly.loop, step)
+        inner, ij = M._graded_points(loop, origin, step)
+        pts = M._triangulate_region(loop, inner, (ij, step))[1]
+        assert qhull_sizes and max(qhull_sizes) < 0.2 * len(pts)
+
+    @pytest.mark.parametrize("name", ["sweep r=0.30", "sweep r=0.40"])
+    def test_near_ties_are_delaunay_exactly(self, name):
+        # every kept triangle whose circumcircle passes within 1e-6 of its
+        # radius of another point leaves that point, and the next ones,
+        # outside in exact arithmetic
+        from scipy.spatial import cKDTree
+
+        loop, pts, lattice = _lattice_case(SWEEP_BUMPS[name])
+        tris = M._lattice_delaunay(pts, len(loop), *lattice)
+        p = pts[tris]
+        off = M._circumcentres(p)
+        radii = np.sqrt((off * off).sum(axis=1))
+        dist, idx = cKDTree(pts).query(p[:, 0] + off, k=8)
+        other = (idx[:, :, None] != tris[:, None, :]).all(axis=2)
+        gap = dist[np.arange(len(dist)), other.argmax(axis=1)] - radii
+        tight = np.flatnonzero(np.abs(gap) <= 1e-6 * radii)
+        assert len(tight)
+        for t in tight:
+            signs = [_in_circle(*p[t], pts[q]) for q in idx[t][other[t]]]
+            assert signs == [-1] * len(signs)
 
     def test_falls_back_when_lattice_triangles_are_obtuse(self, qhull_sizes):
         # dy = 0.02 <= dx / 2 = 0.0263: the lattice's own Delaunay
@@ -374,9 +466,7 @@ class TestLatticeDelaunay:
         M.Polygon(RECT_2PI_PI, 0.06),
         M.Polygon(RECT_2PI_PI, 0.15),
         M.Polygon(L_SHAPE, 0.06),
-        # the default sweep's r = 0.5 row, with four points cocircular up to
-        # the jitter
-        bump_rectangle_polygon(2 * np.pi, np.pi, "top", 1.7, 0.5, 0.06),
+        SWEEP_BUMPS["sweep r=0.50"],
         bump_rectangle_polygon(2.0, 1.0, "top", 0.9, 0.35, 0.1),
     ], ids=["rect", "rect coarse", "L", "sweep bump", "small bump"])
     def test_gen_polygon_as_with_qhull_alone(self, poly, monkeypatch):
