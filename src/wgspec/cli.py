@@ -188,7 +188,8 @@ def cmd_shapederiv(args):
         psi = spec.eigenvectors[:, 1]
         if psi @ (M @ ref) < 0:
             psi = -psi
-        adj = shapederiv.adjoint_solve(mesh, lam2, psi, w, matrices)
+        adj = shapederiv.adjoint_solve(mesh, lam2, psi, w, matrices, spec.factor)
+        del spec  # its factors, before the closed forms' arrays
         # q and the integrand are linear in w: w1 (e1 form) + w2 (e2 form)
         x, y = mesh.vertices.T
         cos, sin = np.cos(np.pi * x / ell), np.sin(np.pi * x / ell)

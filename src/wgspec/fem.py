@@ -6,17 +6,19 @@ generalized eigensolves by shift-invert Lanczos (ARPACK through scipy's
 eigsh, one sparse LU factorization per eigensolve), guaranteed lower
 bounds of the same eigenvalues from the Crouzeix-Raviart element on the
 same mesh (cr_eigs), the exact derivatives of the P1 matrices along a
-vertex velocity, and deflated solves of singular shifted systems.  Every
-factorization is one SuperLU call that finds its own fill-reducing order.
+vertex velocity, and deflated solves of singular shifted systems by
+conjugate gradients preconditioned with the eigensolve's own factors.
+Every factorization is one SuperLU call that finds its own fill-reducing
+order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
+from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, cg, eigsh,
                                  splu)
 
 from .errors import NearDegenerateError, SolverError
@@ -33,6 +35,12 @@ _MASS = np.array([2.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 2.0])
 # the Crouzeix-Raviart interpolation constant over the largest edge h
 # (Liu, Appl. Math. Comput. 267, 2015): cr_eigs's lower bound
 CR_CONSTANT = 0.1893
+# solve_deflated: its CG's relative tolerance and iteration cap, and the
+# largest relative residual and M-overlap with the constants of a deflation
+# vector, far above a gated eigenvector's and far below a wrong one's
+DEFLATED_RTOL = 1e-14
+DEFLATED_MAXITER = 200
+DEFLATION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -44,11 +52,12 @@ class Spectrum:
     residuals ||K u - lambda M u|| / (lambda ||M u||) per pair, dimensionless,
     the constant mode's taken relative to lambda_2.
     shift is the shift sigma of the factorized K - sigma M that was solved
-    with, solves the number of vectors solved with it and fill the nonzeros
-    of its L and U factors (SuperLU.nnz).  A dense solve reports solves and
-    fill 0.  Each eigenvalue is the Rayleigh quotient of its eigenvector, so
-    by min-max it bounds the Neumann eigenvalue of the same index from
-    above.
+    with, solves the number of vectors solved with it, fill the nonzeros of
+    its L and U factors (SuperLU.nnz) and factor those factors (a SuperLU
+    object), kept so that solve_deflated can precondition with them.  A
+    dense solve reports solves and fill 0 and factor None.  Each eigenvalue
+    is the Rayleigh quotient of its eigenvector, so by min-max it bounds the
+    Neumann eigenvalue of the same index from above.
     """
 
     eigenvalues: np.ndarray
@@ -57,6 +66,7 @@ class Spectrum:
     shift: float
     solves: int
     fill: int
+    factor: object = field(repr=False, compare=False)
 
 
 def _edge_perps(p0, p1, p2):
@@ -219,8 +229,8 @@ def _shift_invert_eigs(K, M, k, tol, constant):
     basis once, so ncv + 2 solves is the floor: 22, where a machine-precision
     tol restarts to 39 on some sections.  ValueError unless 0 < tol < inf.
     Pencils too small to restart a Lanczos basis in are solved densely.
-    Returns (values, vectors, residuals, sigma, solves, fill), fill the
-    nonzeros of the LU factors (0 if dense).
+    Returns (values, vectors, residuals, sigma, solves, lu), lu the SuperLU
+    factors of K - sigma M (None if dense).
     """
     _check_tol(tol)
     n = K.shape[0]
@@ -230,12 +240,12 @@ def _shift_invert_eigs(K, M, k, tol, constant):
         return y - constant * (constant @ (M @ y))
 
     ncv = max(2 * k + 1, 20)
-    solves = fill = 0
+    solves = 0
+    lu = None
     if n - 1 <= ncv:
         X = _dense_eigs(K, M, k)
     else:
         lu = _splu_spd((K - sigma * M).tocsc())
-        fill = lu.nnz
 
         def apply_inverse(b):
             nonlocal solves
@@ -254,7 +264,7 @@ def _shift_invert_eigs(K, M, k, tol, constant):
             ) from exc
     vals, X, res = _rayleigh_pairs(K, M, X, k)
     _gate(res, tol)
-    return vals, X, res, sigma, solves, fill
+    return vals, X, res, sigma, solves, lu
 
 
 def neumann_eigs(mesh: TriMesh, k, tol=1e-8, matrices=None):
@@ -283,7 +293,7 @@ def neumann_eigs(mesh: TriMesh, k, tol=1e-8, matrices=None):
     ones = np.ones(n)
     c = ones / np.sqrt(ones @ (M @ ones))
     lam1 = max(float(c @ (K @ c)), 0.0)
-    vals, X, res, sigma, solves, fill = _shift_invert_eigs(
+    vals, X, res, sigma, solves, lu = _shift_invert_eigs(
         K, M, k, tol, constant=c)
     c_res = float(np.linalg.norm(K @ c - lam1 * (M @ c)) / (vals[0] * np.linalg.norm(M @ c)))
     return Spectrum(
@@ -292,7 +302,8 @@ def neumann_eigs(mesh: TriMesh, k, tol=1e-8, matrices=None):
         residuals=np.concatenate([[c_res], res]),
         shift=sigma,
         solves=solves,
-        fill=fill,
+        fill=0 if lu is None else lu.nnz,
+        factor=lu,
     )
 
 
@@ -333,7 +344,7 @@ def cr_eigs(mesh: TriMesh, k, tol=1e-8):
     m = np.bincount(sides.ravel(), np.repeat(area2 / 6.0, 3), ne)
     M = sparse.diags(m, format="csr")
     constant = np.full(ne, 1.0 / np.sqrt(m.sum()))
-    vals, X, res, *_ = _shift_invert_eigs(K, M, k, tol, constant)
+    vals, X, res = _shift_invert_eigs(K, M, k, tol, constant)[:3]
     R = K @ X - (M @ X) * vals
     radii = (np.sqrt(np.einsum("ij,ij->j", R, R / m[:, None]))
              / np.sqrt(np.einsum("ij,ij->j", X, X * m[:, None])))
@@ -347,65 +358,93 @@ def cr_eigs(mesh: TriMesh, k, tol=1e-8):
 
 @dataclass(frozen=True)
 class DeflatedSolve:
-    """Result of a deflated shifted solve; fill is the nonzero count of the
-    pinned matrix's LU factors (SuperLU.nnz)."""
+    """Result of a deflated shifted solve; iterations is the number of CG
+    steps taken (0 when the projected rhs is zero)."""
 
     x: np.ndarray
     removed: float  # component psi . rhs removed from the rhs
     residual: float
-    fill: int
+    iterations: int
 
 
-def solve_deflated(K, M, lam, rhs, psi):
+def solve_deflated(K, M, lam, rhs, psi, factor=None):
     """Solve (K - lam*M) x = rhs with x M-orthogonal to the eigenvector psi.
 
     The rhs is first projected onto the M-orthogonal complement of psi (the
-    removed component psi . rhs is reported).  K and M come from assemble:
-    symmetric, on one pattern.  K - lam*M is singular, so one node is
-    pinned: with j = argmax |psi|, row and column j become those of the
-    identity, and that matrix is factorized once with partial pivoting.
-    When lam is simple it is nonsingular, as psi_j != 0.  One solve with
-    two right-hand sides gives a solution x0 with x0_j = 0 and the kernel
-    vector phi with phi_j = 1; x = x0 - (psi^T M x0 / psi^T M phi) phi.
-    NearDegenerateError: a pivot is at most 1e-12 of the largest, because
-    lam is a multiple eigenvalue, or |psi^T M phi| <= 1e-8 ||psi||_M
-    ||phi||_M, because psi is M-orthogonal to the kernel and so is not its
-    eigenvector.
+    removed component psi . rhs is reported), giving b.  K and M come from
+    assemble: symmetric, with K c = 0 for the constant c, M-normalized.  So
+    the component of x along c is -c^T b / lam in closed form, and the rest,
+    y, lies in the M-orthogonal complement of {c, psi}, where K - lam*M is
+    positive definite when lam is the simple eigenvalue above the zero mode.
+    y comes from scipy's conjugate gradients on that complement, Pi the
+    M-orthogonal projection onto it: the operator Pi^T (K - lam*M) Pi with
+    the symmetric preconditioner Pi F Pi^T, F the solve with factor, the
+    SuperLU factors of K - sigma M for a sigma < 0 (the Spectrum.factor of
+    the eigensolve that gave psi).  Without factor, K - sigma M is
+    factorized here at the eigensolver's shift.  The preconditioned
+    spectrum lies in [(lam3 - lam)/(lam3 - sigma), 1), and only its few
+    lowest eigenvalues are far from 1, so a small gap costs CG only a few
+    more steps (deflated CG: Saad, Yeung, Erhel & Guyomarc'h, SIAM J. Sci.
+    Comput. 21, 2000).  CG stops at DEFLATED_RTOL of its rhs; residual is
+    ||(K - lam*M) x - b|| / ||b||, and b = 0 gives x = 0, residual 0 and
+    no step.
+    NearDegenerateError: psi's relative residual ||K psi - lam M psi|| /
+    (lam ||M psi||) or its M-overlap with c exceeds DEFLATION_TOL, because
+    psi is not the eigenvector of lam; or CG does not converge in
+    DEFLATED_MAXITER steps, because lam is a multiple eigenvalue.
     """
     rhs = np.asarray(rhs, dtype=float)
     psi = np.asarray(psi, dtype=float)
     m_psi = M @ psi
+    psi_norm = np.sqrt(psi @ m_psi)
 
     removed = float(psi @ rhs)
-    rhs_p = rhs - removed * m_psi / (psi @ m_psi)
+    rhs_p = rhs - removed * m_psi / psi_norm ** 2
+    n = len(psi)
 
-    j = int(np.argmax(np.abs(psi)))
-    row = slice(K.indptr[j], K.indptr[j + 1])
-    data = K.data - lam * M.data
-    loads = np.column_stack([rhs_p, np.zeros_like(rhs_p)])
-    loads[K.indices[row], 1] = -data[row]  # column j: the matrix is symmetric
-    loads[j] = 0.0, 1.0
-    data[K.indices == j] = 0.0
-    data[row] = K.indices[row] == j
-    try:
-        # symmetric, so its CSR arrays are its CSC arrays.  relax=1 keeps
-        # SuperLU's fundamental supernodes: relaxed ones pad these factors
-        # with explicit zeros (477,364 stored entries against 469,660 on the
-        # 128 x 64 rectangle)
-        lu = splu(sparse.csc_matrix((data, K.indices, K.indptr), shape=K.shape),
-                  permc_spec="MMD_AT_PLUS_A", relax=1)
-    except RuntimeError as exc:
-        raise NearDegenerateError(f"pinned factorization singular: {exc}")
-    diag = np.abs(lu.U.diagonal())
-    if diag.min() <= 1e-12 * diag.max():
+    def shifted(x):
+        # K x - lam M x, not (K - lam M) x: rounding the entries of K - lam M
+        # moved shapederiv's values by 1.4e-12 relative on the 8 x 1
+        # rectangle at 256 x 32, against 5e-15 for this form
+        return K @ x - lam * (M @ x)
+
+    m_ones = M @ np.ones(n)
+    c_norm = np.sqrt(m_ones.sum())
+    # the M-orthonormal c and psi, and their duals M Z
+    Z = np.column_stack([np.full(n, 1.0 / c_norm), psi / psi_norm])
+    MZ = np.column_stack([m_ones / c_norm, m_psi / psi_norm])
+    c = Z[:, 0]
+    psi_residual = np.linalg.norm(shifted(psi)) / (lam * np.linalg.norm(m_psi))
+    overlap = abs(c @ MZ[:, 1])
+    if not max(psi_residual, overlap) <= DEFLATION_TOL:
         raise NearDegenerateError(
-            "pinned factorization nearly singular: eigenvalue multiplicity")
-    x0, phi = lu.solve(loads).T
-    overlap = m_psi @ phi
-    if abs(overlap) <= 1e-8 * np.sqrt((psi @ m_psi) * (phi @ (M @ phi))):
+            f"psi has relative residual {psi_residual:.3e} and M-overlap "
+            f"{overlap:.3e} with the constants: wrong deflation vector")
+    if not rhs_p.any():
+        return DeflatedSolve(x=np.zeros_like(rhs_p), removed=removed,
+                             residual=0.0, iterations=0)
+
+    if factor is None:
+        factor = _splu_spd((K - _shift(K, M) * M).tocsc())
+
+    def project(x):
+        return x - Z @ (MZ.T @ x)
+
+    def project_dual(r):
+        return r - MZ @ (Z.T @ r)
+
+    steps = []  # one entry per CG step
+    y, info = cg(
+        LinearOperator((n, n), matvec=lambda p: project_dual(shifted(project(p)))),
+        project_dual(rhs_p), rtol=DEFLATED_RTOL, maxiter=DEFLATED_MAXITER,
+        M=LinearOperator((n, n),
+                         matvec=lambda r: project(factor.solve(project_dual(r)))),
+        callback=steps.append)
+    if info:
         raise NearDegenerateError(
-            "kernel M-orthogonal to psi: wrong deflation vector")
-    x = x0 - (m_psi @ x0 / overlap) * phi
-    residual = float(np.linalg.norm(K @ x - lam * (M @ x) - rhs_p)
-                     / max(np.linalg.norm(rhs_p), 1e-300))
-    return DeflatedSolve(x=x, removed=removed, residual=residual, fill=lu.nnz)
+            f"deflated CG did not converge in {DEFLATED_MAXITER} steps: "
+            "eigenvalue multiplicity")
+    x = project(y) - (c @ rhs_p / lam) * c
+    residual = float(np.linalg.norm(shifted(x) - rhs_p) / np.linalg.norm(rhs_p))
+    return DeflatedSolve(x=x, removed=removed, residual=residual,
+                         iterations=len(steps))

@@ -57,19 +57,21 @@ def _boundary_load(mesh: TriMesh, psi, w):
     return load
 
 
-def adjoint_solve(mesh: TriMesh, lambda2, psi, w, matrices=None):
+def adjoint_solve(mesh: TriMesh, lambda2, psi, w, matrices=None, factor=None):
     """Solve the adjoint problem at lambda2 with flux -2 psi (n.w), psi the
     M-normalized eigenvector of lambda2 (as neumann_eigs returns it).
 
     The load is projected off the eigenfunction (removed component reported)
     and the shifted system is solved with the eigenfunction deflated
-    (solve_deflated, one factorization), which returns q M-orthogonal to
-    psi.  matrices, the (K, M) of assemble(mesh) if the caller has them,
-    saves assembling them again.
+    (solve_deflated, conjugate gradients preconditioned with the factors of
+    K - sigma M), which returns q M-orthogonal to psi.  matrices, the (K, M)
+    of assemble(mesh), and factor, the Spectrum.factor of the eigensolve
+    that gave psi, save assembling and factorizing again if the caller has
+    them.
     """
     K, M = assemble(mesh) if matrices is None else matrices
     rhs = _boundary_load(mesh, psi, w)
-    sol = solve_deflated(K, M, lambda2, rhs, psi)
+    sol = solve_deflated(K, M, lambda2, rhs, psi, factor)
     q = sol.x
     defect = float(abs(psi @ (M @ q)) / math.sqrt(q @ (M @ q))) if q.any() else 0.0
     x_w = abs(sol.removed) / 2.0
@@ -168,23 +170,26 @@ def fd_check(mesh: TriMesh, V, w, tol=1e-8):
     and needs no solve beyond the eigensolve and the adjoint.  V is a
     velocity field sampled at all vertices (interior values are replaced by
     the harmonic lift of the boundary trace).  The vertex set is assembled
-    once: its (K, M) serve the eigensolve, the lift and the adjoint, each
-    of which factorizes its own matrix once.  discrepancy is |adjoint -
-    discrete| / max(|adjoint|, |discrete|), 0 where both are 0, so it reads
-    the same in every unit of length.
+    once: its (K, M) serve the lift, the eigensolve and the adjoint.  There
+    are two factorizations: the lift's interior block, and the eigensolve's
+    K - sigma M, whose factors also precondition the adjoint's CG.  The lift
+    comes first, so that its factors are freed before the eigensolve's are
+    made.  discrepancy is |adjoint - discrete| / max(|adjoint|, |discrete|),
+    0 where both are 0, so it reads the same in every unit of length.
     TrackingError: (lambda3 - lambda2)/lambda2 < DEGENERACY_TOL, where psi2
     has no well-defined direction to differentiate.
     SolverError: an eigenpair misses tol.
     """
     w = np.asarray(w, dtype=float)
     matrices = assemble(mesh)
+    V = harmonic_extension(mesh, V, matrices)
     spec = neumann_eigs(mesh, 2, tol=tol, matrices=matrices)
     lam2, lam3 = float(spec.eigenvalues[1]), float(spec.eigenvalues[2])
     if (lam3 - lam2) / lam2 < DEGENERACY_TOL:
         raise TrackingError("lambda2 degenerate on the base mesh")
-    V = harmonic_extension(mesh, V, matrices)
     psi = spec.eigenvectors[:, 1]
-    adj = adjoint_solve(mesh, lam2, psi, w, matrices)
+    adj = adjoint_solve(mesh, lam2, psi, w, matrices, spec.factor)
+    del spec  # its factors, before the derivative's element arrays
     adjoint = shape_derivative(mesh, lam2, psi, adj.q, w, _vn_from_field(mesh, V))
     discrete = _discrete_derivative(mesh, V, w, lam2, psi, adj.q)
     return ShapeDerivReport(

@@ -201,6 +201,22 @@ class TestShapederivCmd:
         assert d["adjoint_l2_rel_error"] < 0.01
         assert d["integrand_max_error"] < 0.1
 
+    def test_analytic_compare_factorizes_once(self, tmp_path, monkeypatch):
+        # the eigensolve's factors precondition the adjoint's CG too
+        from wgspec import fem
+
+        orders, splu = [], fem.splu
+
+        def record_splu(A, permc_spec, **kwargs):
+            orders.append(permc_spec)
+            return splu(A, permc_spec, **kwargs)
+
+        monkeypatch.setattr(fem, "splu", record_splu)
+        code = run(["shapederiv", "--rect", 2, 1, "--nx", 48, "--w", 1, 0,
+                    "--analytic-compare", "-o", tmp_path / "sd.json"])
+        assert code == 0
+        assert orders == ["MMD_AT_PLUS_A"]
+
     def test_analytic_compare_oblique_w(self, tmp_path):
         # the adjoint is linear in w: its closed form is w1 (e1 form) +
         # w2 (e2 form)
