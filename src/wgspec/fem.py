@@ -52,11 +52,11 @@ class Spectrum:
     residuals ||K u - lambda M u|| / (lambda ||M u||) per pair, dimensionless,
     the constant mode's taken relative to lambda_2.
     shift is the shift sigma of the factorized K - sigma M that was solved
-    with, solves the number of vectors solved with it, fill the nonzeros of
-    its L and U factors (SuperLU.nnz) and factor those factors (a SuperLU
-    object), kept so that solve_deflated can precondition with them.  A
-    dense solve reports solves and fill 0 and factor None.  Each eigenvalue
-    is the Rayleigh quotient of its eigenvector, so by min-max it bounds the
+    with, solves the number of vectors solved with it (0 where the pencil
+    was solved densely), fill the nonzeros of its L and U factors
+    (SuperLU.nnz) and factor those factors (a SuperLU object), kept so that
+    solve_deflated can precondition with them.  Each eigenvalue is the
+    Rayleigh quotient of its eigenvector, so by min-max it bounds the
     Neumann eigenvalue of the same index from above.
     """
 
@@ -167,10 +167,6 @@ def _splu_spd(A):
                 options={"SymmetricMode": True})
 
 
-def _shift(K, M):
-    return -SHIFT_SCALE * K.diagonal().sum() / M.diagonal().sum()
-
-
 def _residuals(K, M, vals, X):
     """The relative residual ||K x - lambda M x|| / (lambda ||M x||) of each
     pair (lambda, x): dimensionless, so one tol holds in every length unit.
@@ -228,25 +224,24 @@ def _shift_invert_eigs(K, M, k, tol, constant):
     ARPACK_MARGIN * tol, not below machine precision.  It still fills its
     basis once, so ncv + 2 solves is the floor: 22, where a machine-precision
     tol restarts to 39 on some sections.  ValueError unless 0 < tol < inf.
-    Pencils too small to restart a Lanczos basis in are solved densely.
+    Pencils too small to restart a Lanczos basis in are solved densely, with
+    no solve; K - sigma M is factorized all the same, for solve_deflated.
     Returns (values, vectors, residuals, sigma, solves, lu), lu the SuperLU
-    factors of K - sigma M (None if dense).
+    factors of K - sigma M.
     """
     _check_tol(tol)
     n = K.shape[0]
-    sigma = _shift(K, M)
+    sigma = -SHIFT_SCALE * K.diagonal().sum() / M.diagonal().sum()
 
     def project(y):
         return y - constant * (constant @ (M @ y))
 
     ncv = max(2 * k + 1, 20)
     solves = 0
-    lu = None
+    lu = _splu_spd((K - sigma * M).tocsc())
     if n - 1 <= ncv:
         X = _dense_eigs(K, M, k)
     else:
-        lu = _splu_spd((K - sigma * M).tocsc())
-
         def apply_inverse(b):
             nonlocal solves
             solves += 1
@@ -302,7 +297,7 @@ def neumann_eigs(mesh: TriMesh, k, tol=1e-8, matrices=None):
         residuals=np.concatenate([[c_res], res]),
         shift=sigma,
         solves=solves,
-        fill=0 if lu is None else lu.nnz,
+        fill=lu.nnz,
         factor=lu,
     )
 
@@ -367,7 +362,7 @@ class DeflatedSolve:
     iterations: int
 
 
-def solve_deflated(K, M, lam, rhs, psi, factor=None):
+def solve_deflated(K, M, lam, rhs, psi, factor):
     """Solve (K - lam*M) x = rhs with x M-orthogonal to the eigenvector psi.
 
     The rhs is first projected onto the M-orthogonal complement of psi (the
@@ -379,15 +374,14 @@ def solve_deflated(K, M, lam, rhs, psi, factor=None):
     y comes from scipy's conjugate gradients on that complement, Pi the
     M-orthogonal projection onto it: the operator Pi^T (K - lam*M) Pi with
     the symmetric preconditioner Pi F Pi^T, F the solve with factor, the
-    SuperLU factors of K - sigma M for a sigma < 0 (the Spectrum.factor of
-    the eigensolve that gave psi).  Without factor, K - sigma M is
-    factorized here at the eigensolver's shift.  The preconditioned
-    spectrum lies in [(lam3 - lam)/(lam3 - sigma), 1), and only its few
-    lowest eigenvalues are far from 1, so a small gap costs CG only a few
-    more steps (deflated CG: Saad, Yeung, Erhel & Guyomarc'h, SIAM J. Sci.
-    Comput. 21, 2000).  CG stops at DEFLATED_RTOL of its rhs; residual is
-    ||(K - lam*M) x - b|| / ||b||, and b = 0 gives x = 0, residual 0 and
-    no step.
+    SuperLU factors of K - sigma M for a sigma < 0: the Spectrum.factor of
+    the eigensolve that gave psi, so nothing is factorized here.  The
+    preconditioned spectrum lies in [(lam3 - lam)/(lam3 - sigma), 1), and
+    only its few lowest eigenvalues are far from 1, so a small gap costs CG
+    only a few more steps (deflated CG: Saad, Yeung, Erhel & Guyomarc'h,
+    SIAM J. Sci. Comput. 21, 2000).  CG stops at DEFLATED_RTOL of its rhs;
+    residual is ||(K - lam*M) x - b|| / ||b||, and b = 0 gives x = 0,
+    residual 0 and no step.
     NearDegenerateError: psi's relative residual ||K psi - lam M psi|| /
     (lam ||M psi||) or its M-overlap with c exceeds DEFLATION_TOL, because
     psi is not the eigenvector of lam; or CG does not converge in
@@ -423,9 +417,6 @@ def solve_deflated(K, M, lam, rhs, psi, factor=None):
     if not rhs_p.any():
         return DeflatedSolve(x=np.zeros_like(rhs_p), removed=removed,
                              residual=0.0, iterations=0)
-
-    if factor is None:
-        factor = _splu_spd((K - _shift(K, M) * M).tocsc())
 
     def project(x):
         return x - Z @ (MZ.T @ x)

@@ -704,11 +704,15 @@ def _lattice_delaunay(pts, first, ij, step):
 
     qhull picks the diagonal of four points cocircular to within the margin
     by the order in which it adds the points, so the result is None
-    wherever such four meet in a circle that holds no other point: first
-    among the points off the lattice, where there are finer levels, then
-    among all the triangles from qhull.  The jitter moves the cocircular
-    quadruples of straight loop sides and rows of finer points that far
-    off their circles, so few polygons come to either test.
+    wherever one of its triangles has such four on a circle that holds no
+    other point.  That one test finds every such tie: the points off the
+    lattice are never surrounded, so theirs come to qhull, and the six
+    triangles of a surrounded point clear every other point by more than
+    the margin, so no tie passes through one (the empty-circle
+    characterisation: de Berg et al., Computational Geometry, 3rd ed.,
+    2008, ch. 9).  The jitter moves the cocircular quadruples of straight
+    loop sides and rows of finer points that far off their circles, so few
+    polygons come to the test.
     """
     from scipy.spatial import Delaunay, cKDTree
 
@@ -729,10 +733,6 @@ def _lattice_delaunay(pts, first, ij, step):
     off = np.ones(len(pts), dtype=bool)
     off[first:first + len(ij)] = False
     tree = cKDTree(pts)
-    if first + len(ij) < len(pts):  # finer levels
-        off_tris = np.flatnonzero(off)[Delaunay(pts[off]).simplices]
-        if (_circle_test(pts, off_tris, tree, tie) == 0).any():
-            return None
     # cells from lo, an even row, so that (j mod 2) keeps each row's offset
     lo = ij.min(axis=0) - [0, ij[:, 1].min() % 2]
     i, j = (ij - lo).T
@@ -776,6 +776,8 @@ def _jittered(loop, inner):
     resolves, on all but a few polygons (_lattice_delaunay finds those).
     The cap keeps each move below 1.5e-2 of that segment, so the points of
     _graded_points, at least 0.2 of it from the loop, stay on their side.
+    gen_polygon moves the loop's lowest corner to the origin, so the moves
+    are far above the rounding of the coordinates wherever the polygon lies.
     """
     scale = min(np.ptp(loop), 1e4 * _segment_lengths(loop).min())
     draws = np.random.default_rng(0).uniform(-_JITTER, _JITTER, inner.shape)
@@ -939,6 +941,10 @@ def _laplacian_smooth(vertices, triangles, table):
 def gen_polygon(poly: Polygon):
     """Mesh a simple polygon with every angle >= 20 degrees and edge <= h.
 
+    The polygon is meshed moved by minus its lowest corner (the minimum of
+    its coordinates), so that coordinates round no worse than the extent
+    does, and the vertices are moved back at the end: a polygon far from
+    the origin is meshed as at its corner, to within that rounding.
     With h = poly.target_h: a staggered lattice of column step dx <=
     LATTICE_SPACING * h is fitted to the polygon (_lattice), the boundary is
     resampled at the lattice step (_resample_loop), and interior points
@@ -957,8 +963,10 @@ def gen_polygon(poly: Polygon):
     rectangle at h = 0.06 to 0.15, an L shape and a dumbbell.
     """
     h = poly.target_h
-    origin, step = _lattice(poly.loop, h)
-    loop = _resample_loop(poly.loop, step)
+    corner = poly.loop.min(axis=0)
+    loop = poly.loop - corner
+    origin, step = _lattice(loop, h)
+    loop = _resample_loop(loop, step)
     # each triangle array's edge table is computed once and passed on
     inner, ij = _graded_points(loop, origin, step)
     loop, verts, tris, table = _triangulate_region(loop, inner, (ij, step))
@@ -978,7 +986,7 @@ def gen_polygon(poly: Polygon):
     missed = () if angle >= MIN_ANGLE_TARGET_DEG and edge <= h else (
         f"quality bounds missed after {rounds} repair rounds: min angle "
         f"{angle:.2f} deg, max edge {edge / h:.3f} h",)
-    return _build_trimesh(verts, tris, missed, table)
+    return _build_trimesh(verts + corner, tris, missed, table)
 
 
 def refine_uniform(mesh: TriMesh):

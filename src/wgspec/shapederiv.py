@@ -13,8 +13,8 @@ import numpy as np
 
 from .crosssec import analyze, x_boundary
 from .errors import TrackingError
-from .fem import (_splu_spd, assemble, assemble_derivative, grad_p1,
-                  neumann_eigs, solve_deflated)
+from .fem import (_check_tol, _splu_spd, assemble, assemble_derivative,
+                  grad_p1, neumann_eigs, solve_deflated)
 from .mesh import Polygon, TriMesh, gen_polygon, gen_rectangle
 
 # fd_check's least relative gap (lambda3 - lambda2)/lambda2 of a simple
@@ -57,19 +57,17 @@ def _boundary_load(mesh: TriMesh, psi, w):
     return load
 
 
-def adjoint_solve(mesh: TriMesh, lambda2, psi, w, matrices=None, factor=None):
+def adjoint_solve(mesh: TriMesh, lambda2, psi, w, matrices, factor):
     """Solve the adjoint problem at lambda2 with flux -2 psi (n.w), psi the
     M-normalized eigenvector of lambda2 (as neumann_eigs returns it).
 
     The load is projected off the eigenfunction (removed component reported)
     and the shifted system is solved with the eigenfunction deflated
-    (solve_deflated, conjugate gradients preconditioned with the factors of
-    K - sigma M), which returns q M-orthogonal to psi.  matrices, the (K, M)
-    of assemble(mesh), and factor, the Spectrum.factor of the eigensolve
-    that gave psi, save assembling and factorizing again if the caller has
-    them.
+    (solve_deflated, conjugate gradients preconditioned with factor, the
+    Spectrum.factor of the eigensolve that gave psi), which returns q
+    M-orthogonal to psi.  matrices is the (K, M) of assemble(mesh).
     """
-    K, M = assemble(mesh) if matrices is None else matrices
+    K, M = matrices
     rhs = _boundary_load(mesh, psi, w)
     sol = solve_deflated(K, M, lambda2, rhs, psi, factor)
     q = sol.x
@@ -118,15 +116,14 @@ def shape_derivative(mesh: TriMesh, lambda2, psi, q, w, Vn):
     return float((vals * vn * mesh.boundary_lengths).sum())
 
 
-def harmonic_extension(mesh: TriMesh, V, matrices=None):
+def harmonic_extension(mesh: TriMesh, V, matrices):
     """Replace the interior values of the vertex field V, shape (nv, 2), by
     the discrete harmonic lift of its boundary values (componentwise, through
-    the stiffness matrix, whose positive definite interior block is
-    factorized once).  matrices, the (K, M) of assemble(mesh) if the caller
-    has them, saves assembling them again."""
+    the stiffness matrix K of matrices, the (K, M) of assemble(mesh), whose
+    positive definite interior block is factorized once)."""
     V = np.array(V, dtype=float)
     n = mesh.num_vertices
-    K = assemble(mesh)[0] if matrices is None else matrices[0]
+    K = matrices[0]
     bmask = np.zeros(n, dtype=bool)
     bmask[mesh.boundary_vertex_indices()] = True
     interior = np.where(~bmask)[0]
@@ -278,8 +275,7 @@ def bump_sweep(ell, L, side, center, radii, target_h=0.06, tol=1e-8):
     ValueError unless 0 < tol < inf and 0 < target_h < inf, before any row
     is computed.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    _check_tol(tol)
     if not 0.0 < target_h < math.inf:
         raise ValueError(f"target_h must be positive and finite, got {target_h!r}")
     rows = []

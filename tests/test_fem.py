@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu
+from scipy.sparse.linalg import ArpackNoConvergence, SuperLU, eigsh, splu
 
 from wgspec import fem as F, mesh as M
 from wgspec.errors import NearDegenerateError, SolverError
@@ -182,7 +182,7 @@ class TestSolveDeflated:
         lam2 = s.eigenvalues[1]
         psi = s.eigenvectors[:, 1]
         rhs = Mm @ psi  # dual vector of the eigenfunction itself
-        sol = F.solve_deflated(K, Mm, lam2, rhs, psi)
+        sol = F.solve_deflated(K, Mm, lam2, rhs, psi, s.factor)
         xnorm = math.sqrt(sol.x @ (Mm @ sol.x))
         assert xnorm <= 1e-8 * math.sqrt(psi @ (Mm @ psi))
 
@@ -193,7 +193,7 @@ class TestSolveDeflated:
         lam2, psi = s.eigenvalues[1], s.eigenvectors[:, 1]
         rng = np.random.default_rng(5)
         rhs = rng.standard_normal(mesh.num_vertices)
-        sol = F.solve_deflated(K, Mm, lam2, rhs, psi)
+        sol = F.solve_deflated(K, Mm, lam2, rhs, psi, s.factor)
         assert abs(sol.x @ (Mm @ psi)) <= 1e-10 * math.sqrt(sol.x @ (Mm @ sol.x))
         assert sol.residual < 1e-8
 
@@ -204,8 +204,8 @@ class TestSolveDeflated:
         K, Mm = F.assemble(mesh)
         s = F.neumann_eigs(mesh, 2, tol=1e-10)
         with pytest.raises(NearDegenerateError):
-            F.solve_deflated(K, Mm, s.eigenvalues[1],
-                             np.ones(mesh.num_vertices), s.eigenvectors[:, 0])
+            F.solve_deflated(K, Mm, s.eigenvalues[1], np.ones(mesh.num_vertices),
+                             s.eigenvectors[:, 0], s.factor)
 
     @pytest.mark.parametrize("ell, gap", [(1.0005, 1e-3), (1.00005, 1e-4)])
     def test_near_double_eigenvalue(self, ell, gap):
@@ -231,14 +231,15 @@ class TestSolveDeflated:
         s = F.neumann_eigs(mesh, 2, tol=1e-10)
         rhs = np.random.default_rng(3).standard_normal(mesh.num_vertices)
         with pytest.raises(NearDegenerateError, match="wrong deflation vector"):
-            F.solve_deflated(K, Mm, s.eigenvalues[1], rhs, s.eigenvectors[:, 2])
+            F.solve_deflated(K, Mm, s.eigenvalues[1], rhs, s.eigenvectors[:, 2],
+                             s.factor)
 
     def test_zero_projected_rhs(self):
         mesh = M.gen_rectangle(2, 1, 24, 12)
         K, Mm = F.assemble(mesh)
         s = F.neumann_eigs(mesh, 2, tol=1e-10)
-        sol = F.solve_deflated(K, Mm, s.eigenvalues[1],
-                               np.zeros(mesh.num_vertices), s.eigenvectors[:, 1])
+        sol = F.solve_deflated(K, Mm, s.eigenvalues[1], np.zeros(mesh.num_vertices),
+                               s.eigenvectors[:, 1], s.factor)
         assert not sol.x.any()
         assert (sol.removed, sol.residual, sol.iterations) == (0.0, 0.0, 0)
 
@@ -262,7 +263,7 @@ class TestSolveDeflated:
         assert lam3 - lam2 <= 1e-14 * lam2
         rhs = np.random.default_rng(2).standard_normal(mesh.num_vertices)
         with pytest.raises(NearDegenerateError, match="multiplicity"):
-            F.solve_deflated(K, Mm, lam2, rhs, s.eigenvectors[:, 1])
+            F.solve_deflated(K, Mm, lam2, rhs, s.eigenvectors[:, 1], s.factor)
 
 
 class TestInvariants:
@@ -403,6 +404,20 @@ class TestShiftInvertSolver:
         assert s.shift == -F.SHIFT_SCALE * K.diagonal().sum() / Mm.diagonal().sum()
         assert s.shift < 0 and s.solves >= 1
 
+    @pytest.mark.parametrize("mesh", [M.gen_rectangle(3, 1, 5, 2),
+                                      M.gen_right_triangle(5)], ids=["rect", "tri"])
+    def test_dense_solve_keeps_its_factors(self, mesh):
+        # a pencil of 21 vertices or fewer is solved densely, and K - sigma M
+        # is factorized all the same, for solve_deflated
+        assert mesh.num_vertices <= 21
+        s = F.neumann_eigs(mesh, 2)
+        assert s.solves == 0
+        assert isinstance(s.factor, SuperLU) and s.fill == s.factor.nnz > 0
+        K, Mm = F.assemble(mesh)
+        x = np.random.default_rng(1).standard_normal(mesh.num_vertices)
+        y = s.factor.solve(K @ x - s.shift * (Mm @ x))
+        assert np.abs(y - x).max() <= 1e-12 * np.abs(x).max()
+
 
 def _warm_mesh(kind, size, shape):
     """A rectangle, right-triangle or L-shaped polygon mesh of at most about
@@ -493,7 +508,7 @@ class TestArpackTolerance:
 
 class TestColumnOrder:
     @settings(max_examples=15, deadline=None)
-    # from 28 vertices up: smaller pencils are solved densely, unfactorized
+    # from 28 vertices up: smaller pencils are solved densely
     @given(**dict(_WARM_MESHES, size=st.integers(6, 16)), step=st.floats(0.05, 0.5))
     def test_deflated_solve_matches_the_bordered_one(self, kind, size, shape, step):
         mesh = _warm_mesh(kind, size, shape)
@@ -503,7 +518,7 @@ class TestColumnOrder:
         s = F.neumann_eigs(moved, 2, tol=1e-9, matrices=(K, Mm))
         lam2, psi = s.eigenvalues[1], s.eigenvectors[:, 1]
         rhs = _boundary_load(moved, psi, [0.6, 0.8])
-        sol = F.solve_deflated(K, Mm, lam2, rhs, psi)
+        sol = F.solve_deflated(K, Mm, lam2, rhs, psi, s.factor)
         # reference: the bordered matrix in SuperLU's own (COLAMD) order
         m_psi = Mm @ psi
         rhs_p = rhs - (psi @ rhs) * m_psi / (psi @ m_psi)

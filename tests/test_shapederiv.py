@@ -15,15 +15,15 @@ def rect_section():
     """Rectangle (0,2)x(0,1) with discrete eigenpair aligned to the closed form."""
     ell, L = 2.0, 1.0
     mesh = M.gen_rectangle(ell, L, 64, 32)
-    spec = F.neumann_eigs(mesh, 2, tol=1e-10)
     K, Mm = F.assemble(mesh)
+    spec = F.neumann_eigs(mesh, 2, tol=1e-10, matrices=(K, Mm))
     lam2 = float(spec.eigenvalues[1])
     psi = spec.eigenvectors[:, 1]
     psi = psi / math.sqrt(psi @ (Mm @ psi))
     ref = math.sqrt(2 / (ell * L)) * np.cos(np.pi * mesh.vertices[:, 0] / ell)
     if psi @ (Mm @ ref) < 0:
         psi = -psi
-    return mesh, Mm, lam2, psi
+    return mesh, (K, Mm), lam2, psi, spec.factor
 
 
 def q1_exact(mesh, ell=2.0, L=1.0):
@@ -40,8 +40,9 @@ def q2_exact(mesh, ell=2.0, L=1.0):
 
 class TestAdjointSolve:
     def test_q1(self, rect_section):
-        mesh, Mm, lam2, psi = rect_section
-        adj = SD.adjoint_solve(mesh, lam2, psi, np.array([1.0, 0.0]))
+        mesh, matrices, lam2, psi, factor = rect_section
+        Mm = matrices[1]
+        adj = SD.adjoint_solve(mesh, lam2, psi, np.array([1.0, 0.0]), matrices, factor)
         qe = q1_exact(mesh)
         err = adj.q - qe
         rel = math.sqrt(err @ (Mm @ err)) / math.sqrt(qe @ (Mm @ qe))
@@ -49,32 +50,35 @@ class TestAdjointSolve:
         assert not adj.solvability_warning
 
     def test_q2(self, rect_section):
-        mesh, Mm, lam2, psi = rect_section
-        adj = SD.adjoint_solve(mesh, lam2, psi, np.array([0.0, 1.0]))
+        mesh, matrices, lam2, psi, factor = rect_section
+        Mm = matrices[1]
+        adj = SD.adjoint_solve(mesh, lam2, psi, np.array([0.0, 1.0]), matrices, factor)
         qe = q2_exact(mesh)
         err = adj.q - qe
         rel = math.sqrt(err @ (Mm @ err)) / math.sqrt(qe @ (Mm @ qe))
         assert rel < 0.01
 
     def test_zero_direction(self, rect_section):
-        mesh, Mm, lam2, psi = rect_section
-        adj = SD.adjoint_solve(mesh, lam2, psi, np.array([0.0, 0.0]))
+        mesh, matrices, lam2, psi, factor = rect_section
+        Mm = matrices[1]
+        adj = SD.adjoint_solve(mesh, lam2, psi, np.array([0.0, 0.0]), matrices, factor)
         assert math.sqrt(adj.q @ (Mm @ adj.q)) <= 1e-10
 
     def test_orthogonality(self, rect_section):
-        mesh, Mm, lam2, psi = rect_section
-        adj = SD.adjoint_solve(mesh, lam2, psi, np.array([1.0, 0.0]))
+        mesh, matrices, lam2, psi, factor = rect_section
+        adj = SD.adjoint_solve(mesh, lam2, psi, np.array([1.0, 0.0]), matrices, factor)
         assert adj.ortho_defect <= 1e-10
 
     def test_solvability_warning_on_triangle(self):
         # X != 0 here, so the removed component is the real obstruction
         mesh = M.gen_right_triangle(24)
-        spec = F.neumann_eigs(mesh, 2, tol=1e-10)
-        _, Mm = F.assemble(mesh)
+        matrices = F.assemble(mesh)
+        spec = F.neumann_eigs(mesh, 2, tol=1e-10, matrices=matrices)
+        Mm = matrices[1]
         psi = spec.eigenvectors[:, 1]
         psi = psi / math.sqrt(psi @ (Mm @ psi))
         adj = SD.adjoint_solve(mesh, float(spec.eigenvalues[1]), psi,
-                               np.array([1.0, 0.0]))
+                               np.array([1.0, 0.0]), matrices, spec.factor)
         assert adj.solvability_warning
         assert abs(adj.x_dot_w_estimate - 1.0) < 0.05
 
@@ -85,26 +89,28 @@ class TestAdjointSolve:
         for base, warns in ((M.gen_right_triangle(16), True),
                             (M.gen_rectangle(2, 1, 32, 16), False)):
             mesh = M.build_trimesh(base.vertices * s, base.triangles)
-            spec = F.neumann_eigs(mesh, 2)
+            matrices = F.assemble(mesh)
+            spec = F.neumann_eigs(mesh, 2, matrices=matrices)
             adj = SD.adjoint_solve(mesh, float(spec.eigenvalues[1]),
-                                   spec.eigenvectors[:, 1], np.array([1.0, 0.0]))
+                                   spec.eigenvectors[:, 1], np.array([1.0, 0.0]),
+                                   matrices, spec.factor)
             assert adj.solvability_warning is warns
 
 
 class TestBoundaryIntegrand:
     def test_closed_forms_pointwise(self, rect_section):
-        mesh, Mm, lam2, psi = rect_section
+        mesh, matrices, lam2, psi, factor = rect_section
         ell, L = 2.0, 1.0
         h = mesh.max_edge()
 
-        adj1 = SD.adjoint_solve(mesh, lam2, psi, np.array([1.0, 0.0]))
+        adj1 = SD.adjoint_solve(mesh, lam2, psi, np.array([1.0, 0.0]), matrices, factor)
         mids, vals = SD.boundary_integrand(mesh, lam2, psi, adj1.q, [1.0, 0.0])
         ref = (4 * np.pi / (ell**2 * L)) * np.cos(np.pi * mids[:, 0] / ell) * np.sin(
             np.pi * mids[:, 0] / ell
         )
         assert np.abs(vals - ref).max() <= 1.0 * h
 
-        adj2 = SD.adjoint_solve(mesh, lam2, psi, np.array([0.0, 1.0]))
+        adj2 = SD.adjoint_solve(mesh, lam2, psi, np.array([0.0, 1.0]), matrices, factor)
         mids, vals = SD.boundary_integrand(mesh, lam2, psi, adj2.q, [0.0, 1.0])
         ref = (2 * np.pi**2 / ell**3) * (-2 * mids[:, 1] / L + 1) * (
             np.sin(np.pi * mids[:, 0] / ell) ** 2
@@ -117,15 +123,17 @@ class TestBoundaryIntegrand:
         cs = []
         for nx in (32, 64):
             mesh = M.gen_rectangle(ell, L, nx, nx // 2)
-            spec = F.neumann_eigs(mesh, 2, tol=1e-10)
-            _, Mm = F.assemble(mesh)
+            matrices = F.assemble(mesh)
+            spec = F.neumann_eigs(mesh, 2, tol=1e-10, matrices=matrices)
+            Mm = matrices[1]
             lam2 = float(spec.eigenvalues[1])
             psi = spec.eigenvectors[:, 1]
             psi = psi / math.sqrt(psi @ (Mm @ psi))
             ref = math.sqrt(2 / (ell * L)) * np.cos(np.pi * mesh.vertices[:, 0] / ell)
             if psi @ (Mm @ ref) < 0:
                 psi = -psi
-            adj = SD.adjoint_solve(mesh, lam2, psi, np.array([0.0, 1.0]))
+            adj = SD.adjoint_solve(mesh, lam2, psi, np.array([0.0, 1.0]),
+                                   matrices, spec.factor)
             mids, vals = SD.boundary_integrand(mesh, lam2, psi, adj.q, [0.0, 1.0])
             iref = (2 * np.pi**2 / ell**3) * (-2 * mids[:, 1] / L + 1) * (
                 np.sin(np.pi * mids[:, 0] / ell) ** 2
@@ -137,15 +145,15 @@ class TestBoundaryIntegrand:
 
 class TestShapeDerivative:
     def test_zero_velocity(self, rect_section):
-        mesh, Mm, lam2, psi = rect_section
-        adj = SD.adjoint_solve(mesh, lam2, psi, np.array([1.0, 0.0]))
+        mesh, matrices, lam2, psi, factor = rect_section
+        adj = SD.adjoint_solve(mesh, lam2, psi, np.array([1.0, 0.0]), matrices, factor)
         val = SD.shape_derivative(mesh, lam2, psi, adj.q, [1.0, 0.0],
                                   np.zeros(len(mesh.boundary_edges)))
         assert val == 0.0
 
     def test_linearity_in_vn(self, rect_section):
-        mesh, Mm, lam2, psi = rect_section
-        adj = SD.adjoint_solve(mesh, lam2, psi, np.array([1.0, 0.0]))
+        mesh, matrices, lam2, psi, factor = rect_section
+        adj = SD.adjoint_solve(mesh, lam2, psi, np.array([1.0, 0.0]), matrices, factor)
         rng = np.random.default_rng(4)
         v1 = rng.standard_normal(len(mesh.boundary_edges))
         v2 = rng.standard_normal(len(mesh.boundary_edges))
@@ -156,15 +164,16 @@ class TestShapeDerivative:
         assert abs(d12 - (a * d1 + b * d2)) <= 1e-12 * (1 + abs(d12))
 
     def test_direction_decomposition(self, rect_section):
-        mesh, Mm, lam2, psi = rect_section
+        mesh, matrices, lam2, psi, factor = rect_section
         rng = np.random.default_rng(6)
         vn = rng.standard_normal(len(mesh.boundary_edges))
         alpha, beta = 0.6, 0.8
-        q1 = SD.adjoint_solve(mesh, lam2, psi, np.array([1.0, 0.0])).q
-        q2 = SD.adjoint_solve(mesh, lam2, psi, np.array([0.0, 1.0])).q
+        q1 = SD.adjoint_solve(mesh, lam2, psi, np.array([1.0, 0.0]), matrices, factor).q
+        q2 = SD.adjoint_solve(mesh, lam2, psi, np.array([0.0, 1.0]), matrices, factor).q
         d1 = SD.shape_derivative(mesh, lam2, psi, q1, [1, 0], vn)
         d2 = SD.shape_derivative(mesh, lam2, psi, q2, [0, 1], vn)
-        qw = SD.adjoint_solve(mesh, lam2, psi, np.array([alpha, beta])).q
+        qw = SD.adjoint_solve(mesh, lam2, psi, np.array([alpha, beta]),
+                              matrices, factor).q
         dw = SD.shape_derivative(mesh, lam2, psi, qw, [alpha, beta], vn)
         assert abs(dw - (alpha * d1 + beta * d2)) <= 1e-10 * (1 + abs(dw))
 
@@ -174,11 +183,11 @@ class TestHarmonicExtension:
         mesh = M.gen_right_triangle(12)
         rng = np.random.default_rng(3)
         V = rng.standard_normal(mesh.vertices.shape)
-        E = SD.harmonic_extension(mesh, V)
+        K, Mm = F.assemble(mesh)
+        E = SD.harmonic_extension(mesh, V, (K, Mm))
         bidx = mesh.boundary_vertex_indices()
         assert np.array_equal(E[bidx], V[bidx])
         interior = np.setdiff1d(np.arange(mesh.num_vertices), bidx)
-        K, _ = F.assemble(mesh)
         assert np.abs((K @ E)[interior]).max() <= 1e-12 * np.abs(V).max()
 
     @pytest.mark.parametrize("mesh", [
@@ -198,7 +207,6 @@ class TestHarmonicExtension:
             ref[interior, c] = lu.solve(-K[interior][:, bidx] @ V[bidx, c])
         E = SD.harmonic_extension(mesh, V, F.assemble(mesh))
         assert np.abs(E - ref).max() <= 1e-12 * np.abs(ref).max()
-        assert np.array_equal(E, SD.harmonic_extension(mesh, V))
 
 
 def _fd_oracle(mesh, V, ladder=(1e-3, 2e-3, 4e-3), tol=1e-10):
@@ -258,6 +266,34 @@ class TestFdCheck:
         # preconditioned with the eigensolve's factors
         assert orders == ["MMD_AT_PLUS_A"] * 2
 
+    def test_small_mesh_preconditions_with_the_eigensolve(self, monkeypatch,
+                                                          top_bump):
+        # 18 vertices: the pencil is solved densely, and its factors of
+        # K - sigma M still reach the adjoint's CG
+        mesh = M.gen_rectangle(3, 1, 5, 2)
+        spectra, factors, orders = [], [], []
+        originals = F.neumann_eigs, SD.solve_deflated, F.splu
+
+        def neumann_eigs(*args, **kwargs):
+            spectra.append(originals[0](*args, **kwargs))
+            return spectra[-1]
+
+        def solve_deflated(*args):
+            factors.append(args[-1])
+            return originals[1](*args)
+
+        def splu(A, permc_spec, **kwargs):
+            orders.append(permc_spec)
+            return originals[2](A, permc_spec, **kwargs)
+
+        monkeypatch.setattr(SD, "neumann_eigs", neumann_eigs)
+        monkeypatch.setattr(SD, "solve_deflated", solve_deflated)
+        monkeypatch.setattr(F, "splu", splu)
+        SD.fd_check(mesh, top_bump(mesh, 1.2), np.array([1.0, 0.0]))
+        assert mesh.num_vertices <= 21 and spectra[0].solves == 0
+        assert len(factors) == 1 and factors[0] is spectra[0].factor is not None
+        assert orders == ["MMD_AT_PLUS_A"] * 2
+
     @pytest.fixture(scope="class")
     def bump_8x1(self, top_bump):
         # the shape-fd benchmark case: 8 x 1 rectangle, 256 x 32
@@ -293,7 +329,7 @@ class TestFdCheck:
             V = np.column_stack([np.sin(x + 2 * y), np.cos(2 * x - y)])
         w = np.array([math.cos(angle), math.sin(angle)])
         rep = SD.fd_check(mesh, V, w, tol=1e-10)
-        ref = _fd_oracle(mesh, SD.harmonic_extension(mesh, V))
+        ref = _fd_oracle(mesh, SD.harmonic_extension(mesh, V, F.assemble(mesh)))
         assert abs(rep.discrete_value - ref @ w) <= 1e-8 * np.linalg.norm(ref)
 
     def test_still_boundary_differences_vanish(self):
