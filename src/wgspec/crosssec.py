@@ -1,7 +1,7 @@
 """Cross-section analysis: the first nonzero Neumann eigenvalue enclosed
 between a conforming (P1) upper bound and a Crouzeix-Raviart lower bound,
-with a simplicity verdict that the enclosure proves, the boundary vector X
-by two independent formulas, and closed-form reference sections.
+with a simplicity verdict that the enclosure proves, the boundary vector X,
+and closed-form reference sections.
 
 The two eigensolves of analyze share only the read-only mesh, so the
 Crouzeix-Raviart solve runs on one worker thread while the calling thread
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSectionError
-from .fem import _p1_gradients, cr_eigs, grad_p1, neumann_eigs
+from .fem import cr_eigs, neumann_eigs
 from .mesh import TriMesh
 
 
@@ -27,10 +27,8 @@ from .mesh import TriMesh
 class CrossSectionReport:
     """Everything the trapping condition needs from a cross-section.
 
-    X_boundary and X_volume are the same vector computed by the boundary
-    quadrature of n |psi|^2 and by the volume form 2 integral of psi grad psi;
-    for P1 fields the two agree to rounding (per-triangle divergence theorem
-    on the piecewise-quadratic psi^2).
+    X_boundary is the boundary integral of n |psi|^2, by the edge Simpson
+    quadrature that is exact for P1 fields (x_boundary).
 
     lambda2 and lambda3 are P1 eigenvalues, upper bounds by min-max for
     those of the meshed polygon.  The lower bounds come from the
@@ -49,7 +47,6 @@ class CrossSectionReport:
     gap_ratio: float
     discretization_error: float
     X_boundary: np.ndarray
-    X_volume: np.ndarray
     b: float
     origin: np.ndarray
     psi: np.ndarray = field(repr=False)
@@ -65,7 +62,6 @@ class CrossSectionReport:
                 "gap_ratio": self.gap_ratio,
                 "discretization_error": self.discretization_error,
                 "X_boundary": [float(v) for v in self.X_boundary],
-                "X_volume": [float(v) for v in self.X_volume],
                 "b": self.b,
                 "origin": [float(v) for v in self.origin],
                 "mesh_stats": self.mesh_stats,
@@ -91,13 +87,6 @@ def x_boundary(mesh: TriMesh, psi):
     b = psi[mesh.boundary_edges[:, 1]]
     w = mesh.boundary_lengths * (a * a + a * b + b * b) / 3.0
     return (mesh.boundary_normals * w[:, None]).sum(axis=0)
-
-
-def x_volume(mesh: TriMesh, psi):
-    """X = sum over triangles of 2 * area * mean(psi) * grad(psi)."""
-    area2, _ = _p1_gradients(mesh)
-    mean = psi[mesh.triangles].mean(axis=1)
-    return (grad_p1(mesh, psi) * (area2 * mean)[:, None]).sum(axis=0)
 
 
 def b_radius(mesh: TriMesh, origin=(0.0, 0.0)):
@@ -152,7 +141,7 @@ def _report(mesh, origin, tol, lower_bounds):
     lam2, lam3 = float(spec.eigenvalues[1]), float(spec.eigenvalues[2])
     gap_ratio = (lam3 - lam2) / lam2  # lam2 > 0, or neumann_eigs raises
     psi = fix_sign(spec.eigenvectors[:, 1])
-    X_boundary, X_volume = x_boundary(mesh, psi), x_volume(mesh, psi)
+    X_boundary = x_boundary(mesh, psi)
     b = b_radius(mesh, origin)
     mesh_stats = mesh.stats()
 
@@ -177,7 +166,6 @@ def _report(mesh, origin, tol, lower_bounds):
         gap_ratio=gap_ratio,
         discretization_error=disc_err,
         X_boundary=X_boundary,
-        X_volume=X_volume,
         b=b,
         origin=origin,
         psi=psi,

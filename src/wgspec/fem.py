@@ -5,8 +5,7 @@ Assembly of the stiffness and consistent mass matrices, Neumann
 generalized eigensolves by shift-invert Lanczos (ARPACK through scipy's
 eigsh, one sparse LU factorization per eigensolve), guaranteed lower
 bounds of the same eigenvalues from the Crouzeix-Raviart element on the
-same mesh (cr_eigs), the exact derivatives of the P1 matrices along a
-vertex velocity, and deflated solves of singular shifted systems by
+same mesh (cr_eigs), and deflated solves of singular shifted systems by
 conjugate gradients preconditioned with the eigensolve's own factors.
 Every factorization is one SuperLU call that finds its own fill-reducing
 order.
@@ -69,28 +68,23 @@ class Spectrum:
     factor: object = field(repr=False, compare=False)
 
 
-def _edge_perps(p0, p1, p2):
-    """The perpendiculars of the opposite edges of the triangles with
-    corners p0, p1, p2 (each (nt, 2)), shape (nt, 3, 2): row i is
-    p_{i+1} - p_{i+2} turned by -90 degrees, linear in the corners."""
-    g = np.empty((len(p0), 3, 2))
-    for i, (a, b) in enumerate(((p1, p2), (p2, p0), (p0, p1))):
-        g[:, i, 0] = a[:, 1] - b[:, 1]
-        g[:, i, 1] = b[:, 0] - a[:, 0]
-    return g
-
-
 def _p1_gradients(mesh: TriMesh):
     """Twice the triangle areas, shape (nt,), and the perpendiculars of the
     opposite edges, shape (nt, 3, 2): grad phi_i = g[:, i] / area2 for the
-    barycentric basis functions phi_i."""
+    barycentric basis functions phi_i, and g[:, i] is p_{i+1} - p_{i+2}
+    turned by -90 degrees, linear in the corners p_i."""
     v = mesh.vertices
     t = mesh.triangles
-    p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    d1 = p1 - p0
-    d2 = p2 - p0
+    p = [v[t[:, i]] for i in range(3)]
+    d1 = p[1] - p[0]
+    d2 = p[2] - p[0]
     area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    return area2, _edge_perps(p0, p1, p2)
+    g = np.empty((len(t), 3, 2))
+    for i in range(3):
+        a, b = p[(i + 1) % 3], p[(i + 2) % 3]
+        g[:, i, 0] = a[:, 1] - b[:, 1]
+        g[:, i, 1] = b[:, 0] - a[:, 0]
+    return area2, g
 
 
 def assemble(mesh: TriMesh):
@@ -114,43 +108,14 @@ def assemble(mesh: TriMesh):
         for j in range(i, 3):
             ke[:, 3 * i + j] = ke[:, 3 * j + i] = (
                 gx[:, i] * gx[:, j] + gy[:, i] * gy[:, j]) * area
-    return _summed(mesh, ke, np.outer(area / 12.0, _MASS))
-
-
-def _summed(mesh: TriMesh, *elements):
-    """Each (nt, 9) array of element matrices summed into the P1 pattern of
-    mesh.connectivity as a CSR matrix, by one np.bincount over
-    connectivity.scatter in triangle order."""
     conn = mesh.connectivity
     n = mesh.num_vertices
-    nnz = len(conn.indices)
     slots = conn.scatter.ravel()
     return tuple(
-        sparse.csr_matrix((np.bincount(slots, e.ravel(), nnz), conn.indices,
-                           conn.indptr), shape=(n, n))
-        for e in elements
+        sparse.csr_matrix((np.bincount(slots, e.ravel(), len(conn.indices)),
+                           conn.indices, conn.indptr), shape=(n, n))
+        for e in (ke, np.outer(area / 12.0, _MASS))
     )
-
-
-def assemble_derivative(mesh: TriMesh, V):
-    """(dK, dM), the exact derivatives at t = 0 of assemble(perturb(mesh, V,
-    t)) for the vertex velocities V, shape (nv, 2), on the same pattern.
-
-    Per triangle the edge perpendiculars g_i are linear in the vertices, so
-    dg_i are those of V (_edge_perps), and d(area2) = sum_i g_i . V_i.  With
-    G_ij = g_i . g_j the stiffness element is G / (2 area2), whose
-    derivative is (dG + dG^T) / (2 area2) - G d(area2) / (2 area2^2) for
-    dG_ij = dg_i . g_j; the mass element is proportional to area2.
-    """
-    V = np.asarray(V, dtype=float)
-    area2, g = _p1_gradients(mesh)
-    v = [V[mesh.triangles[:, i]] for i in range(3)]
-    darea2 = np.einsum("tik,itk->t", g, v)
-    dG = np.einsum("tik,tjk->tij", _edge_perps(*v), g)
-    G = np.einsum("tik,tjk->tij", g, g)
-    dke = ((dG + dG.transpose(0, 2, 1) - G * (darea2 / area2)[:, None, None])
-           / (2.0 * area2)[:, None, None])
-    return _summed(mesh, dke.reshape(-1, 9), np.outer(darea2 / 24.0, _MASS))
 
 
 def grad_p1(mesh: TriMesh, u):

@@ -447,7 +447,10 @@ class Polygon:
 
 
 def _shoelace(loop):
-    x, y = loop[:, 0], loop[:, 1]
+    """The signed area of the loop, positive counterclockwise, summed
+    relative to its first point, so it keeps its digits far from the
+    origin."""
+    x, y = (loop - loop[0]).T
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 

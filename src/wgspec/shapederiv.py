@@ -1,7 +1,7 @@
 """Shape sensitivity of the boundary vector X: adjoint state, the
-boundary-integral derivative formula, its validation against the exact
-derivative of the discrete map, and the bump-sweep experiment on
-rectangles."""
+boundary-integral derivative formula, the exact gradient of the discrete
+map X_h.w in the vertex positions, which validates that formula, and the
+bump-sweep experiment on rectangles."""
 
 from __future__ import annotations
 
@@ -13,8 +13,8 @@ import numpy as np
 
 from .crosssec import analyze, x_boundary
 from .errors import TrackingError
-from .fem import (_check_tol, _splu_spd, assemble, assemble_derivative,
-                  grad_p1, neumann_eigs, solve_deflated)
+from .fem import (_check_tol, _p1_gradients, _splu_spd, assemble, grad_p1,
+                  neumann_eigs, solve_deflated)
 from .mesh import Polygon, TriMesh, gen_polygon, gen_rectangle
 
 # fd_check's least relative gap (lambda3 - lambda2)/lambda2 of a simple
@@ -163,12 +163,13 @@ def fd_check(mesh: TriMesh, V, w, tol=1e-8):
     map t -> X_h.w on perturb(mesh, V, t) at t = 0.
 
     The name is kept from when that derivative was a finite difference of
-    eigensolves on perturbed meshes; it is now exact (_discrete_derivative)
-    and needs no solve beyond the eigensolve and the adjoint.  V is a
-    velocity field sampled at all vertices (interior values are replaced by
-    the harmonic lift of the boundary trace).  The vertex set is assembled
-    once: its (K, M) serve the lift, the eigensolve and the adjoint.  There
-    are two factorizations: the lift's interior block, and the eigensolve's
+    eigensolves on perturbed meshes; it is now exact, the vertex gradient
+    of X_h.w (_x_gradient) dotted with V, and needs no solve beyond the
+    eigensolve and the adjoint.  V is a velocity field sampled at all
+    vertices (interior values are replaced by the harmonic lift of the
+    boundary trace).  The vertex set is assembled once: its (K, M) serve
+    the lift, the eigensolve and the adjoint.  There are two
+    factorizations: the lift's interior block, and the eigensolve's
     K - sigma M, whose factors also precondition the adjoint's CG.  The lift
     comes first, so that its factors are freed before the eigensolve's are
     made.  discrepancy is |adjoint - discrete| / max(|adjoint|, |discrete|),
@@ -186,9 +187,9 @@ def fd_check(mesh: TriMesh, V, w, tol=1e-8):
         raise TrackingError("lambda2 degenerate on the base mesh")
     psi = spec.eigenvectors[:, 1]
     adj = adjoint_solve(mesh, lam2, psi, w, matrices, spec.factor)
-    del spec  # its factors, before the derivative's element arrays
+    del spec  # its factors, before the gradient's element arrays
     adjoint = shape_derivative(mesh, lam2, psi, adj.q, w, _vn_from_field(mesh, V))
-    discrete = _discrete_derivative(mesh, V, w, lam2, psi, adj.q)
+    discrete = float((_x_gradient(mesh, w, lam2, psi, adj.q) * V).sum())
     return ShapeDerivReport(
         w=w,
         adjoint_value=adjoint,
@@ -198,24 +199,47 @@ def fd_check(mesh: TriMesh, V, w, tol=1e-8):
     )
 
 
-def _discrete_derivative(mesh: TriMesh, V, w, lam2, psi, q):
-    """d(X_h.w)/dt at t = 0 on perturb(mesh, V, t), exact.
+def _x_gradient(mesh: TriMesh, w, lambda2, psi, q):
+    """The gradient of X_h.w in the vertex positions, shape (nv, 2): on
+    perturb(mesh, V, t), d(X_h.w)/dt at t = 0 is sum_k grad[k] . V[k].
 
     With K psi = lambda2 M psi, psi^T M psi = 1 and F = X_h.w = psi^T B psi,
     B the boundary mass weighted by len (n.w) (x_boundary's Simpson form),
     and q the adjoint state (load -2 B psi, q M-orthogonal to psi),
-    dF = psi^T dB psi + q^T (dK - lambda2 dM) psi - (psi^T dM psi) F.
-    len n = J (b - a) on a boundary edge a -> b, J the turn by -90 degrees,
-    so d(len n) = J (V_b - V_a); dK and dM come from assemble_derivative.
+    dF = psi^T dB psi + q^T (dK - lambda2 dM) psi - (psi^T dM psi) F, linear
+    in V; the gradient is that map transposed.  Per triangle, with J the
+    turn by -90 degrees, g_k = J (p_{k+1} - p_{k+2}) (_p1_gradients), so
+    dg_k = J (V_{k+1} - V_{k+2}) and d(area2) = sum_k g_k . V_k.  With
+    G_u = sum_k u_k g_k, q^T K_e psi = G_q . G_psi / (2 area2), and
+    u^T M_e v = area2 m(u, v) / 24 for m(u, v) = sum u sum v + u . v.  On a
+    boundary edge a -> b, len n = J (b - a), so psi^T B psi moves by
+    s (V_b - V_a) . J^T w, s = (psi_a^2 + psi_a psi_b + psi_b^2) / 3.
     """
-    dK, dM = assemble_derivative(mesh, V)
-    a, b = mesh.boundary_edges.T
-    dv = V[b] - V[a]
-    pa, pb = psi[a], psi[b]
-    dB = (dv[:, 1] * w[0] - dv[:, 0] * w[1]) @ ((pa * pa + pa * pb + pb * pb) / 3.0)
-    dM_psi = dM @ psi
+    area2, g = _p1_gradients(mesh)
+    t = mesh.triangles
+    pt, qt = psi[t], q[t]
+    Gp, Gq = np.einsum("tk,tkd->td", pt, g), np.einsum("tk,tkd->td", qt, g)
+
+    def m(u, v):
+        return u.sum(axis=1) * v.sum(axis=1) + (u * v).sum(axis=1)
+
+    def turn(G):  # J^T G
+        return np.column_stack([-G[:, 1], G[:, 0]])
+
     F = x_boundary(mesh, psi) @ w
-    return float(dB + q @ (dK @ psi) - lam2 * (q @ dM_psi) - (psi @ dM_psi) * F)
+    prev, succ = [2, 0, 1], [1, 2, 0]  # k - 1 and k + 1
+    dq, dp = qt[:, prev] - qt[:, succ], pt[:, prev] - pt[:, succ]
+    coef = ((dq[:, :, None] * turn(Gp)[:, None] + dp[:, :, None] * turn(Gq)[:, None])
+            / (2.0 * area2)[:, None, None]
+            - g * ((Gq * Gp).sum(axis=1) / (2.0 * area2 ** 2)
+                   + (lambda2 * m(qt, pt) + F * m(pt, pt)) / 24.0)[:, None, None])
+    a, b = mesh.boundary_edges.T
+    pa, pb = psi[a], psi[b]
+    edge = np.outer((pa * pa + pa * pb + pb * pb) / 3.0, [-w[1], w[0]])
+    where = np.concatenate([t.ravel(), b, a])
+    vals = np.concatenate([coef.reshape(-1, 2), edge, -edge])
+    n = mesh.num_vertices
+    return np.column_stack([np.bincount(where, vals[:, c], n) for c in range(2)])
 
 
 def _vn_from_field(mesh: TriMesh, V):

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy import sparse
+
+from wgspec import fem
 
 
 def _top_bump(mesh, center):
@@ -20,6 +23,44 @@ def top_bump():
     """_top_bump(mesh, center), the velocity field shared by the fem and
     shape-derivative tests."""
     return _top_bump
+
+
+def _assemble_derivative(mesh, V):
+    """(dK, dM), the exact derivatives at t = 0 of fem.assemble(perturb(mesh,
+    V, t)) for the vertex velocities V, shape (nv, 2), on the same pattern:
+    the oracle of shapederiv._x_gradient.
+
+    Per triangle g_i = J (p_{i+1} - p_{i+2}) (fem._p1_gradients), J the turn
+    by -90 degrees, so dg_i = J (V_{i+1} - V_{i+2}) and d(area2) =
+    sum_i g_i . V_i.  With G_ij = g_i . g_j the stiffness element is
+    G / (2 area2), whose derivative is (dG + dG^T) / (2 area2) -
+    G d(area2) / (2 area2^2) for dG_ij = dg_i . g_j; the mass element is
+    proportional to area2.
+    """
+    area2, g = fem._p1_gradients(mesh)
+    v = np.asarray(V, dtype=float)[mesh.triangles]
+    darea2 = np.einsum("tik,tik->t", g, v)
+    dv = v[:, [1, 2, 0]] - v[:, [2, 0, 1]]
+    dg = np.stack([dv[..., 1], -dv[..., 0]], axis=-1)
+    dG = np.einsum("tik,tjk->tij", dg, g)
+    G = np.einsum("tik,tjk->tij", g, g)
+    dke = ((dG + dG.transpose(0, 2, 1) - G * (darea2 / area2)[:, None, None])
+           / (2.0 * area2)[:, None, None])
+    conn = mesh.connectivity
+    n = mesh.num_vertices
+    return tuple(
+        sparse.csr_matrix((np.bincount(conn.scatter.ravel(), e.ravel(),
+                                       len(conn.indices)),
+                           conn.indices, conn.indptr), shape=(n, n))
+        for e in (dke.reshape(-1, 9), np.outer(darea2 / 24.0, fem._MASS))
+    )
+
+
+@pytest.fixture(scope="session")
+def assemble_derivative():
+    """_assemble_derivative(mesh, V), the derivatives of the P1 matrices
+    shared by the fem and shape-derivative tests."""
+    return _assemble_derivative
 
 
 def _gmsh22_text(mesh):

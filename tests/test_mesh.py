@@ -308,6 +308,16 @@ class TestPolygonRigidMotion:
         assert abs(lam2 - ref_lam2) <= 1e-9 * ref_lam2
         assert np.abs(X - ref_X).max() <= 1e-9 * math.sqrt(ref_lam2)
 
+    @pytest.mark.parametrize("shift", [0.0, 1e3, 1e4, 1e6])
+    def test_area_is_the_exact_shoelace_of_the_loop(self, shift):
+        # the shoelace is summed relative to the first point: far from the
+        # origin its products no longer cancel the shift's digits away
+        t = np.linspace(0.0, 2.0 * math.pi, 199, endpoint=False)
+        poly = M.Polygon(np.column_stack([3.0 * np.cos(t), np.sin(t)]) + shift, 0.1)
+        x, y = ([Fraction(float(c)) for c in col] for col in poly.loop.T)
+        exact = sum(x[i - 1] * y[i] - y[i - 1] * x[i] for i in range(len(x))) / 2
+        assert abs(poly.area() - exact) <= 1e-13 * exact
+
 
 def test_coordinate_gathers_match_row_formulas():
     # _signed_areas and _all_angles gather x and y apart, for speed; their

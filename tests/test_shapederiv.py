@@ -362,6 +362,16 @@ class TestFdCheck:
         psi = F.neumann_eigs(mesh, 2, tol=1e-10).eigenvectors[:, 1]
         assert abs(rep.discrete_value - (J @ x_boundary(mesh, psi)) @ w) <= 1e-12
 
+    @pytest.mark.parametrize("w", [[1.0, 0.0], [0.0, 1.0]])
+    def test_dilation(self, w):
+        # X_h scales as 1/length, so the dilation about c, V = y - c, gives
+        # dX_h/dt = -X_h
+        mesh = M.gen_right_triangle(32)
+        V = mesh.vertices - [1 / 3, 1 / 3]
+        rep = SD.fd_check(mesh, V, np.array(w), tol=1e-10)
+        X = x_boundary(mesh, F.neumann_eigs(mesh, 2, tol=1e-10).eigenvectors[:, 1])
+        assert abs(rep.discrete_value + X @ w) <= 1e-12 * np.linalg.norm(X)
+
     def test_smooth_bump_agreement(self):
         mesh = M.gen_rectangle(2 * np.pi, np.pi, 64, 32)
         x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
@@ -379,6 +389,42 @@ class TestFdCheck:
         V = np.zeros_like(mesh.vertices)
         with pytest.raises(TrackingError, match="degenerate on the base mesh"):
             SD.fd_check(mesh, V, np.array([1.0, 0.0]))
+
+
+class TestXGradient:
+    @settings(max_examples=20, deadline=None)
+    @given(kind=st.sampled_from(["rect", "tri", "bump"]), n=st.integers(2, 9),
+           angle=st.floats(0.0, 2 * math.pi), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_matrix_derivatives(self, kind, n, angle, seed,
+                                             assemble_derivative):
+        # dF = psi^T dB psi + q^T (dK - lambda2 dM) psi - (psi^T dM psi) F is
+        # an identity in psi, q and lambda2, so random fields reach every term
+        if kind == "bump":
+            base = M.gen_polygon(SD.bump_rectangle_polygon(2.0, 1.0, "top", 0.9,
+                                                           0.35, 0.9 / n))
+        elif kind == "rect":
+            base = M.gen_rectangle(1.5, 1.0, n, n + 1)
+        else:
+            base = M.gen_right_triangle(n)
+        R = np.array([[math.cos(angle), -math.sin(angle)],
+                      [math.sin(angle), math.cos(angle)]])
+        mesh = M.build_trimesh(base.vertices @ R.T, base.triangles)
+        rng = np.random.default_rng(seed)
+        psi, q = rng.standard_normal((2, mesh.num_vertices))
+        V = rng.standard_normal(mesh.vertices.shape)
+        lam2, w = rng.uniform(1.0, 20.0), R @ [0.6, 0.8]
+        grad = SD._x_gradient(mesh, w, lam2, psi, q)
+
+        dK, dM = assemble_derivative(mesh, V)
+        a, b = mesh.boundary_edges.T
+        dv = V[b] - V[a]
+        pa, pb = psi[a], psi[b]
+        dB = (dv[:, 1] * w[0] - dv[:, 0] * w[1]) @ ((pa * pa + pa * pb + pb * pb) / 3.0)
+        terms = [dB, q @ (dK @ psi), -lam2 * (q @ (dM @ psi)),
+                 -(psi @ (dM @ psi)) * (x_boundary(mesh, psi) @ w)]
+        assert abs((grad * V).sum() - sum(terms)) <= 1e-10 * sum(map(abs, terms))
+        # a translation moves nothing
+        assert np.abs(grad.sum(axis=0)).max() <= 1e-12 * np.abs(grad).max()
 
 
 class TestBumpGeometry:
