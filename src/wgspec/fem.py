@@ -3,20 +3,25 @@ lower bound for their Neumann eigenvalues.
 
 Assembly of the stiffness and consistent mass matrices, Neumann
 generalized eigensolves by shift-invert Lanczos (ARPACK through scipy's
-eigsh, one sparse LU factorization per eigensolve), guaranteed lower
+eigsh, one sparse factorization per eigensolve), guaranteed lower
 bounds of the same eigenvalues from the Crouzeix-Raviart element on the
 same mesh (cr_eigs), and deflated solves of singular shifted systems by
 conjugate gradients preconditioned with the eigensolve's own factors.
-Every factorization is one SuperLU call that finds its own fill-reducing
-order.
+A positive definite P1 matrix whose reverse Cuthill-McKee band is narrow
+is factorized by LAPACK's banded Cholesky, any other by one SuperLU call
+that finds its own fill-reducing order (_factor_spd); the
+Crouzeix-Raviart pencil always by SuperLU.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, cg, eigsh,
                                  splu)
 
@@ -40,6 +45,13 @@ CR_CONSTANT = 0.1893
 DEFLATED_RTOL = 1e-14
 DEFLATED_MAXITER = 200
 DEFLATION_TOL = 1e-6
+# _factor_spd takes the banded Cholesky factor when the half-bandwidth kd in
+# reverse Cuthill-McKee order has kd^2 <= BAND_LIMIT sqrt(n), n the order:
+# the band's work, n kd^2, is then at most BAND_LIMIT times the n^(3/2) of a
+# nested-dissection order (George, SIAM J. Numer. Anal. 10, 1973).  P1
+# eigensolves ran faster on the band up to kd^2 / sqrt(n) = 173 and about
+# as fast or slower from 182 up (CHANGES.md)
+BAND_LIMIT = 176
 
 
 @dataclass(frozen=True)
@@ -52,8 +64,9 @@ class Spectrum:
     the constant mode's taken relative to lambda_2.
     shift is the shift sigma of the factorized K - sigma M that was solved
     with, solves the number of vectors solved with it (0 where the pencil
-    was solved densely), fill the nonzeros of its L and U factors
-    (SuperLU.nnz) and factor those factors (a SuperLU object), kept so that
+    was solved densely), fill the entries its factors store (their nnz: the
+    band's (kd + 1) n, or SuperLU's nonzeros of L and U) and factor those
+    factors (_factor_spd's: an object with solve(b) and nnz), kept so that
     solve_deflated can precondition with them.  Each eigenvalue is the
     Rayleigh quotient of its eigenvector, so by min-max it bounds the
     Neumann eigenvalue of the same index from above.
@@ -132,6 +145,72 @@ def _splu_spd(A):
                 options={"SymmetricMode": True})
 
 
+@dataclass(frozen=True)
+class _BandCholesky:
+    """The lower banded Cholesky factor (LAPACK pbtrf, in cholesky_banded's
+    lower form) of a positive definite matrix A permuted to order: A[order]
+    [:, order] = L L^T.  nnz is the (kd + 1) n entries the band stores."""
+
+    band: np.ndarray
+    order: np.ndarray
+
+    @property
+    def nnz(self):
+        return self.band.size
+
+    def solve(self, b):
+        """A^-1 b."""
+        x = np.empty_like(b, dtype=float)
+        x[self.order] = cho_solve_banded((self.band, True), b[self.order],
+                                         overwrite_b=True, check_finite=False)
+        return x
+
+
+def _factor_spd(A):
+    """Factors of the symmetric positive definite CSC matrix A, with
+    solve(b) and nnz.
+
+    With kd the half-bandwidth of A in reverse Cuthill-McKee order, A is
+    factorized by banded Cholesky in that order when kd^2 <= BAND_LIMIT
+    sqrt(n) (_BandCholesky), and by _splu_spd otherwise.  The band is
+    summed straight from A's arrays into Fortran order, so LAPACK works in
+    place on it, and the index arrays are freed before either factorization
+    allocates.  On the band, SolverError if a leading minor of the permuted
+    A is not positive, so A is not positive definite.
+    """
+    n = A.shape[0]
+    order = reverse_cuthill_mckee(A, symmetric_mode=True)
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    # stored entry (i, j) of A, i its row A.indices, moves to (rank i,
+    # rank j); A is symmetric, so with depth = rank j - rank i >= 0 it is
+    # also entry (rank j, rank i) of the lower triangle, which the lower
+    # form keeps at band[depth, rank i]
+    row = rank[A.indices]
+    depth = rank[np.repeat(np.arange(n), np.diff(A.indptr))] - row
+    kd = int(depth.max())
+    if kd * kd > BAND_LIMIT * math.sqrt(n):
+        del row, depth  # before SuperLU's fill is allocated
+        return _splu_spd(A)
+    keep = depth >= 0
+    # a C-ordered (n, kd + 1) array transposed: each column of the band is
+    # contiguous, as LAPACK stores it
+    band = np.bincount(row[keep] * (kd + 1) + depth[keep], A.data[keep],
+                       (kd + 1) * n).reshape(n, kd + 1).T
+    del row, depth, keep
+    try:
+        band = cholesky_banded(band, overwrite_ab=True, lower=True,
+                               check_finite=False)
+    except LinAlgError as exc:
+        # scipy's message: "<i>-th leading minor not positive definite"
+        minor = str(exc).partition("-th")[0]
+        raise SolverError(
+            f"banded Cholesky of {n} unknowns with half-bandwidth {kd}: "
+            f"leading minor {minor} of the reordered matrix is not positive"
+        ) from exc
+    return _BandCholesky(band, order)
+
+
 def _residuals(K, M, vals, X):
     """The relative residual ||K x - lambda M x|| / (lambda ||M x||) of each
     pair (lambda, x): dimensionless, so one tol holds in every length unit.
@@ -173,10 +252,11 @@ def _gate(res, tol):
         )
 
 
-def _shift_invert_eigs(K, M, k, tol, constant):
+def _shift_invert_eigs(K, M, k, tol, constant, factorize):
     """k eigenpairs of K u = lambda M u nearest above sigma = -SHIFT_SCALE *
     tr(K)/tr(M), by ARPACK's implicitly restarted Lanczos on one factorization
-    of the positive definite K - sigma M (_splu_spd).  The seeded start
+    of the positive definite K - sigma M by factorize (_factor_spd or
+    _splu_spd), which returns an object with solve(b) and nnz.  The seeded start
     vector and every solve are projected M-orthogonally off
     ``constant``, an M-normalized null vector of K, and the Lanczos basis has
     ncv = max(2k + 1, 20) vectors.
@@ -191,8 +271,8 @@ def _shift_invert_eigs(K, M, k, tol, constant):
     tol restarts to 39 on some sections.  ValueError unless 0 < tol < inf.
     Pencils too small to restart a Lanczos basis in are solved densely, with
     no solve; K - sigma M is factorized all the same, for solve_deflated.
-    Returns (values, vectors, residuals, sigma, solves, lu), lu the SuperLU
-    factors of K - sigma M.
+    Returns (values, vectors, residuals, sigma, solves, lu), lu the factors
+    of K - sigma M.
     """
     _check_tol(tol)
     n = K.shape[0]
@@ -203,7 +283,7 @@ def _shift_invert_eigs(K, M, k, tol, constant):
 
     ncv = max(2 * k + 1, 20)
     solves = 0
-    lu = _splu_spd((K - sigma * M).tocsc())
+    lu = factorize((K - sigma * M).tocsc())
     if n - 1 <= ncv:
         X = _dense_eigs(K, M, k)
     else:
@@ -239,22 +319,24 @@ def neumann_eigs(mesh: TriMesh, k, tol=1e-8, matrices=None):
     eigenvalue of the same index on the meshed polygon.
     matrices, the (K, M) of assemble(mesh) if the caller has them, saves
     assembling them again.
-    Raises ValueError unless 0 < tol < inf, SolverError if Lanczos fails, an
-    eigenvalue is not positive or a relative residual ||K u - lambda M u|| /
-    (lambda ||M u||) exceeds tol.
+    Raises ValueError unless 0 < tol < inf and the mesh has k + 2 vertices
+    or more, SolverError if Lanczos fails, an eigenvalue is not positive or
+    a relative residual ||K u - lambda M u|| / (lambda ||M u||) exceeds tol.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n = mesh.num_vertices
     if k + 2 > n:
-        raise ValueError("k + 2 exceeds the vertex count")
+        raise ValueError(f"the mesh's vertex count is {n}, and an eigensolve of "
+                         f"{k} eigenpairs above the constant mode needs at "
+                         f"least {k + 2}")
     K, M = assemble(mesh) if matrices is None else matrices
 
     ones = np.ones(n)
     c = ones / np.sqrt(ones @ (M @ ones))
     lam1 = max(float(c @ (K @ c)), 0.0)
     vals, X, res, sigma, solves, lu = _shift_invert_eigs(
-        K, M, k, tol, constant=c)
+        K, M, k, tol, constant=c, factorize=_factor_spd)
     c_res = float(np.linalg.norm(K @ c - lam1 * (M @ c)) / (vals[0] * np.linalg.norm(M @ c)))
     return Spectrum(
         eigenvalues=np.concatenate([[lam1], vals]),
@@ -277,7 +359,8 @@ def cr_eigs(mesh: TriMesh, k, tol=1e-8):
     is 2 g_i . g_j / area2 (_p1_gradients) and the mass, exact by midpoint
     quadrature, is diagonal: area/3 per side.  The constant vector lies in
     the CR space and K annihilates it.  The pencil is solved like the P1 one
-    (_shift_invert_eigs), and each Rayleigh quotient
+    (_shift_invert_eigs), on SuperLU factors (_splu_spd): on the edge graph
+    SuperLU's fill stays far below a band's, and each Rayleigh quotient
     rho is widened by its Krylov-Bogoliubov radius ||K x - rho M x||_{M^-1}
     / ||x||_M, which some CR eigenvalue lies within.  With h the largest
     edge, lambda_k >= t / (1 + (CR_CONSTANT h)^2 t) for t = lambda_k^CR
@@ -294,7 +377,9 @@ def cr_eigs(mesh: TriMesh, k, tol=1e-8):
     conn = mesh.connectivity
     ne = len(conn.edges)
     if k + 2 > ne:
-        raise ValueError("k + 2 exceeds the edge count")
+        raise ValueError(f"the mesh's edge count is {ne}, and a Crouzeix-Raviart "
+                         f"eigensolve of {k} eigenpairs above the constant "
+                         f"mode needs at least {k + 2}")
     area2, g = _p1_gradients(mesh)
     sides = conn.tri_edges[:, (1, 2, 0)]
     ke = 2.0 * np.einsum("tik,tjk->tij", g, g) / area2[:, None, None]
@@ -304,7 +389,7 @@ def cr_eigs(mesh: TriMesh, k, tol=1e-8):
     m = np.bincount(sides.ravel(), np.repeat(area2 / 6.0, 3), ne)
     M = sparse.diags(m, format="csr")
     constant = np.full(ne, 1.0 / np.sqrt(m.sum()))
-    vals, X, res = _shift_invert_eigs(K, M, k, tol, constant)[:3]
+    vals, X, res = _shift_invert_eigs(K, M, k, tol, constant, _splu_spd)[:3]
     R = K @ X - (M @ X) * vals
     radii = (np.sqrt(np.einsum("ij,ij->j", R, R / m[:, None]))
              / np.sqrt(np.einsum("ij,ij->j", X, X * m[:, None])))
@@ -339,7 +424,8 @@ def solve_deflated(K, M, lam, rhs, psi, factor):
     y comes from scipy's conjugate gradients on that complement, Pi the
     M-orthogonal projection onto it: the operator Pi^T (K - lam*M) Pi with
     the symmetric preconditioner Pi F Pi^T, F the solve with factor, the
-    SuperLU factors of K - sigma M for a sigma < 0: the Spectrum.factor of
+    factors of K - sigma M for a sigma < 0 (an object with solve(b), as
+    _factor_spd returns): the Spectrum.factor of
     the eigensolve that gave psi, so nothing is factorized here.  The
     preconditioned spectrum lies in [(lam3 - lam)/(lam3 - sigma), 1), and
     only its few lowest eigenvalues are far from 1, so a small gap costs CG

@@ -13,7 +13,7 @@ import numpy as np
 
 from .crosssec import analyze, x_boundary
 from .errors import TrackingError
-from .fem import (_check_tol, _p1_gradients, _splu_spd, assemble, grad_p1,
+from .fem import (_check_tol, _factor_spd, _p1_gradients, assemble, grad_p1,
                   neumann_eigs, solve_deflated)
 from .mesh import Polygon, TriMesh, gen_polygon, gen_rectangle
 
@@ -120,7 +120,8 @@ def harmonic_extension(mesh: TriMesh, V, matrices):
     """Replace the interior values of the vertex field V, shape (nv, 2), by
     the discrete harmonic lift of its boundary values (componentwise, through
     the stiffness matrix K of matrices, the (K, M) of assemble(mesh), whose
-    positive definite interior block is factorized once)."""
+    positive definite interior block is factorized once, by fem._factor_spd:
+    banded Cholesky where its band is narrow, SuperLU otherwise)."""
     V = np.array(V, dtype=float)
     n = mesh.num_vertices
     K = matrices[0]
@@ -131,7 +132,7 @@ def harmonic_extension(mesh: TriMesh, V, matrices):
     if len(interior):
         Ki = K[interior]
         Kib = Ki[:, bidx]
-        lu = _splu_spd(Ki[:, interior].tocsc())
+        lu = _factor_spd(Ki[:, interior].tocsc())
         for c in range(2):
             V[interior, c] = lu.solve(-Kib @ V[bidx, c])
     return V
@@ -169,10 +170,10 @@ def fd_check(mesh: TriMesh, V, w, tol=1e-8):
     vertices (interior values are replaced by the harmonic lift of the
     boundary trace).  The vertex set is assembled once: its (K, M) serve
     the lift, the eigensolve and the adjoint.  There are two
-    factorizations: the lift's interior block, and the eigensolve's
-    K - sigma M, whose factors also precondition the adjoint's CG.  The lift
-    comes first, so that its factors are freed before the eigensolve's are
-    made.  discrepancy is |adjoint - discrete| / max(|adjoint|, |discrete|),
+    factorizations, each by fem._factor_spd (banded Cholesky or SuperLU):
+    the lift's interior block, and the eigensolve's K - sigma M, whose
+    factors also precondition the adjoint's CG.  The lift comes first, so
+    that its factors are freed before the eigensolve's are made.  discrepancy is |adjoint - discrete| / max(|adjoint|, |discrete|),
     0 where both are 0, so it reads the same in every unit of length.
     TrackingError: (lambda3 - lambda2)/lambda2 < DEGENERACY_TOL, where psi2
     has no well-defined direction to differentiate.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from wgspec import fem
+from wgspec import fem, shapederiv
 
 
 def _top_bump(mesh, center):
@@ -23,6 +23,27 @@ def top_bump():
     """_top_bump(mesh, center), the velocity field shared by the fem and
     shape-derivative tests."""
     return _top_bump
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """The names of the factorization entry points called, in call order:
+    "_factor_spd" for each positive definite P1 matrix and "_splu_spd" for
+    each SuperLU factorization, so a P1 matrix on SuperLU's side of
+    fem.BAND_LIMIT adds both."""
+    calls = []
+
+    def spy(name, original):
+        def record(A):
+            calls.append(name)
+            return original(A)
+        return record
+
+    factor_spd = spy("_factor_spd", fem._factor_spd)
+    monkeypatch.setattr(fem, "_factor_spd", factor_spd)
+    monkeypatch.setattr(shapederiv, "_factor_spd", factor_spd)
+    monkeypatch.setattr(fem, "_splu_spd", spy("_splu_spd", fem._splu_spd))
+    return calls
 
 
 def _assemble_derivative(mesh, V):

@@ -201,21 +201,12 @@ class TestShapederivCmd:
         assert d["adjoint_l2_rel_error"] < 0.01
         assert d["integrand_max_error"] < 0.1
 
-    def test_analytic_compare_factorizes_once(self, tmp_path, monkeypatch):
+    def test_analytic_compare_factorizes_once(self, tmp_path, factorizations):
         # the eigensolve's factors precondition the adjoint's CG too
-        from wgspec import fem
-
-        orders, splu = [], fem.splu
-
-        def record_splu(A, permc_spec, **kwargs):
-            orders.append(permc_spec)
-            return splu(A, permc_spec, **kwargs)
-
-        monkeypatch.setattr(fem, "splu", record_splu)
         code = run(["shapederiv", "--rect", 2, 1, "--nx", 48, "--w", 1, 0,
                     "--analytic-compare", "-o", tmp_path / "sd.json"])
         assert code == 0
-        assert orders == ["MMD_AT_PLUS_A"]
+        assert factorizations == ["_factor_spd"]
 
     def test_analytic_compare_oblique_w(self, tmp_path):
         # the adjoint is linear in w: its closed form is w1 (e1 form) +
@@ -391,6 +382,14 @@ _MALFORMED = [
     (["sweep", "--radii", "-0.1:0.2:0.1"], "--radii needs"),
     (["section"], "no mesh source"),
     (["section", "--triangle", 0], "n must be >= 1"),
+    # one triangle: the counts the eigensolve has and needs, with or without
+    # the Crouzeix-Raviart solve, which fails on its 3 edges too
+    (["section", "--triangle", 1],
+     "error: the mesh's vertex count is 3, and an eigensolve of 2 eigenpairs "
+     "above the constant mode needs at least 4\n"),
+    (["section", "--triangle", 1, "--fast"],
+     "error: the mesh's vertex count is 3, and an eigensolve of 2 eigenpairs "
+     "above the constant mode needs at least 4\n"),
     (["section", "--rect", 2, 1, 0, 4], "subdivision counts"),
     (["section", "--rect", 2, 1, 2.5, 4, "--fast"], "subdivision counts"),
     (["section", "--rect", 2, 1, "nan", 4, "--fast"], "subdivision counts"),

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -7,6 +8,7 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import ArpackNoConvergence, SuperLU, eigsh, splu
 
 from wgspec import fem as F, mesh as M
@@ -413,11 +415,126 @@ class TestShiftInvertSolver:
         assert mesh.num_vertices <= 21
         s = F.neumann_eigs(mesh, 2)
         assert s.solves == 0
-        assert isinstance(s.factor, SuperLU) and s.fill == s.factor.nnz > 0
+        assert s.fill == s.factor.nnz > 0
         K, Mm = F.assemble(mesh)
         x = np.random.default_rng(1).standard_normal(mesh.num_vertices)
         y = s.factor.solve(K @ x - s.shift * (Mm @ x))
         assert np.abs(y - x).max() <= 1e-12 * np.abs(x).max()
+
+
+def _shifted(mesh):
+    """K - sigma M of mesh's P1 pencil at the eigensolver's shift, CSC."""
+    K, Mm = F.assemble(mesh)
+    sigma = -F.SHIFT_SCALE * K.diagonal().sum() / Mm.diagonal().sum()
+    return (K - sigma * Mm).tocsc()
+
+
+def _interior_block(mesh):
+    """The stiffness matrix's interior block, which harmonic_extension
+    factorizes, CSC."""
+    K, _ = F.assemble(mesh)
+    interior = np.setdiff1d(np.arange(mesh.num_vertices),
+                            mesh.boundary_vertex_indices())
+    return K[interior][:, interior].tocsc()
+
+
+def _rcm_band(A):
+    """The order of reverse_cuthill_mckee on A and A's half-bandwidth kd in
+    it, from the permuted matrix."""
+    order = reverse_cuthill_mckee(A.tocsr(), symmetric_mode=True)
+    B = A.tocsr()[order][:, order].tocoo()
+    return order, int((B.row - B.col).max())
+
+
+def _small_section(kind, ell, n):
+    """A rectangle of aspect ell, a right triangle or a bump polygon, at
+    most 2k vertices."""
+    if kind == "rect":
+        ny = max(2, min(n, int(math.sqrt(2000 / ell)) - 1))
+        return M.gen_rectangle(ell, 1.0, max(2, round(ell * ny)), ny)
+    if kind == "tri":
+        return M.gen_right_triangle(min(n, 61))
+    return M.gen_polygon(bump_rectangle_polygon(2.0, 1.0, "top", 0.9, 0.3,
+                                                max(2.0 / n, 0.045)))
+
+
+class TestFactorSpd:
+    @settings(max_examples=25, deadline=None)
+    @given(kind=st.sampled_from(["rect", "tri", "bump"]), ell=st.floats(1.0, 8.0),
+           n=st.integers(4, 64))
+    def test_either_side_matches_superlu(self, kind, ell, n):
+        mesh = _small_section(kind, ell, n)
+        assert mesh.num_vertices <= 2000
+        rng = np.random.default_rng(n)
+        # the interior block is conditioned like h^-2: both solves agree to
+        # 1e-12; K - sigma M has a condition number of about 1/SHIFT_SCALE =
+        # 1e5, and each solve lies within about 1e-12 of a solution refined
+        # in long double, so they agree to 1e-11
+        for A, tol in ((_interior_block(mesh), 1e-12), (_shifted(mesh), 1e-11)):
+            b = rng.standard_normal(A.shape[0])
+            ref = splu(A).solve(b)
+            x = F._factor_spd(A).solve(b)
+            assert np.linalg.norm(x - ref) <= tol * np.linalg.norm(ref)
+        s = F.neumann_eigs(mesh, 2)
+        with mock.patch.object(F, "_factor_spd", F._splu_spd):
+            ref = F.neumann_eigs(mesh, 2)
+        rel = np.abs(s.eigenvalues[1:] - ref.eigenvalues[1:]) / ref.eigenvalues[1:]
+        assert rel.max() <= 1e-12
+
+    @pytest.mark.parametrize("make, band", [
+        (lambda: _shifted(M.gen_rectangle(2, 1, 128, 64)), True),
+        (lambda: _shifted(M.gen_rectangle(8, 1, 256, 32)), True),
+        (lambda: _interior_block(M.gen_rectangle(8, 1, 256, 32)), True),
+        (lambda: _shifted(M.gen_polygon(M.Polygon(
+            [(0, 0), (2 * math.pi, 0), (2 * math.pi, math.pi), (0, math.pi)],
+            0.06))), True),
+        (lambda: _shifted(M.gen_right_triangle(128)), False),
+    ], ids=["rect 2x1", "rect 8x1", "rect 8x1 interior", "polygon", "triangle"])
+    def test_benchmark_sections_take_their_side(self, make, band):
+        # the benchmark's P1 pencils lie on both sides of the rule
+        A = make()
+        n = A.shape[0]
+        order, kd = _rcm_band(A)
+        assert (kd * kd <= F.BAND_LIMIT * math.sqrt(n)) == band
+        factor = F._factor_spd(A)
+        assert isinstance(factor, F._BandCholesky if band else SuperLU)
+        if band:
+            assert np.array_equal(factor.order, order)
+            assert factor.nnz == factor.band.size == (kd + 1) * n
+        x = np.random.default_rng(3).standard_normal(n)
+        assert np.abs(factor.solve(A @ x) - x).max() <= 1e-8 * np.abs(x).max()
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        A = _shifted(M.gen_rectangle(2, 1, 32, 16))
+        _, kd = _rcm_band(A)
+        ratio = kd * kd / math.sqrt(A.shape[0])
+        monkeypatch.setattr(F, "BAND_LIMIT", ratio)
+        assert isinstance(F._factor_spd(A), F._BandCholesky)
+        monkeypatch.setattr(F, "BAND_LIMIT", ratio * (1.0 - 1e-12))
+        assert isinstance(F._factor_spd(A), SuperLU)
+
+    def test_indefinite_matrix_is_a_solver_error(self):
+        # K - sigma M above lambda4: SuperLU factorizes it without a word,
+        # with 4 negative pivots; the band stops at the first leading minor
+        # of the reordered matrix that is not positive
+        mesh = M.gen_rectangle(2, 1, 16, 8)
+        K, Mm = F.assemble(mesh)
+        lam4 = sla.eigh(K.toarray(), Mm.toarray(), eigvals_only=True)[3]
+        A = (K - 1.01 * lam4 * Mm).tocsc()
+        order, kd = _rcm_band(A)
+        assert kd * kd <= F.BAND_LIMIT * math.sqrt(A.shape[0])
+        with pytest.raises(SolverError) as info:
+            F._factor_spd(A)
+        found = re.fullmatch(
+            r"banded Cholesky of 153 unknowns with half-bandwidth (\d+): leading "
+            r"minor (\d+) of the reordered matrix is not positive",
+            str(info.value))
+        assert found and int(found[1]) == kd
+        minor = int(found[2])
+        B = A.toarray()[np.ix_(order, order)]
+        np.linalg.cholesky(B[:minor - 1, :minor - 1])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(B[:minor, :minor])
 
 
 def _warm_mesh(kind, size, shape):

@@ -227,13 +227,14 @@ def _fd_oracle(mesh, V, ladder=(1e-3, 2e-3, 4e-3), tol=1e-10):
 
 
 class TestFdCheck:
-    def test_one_assembly_per_vertex_set(self, monkeypatch, top_bump):
+    def test_one_assembly_per_vertex_set(self, monkeypatch, top_bump,
+                                         factorizations):
         # the base matrices serve the lift, the eigensolve and the adjoint;
         # no mesh is perturbed or built
         mesh = M.gen_rectangle(8, 1, 256, 32)
         V = top_bump(mesh, 3.0)
-        assembled, spectra, built, orders = [], [], [], []
-        originals = F.assemble, F.neumann_eigs, M.build_trimesh, F.splu
+        assembled, spectra, built = [], [], []
+        originals = F.assemble, F.neumann_eigs, M.build_trimesh
 
         def assemble(m):
             assembled.append(m)
@@ -247,11 +248,6 @@ class TestFdCheck:
             built.append(args)
             return originals[2](*args, **kwargs)
 
-        def splu(A, permc_spec, **kwargs):
-            orders.append(permc_spec)
-            return originals[3](A, permc_spec, **kwargs)
-
-        monkeypatch.setattr(F, "splu", splu)
         monkeypatch.setattr(SD, "assemble", assemble)
         monkeypatch.setattr(F, "assemble", assemble)
         monkeypatch.setattr(SD, "neumann_eigs", neumann_eigs)
@@ -259,20 +255,23 @@ class TestFdCheck:
         SD.fd_check(mesh, V, np.array([1.0, 0.0]))
         assert len(assembled) == 1 and assembled[0] is mesh
         assert built == []
-        # one Lanczos eigensolve of psi2 and psi3 on a factorization of its own
-        assert [(len(s.eigenvalues), s.fill) for s in spectra] == [(3, 364846)]
+        # one Lanczos eigensolve of psi2 and psi3 on a factorization of its
+        # own: the banded Cholesky factor of half-bandwidth 33, whose
+        # 34 * 8481 entries are stored
+        assert [(len(s.eigenvalues), s.fill) for s in spectra] == [(3, 288354)]
         # the lift's interior block and the eigensolve's K - sigma M are each
-        # factorized once, in an order searched for it; the adjoint's CG is
+        # factorized once, in an order computed for it; the adjoint's CG is
         # preconditioned with the eigensolve's factors
-        assert orders == ["MMD_AT_PLUS_A"] * 2
+        assert factorizations == ["_factor_spd"] * 2
 
     def test_small_mesh_preconditions_with_the_eigensolve(self, monkeypatch,
-                                                          top_bump):
+                                                          top_bump,
+                                                          factorizations):
         # 18 vertices: the pencil is solved densely, and its factors of
         # K - sigma M still reach the adjoint's CG
         mesh = M.gen_rectangle(3, 1, 5, 2)
-        spectra, factors, orders = [], [], []
-        originals = F.neumann_eigs, SD.solve_deflated, F.splu
+        spectra, factors = [], []
+        originals = F.neumann_eigs, SD.solve_deflated
 
         def neumann_eigs(*args, **kwargs):
             spectra.append(originals[0](*args, **kwargs))
@@ -282,17 +281,12 @@ class TestFdCheck:
             factors.append(args[-1])
             return originals[1](*args)
 
-        def splu(A, permc_spec, **kwargs):
-            orders.append(permc_spec)
-            return originals[2](A, permc_spec, **kwargs)
-
         monkeypatch.setattr(SD, "neumann_eigs", neumann_eigs)
         monkeypatch.setattr(SD, "solve_deflated", solve_deflated)
-        monkeypatch.setattr(F, "splu", splu)
         SD.fd_check(mesh, top_bump(mesh, 1.2), np.array([1.0, 0.0]))
         assert mesh.num_vertices <= 21 and spectra[0].solves == 0
         assert len(factors) == 1 and factors[0] is spectra[0].factor is not None
-        assert orders == ["MMD_AT_PLUS_A"] * 2
+        assert factorizations == ["_factor_spd"] * 2
 
     @pytest.fixture(scope="class")
     def bump_8x1(self, top_bump):
