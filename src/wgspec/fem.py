@@ -10,7 +10,12 @@ conjugate gradients preconditioned with the eigensolve's own factors.
 A positive definite P1 matrix whose reverse Cuthill-McKee band is narrow
 is factorized by LAPACK's banded Cholesky, any other by one SuperLU call
 that finds its own fill-reducing order (_factor_spd); the
-Crouzeix-Raviart pencil always by SuperLU.
+Crouzeix-Raviart pencil always by SuperLU.  Where a pencil splits
+cheaply, ARPACK runs on a symmetric standard operator and takes no
+product with the mass: the banded Cholesky factor L L^T of K - sigma M
+gives C = L^-1 M L^-T, and the Crouzeix-Raviart mass D is diagonal, so
+that pencil is solved as D^-1/2 K D^-1/2.  A P1 pencil on SuperLU's
+factors keeps ARPACK's generalized shift-invert mode.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg import LinAlgError, cholesky_banded
+from scipy.linalg.lapack import dtbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, cg, eigsh,
                                  splu)
@@ -64,12 +70,13 @@ class Spectrum:
     the constant mode's taken relative to lambda_2.
     shift is the shift sigma of the factorized K - sigma M that was solved
     with, solves the number of vectors solved with it (0 where the pencil
-    was solved densely), fill the entries its factors store (their nnz: the
-    band's (kd + 1) n, or SuperLU's nonzeros of L and U) and factor those
-    factors (_factor_spd's: an object with solve(b) and nnz), kept so that
-    solve_deflated can precondition with them.  Each eigenvalue is the
-    Rayleigh quotient of its eigenvector, so by min-max it bounds the
-    Neumann eigenvalue of the same index from above.
+    was solved densely; on the band one solve is two half solves, with L
+    and with L^T, and one product with M), fill the entries its factors
+    store (their nnz: the band's (kd + 1) n, or SuperLU's nonzeros of L and
+    U) and factor those factors (_factor_spd's: an object with solve(b)
+    and nnz), kept so that solve_deflated can precondition with them.  Each
+    eigenvalue is the Rayleigh quotient of its eigenvector, so by min-max
+    it bounds the Neumann eigenvalue of the same index from above.
     """
 
     eigenvalues: np.ndarray
@@ -149,7 +156,10 @@ def _splu_spd(A):
 class _BandCholesky:
     """The lower banded Cholesky factor (LAPACK pbtrf, in cholesky_banded's
     lower form) of a positive definite matrix A permuted to order: A[order]
-    [:, order] = L L^T.  nnz is the (kd + 1) n entries the band stores."""
+    [:, order] = L L^T.  nnz is the (kd + 1) n entries the band stores.
+    half_solve applies L^-1 or L^-T (LAPACK tbtrs) in the permuted order;
+    solve is the two of them, and _shift_invert_eigs splits the pencil
+    with them."""
 
     band: np.ndarray
     order: np.ndarray
@@ -158,11 +168,15 @@ class _BandCholesky:
     def nnz(self):
         return self.band.size
 
+    def half_solve(self, b, trans):
+        """L^-1 b (trans "N") or L^-T b (trans "T"), b in the permuted
+        order: one vector or one column per vector."""
+        return dtbtrs(self.band, b, uplo="L", trans=trans)[0]
+
     def solve(self, b):
         """A^-1 b."""
         x = np.empty_like(b, dtype=float)
-        x[self.order] = cho_solve_banded((self.band, True), b[self.order],
-                                         overwrite_b=True, check_finite=False)
+        x[self.order] = self.half_solve(self.half_solve(b[self.order], "N"), "T")
         return x
 
 
@@ -211,14 +225,23 @@ def _factor_spd(A):
     return _BandCholesky(band, order)
 
 
-def _residuals(K, M, vals, X):
+def _mass(M, X):
+    """M X, or X where M is None: the mass of a standard pencil."""
+    return X if M is None else M @ X
+
+
+def _residuals(K, M, vals, X, weight=None):
     """The relative residual ||K x - lambda M x|| / (lambda ||M x||) of each
     pair (lambda, x): dimensionless, so one tol holds in every length unit.
+    With weight, both vectors are first multiplied by it entrywise.
     SolverError unless every lambda > 0."""
     if not (vals > 0.0).all():
         raise SolverError(f"eigenvalue {vals.min():.3e} is not positive")
-    MX = M @ X
-    return np.linalg.norm(K @ X - MX * vals, axis=0) / (vals * np.linalg.norm(MX, axis=0))
+    MX = _mass(M, X)
+    R = K @ X - MX * vals
+    if weight is not None:
+        R, MX = R * weight[:, None], MX * weight[:, None]
+    return np.linalg.norm(R, axis=0) / (vals * np.linalg.norm(MX, axis=0))
 
 
 def _check_tol(tol):
@@ -231,17 +254,19 @@ def _dense_eigs(K, M, m):
     the pencil, by a dense generalized eigensolve."""
     from scipy.linalg import eigh
 
-    return eigh(K.toarray(), M.toarray(), subset_by_index=(1, m))[1]
+    return eigh(K.toarray(), None if M is None else M.toarray(),
+                subset_by_index=(1, m))[1]
 
 
-def _rayleigh_pairs(K, M, X, k):
+def _rayleigh_pairs(K, M, X, k, weight=None):
     """The Rayleigh quotients of the columns of X, ascending, X in their
-    order, and the residuals of the first k.  Rayleigh quotients are
-    accurate to the squared residual, unlike Ritz values from a shift."""
-    vals = np.einsum("ij,ij->j", X, K @ X) / np.einsum("ij,ij->j", X, M @ X)
+    order, and the residuals of the first k (_residuals, with weight).
+    Rayleigh quotients are accurate to the squared residual, unlike Ritz
+    values from a shift."""
+    vals = np.einsum("ij,ij->j", X, K @ X) / np.einsum("ij,ij->j", X, _mass(M, X))
     order = np.argsort(vals)
     vals, X = vals[order], X[:, order]
-    return vals, X, _residuals(K, M, vals[:k], X[:, :k])
+    return vals, X, _residuals(K, M, vals[:k], X[:, :k], weight)
 
 
 def _gate(res, tol):
@@ -252,57 +277,123 @@ def _gate(res, tol):
         )
 
 
-def _shift_invert_eigs(K, M, k, tol, constant, factorize):
+def _shift_invert_eigs(K, M, k, tol, constant, factorize, weight=None):
     """k eigenpairs of K u = lambda M u nearest above sigma = -SHIFT_SCALE *
-    tr(K)/tr(M), by ARPACK's implicitly restarted Lanczos on one factorization
-    of the positive definite K - sigma M by factorize (_factor_spd or
-    _splu_spd), which returns an object with solve(b) and nnz.  The seeded start
-    vector and every solve are projected M-orthogonally off
-    ``constant``, an M-normalized null vector of K, and the Lanczos basis has
-    ncv = max(2k + 1, 20) vectors.
-    ARPACK accepts a Ritz pair (theta, x) of OP = (K - sigma M)^-1 M once its
-    Ritz estimate ||OP x - theta x||_M is at most its tol times |theta|, and
+    tr(K)/tr(M), by ARPACK's implicitly restarted Lanczos on one
+    factorization of the positive definite K - sigma M by factorize
+    (_factor_spd or _splu_spd), which returns an object with solve(b) and
+    nnz.  M None is the identity: a standard pencil, as cr_eigs makes its
+    own.  ``constant`` is a null vector of K, M-normalized; it is deflated
+    from the seeded start vector and from every step.
+
+    ARPACK's operator follows the factor.  On a _BandCholesky, K - sigma M
+    = P^T L L^T P, ARPACK runs in standard mode on the symmetric C = L^-1 P
+    M P^T L^-T, whose eigenpairs are theta = 1 / (lambda - sigma) and y =
+    L^T P x.  A step is two half solves and one product with M, applied in
+    M's own order to vectors scattered and gathered by P.  The constant's
+    image L^T P c = L^-1 P (K - sigma M) c is deflated by one Euclidean
+    projection per step, and the start vector takes one step of C first,
+    as ARPACK's generalized mode takes one of its operator.  The vectors x
+    = P^T L^-T y are then M-projected off c and M-normalized.  SuperLU's L
+    is reachable only through whole solves, so on its factors ARPACK runs
+    in shift-invert mode on OP = (K - sigma M)^-1 M, generalized where M is
+    given, and every solve is projected M-orthogonally off c.
+
+    ARPACK accepts a Ritz pair once its Ritz estimate, ||C y - theta y|| or
+    ||OP x - theta x||_M, is at most its tol times theta.  With lambda =
+    sigma + 1/theta, C y - theta y = -theta L^-1 P (K x - lambda M x) and
     K x - lambda M x = -(lambda - sigma) (K - sigma M) (OP x - theta x):
-    K - sigma M scales the unconverged Krylov remainder by eigenvalues well
-    above lambda.  So to hold the gate on the relative residual ||K x -
-    lambda M x|| / (lambda ||M x||) <= tol (_residuals), ARPACK is asked for
-    ARPACK_MARGIN * tol, not below machine precision.  It still fills its
-    basis once, so ncv + 2 solves is the floor: 22, where a machine-precision
-    tol restarts to 39 on some sections.  ValueError unless 0 < tol < inf.
-    Pencils too small to restart a Lanczos basis in are solved densely, with
-    no solve; K - sigma M is factorized all the same, for solve_deflated.
+    L, or K - sigma M, scales the unconverged Krylov remainder, which lies
+    along eigenvalues lambda_j well above lambda, by sqrt(lambda_j - sigma)
+    or by lambda_j - sigma, so the relative residual exceeds ARPACK's tol
+    by up to sqrt(lambda_j / lambda) or lambda_j / lambda.  To hold the gate
+    on the relative residual ||K x - lambda M x|| / (lambda ||M x||) <= tol
+    (_residuals, with weight), ARPACK is asked for ARPACK_MARGIN * tol, not
+    below machine precision.
+    The Lanczos basis has ncv = max(2k + 1, 20) vectors for k >= 2, where
+    lambda_3's gap to lambda_4 is often narrow: at 8 to 12 vectors the 2 pi
+    x pi rectangle took 32 to 36 solves, against 22 at 20.  For k = 1 it
+    has 8, and lambda_2 alone converged in 10 to 18 solves on every section
+    tried, against 22 at 20.  ARPACK fills its basis once at least, so the
+    floor is ncv + 1 solves on SuperLU's factors and ncv + 2 on the band,
+    whose start takes one step of C more: 10 for k = 1 and 22 for k >= 2,
+    where a machine-precision tol restarts to 39 on some sections.
+    ValueError unless 0 < tol < inf.  Pencils too small to restart a
+    Lanczos basis in (n - 1 <= ncv) are solved densely, with no solve; K -
+    sigma M is factorized all the same, for solve_deflated.  SolverError if
+    Lanczos stops short, with the residuals of the pairs it converged.
     Returns (values, vectors, residuals, sigma, solves, lu), lu the factors
     of K - sigma M.
     """
     _check_tol(tol)
     n = K.shape[0]
-    sigma = -SHIFT_SCALE * K.diagonal().sum() / M.diagonal().sum()
-
-    def project(y):
-        return y - constant * (constant @ (M @ y))
-
-    ncv = max(2 * k + 1, 20)
+    mass = sparse.identity(n) if M is None else M
+    sigma = -SHIFT_SCALE * K.diagonal().sum() / mass.diagonal().sum()
+    ncv = max(2 * k + 1, 20) if k > 1 else 8
     solves = 0
-    lu = factorize((K - sigma * M).tocsc())
+    lu = factorize((K - sigma * mass).tocsc())
     if n - 1 <= ncv:
         X = _dense_eigs(K, M, k)
     else:
-        def apply_inverse(b):
-            nonlocal solves
-            solves += 1
-            return project(lu.solve(b))
+        v0 = np.random.default_rng(7).standard_normal(n)
+        if isinstance(lu, _BandCholesky):
+            order = lu.order
+            # the constant's image L^T P c = L^-1 P (K - sigma M) c
+            yc = lu.half_solve((K @ constant - sigma * _mass(M, constant))[order],
+                               "N")
+            yc /= np.linalg.norm(yc)
 
+            def deflate(y):
+                return y - yc * (yc @ y)
+
+            def back(Y):
+                X = np.empty_like(Y)
+                X[order] = lu.half_solve(Y, "T")
+                return X
+
+            def to_pencil(Y):
+                # K c = 0 holds to rounding, against sigma M c: L^T P c is an
+                # eigenvector of C to about 1e-10 only, and solve_deflated
+                # needs X M-orthogonal to c to rounding
+                X = back(Y)
+                X -= constant[:, None] * (constant @ _mass(M, X))
+                return X / np.sqrt(np.einsum("ij,ij->j", X, _mass(M, X)))
+
+            def apply_split(y):
+                nonlocal solves
+                solves += 1
+                return deflate(lu.half_solve(_mass(M, back(y))[order], "N"))
+
+            A = LinearOperator((n, n), matvec=apply_split, dtype=float)
+            # a start smoothed by C, as ARPACK's generalized mode smooths its
+            # own: from the raw start the 2 pi x pi rectangle took 38 solves
+            v0, kwargs = apply_split(deflate(v0)), {}
+        else:
+            def project(y):
+                return y - constant * (constant @ _mass(M, y))
+
+            def apply_inverse(b):
+                nonlocal solves
+                solves += 1
+                return project(lu.solve(b))
+
+            def to_pencil(X):
+                return X
+
+            A, v0 = K, project(v0)
+            kwargs = dict(M=M, sigma=sigma, OPinv=LinearOperator(
+                (n, n), matvec=apply_inverse, dtype=float))
         try:
-            _, X = eigsh(K, k, M, sigma=sigma, which="LM", ncv=ncv,
-                         v0=project(np.random.default_rng(7).standard_normal(n)),
-                         tol=max(ARPACK_MARGIN * tol, np.finfo(float).eps),
-                         OPinv=LinearOperator((n, n), matvec=apply_inverse))
+            X = to_pencil(eigsh(A, k, which="LM", ncv=ncv, v0=v0,
+                                tol=max(ARPACK_MARGIN * tol, np.finfo(float).eps),
+                                **kwargs)[1])
         except ArpackNoConvergence as exc:
+            X = to_pencil(exc.eigenvectors)
             raise SolverError(
                 f"eigensolve did not converge after {solves} solves",
-                residuals=_residuals(K, M, exc.eigenvalues, exc.eigenvectors),
+                residuals=_rayleigh_pairs(K, M, X, X.shape[1], weight)[2],
             ) from exc
-    vals, X, res = _rayleigh_pairs(K, M, X, k)
+    vals, X, res = _rayleigh_pairs(K, M, X, k, weight)
     _gate(res, tol)
     return vals, X, res, sigma, solves, lu
 
@@ -358,21 +449,25 @@ def cr_eigs(mesh: TriMesh, k, tol=1e-8):
     of the side opposite vertex i is 1 - 2 phi_i, so the element stiffness
     is 2 g_i . g_j / area2 (_p1_gradients) and the mass, exact by midpoint
     quadrature, is diagonal: area/3 per side.  The constant vector lies in
-    the CR space and K annihilates it.  The pencil is solved like the P1 one
+    the CR space and K annihilates it.  M = D is diagonal, so the pencil is
+    solved as the standard D^-1/2 K D^-1/2 for z = D^1/2 x, with no mass
     (_shift_invert_eigs), on SuperLU factors (_splu_spd): on the edge graph
-    SuperLU's fill stays far below a band's, and each Rayleigh quotient
-    rho is widened by its Krylov-Bogoliubov radius ||K x - rho M x||_{M^-1}
-    / ||x||_M, which some CR eigenvalue lies within.  With h the largest
-    edge, lambda_k >= t / (1 + (CR_CONSTANT h)^2 t) for t = lambda_k^CR
-    (Liu, Appl. Math. Comput. 267, 2015; Carstensen & Gedicke, Math. Comp.
-    83, 2014), and the bound grows with t, so it is applied to rho minus its
-    radius.  Checked numerically rather than proved here: that the
-    constant holds for the Neumann problem with the zero mode counted as
-    lambda_1 (on rectangles and right triangles, the closed forms lie inside
-    every enclosure tried), and that the solver returns the k-th CR
-    eigenvalue and not a higher one.  Raises ValueError unless 0 < tol <
-    inf, SolverError if Lanczos fails, a relative residual ||K x - rho M x||
-    / (rho ||M x||) exceeds tol or a radius reaches down to the zero mode.
+    SuperLU's fill stays far below a band's.  Each Rayleigh quotient rho
+    is widened by its Krylov-Bogoliubov radius ||K x - rho M x||_{M^-1} /
+    ||x||_M = ||D^-1/2 K D^-1/2 z - rho z|| / ||z||, which some CR
+    eigenvalue lies within; the residual gate's ||K x - rho M x|| / (rho
+    ||M x||) is the same residual scaled by D^1/2 entrywise, so no
+    unscaled K is built.  With h the largest edge, lambda_k >= t / (1 +
+    (CR_CONSTANT h)^2 t) for t = lambda_k^CR (Liu, Appl. Math. Comput. 267,
+    2015; Carstensen & Gedicke, Math. Comp. 83, 2014), and the bound grows
+    with t, so it is applied to rho minus its radius.  Checked numerically
+    rather than proved here: that the constant holds for the Neumann
+    problem with the zero mode counted as lambda_1 (on rectangles and right
+    triangles, the closed forms lie inside every enclosure tried), and that
+    the solver returns the k-th CR eigenvalue and not a higher one.  Raises
+    ValueError unless 0 < tol < inf, SolverError if Lanczos fails, a
+    relative residual ||K x - rho M x|| / (rho ||M x||) exceeds tol or a
+    radius reaches down to the zero mode.
     """
     conn = mesh.connectivity
     ne = len(conn.edges)
@@ -382,17 +477,18 @@ def cr_eigs(mesh: TriMesh, k, tol=1e-8):
                          f"mode needs at least {k + 2}")
     area2, g = _p1_gradients(mesh)
     sides = conn.tri_edges[:, (1, 2, 0)]
-    ke = 2.0 * np.einsum("tik,tjk->tij", g, g) / area2[:, None, None]
+    root = np.sqrt(np.bincount(sides.ravel(), np.repeat(area2 / 6.0, 3), ne))
+    # the element stiffness scaled to D^-1/2 K D^-1/2, D = diag(root^2)
+    rs = root[sides]
+    ke = (2.0 * np.einsum("tik,tjk->tij", g, g)
+          / (area2[:, None, None] * rs[:, :, None] * rs[:, None, :]))
     K = sparse.csr_matrix((ke.ravel(), (np.repeat(sides, 3, axis=1).ravel(),
                                         np.tile(sides, 3).ravel())),
                           shape=(ne, ne))
-    m = np.bincount(sides.ravel(), np.repeat(area2 / 6.0, 3), ne)
-    M = sparse.diags(m, format="csr")
-    constant = np.full(ne, 1.0 / np.sqrt(m.sum()))
-    vals, X, res = _shift_invert_eigs(K, M, k, tol, constant, _splu_spd)[:3]
-    R = K @ X - (M @ X) * vals
-    radii = (np.sqrt(np.einsum("ij,ij->j", R, R / m[:, None]))
-             / np.sqrt(np.einsum("ij,ij->j", X, X * m[:, None])))
+    vals, Z, res = _shift_invert_eigs(K, None, k, tol, root / np.linalg.norm(root),
+                                      _splu_spd, weight=root)[:3]
+    # x = D^-1/2 z: ||K x - rho D x||_{D^-1} / ||x||_D = ||K z - rho z|| / ||z||
+    radii = np.linalg.norm(K @ Z - Z * vals, axis=0) / np.linalg.norm(Z, axis=0)
     lower = vals - radii
     if not lower[0] > 0.0:
         raise SolverError(

@@ -389,11 +389,17 @@ class TestShiftInvertSolver:
         with pytest.raises(ValueError, match="tol must be positive"):
             solve(M.gen_rectangle(2, 1, 16, 8), 2, tol=tol)
 
-    def test_no_convergence_raises_solver_error(self, monkeypatch):
+    @pytest.mark.parametrize("band_limit", [F.BAND_LIMIT, 0.0],
+                             ids=["band", "superlu"])
+    def test_no_convergence_raises_solver_error(self, monkeypatch, band_limit):
+        # the partial pairs' residuals are in the documented metric on
+        # either factor: the band's split pencil and SuperLU's generalized
+        # mode
         def stalled(*args, **kwargs):  # only the lowest pair converged
             vals, vecs = eigsh(*args, **kwargs)
             raise ArpackNoConvergence("stalled", vals[:1], vecs[:, :1])
 
+        monkeypatch.setattr(F, "BAND_LIMIT", band_limit)
         monkeypatch.setattr(F, "eigsh", stalled)
         with pytest.raises(SolverError) as info:
             F.neumann_eigs(M.gen_rectangle(2, 1, 16, 8), 2)
@@ -535,6 +541,48 @@ class TestFactorSpd:
         np.linalg.cholesky(B[:minor - 1, :minor - 1])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(B[:minor, :minor])
+
+
+class TestSplitPencil:
+    @settings(max_examples=25, deadline=None)
+    @given(kind=st.sampled_from(["rect", "tri", "bump"]), ell=st.floats(1.0, 8.0),
+           n=st.integers(4, 64), k=st.integers(1, 3))
+    def test_matches_the_generalized_mode(self, kind, ell, n, k):
+        # on the band ARPACK runs on C = L^-1 P M P^T L^-T, on SuperLU's
+        # factors in its generalized mode; BAND_LIMIT sends every pencil to
+        # one side (some bumps lie on SuperLU's)
+        mesh = _small_section(kind, ell, n)
+        assert mesh.num_vertices <= 2000
+        K, Mm = F.assemble(mesh)
+
+        def solve(band_limit):
+            with mock.patch.object(F, "BAND_LIMIT", band_limit):
+                return F.neumann_eigs(mesh, k, matrices=(K, Mm))
+
+        s, ref = solve(math.inf), solve(0.0)
+        assert isinstance(s.factor, F._BandCholesky)
+        assert isinstance(ref.factor, SuperLU)
+        rel = np.abs(s.eigenvalues[1:] - ref.eigenvalues[1:]) / ref.eigenvalues[1:]
+        assert rel.max() <= 1e-12
+        X = s.eigenvectors
+        assert np.abs(X.T @ (Mm @ X) - np.eye(k + 1)).max() <= 1e-12
+        assert s.residuals.max() <= 1e-8
+        again = solve(math.inf)
+        for f in ("eigenvalues", "eigenvectors", "residuals"):
+            assert np.array_equal(getattr(s, f), getattr(again, f))
+        assert (s.shift, s.solves) == (again.shift, again.solves)
+
+    @pytest.mark.parametrize("make, most", [
+        (lambda: M.gen_rectangle(2, 1, 128, 64), 12),
+        (lambda: M.gen_rectangle(1.1, 1, 128, 116), 18),
+    ], ids=["2x1", "1.1x1"])
+    def test_one_pair_takes_a_small_basis(self, make, most):
+        # k = 1 fills 8 Lanczos vectors: lambda2 alone converges in fewer
+        # solves than the 22 of a 20-vector basis, also at lambda3 / lambda2
+        # = 1.21 on the 1.1 x 1 rectangle
+        s = F.neumann_eigs(make(), 1)
+        assert isinstance(s.factor, F._BandCholesky)
+        assert 0 < s.solves <= most and s.residuals.max() <= 1e-8
 
 
 def _warm_mesh(kind, size, shape):
@@ -684,23 +732,46 @@ class TestCrouzeixRaviart:
         assert (lower <= exact).all() and (exact <= upper).all()
 
     def test_pencil_on_the_edges(self):
-        # K annihilates the constant, M is diagonal with area/3 per side, and
-        # each bound is t / (1 + (0.1893 h)^2 t) of a dense CR eigenvalue t,
-        # up to its residual radius
+        # the pencil solved is D^-1/2 K D^-1/2 with no mass, D diagonal with
+        # area/3 per side: it annihilates sqrt(diag D), its dense eigenvalues
+        # are those of (K, D), and each bound is t / (1 + (0.1893 h)^2 t) of
+        # a dense CR eigenvalue t, up to its residual radius
         mesh = M.gen_polygon(M.Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2),
                                         (0, 2)], 0.3))
-        with mock.patch.object(F, "_shift_invert_eigs",
-                               wraps=F._shift_invert_eigs) as solve:
+        calls, solve = [], F._shift_invert_eigs
+
+        def record(*args, **kwargs):
+            calls.append((args, solve(*args, **kwargs)))
+            return calls[-1][1]
+
+        with mock.patch.object(F, "_shift_invert_eigs", record):
             lower = F.cr_eigs(mesh, 3, tol=1e-10)
-        K, Mm = solve.call_args.args[:2]
-        ne = len(mesh.connectivity.edges)
-        assert K.shape == Mm.shape == (ne, ne)
+        Ks, mass, _, _, constant = calls[0][0][:5]
+        conn = mesh.connectivity
+        ne = len(conn.edges)
+        area2, _ = F._p1_gradients(mesh)
+        d = np.bincount(conn.tri_edges.ravel(), np.repeat(area2 / 6.0, 3), ne)
+        assert abs(d.sum() - mesh.total_area()) <= 1e-14
+        root = np.sqrt(d)
+        assert Ks.shape == (ne, ne) and mass is None
+        assert np.abs(constant - root / np.linalg.norm(root)).max() <= 1e-15
+        assert abs(Ks @ root).max() <= 1e-12 * abs(Ks).max() * root.max()
+        K = Ks.multiply(np.outer(root, root)).toarray()
         assert abs(K @ np.ones(ne)).max() <= 1e-12 * abs(K).max()
-        assert Mm.nnz == ne and abs(Mm.sum() - mesh.total_area()) <= 1e-14
-        t = sla.eigh(K.toarray(), Mm.toarray(), eigvals_only=True)[1:4]
+        t = sla.eigh(K, np.diag(d), eigvals_only=True)[1:4]
+        assert np.abs(np.linalg.eigvalsh(Ks.toarray())[1:4] - t).max() <= 1e-12 * t[-1]
         bound = t / (1.0 + (F.CR_CONSTANT * mesh.max_edge()) ** 2 * t)
         assert (np.abs(lower - bound) <= 1e-8 * t).all()
         assert (lower < F.neumann_eigs(mesh, 3).eigenvalues[1:]).all()
+        # at a loose tol the residuals stand far above rounding: the gate's
+        # are those of the unscaled pencil (K, D)
+        with mock.patch.object(F, "_shift_invert_eigs", record):
+            F.cr_eigs(mesh, 3, tol=1e-3)
+        rho, Z, res = calls[-1][1][:3]
+        X = Z / root[:, None]
+        ref = (np.linalg.norm(K @ X - (d[:, None] * X) * rho, axis=0)
+               / (rho * np.linalg.norm(d[:, None] * X, axis=0)))
+        assert res.max() > 1e-10 and np.abs(res - ref).max() <= 1e-6 * ref.max()
 
     def test_too_few_edges_and_bad_tol(self):
         with pytest.raises(ValueError, match="edge count"):
