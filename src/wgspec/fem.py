@@ -32,7 +32,7 @@ from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, cg, eigsh,
                                  splu)
 
 from .errors import NearDegenerateError, SolverError
-from .mesh import TriMesh
+from .mesh import TriMesh, _edge_normals
 
 # the eigensolver shift is -SHIFT_SCALE * tr(K)/tr(M): a fixed multiple of a
 # ratio that scales like an eigenvalue, so the spectrum scales exactly
@@ -55,8 +55,10 @@ DEFLATION_TOL = 1e-6
 # reverse Cuthill-McKee order has kd^2 <= BAND_LIMIT sqrt(n), n the order:
 # the band's work, n kd^2, is then at most BAND_LIMIT times the n^(3/2) of a
 # nested-dissection order (George, SIAM J. Numer. Anal. 10, 1973).  P1
-# eigensolves ran faster on the band up to kd^2 / sqrt(n) = 173 and about
-# as fast or slower from 182 up (CHANGES.md)
+# eigensolves ran faster on the band up to kd^2 / sqrt(n) = 173, and at 182
+# and 187 on 8k-vertex pencils, but 15 % slower at 182 on the 33k-vertex
+# 181^2 square, so the crossover moves with n (CHANGES.md).  Moving the
+# limit would change which factor triangle 128 (at 182) gets
 BAND_LIMIT = 176
 
 
@@ -89,32 +91,20 @@ class Spectrum:
 
 
 def _p1_gradients(mesh: TriMesh):
-    """Twice the triangle areas, shape (nt,), and the perpendiculars of the
-    opposite edges, shape (nt, 3, 2): grad phi_i = g[:, i] / area2 for the
-    barycentric basis functions phi_i, and g[:, i] is p_{i+1} - p_{i+2}
-    turned by -90 degrees, linear in the corners p_i."""
-    v = mesh.vertices
-    t = mesh.triangles
-    p = [v[t[:, i]] for i in range(3)]
-    d1 = p[1] - p[0]
-    d2 = p[2] - p[0]
-    area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    g = np.empty((len(t), 3, 2))
-    for i in range(3):
-        a, b = p[(i + 1) % 3], p[(i + 2) % 3]
-        g[:, i, 0] = a[:, 1] - b[:, 1]
-        g[:, i, 1] = b[:, 0] - a[:, 0]
-    return area2, g
+    """Twice the triangle areas and the side normals g of mesh._edge_normals:
+    grad phi_i = g[:, i] / area2 for the barycentric basis functions phi_i,
+    and g[:, i] is linear in the corners."""
+    return _edge_normals(mesh.vertices, mesh.triangles)
 
 
 def assemble(mesh: TriMesh):
     """P1 stiffness and consistent mass matrices (CSR, symmetric).
 
-    Element integrals are exact: constant gradients for the stiffness,
-    area/12 * (2 on the diagonal, 1 off) for the mass.  The assembled
-    stiffness annihilates the constant vector up to rounding.  Both matrices
-    share the pattern (indptr, indices) of mesh.connectivity, read-only;
-    each is its element matrices summed into that pattern by one
+    Element integrals are exact: constant gradients (mesh._edge_normals)
+    for the stiffness, area/12 * (2 on the diagonal, 1 off) for the mass.
+    The assembled stiffness annihilates the constant vector up to rounding.
+    Both matrices share the pattern (indptr, indices) of mesh.connectivity,
+    read-only; each is its element matrices summed into that pattern by one
     np.bincount over connectivity.scatter, in triangle order, so K and M
     are symmetric bit for bit.
     """
@@ -136,13 +126,6 @@ def assemble(mesh: TriMesh):
                            conn.indices, conn.indptr), shape=(n, n))
         for e in (ke, np.outer(area / 12.0, _MASS))
     )
-
-
-def grad_p1(mesh: TriMesh, u):
-    """Per-triangle constant gradient of a nodal field, shape (nt, 2)."""
-    area2, g = _p1_gradients(mesh)
-    ut = u[mesh.triangles, None]
-    return (ut[:, 0] * g[:, 0] + ut[:, 1] * g[:, 1] + ut[:, 2] * g[:, 2]) / area2[:, None]
 
 
 def _splu_spd(A):
@@ -447,7 +430,7 @@ def cr_eigs(mesh: TriMesh, k, tol=1e-8):
 
     The CR unknowns are the edges of mesh.connectivity; the basis function
     of the side opposite vertex i is 1 - 2 phi_i, so the element stiffness
-    is 2 g_i . g_j / area2 (_p1_gradients) and the mass, exact by midpoint
+    is 2 g_i . g_j / area2 (mesh._edge_normals) and the mass, exact by midpoint
     quadrature, is diagonal: area/3 per side.  The constant vector lies in
     the CR space and K annihilates it.  M = D is diagonal, so the pencil is
     solved as the standard D^-1/2 K D^-1/2 for z = D^1/2 x, with no mass
@@ -511,24 +494,24 @@ class DeflatedSolve:
 def solve_deflated(K, M, lam, rhs, psi, factor):
     """Solve (K - lam*M) x = rhs with x M-orthogonal to the eigenvector psi.
 
-    The rhs is first projected onto the M-orthogonal complement of psi (the
-    removed component psi . rhs is reported), giving b.  K and M come from
-    assemble: symmetric, with K c = 0 for the constant c, M-normalized.  So
-    the component of x along c is -c^T b / lam in closed form, and the rest,
-    y, lies in the M-orthogonal complement of {c, psi}, where K - lam*M is
+    K and M come from assemble: symmetric, with K c = 0 for the constant c,
+    M-normalized.  psi, once past the gate below, takes one M-Gram-Schmidt
+    step against c.  The rhs is projected onto the M-orthogonal complement
+    of psi (the removed component psi . rhs is reported), giving b.  So the
+    component of x along c is -c^T b / lam in closed form, and the rest, y,
+    lies in the M-orthogonal complement of {c, psi}, where K - lam*M is
     positive definite when lam is the simple eigenvalue above the zero mode.
     y comes from scipy's conjugate gradients on that complement, Pi the
     M-orthogonal projection onto it: the operator Pi^T (K - lam*M) Pi with
     the symmetric preconditioner Pi F Pi^T, F the solve with factor, the
     factors of K - sigma M for a sigma < 0 (an object with solve(b), as
-    _factor_spd returns): the Spectrum.factor of
-    the eigensolve that gave psi, so nothing is factorized here.  The
-    preconditioned spectrum lies in [(lam3 - lam)/(lam3 - sigma), 1), and
-    only its few lowest eigenvalues are far from 1, so a small gap costs CG
-    only a few more steps (deflated CG: Saad, Yeung, Erhel & Guyomarc'h,
-    SIAM J. Sci. Comput. 21, 2000).  CG stops at DEFLATED_RTOL of its rhs;
-    residual is ||(K - lam*M) x - b|| / ||b||, and b = 0 gives x = 0,
-    residual 0 and no step.
+    _factor_spd returns): the Spectrum.factor of the eigensolve that gave
+    psi, so nothing is factorized here.  The preconditioned spectrum lies in
+    [(lam3 - lam)/(lam3 - sigma), 1), and only its few lowest eigenvalues
+    are far from 1, so a small gap costs CG only a few more steps (deflated
+    CG: Saad, Yeung, Erhel & Guyomarc'h, SIAM J. Sci. Comput. 21, 2000).
+    CG stops at DEFLATED_RTOL of its rhs; residual is ||(K - lam*M) x - b||
+    / ||b||, and b = 0 gives x = 0, residual 0 and no step.
     NearDegenerateError: psi's relative residual ||K psi - lam M psi|| /
     (lam ||M psi||) or its M-overlap with c exceeds DEFLATION_TOL, because
     psi is not the eigenvector of lam; or CG does not converge in
@@ -536,11 +519,6 @@ def solve_deflated(K, M, lam, rhs, psi, factor):
     """
     rhs = np.asarray(rhs, dtype=float)
     psi = np.asarray(psi, dtype=float)
-    m_psi = M @ psi
-    psi_norm = np.sqrt(psi @ m_psi)
-
-    removed = float(psi @ rhs)
-    rhs_p = rhs - removed * m_psi / psi_norm ** 2
     n = len(psi)
 
     def shifted(x):
@@ -549,18 +527,26 @@ def solve_deflated(K, M, lam, rhs, psi, factor):
         # rectangle at 256 x 32, against 5e-15 for this form
         return K @ x - lam * (M @ x)
 
-    m_ones = M @ np.ones(n)
-    c_norm = np.sqrt(m_ones.sum())
-    # the M-orthonormal c and psi, and their duals M Z
-    Z = np.column_stack([np.full(n, 1.0 / c_norm), psi / psi_norm])
-    MZ = np.column_stack([m_ones / c_norm, m_psi / psi_norm])
-    c = Z[:, 0]
+    ones = np.ones(n)
+    m_ones = M @ ones
+    c_norm = np.sqrt(ones @ m_ones)
+    c = ones / c_norm  # as neumann_eigs makes it
+    m_psi = M @ psi
     psi_residual = np.linalg.norm(shifted(psi)) / (lam * np.linalg.norm(m_psi))
-    overlap = abs(c @ MZ[:, 1])
+    overlap = abs(c @ m_psi) / np.sqrt(psi @ m_psi)
     if not max(psi_residual, overlap) <= DEFLATION_TOL:
         raise NearDegenerateError(
             f"psi has relative residual {psi_residual:.3e} and M-overlap "
             f"{overlap:.3e} with the constants: wrong deflation vector")
+    # the projections break at overlaps far below DEFLATION_TOL
+    psi = psi - (c @ m_psi) * c
+    m_psi = M @ psi
+    psi_norm = np.sqrt(psi @ m_psi)
+    removed = float(psi @ rhs)
+    rhs_p = rhs - removed * m_psi / psi_norm ** 2
+    # the M-orthonormal c and psi, and their duals M Z
+    Z = np.column_stack([c, psi / psi_norm])
+    MZ = np.column_stack([m_ones / c_norm, m_psi / psi_norm])
     if not rhs_p.any():
         return DeflatedSolve(x=np.zeros_like(rhs_p), removed=removed,
                              residual=0.0, iterations=0)

@@ -192,15 +192,31 @@ def _signed_areas(vertices, triangles):
     return 0.5 * ((x[t1] - x0) * (y[t2] - y0) - (y[t1] - y0) * (x[t2] - x0))
 
 
+def _edge_normals(vertices, triangles):
+    """Twice the signed areas, shape (nt,), and the side normals g, shape
+    (nt, 3, 2): g[:, i] = J (p_{i+1} - p_{i+2}), J the turn by -90 degrees,
+    so |g_i| is the length of the side opposite corner i and g_i / area2 =
+    grad phi_i.  Gathered by coordinate, as in _signed_areas; area2 = g_1 x
+    g_2 pairs the same differences, twice _signed_areas bit for bit."""
+    x, y = vertices.T
+    xs, ys = x[triangles.T], y[triangles.T]
+    g = np.empty((len(triangles), 3, 2))
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        g[:, i, 0] = ys[j] - ys[k]
+        g[:, i, 1] = xs[k] - xs[j]
+    return g[:, 1, 0] * g[:, 2, 1] - g[:, 1, 1] * g[:, 2, 0], g
+
+
 def _all_angles(vertices, triangles):
-    """Interior angles, shape (nt, 3), radians."""
-    x, y = vertices.T  # gathered by coordinate, as in _signed_areas
-    ang = np.empty((triangles.shape[0], 3))
+    """Interior angles, shape (nt, 3), radians: at corner k, the cosine is
+    -g_{k+1} . g_{k+2} / (|g_{k+1}| |g_{k+2}|) (_edge_normals)."""
+    gx, gy = _edge_normals(vertices, triangles)[1].T
+    norm = np.sqrt(gx * gx + gy * gy)
+    ang = np.empty((gx.shape[1], 3))
     for k in range(3):
-        t0, t1, t2 = (triangles[:, (k + d) % 3] for d in range(3))
-        ax, ay = x[t1] - x[t0], y[t1] - y[t0]
-        bx, by = x[t2] - x[t0], y[t2] - y[t0]
-        c = (ax * bx + ay * by) / (np.sqrt(ax * ax + ay * ay) * np.sqrt(bx * bx + by * by))
+        i, j = (k + 1) % 3, (k + 2) % 3
+        c = -(gx[i] * gx[j] + gy[i] * gy[j]) / (norm[i] * norm[j])
         ang[:, k] = np.arccos(np.clip(c, -1.0, 1.0))
     return ang
 
@@ -213,12 +229,10 @@ def _freeze(arr):
 
 def _shape_measures(vertices, triangles):
     """Signed areas (as _signed_areas) and longest squared edge of each
-    triangle, from one difference per side."""
-    p0, p1, p2 = (vertices[triangles[:, i]] for i in range(3))
-    d01, d02, d12 = p1 - p0, p2 - p0, p2 - p1
-    emax2 = np.maximum((d01 ** 2).sum(axis=1),
-                       np.maximum((d12 ** 2).sum(axis=1), (d02 ** 2).sum(axis=1)))
-    return 0.5 * _cross2(d01, d02), emax2
+    triangle, from _edge_normals."""
+    area2, g = _edge_normals(vertices, triangles)
+    s0, s1, s2 = g.T[0] ** 2 + g.T[1] ** 2  # |g_i|^2
+    return 0.5 * area2, np.maximum(s0, np.maximum(s1, s2))
 
 
 def _check_shapes(areas, emax2):
@@ -419,6 +433,7 @@ class Polygon:
 
     A last point that repeats the first to within 1e-12 of the loop's
     extent closes the loop and is dropped, at any scale of the coordinates.
+    GeometryError unless the loop is simple, to within that (_check_simple).
     """
 
     loop: np.ndarray
@@ -437,8 +452,7 @@ class Polygon:
             raise ValueError(f"target_h must be positive and finite, got {target_h!r}")
         if _shoelace(loop) < 0:
             loop = loop[::-1].copy()
-        if _self_intersects(loop):
-            raise GeometryError("polygon loop self-intersects")
+        _check_simple(loop)
         object.__setattr__(self, "loop", _freeze(loop))
         object.__setattr__(self, "target_h", float(target_h))
 
@@ -454,33 +468,29 @@ def _shoelace(loop):
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-def _self_intersects(loop):
+def _check_simple(loop):
+    """GeometryError if a vertex lies within 1e-12 of the loop's extent of a
+    segment that does not end at it (a repeated point or any segment that
+    short, a side doubled back, parts that touch) or two segments cross."""
     m = len(loop)
-    a = loop
-    b = np.roll(loop, -1, axis=0)
-    for i in range(m):
-        # skip the segment itself and both neighbours
-        js = np.arange(i + 2, m if i > 0 else m - 1)
-        if js.size == 0:
-            continue
-        if _segments_cross(a[i], b[i], a[js], b[js]).any():
-            return True
-    return False
-
-
-def _segments_cross(p, q, r, s):
-    """Proper intersection test of segment p-q against segments r[i]-s[i]."""
-
-    def orient(a, b, c):
-        return (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) - (
-            b[..., 1] - a[..., 1]
-        ) * (c[..., 0] - a[..., 0])
-
-    d1 = orient(p[None, :], q[None, :], r)
-    d2 = orient(p[None, :], q[None, :], s)
-    d3 = orient(r, s, p[None, :])
-    d4 = orient(r, s, q[None, :])
-    return (d1 * d2 < 0) & (d3 * d4 < 0)
+    a, b = loop, np.roll(loop, -1, axis=0)
+    tol = 1e-12 * np.ptp(loop, axis=0).max()
+    k, rows = np.arange(m), max(1, 2**16 // m)
+    for start in range(0, m, rows):
+        i = np.arange(start, min(start + rows, m))[:, None]
+        # vertex k on a segment i that does not end at it
+        on = ((_segment_distance(loop, a[i], b[i]) <= tol)
+              & (k != i) & (k != (i + 1) % m))
+        if on.any():
+            x, y = loop[np.nonzero(on)[1][0]]
+            raise GeometryError(f"polygon loop touches itself: vertex ({x:g}, "
+                                f"{y:g}) lies on a segment that does not end at it")
+        # segment k after segment i, sharing no end with it, crossing it
+        apart = (k >= i + 2) & ((i > 0) | (k < m - 1))
+        p, q = a[i], b[i]
+        if (apart & (_cross2(q - p, a - p) * _cross2(q - p, b - p) < 0)
+                & (_cross2(b - a, p - a) * _cross2(b - a, q - a) < 0)).any():
+            raise GeometryError("polygon loop self-intersects")
 
 
 def _segment_lengths(loop):
@@ -813,11 +823,12 @@ def _triangulate_region(loop, inner, lattice=None):
             simplices = Delaunay(shown).simplices
         # drop triangles whose centroid falls outside the polygon, and the
         # flat ones qhull can leave between collinear points of its hull
-        p = pts[simplices]
-        u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-        flat = np.abs(_cross2(u, v)) <= 1e-12 * (
-            (u * u).sum(axis=1) + (v * v).sum(axis=1))
-        simplices = simplices[~flat & _point_in_polygon(p.mean(axis=1), loop)]
+        area2, g = _edge_normals(pts, simplices)
+        gx, gy = g.T
+        side2 = gx * gx + gy * gy
+        flat = np.abs(area2) <= 1e-12 * (side2[2] + side2[1])
+        simplices = simplices[~flat & _point_in_polygon(pts[simplices].mean(axis=1),
+                                                         loop)]
 
         # the loop points come first, so segment i is the edge (i, i+1 mod nb)
         i, j = np.arange(nb), (np.arange(nb) + 1) % nb

@@ -13,9 +13,9 @@ import numpy as np
 
 from .crosssec import analyze, x_boundary
 from .errors import TrackingError
-from .fem import (_check_tol, _factor_spd, _p1_gradients, assemble, grad_p1,
-                  neumann_eigs, solve_deflated)
-from .mesh import Polygon, TriMesh, gen_polygon, gen_rectangle
+from .fem import (_check_tol, _factor_spd, _p1_gradients, assemble, neumann_eigs,
+                  solve_deflated)
+from .mesh import Polygon, TriMesh, _edge_normals, gen_polygon, gen_rectangle
 
 # fd_check's least relative gap (lambda3 - lambda2)/lambda2 of a simple
 # lambda2, and bump_rectangle_polygon's fewest points on the half circle
@@ -86,12 +86,14 @@ def boundary_integrand(mesh: TriMesh, lambda2, psi, q, w):
     """Pointwise integrand of the derivative formula at boundary midpoints.
 
     Per boundary edge: grad(psi^2).w - lambda2 q psi + grad(q).grad(psi),
-    with P1 gradients taken from the unique adjacent triangle and nodal
-    fields averaged to the midpoint.  Returns (midpoints, values).
+    with P1 gradients from the unique adjacent triangle (mesh._edge_normals
+    of mesh.boundary_triangles alone) and nodal fields averaged to the
+    midpoint.  Returns (midpoints, values).
     """
     w = np.asarray(w, dtype=float)
-    gpsi = grad_p1(mesh, psi)[mesh.boundary_triangles]
-    gq = grad_p1(mesh, q)[mesh.boundary_triangles]
+    tb = mesh.triangles[mesh.boundary_triangles]
+    area2, g = _edge_normals(mesh.vertices, tb)
+    gpsi, gq = ((u[tb, None] * g).sum(axis=1) / area2[:, None] for u in (psi, q))
     a = mesh.boundary_edges[:, 0]
     b = mesh.boundary_edges[:, 1]
     psi_mid = 0.5 * (psi[a] + psi[b])
@@ -209,7 +211,7 @@ def _x_gradient(mesh: TriMesh, w, lambda2, psi, q):
     and q the adjoint state (load -2 B psi, q M-orthogonal to psi),
     dF = psi^T dB psi + q^T (dK - lambda2 dM) psi - (psi^T dM psi) F, linear
     in V; the gradient is that map transposed.  Per triangle, with J the
-    turn by -90 degrees, g_k = J (p_{k+1} - p_{k+2}) (_p1_gradients), so
+    turn by -90 degrees, g_k = J (p_{k+1} - p_{k+2}) (mesh._edge_normals), so
     dg_k = J (V_{k+1} - V_{k+2}) and d(area2) = sum_k g_k . V_k.  With
     G_u = sum_k u_k g_k, q^T K_e psi = G_q . G_psi / (2 area2), and
     u^T M_e v = area2 m(u, v) / 24 for m(u, v) = sum u sum v + u . v.  On a

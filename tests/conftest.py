@@ -51,12 +51,12 @@ def _assemble_derivative(mesh, V):
     V, t)) for the vertex velocities V, shape (nv, 2), on the same pattern:
     the oracle of shapederiv._x_gradient.
 
-    Per triangle g_i = J (p_{i+1} - p_{i+2}) (fem._p1_gradients), J the turn
-    by -90 degrees, so dg_i = J (V_{i+1} - V_{i+2}) and d(area2) =
-    sum_i g_i . V_i.  With G_ij = g_i . g_j the stiffness element is
-    G / (2 area2), whose derivative is (dG + dG^T) / (2 area2) -
-    G d(area2) / (2 area2^2) for dG_ij = dg_i . g_j; the mass element is
-    proportional to area2.
+    Per triangle g_i = J (p_{i+1} - p_{i+2}) (mesh._edge_normals, through
+    fem._p1_gradients), J the turn by -90 degrees, so dg_i = J (V_{i+1} -
+    V_{i+2}) and d(area2) = sum_i g_i . V_i.  With G_ij = g_i . g_j the
+    stiffness element is G / (2 area2), whose derivative is (dG + dG^T) /
+    (2 area2) - G d(area2) / (2 area2^2) for dG_ij = dg_i . g_j; the mass
+    element is proportional to area2.
     """
     area2, g = fem._p1_gradients(mesh)
     v = np.asarray(V, dtype=float)[mesh.triangles]

@@ -413,7 +413,29 @@ _MALFORMED = [
     (["shapederiv", "--w", 1, 0, "--nx", 32, "--bump-center", 4],
      "--bump-center 4 with --bump-radius 0.5 moves no vertex of the top side, "
      "of length 2"),
+    # degenerate loops, a dict standing for its polygon file: a repeated
+    # point, and a side that doubles back along itself
+    (["section", "--polygon", {"loop": [[0, 0], [1, 0], [1, 0], [1, 1], [0, 1]],
+                               "target_h": 0.1}],
+     "error: polygon loop touches itself: vertex (1, 0) lies on a segment that "
+     "does not end at it\n"),
+    (["section", "--polygon", {"loop": [[0, 0], [2, 0], [1, 0], [1, 1], [0, 1]],
+                               "target_h": 0.1}],
+     "error: polygon loop touches itself: vertex (1, 0) lies on a segment that "
+     "does not end at it\n"),
 ]
+
+
+def _written(argv, tmp_path):
+    """argv with each dict written to a JSON file under tmp_path and
+    replaced by its path."""
+    out = list(argv)
+    for i, a in enumerate(argv):
+        if isinstance(a, dict):
+            out[i] = tmp_path / f"arg{i}.json"
+            out[i].write_text(json.dumps(a))
+    return out
+
 
 _VALID = [
     (["section", "--triangle", 8], 0),
@@ -437,7 +459,7 @@ class TestExitCodes:
                              ids=[_argv_id(argv) for argv, _ in _MALFORMED])
     def test_malformed_input_exit_1(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out"
-        assert run(argv + ["-o", out]) == 1
+        assert run(_written(argv, tmp_path) + ["-o", out]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err

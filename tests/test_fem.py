@@ -200,6 +200,25 @@ class TestSolveDeflated:
         assert abs(sol.x @ (Mm @ psi)) <= 1e-10 * math.sqrt(sol.x @ (Mm @ sol.x))
         assert sol.residual < 1e-8
 
+    @pytest.mark.parametrize("eps", [1e-9, 1e-7])
+    @pytest.mark.parametrize("make", [
+        lambda: M.gen_rectangle(2, 1, 24, 12),
+        lambda: M.gen_right_triangle(40),
+        lambda: M.gen_rectangle(2, 1, 3, 2),  # 12 vertices: the dense path
+    ], ids=["rect 24 x 12", "triangle 40", "rect 3 x 2"])
+    def test_overlap_below_the_gate(self, make, eps):
+        # psi + eps c passes the gate; without its Gram-Schmidt step against
+        # c, CG reported convergence and left residuals of 4.6e-3 to 6.4e-2
+        mesh = make()
+        K, Mm = F.assemble(mesh)
+        s = F.neumann_eigs(mesh, 2, tol=1e-10, matrices=(K, Mm))
+        lam2, (c, psi) = s.eigenvalues[1], s.eigenvectors[:, :2].T
+        rhs = np.random.default_rng(5).standard_normal(mesh.num_vertices)
+        ref = F.solve_deflated(K, Mm, lam2, rhs, psi, s.factor)
+        sol = F.solve_deflated(K, Mm, lam2, rhs, psi + eps * c, s.factor)
+        assert sol.residual <= 1e-12
+        assert np.linalg.norm(sol.x - ref.x) <= 1e-10 * np.linalg.norm(ref.x)
+
     def test_wrong_vector_near_degenerate(self):
         # the constant mode is M-orthogonal to psi, the kernel of
         # K - lambda2 M

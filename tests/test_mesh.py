@@ -13,7 +13,7 @@ from wgspec import mesh as M
 from wgspec.crosssec import x_boundary
 from wgspec.errors import GeometryError, MeshFormatError, StepTooLargeError
 from wgspec.fem import neumann_eigs
-from wgspec.shapederiv import bump_rectangle_polygon
+from wgspec.shapederiv import boundary_integrand, bump_rectangle_polygon
 
 
 def dumbbell_loop(n_circle=256):
@@ -158,6 +158,30 @@ class TestGenPolygon:
     def test_self_intersection(self):
         with pytest.raises(GeometryError):
             M.Polygon([(0, 0), (1, 1), (1, 0), (0, 1)], 0.1)
+
+    @pytest.mark.parametrize("loop", [
+        # a repeated point: a zero-length segment, whose end lies on the
+        # segment before
+        [(0, 0), (1, 0), (1, 0), (1, 1), (0, 1)],
+        # a side that doubles back along itself: no proper crossing, but
+        # (1, 0) lies on the side from (0, 0) to (2, 0)
+        [(0, 0), (2, 0), (1, 0), (1, 1), (0, 1)],
+    ], ids=["repeated point", "doubled back"])
+    def test_degenerate_loop(self, loop):
+        with pytest.raises(GeometryError,
+                           match=r"touches itself: vertex \(1, 0\) lies on a segment"):
+            M.Polygon(loop, 0.1)
+
+    @pytest.mark.parametrize("shape", ["collinear point", "L", "ellipse", "bumps"])
+    def test_touching_loops_are_told_from_valid_ones(self, shape):
+        # the bumps' side pieces are collinear but disjoint
+        loops = {"collinear point": [[(0, 0), (1, 0), (2, 0), (2, 1), (0, 1)]],
+                 "L": [L_SHAPE], "ellipse": [ELLIPSE],
+                 "bumps": [bump_rectangle_polygon(2 * np.pi, np.pi, side, 1.5, r,
+                                                  0.06).loop
+                           for side in ("top", "right") for r in (0.2, 0.6)]}[shape]
+        for loop in loops:
+            assert len(M.Polygon(loop, 0.1).loop) == len(loop)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_loop(self, bad):
@@ -319,20 +343,72 @@ class TestPolygonRigidMotion:
         assert abs(poly.area() - exact) <= 1e-13 * exact
 
 
-def test_coordinate_gathers_match_row_formulas():
-    # _signed_areas and _all_angles gather x and y apart, for speed; their
-    # values are those of the (x, y)-row formulas bit for bit, so meshes
-    # and their quality checks do not move
-    m = M.gen_polygon(bump_rectangle_polygon(2.0, 1.0, "top", 0.9, 0.35, 0.1))
-    p = m.vertices[m.triangles]
+@functools.lru_cache(maxsize=None)
+def _gather_mesh(kind, n):
+    """A rectangle, a right triangle or a bump of the default sweep."""
+    if kind == "rect":
+        return M.gen_rectangle(2.0, 1.0, 2 * n, n)
+    if kind == "triangle":
+        return M.gen_right_triangle(n)
+    return M.gen_polygon(bump_rectangle_polygon(2 * np.pi, np.pi, "top", 1.7,
+                                                0.4, 0.15))
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["rect", "triangle", "bump"]), n=st.integers(1, 12),
+       angle=st.floats(0.0, 2 * np.pi), scale=st.floats(1e-3, 1e3),
+       shift=st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)))
+def test_coordinate_gathers_match_row_formulas(kind, n, angle, scale, shift):
+    # _edge_normals gathers x and y apart, for speed, and the triangle
+    # measures derive from it; their values are those of the (x, y)-row
+    # formulas bit for bit, so meshes, their quality checks and the P1
+    # matrices do not move
+    base = _gather_mesh(kind, n)
+    rot = np.array([[math.cos(angle), -math.sin(angle)],
+                    [math.sin(angle), math.cos(angle)]])
+    m = replace(base, vertices=scale * base.vertices @ rot.T + shift)
+    v, t = m.vertices, m.triangles
+    p = v[t]
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    g = np.empty((len(t), 3, 2))
+    for i in range(3):
+        a, b = p[:, (i + 1) % 3], p[:, (i + 2) % 3]
+        g[:, i, 0] = a[:, 1] - b[:, 1]
+        g[:, i, 1] = b[:, 0] - a[:, 0]
+    got_area2, got_g = M._edge_normals(v, t)
+    assert np.array_equal(got_area2, area2) and np.array_equal(got_g, g)
+    assert np.array_equal(M._signed_areas(v, t), 0.5 * M._cross2(d1, d2))
+
+    d12 = p[:, 2] - p[:, 1]
+    emax2 = np.maximum((d1 ** 2).sum(axis=1),
+                       np.maximum((d12 ** 2).sum(axis=1), (d2 ** 2).sum(axis=1)))
+    got_area, got_emax2 = M._shape_measures(v, t)
+    assert np.array_equal(got_area, 0.5 * area2) and np.array_equal(got_emax2, emax2)
+
     ref = np.empty((m.num_triangles, 3))
     for k in range(3):
         a, b = p[:, (k + 1) % 3] - p[:, k], p[:, (k + 2) % 3] - p[:, k]
         c = (a * b).sum(axis=1) / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
         ref[:, k] = np.arccos(np.clip(c, -1.0, 1.0))
-    assert np.array_equal(M._all_angles(m.vertices, m.triangles), ref)
-    area = 0.5 * M._cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    assert np.array_equal(M._signed_areas(m.vertices, m.triangles), area)
+    assert np.array_equal(M._all_angles(v, t), ref)
+
+    # boundary_integrand takes its gradients on the boundary triangles
+    # alone: they are rows of the full-mesh gradient
+    rng = np.random.default_rng(n)
+    psi, q = rng.standard_normal((2, m.num_vertices))
+    lam, w = 2.5, np.array([0.6, 0.8])
+
+    def full_gradient(u):
+        ut = u[t, None]
+        return ((ut[:, 0] * g[:, 0] + ut[:, 1] * g[:, 1] + ut[:, 2] * g[:, 2])
+                / area2[:, None])
+
+    gpsi, gq = (full_gradient(u)[m.boundary_triangles] for u in (psi, q))
+    a, b = m.boundary_edges.T
+    psi_mid, q_mid = 0.5 * (psi[a] + psi[b]), 0.5 * (q[a] + q[b])
+    vals = 2.0 * psi_mid * (gpsi @ w) - lam * q_mid * psi_mid + (gq * gpsi).sum(axis=1)
+    assert np.array_equal(boundary_integrand(m, lam, psi, q, w)[1], vals)
 
 
 class TestPolygonScale:
