@@ -6,7 +6,12 @@ and closed-form reference sections.
 The two eigensolves of analyze share only the read-only mesh, so the
 Crouzeix-Raviart solve runs on one worker thread while the calling thread
 makes the P1 solve and everything computed from it.  The report is the same
-bit for bit as when the two run one after the other.
+bit for bit as when the two run one after the other.  Little of the two
+solves runs at once: on a 2-CPU host, two threads took as long as one after
+the other (0.77 to 1.22 times the speed) for LAPACK's banded Cholesky and
+band solves, SuperLU's factorization and solves, and a whole band-factored
+eigensolve; only the sparse matrix-vector products overlapped (1.16 to 1.41
+times).
 """
 
 from __future__ import annotations
@@ -116,9 +121,10 @@ def analyze(mesh: TriMesh, origin=(0.0, 0.0), tol=1e-8, estimate_error=True):
     on the calling thread, where perfbench's span recorder, which keeps one
     stack per process, times neumann_eigs and assemble.  The CR eigensolve,
     which shares only the immutable mesh with them, starts before them on
-    one worker thread and is collected last.
-    A SciPy release whose Lanczos loops serialise on a lock would leave the
-    results the same and shrink only the overlap.  Errors come in the
+    one worker thread and is collected last.  Of the two solves, only the
+    sparse matrix-vector products overlap; the factorizations and the
+    triangular solves that dominate both ran no faster on two threads than
+    one after the other (the module docstring).  Errors come in the
     sequential order: a P1 failure is raised even when the CR solve fails
     too, a CR SolverError or ValueError is raised as it is, and the worker
     is joined before analyze returns or raises.

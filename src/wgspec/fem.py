@@ -10,12 +10,15 @@ conjugate gradients preconditioned with the eigensolve's own factors.
 A positive definite P1 matrix whose reverse Cuthill-McKee band is narrow
 is factorized by LAPACK's banded Cholesky, any other by one SuperLU call
 that finds its own fill-reducing order (_factor_spd); the
-Crouzeix-Raviart pencil always by SuperLU.  Where a pencil splits
-cheaply, ARPACK runs on a symmetric standard operator and takes no
-product with the mass: the banded Cholesky factor L L^T of K - sigma M
-gives C = L^-1 M L^-T, and the Crouzeix-Raviart mass D is diagonal, so
-that pencil is solved as D^-1/2 K D^-1/2.  A P1 pencil on SuperLU's
-factors keeps ARPACK's generalized shift-invert mode.
+Crouzeix-Raviart pencil always by SuperLU.  SuperLU factors in panels of
+SUPERLU_PANEL columns, sized for the narrow supernodes of 2-D meshes.  Each
+shifted pencil K - sigma M is formed on the pattern its matrices share, and
+its bit-symmetric CSR arrays go to the factorization as CSC arrays.  Where
+a pencil splits cheaply, ARPACK runs on a symmetric standard operator and
+takes no product with the mass: the banded Cholesky factor L L^T of K -
+sigma M gives C = L^-1 M L^-T, and the Crouzeix-Raviart mass D is
+diagonal, so that pencil is solved as D^-1/2 K D^-1/2.  A P1 pencil on
+SuperLU's factors keeps ARPACK's generalized shift-invert mode.
 """
 
 from __future__ import annotations
@@ -54,12 +57,21 @@ DEFLATION_TOL = 1e-6
 # _factor_spd takes the banded Cholesky factor when the half-bandwidth kd in
 # reverse Cuthill-McKee order has kd^2 <= BAND_LIMIT sqrt(n), n the order:
 # the band's work, n kd^2, is then at most BAND_LIMIT times the n^(3/2) of a
-# nested-dissection order (George, SIAM J. Numer. Anal. 10, 1973).  P1
-# eigensolves ran faster on the band up to kd^2 / sqrt(n) = 173, and at 182
-# and 187 on 8k-vertex pencils, but 15 % slower at 182 on the 33k-vertex
-# 181^2 square, so the crossover moves with n (CHANGES.md).  Moving the
-# limit would change which factor triangle 128 (at 182) gets
+# nested-dissection order (George, SIAM J. Numer. Anal. 10, 1973).  Against
+# SuperLU in panels of SUPERLU_PANEL columns, P1 eigensolves ran 19 % faster
+# on the band at kd^2 / sqrt(n) = 173 and 187 (bumps of 8.6k vertices), but
+# 3 % slower at 182 on triangle 128 and 11 % slower at 182 on the 33k-vertex
+# 181^2 square (CHANGES.md): no limit sends all four to their faster factor,
+# and this one sends three
 BAND_LIMIT = 176
+# SuperLU's panel: the number of adjacent columns it updates as one block
+# (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM J. Matrix Anal. Appl. 20,
+# 1999).  The default, 20, suits wide supernodes; the narrow ones of 2-D
+# meshes factor fastest in much smaller panels, with the same fill (the
+# sweep in CHANGES.md).  scipy's splu is memory-safe only up to its default
+# panel, 20: panel 32 crashed the process, so the value stays in 1..20 and
+# splu's relax is left at its default
+SUPERLU_PANEL = 3
 
 
 @dataclass(frozen=True)
@@ -97,6 +109,19 @@ def _p1_gradients(mesh: TriMesh):
     return _edge_normals(mesh.vertices, mesh.triangles)
 
 
+def _gram(g):
+    """The products g_i . g_j of the side normals g, one row per triangle,
+    entry (i, j) at 3 i + j, each computed once for i <= j, so every
+    element matrix is symmetric bit for bit."""
+    gx, gy = g[:, :, 0], g[:, :, 1]
+    G = np.empty((len(g), 9))
+    for i in range(3):
+        for j in range(i, 3):
+            G[:, 3 * i + j] = G[:, 3 * j + i] = (gx[:, i] * gx[:, j]
+                                                 + gy[:, i] * gy[:, j])
+    return G
+
+
 def assemble(mesh: TriMesh):
     """P1 stiffness and consistent mass matrices (CSR, symmetric).
 
@@ -111,13 +136,9 @@ def assemble(mesh: TriMesh):
     area2, g = _p1_gradients(mesh)
     area = 0.5 * area2
     g /= area2[:, None, None]
-    gx, gy = g[:, :, 0], g[:, :, 1]
     # element matrices, one row per triangle, entry (i, j) at 3 i + j
-    ke = np.empty((len(area), 9))
-    for i in range(3):
-        for j in range(i, 3):
-            ke[:, 3 * i + j] = ke[:, 3 * j + i] = (
-                gx[:, i] * gx[:, j] + gy[:, i] * gy[:, j]) * area
+    ke = _gram(g)
+    ke *= area[:, None]
     conn = mesh.connectivity
     n = mesh.num_vertices
     slots = conn.scatter.ravel()
@@ -130,9 +151,10 @@ def assemble(mesh: TriMesh):
 
 def _splu_spd(A):
     """SuperLU factors of the positive definite CSC matrix A in the MMD
-    order of A + A^T; diagonal pivots keep that symmetric order."""
+    order of A + A^T, in panels of SUPERLU_PANEL columns; diagonal pivots
+    keep that symmetric order."""
     return splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True})
+                panel_size=SUPERLU_PANEL, options={"SymmetricMode": True})
 
 
 @dataclass(frozen=True)
@@ -267,7 +289,12 @@ def _shift_invert_eigs(K, M, k, tol, constant, factorize, weight=None):
     (_factor_spd or _splu_spd), which returns an object with solve(b) and
     nnz.  M None is the identity: a standard pencil, as cr_eigs makes its
     own.  ``constant`` is a null vector of K, M-normalized; it is deflated
-    from the seeded start vector and from every step.
+    from the seeded start vector and from every step.  K and M are
+    canonical CSR and symmetric bit for bit, and M is on K's pattern (as
+    assemble makes them) or None with K's whole diagonal stored (as in
+    _cr_pencil), so K - sigma M is formed on K's pattern: its data is K.data
+    - sigma M.data, or K's with -sigma added on the diagonal.  Its CSR arrays
+    are then also its CSC arrays, and factorize gets them as a CSC matrix.
 
     ARPACK's operator follows the factor.  On a _BandCholesky, K - sigma M
     = P^T L L^T P, ARPACK runs in standard mode on the symmetric C = L^-1 P
@@ -310,11 +337,16 @@ def _shift_invert_eigs(K, M, k, tol, constant, factorize, weight=None):
     """
     _check_tol(tol)
     n = K.shape[0]
-    mass = sparse.identity(n) if M is None else M
-    sigma = -SHIFT_SCALE * K.diagonal().sum() / mass.diagonal().sum()
+    sigma = -SHIFT_SCALE * K.diagonal().sum() / (n if M is None else M.diagonal().sum())
+    if M is None:
+        shifted = K.copy()
+        shifted.setdiag(K.diagonal() - sigma)
+        data = shifted.data
+    else:
+        data = K.data - sigma * M.data
     ncv = max(2 * k + 1, 20) if k > 1 else 8
     solves = 0
-    lu = factorize((K - sigma * mass).tocsc())
+    lu = factorize(sparse.csc_matrix((data, K.indices, K.indptr), shape=K.shape))
     if n - 1 <= ncv:
         X = _dense_eigs(K, M, k)
     else:
@@ -423,6 +455,37 @@ def neumann_eigs(mesh: TriMesh, k, tol=1e-8, matrices=None):
     )
 
 
+def _cr_pencil(mesh: TriMesh):
+    """The Crouzeix-Raviart stiffness scaled by its diagonal mass D, D^-1/2
+    K D^-1/2 (CSR, on the edges of mesh.connectivity), root, the diagonal
+    of D^1/2, and the largest edge, from the same side normals: as
+    mesh.max_edge() bit for bit.  Two distinct edges share at most one
+    triangle, so each off-diagonal entry is one element entry, and the
+    element matrices are symmetric bit for bit (_gram, and r_i r_j formed
+    before it scales area2), so the matrix is too."""
+    conn = mesh.connectivity
+    ne = len(conn.edges)
+    area2, g = _p1_gradients(mesh)
+    sides = conn.tri_edges[:, (1, 2, 0)]
+    root = np.sqrt(np.bincount(sides.ravel(), np.repeat(area2 / 6.0, 3), ne))
+    rs = root[sides]
+    ke = _gram(g)
+    # entries (i, i) are the squared side lengths
+    h = math.sqrt(ke[:, ::4].max())
+    # 2 g_i . g_j / (area2 r_i r_j), in place
+    scale = (rs[:, :, None] * rs[:, None, :]).reshape(-1, 9)
+    scale *= area2[:, None]
+    ke *= 2.0
+    ke /= scale
+    K = sparse.csr_matrix((ke.ravel(), (np.repeat(sides, 3, axis=1).ravel(),
+                                        np.tile(sides, 3).ravel())),
+                          shape=(ne, ne))
+    # the sides of a right angle couple by exactly 0: on triangle 128 those
+    # entries, kept, tripled SuperLU's fill
+    K.eliminate_zeros()
+    return K, root, h
+
+
 def cr_eigs(mesh: TriMesh, k, tol=1e-8):
     """Guaranteed lower bounds of the Neumann eigenvalues lambda_2, ...,
     lambda_{k+1} of the meshed polygon, ascending, from the Crouzeix-Raviart
@@ -452,22 +515,12 @@ def cr_eigs(mesh: TriMesh, k, tol=1e-8):
     relative residual ||K x - rho M x|| / (rho ||M x||) exceeds tol or a
     radius reaches down to the zero mode.
     """
-    conn = mesh.connectivity
-    ne = len(conn.edges)
+    ne = len(mesh.connectivity.edges)
     if k + 2 > ne:
         raise ValueError(f"the mesh's edge count is {ne}, and a Crouzeix-Raviart "
                          f"eigensolve of {k} eigenpairs above the constant "
                          f"mode needs at least {k + 2}")
-    area2, g = _p1_gradients(mesh)
-    sides = conn.tri_edges[:, (1, 2, 0)]
-    root = np.sqrt(np.bincount(sides.ravel(), np.repeat(area2 / 6.0, 3), ne))
-    # the element stiffness scaled to D^-1/2 K D^-1/2, D = diag(root^2)
-    rs = root[sides]
-    ke = (2.0 * np.einsum("tik,tjk->tij", g, g)
-          / (area2[:, None, None] * rs[:, :, None] * rs[:, None, :]))
-    K = sparse.csr_matrix((ke.ravel(), (np.repeat(sides, 3, axis=1).ravel(),
-                                        np.tile(sides, 3).ravel())),
-                          shape=(ne, ne))
+    K, root, h = _cr_pencil(mesh)
     vals, Z, res = _shift_invert_eigs(K, None, k, tol, root / np.linalg.norm(root),
                                       _splu_spd, weight=root)[:3]
     # x = D^-1/2 z: ||K x - rho D x||_{D^-1} / ||x||_D = ||K z - rho z|| / ||z||
@@ -477,7 +530,7 @@ def cr_eigs(mesh: TriMesh, k, tol=1e-8):
         raise SolverError(
             f"CR eigenvalue {vals[0]:.3e} is within its residual radius "
             f"{radii[0]:.3e} of zero", residuals=res)
-    return lower / (1.0 + (CR_CONSTANT * mesh.max_edge()) ** 2 * lower)
+    return lower / (1.0 + (CR_CONSTANT * h) ** 2 * lower)
 
 
 @dataclass(frozen=True)

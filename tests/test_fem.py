@@ -562,6 +562,54 @@ class TestFactorSpd:
             np.linalg.cholesky(B[:minor, :minor])
 
 
+def _cr_shifted(mesh):
+    """D^-1/2 K D^-1/2 - sigma I of mesh's Crouzeix-Raviart pencil at the
+    eigensolver's shift, CSC."""
+    K = F._cr_pencil(mesh)[0]
+    n = K.shape[0]
+    sigma = -F.SHIFT_SCALE * K.diagonal().sum() / n
+    return (K - sigma * sparse.identity(n)).tocsc()
+
+
+class TestSuperLUPanel:
+    def test_panel_is_within_the_memory_safe_range(self):
+        # scipy's splu crashed the process at panel 32; up to its default
+        # panel, 20, it is memory-safe
+        assert isinstance(F.SUPERLU_PANEL, int) and 1 <= F.SUPERLU_PANEL <= 20
+
+    @pytest.mark.parametrize("make", [
+        lambda: _cr_shifted(M.gen_rectangle(2.1, 1, 64, 32)),
+        lambda: _shifted(M.gen_right_triangle(64)),
+    ], ids=["cr", "p1"])
+    def test_factors_match_the_default_panel(self, monkeypatch, make):
+        # the panel changes only how SuperLU blocks its updates: the same
+        # fill, and solves that agree to rounding
+        A = make()
+        lu = F._splu_spd(A)
+        monkeypatch.setattr(F, "SUPERLU_PANEL", 20)
+        ref = F._splu_spd(A)
+        assert lu.nnz == ref.nnz
+        b = np.random.default_rng(5).standard_normal(A.shape[0])
+        x, x_ref = lu.solve(b), ref.solve(b)
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+    @pytest.mark.parametrize("mesh", [M.gen_rectangle(2.1, 1, 64, 32),
+                                      M.gen_right_triangle(64)],
+                             ids=["rect", "tri"])
+    def test_eigensolves_match_the_default_panel(self, monkeypatch, mesh):
+        # BAND_LIMIT 0 puts the P1 pencil on SuperLU as well
+        monkeypatch.setattr(F, "BAND_LIMIT", 0.0)
+
+        def solve():
+            return (F.cr_eigs(mesh, 2),
+                    F.neumann_eigs(mesh, 2).eigenvalues[1:])
+
+        got = solve()
+        monkeypatch.setattr(F, "SUPERLU_PANEL", 20)
+        for vals, ref in zip(got, solve()):
+            assert (np.abs(vals - ref) <= 1e-12 * ref).all()
+
+
 class TestSplitPencil:
     @settings(max_examples=25, deadline=None)
     @given(kind=st.sampled_from(["rect", "tri", "bump"]), ell=st.floats(1.0, 8.0),
@@ -791,6 +839,19 @@ class TestCrouzeixRaviart:
         ref = (np.linalg.norm(K @ X - (d[:, None] * X) * rho, axis=0)
                / (rho * np.linalg.norm(d[:, None] * X, axis=0)))
         assert res.max() > 1e-10 and np.abs(res - ref).max() <= 1e-6 * ref.max()
+
+    @settings(max_examples=25, deadline=None)
+    @given(kind=st.sampled_from(["rect", "tri", "bump"]), ell=st.floats(1.0, 8.0),
+           n=st.integers(4, 64))
+    def test_pencil_is_symmetric_bit_for_bit(self, kind, ell, n):
+        # SuperLU's SymmetricMode, ARPACK and the CSR arrays passed as CSC
+        # all take the scaled pencil to be symmetric; it stores no exact
+        # zero, which only adds fill
+        mesh = _small_section(kind, ell, n)
+        K, root, h = F._cr_pencil(mesh)
+        assert (K != K.T).nnz == 0
+        assert K.has_canonical_format and (K.data != 0.0).all()
+        assert (root > 0.0).all() and h == mesh.max_edge()
 
     def test_too_few_edges_and_bad_tol(self):
         with pytest.raises(ValueError, match="edge count"):
