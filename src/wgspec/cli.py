@@ -3,9 +3,11 @@
 Exit codes: 0 success, 1 error, 2 success with warnings (e.g. a degenerate
 second eigenvalue).  An error, malformed input included, prints one
 ``error: `` line to stderr.  The one exception is a usage error that
-argparse catches (an unknown flag, a missing or non-numeric value): argparse
-prints the usage and exits with its own code 2.  Every JSON artifact echoes
-the invocation arguments and a timestamp for reproducibility.
+argparse catches (an unknown flag, a missing or non-numeric value, or two
+inputs where the command takes one: two mesh sources for ``section``, a
+named curve and ``--samples`` for ``curve``): argparse prints the usage and
+exits with its own code 2.  Every JSON artifact echoes the invocation
+arguments and a timestamp for reproducibility.
 """
 
 from __future__ import annotations
@@ -280,11 +282,13 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("section", help="analyze a cross-section mesh")
-    s.add_argument("--rect", nargs=4, type=float, metavar=("ELL", "L", "NX", "NY"))
-    s.add_argument("--triangle", type=int, metavar="N")
-    s.add_argument("--polygon", metavar="FILE.json")
-    s.add_argument("--gmsh", metavar="FILE.msh")
-    s.add_argument("--mesh-json", metavar="FILE.json")
+    source = s.add_mutually_exclusive_group()
+    source.add_argument("--rect", nargs=4, type=float,
+                        metavar=("ELL", "L", "NX", "NY"))
+    source.add_argument("--triangle", type=int, metavar="N")
+    source.add_argument("--polygon", metavar="FILE.json")
+    source.add_argument("--gmsh", metavar="FILE.msh")
+    source.add_argument("--mesh-json", metavar="FILE.json")
     s.add_argument("--origin", nargs=2, type=float, default=[0.0, 0.0])
     s.add_argument("--tol", type=float, default=1e-8, help=_TOL_HELP)
     s.add_argument("--fast", action="store_true",
@@ -299,7 +303,7 @@ def build_parser():
     for name in _CURVES:
         kind.add_argument(f"--{name}", dest="kind", action="store_const",
                           const=name)
-    c.add_argument("--samples", metavar="FILE.csv")
+    kind.add_argument("--samples", metavar="FILE.csv")
     c.add_argument("--radius", type=float, default=1.0)
     c.add_argument("--pitch", type=float, default=0.5)
     c.add_argument("--scale", type=float, default=1.0)

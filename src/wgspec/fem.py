@@ -18,7 +18,9 @@ a pencil splits cheaply, ARPACK runs on a symmetric standard operator and
 takes no product with the mass: the banded Cholesky factor L L^T of K -
 sigma M gives C = L^-1 M L^-T, and the Crouzeix-Raviart mass D is
 diagonal, so that pencil is solved as D^-1/2 K D^-1/2.  A P1 pencil on
-SuperLU's factors keeps ARPACK's generalized shift-invert mode.
+SuperLU's factors keeps ARPACK's generalized shift-invert mode.  Each
+eigensolve's Rayleigh quotients, gated residuals and Crouzeix-Raviart radii
+come from one product of K and one of M with its eigenvectors.
 """
 
 from __future__ import annotations
@@ -85,12 +87,12 @@ class Spectrum:
     shift is the shift sigma of the factorized K - sigma M that was solved
     with, solves the number of vectors solved with it (0 where the pencil
     was solved densely; on the band one solve is two half solves, with L
-    and with L^T, and one product with M), fill the entries its factors
-    store (their nnz: the band's (kd + 1) n, or SuperLU's nonzeros of L and
-    U) and factor those factors (_factor_spd's: an object with solve(b)
-    and nnz), kept so that solve_deflated can precondition with them.  Each
-    eigenvalue is the Rayleigh quotient of its eigenvector, so by min-max
-    it bounds the Neumann eigenvalue of the same index from above.
+    and with L^T, and one product with M) and factor its factors
+    (_factor_spd's: an object with solve(b) and nnz, the entries they
+    store: the band's (kd + 1) n, or SuperLU's nonzeros of L and U), kept
+    so that solve_deflated can precondition with them.  Each eigenvalue is
+    the Rayleigh quotient of its eigenvector, so by min-max it bounds the
+    Neumann eigenvalue of the same index from above.
     """
 
     eigenvalues: np.ndarray
@@ -98,15 +100,7 @@ class Spectrum:
     residuals: np.ndarray
     shift: float
     solves: int
-    fill: int
     factor: object = field(repr=False, compare=False)
-
-
-def _p1_gradients(mesh: TriMesh):
-    """Twice the triangle areas and the side normals g of mesh._edge_normals:
-    grad phi_i = g[:, i] / area2 for the barycentric basis functions phi_i,
-    and g[:, i] is linear in the corners."""
-    return _edge_normals(mesh.vertices, mesh.triangles)
 
 
 def _gram(g):
@@ -133,7 +127,7 @@ def assemble(mesh: TriMesh):
     np.bincount over connectivity.scatter, in triangle order, so K and M
     are symmetric bit for bit.
     """
-    area2, g = _p1_gradients(mesh)
+    area2, g = _edge_normals(mesh.vertices, mesh.triangles)
     area = 0.5 * area2
     g /= area2[:, None, None]
     # element matrices, one row per triangle, entry (i, j) at 3 i + j
@@ -230,25 +224,6 @@ def _factor_spd(A):
     return _BandCholesky(band, order)
 
 
-def _mass(M, X):
-    """M X, or X where M is None: the mass of a standard pencil."""
-    return X if M is None else M @ X
-
-
-def _residuals(K, M, vals, X, weight=None):
-    """The relative residual ||K x - lambda M x|| / (lambda ||M x||) of each
-    pair (lambda, x): dimensionless, so one tol holds in every length unit.
-    With weight, both vectors are first multiplied by it entrywise.
-    SolverError unless every lambda > 0."""
-    if not (vals > 0.0).all():
-        raise SolverError(f"eigenvalue {vals.min():.3e} is not positive")
-    MX = _mass(M, X)
-    R = K @ X - MX * vals
-    if weight is not None:
-        R, MX = R * weight[:, None], MX * weight[:, None]
-    return np.linalg.norm(R, axis=0) / (vals * np.linalg.norm(MX, axis=0))
-
-
 def _check_tol(tol):
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -263,23 +238,29 @@ def _dense_eigs(K, M, m):
                 subset_by_index=(1, m))[1]
 
 
-def _rayleigh_pairs(K, M, X, k, weight=None):
+def _rayleigh_pairs(K, M, X, weight=None):
     """The Rayleigh quotients of the columns of X, ascending, X in their
-    order, and the residuals of the first k (_residuals, with weight).
+    order, the relative residual ||K x - lambda M x|| / (lambda ||M x||) of
+    each pair (lambda, x) and the residual block R = K X - M X diag(lambda),
+    from one product of each matrix with X (M None is the identity).  The
+    relative residuals are dimensionless, so one tol holds in every length
+    unit; with weight, both vectors are first multiplied by it entrywise.
     Rayleigh quotients are accurate to the squared residual, unlike Ritz
-    values from a shift."""
-    vals = np.einsum("ij,ij->j", X, K @ X) / np.einsum("ij,ij->j", X, _mass(M, X))
+    values from a shift.  SolverError unless every lambda > 0."""
+    KX = K @ X
+    MX = X if M is None else M @ X
+    vals = np.einsum("ij,ij->j", X, KX) / np.einsum("ij,ij->j", X, MX)
     order = np.argsort(vals)
     vals, X = vals[order], X[:, order]
-    return vals, X, _residuals(K, M, vals[:k], X[:, :k], weight)
-
-
-def _gate(res, tol):
-    if res.max() > tol:
-        raise SolverError(
-            f"eigensolve residual {res.max():.3e} exceeds tol {tol:.3e}",
-            residuals=res,
-        )
+    if not (vals > 0.0).all():
+        raise SolverError(f"eigenvalue {vals.min():.3e} is not positive")
+    # take keeps the products' C layout, in which the column norms below
+    # sum their entries; X[:, order] is F-ordered
+    MX = X if M is None else MX.take(order, axis=1)
+    R = KX.take(order, axis=1) - MX * vals
+    w = 1.0 if weight is None else weight[:, None]
+    res = np.linalg.norm(R * w, axis=0) / (vals * np.linalg.norm(MX * w, axis=0))
+    return vals, X, res, R
 
 
 def _shift_invert_eigs(K, M, k, tol, constant, factorize, weight=None):
@@ -296,18 +277,20 @@ def _shift_invert_eigs(K, M, k, tol, constant, factorize, weight=None):
     - sigma M.data, or K's with -sigma added on the diagonal.  Its CSR arrays
     are then also its CSC arrays, and factorize gets them as a CSC matrix.
 
-    ARPACK's operator follows the factor.  On a _BandCholesky, K - sigma M
-    = P^T L L^T P, ARPACK runs in standard mode on the symmetric C = L^-1 P
-    M P^T L^-T, whose eigenpairs are theta = 1 / (lambda - sigma) and y =
-    L^T P x.  A step is two half solves and one product with M, applied in
-    M's own order to vectors scattered and gathered by P.  The constant's
+    ARPACK's operator follows the factor.  On a _BandCholesky (a P1 pencil,
+    M given), K - sigma M = P^T L L^T P, and ARPACK runs in standard mode
+    on the symmetric C = L^-1 P M P^T L^-T, whose eigenpairs are theta = 1
+    / (lambda - sigma) and y = L^T P x.  A step is two half solves and one
+    product with M, applied in M's own order to vectors scattered and
+    gathered by P.  The constant's
     image L^T P c = L^-1 P (K - sigma M) c is deflated by one Euclidean
     projection per step, and the start vector takes one step of C first,
     as ARPACK's generalized mode takes one of its operator.  The vectors x
     = P^T L^-T y are then M-projected off c and M-normalized.  SuperLU's L
     is reachable only through whole solves, so on its factors ARPACK runs
     in shift-invert mode on OP = (K - sigma M)^-1 M, generalized where M is
-    given, and every solve is projected M-orthogonally off c.
+    given, and every solve y is projected M-orthogonally off c as y - c
+    (M c)^T y, with M c formed once: no product with M per step.
 
     ARPACK accepts a Ritz pair once its Ritz estimate, ||C y - theta y|| or
     ||OP x - theta x||_M, is at most its tol times theta.  With lambda =
@@ -318,8 +301,8 @@ def _shift_invert_eigs(K, M, k, tol, constant, factorize, weight=None):
     or by lambda_j - sigma, so the relative residual exceeds ARPACK's tol
     by up to sqrt(lambda_j / lambda) or lambda_j / lambda.  To hold the gate
     on the relative residual ||K x - lambda M x|| / (lambda ||M x||) <= tol
-    (_residuals, with weight), ARPACK is asked for ARPACK_MARGIN * tol, not
-    below machine precision.
+    (_rayleigh_pairs, with weight), ARPACK is asked for ARPACK_MARGIN * tol,
+    not below machine precision.
     The Lanczos basis has ncv = max(2k + 1, 20) vectors for k >= 2, where
     lambda_3's gap to lambda_4 is often narrow: at 8 to 12 vectors the 2 pi
     x pi rectangle took 32 to 36 solves, against 22 at 20.  For k = 1 it
@@ -332,8 +315,8 @@ def _shift_invert_eigs(K, M, k, tol, constant, factorize, weight=None):
     Lanczos basis in (n - 1 <= ncv) are solved densely, with no solve; K -
     sigma M is factorized all the same, for solve_deflated.  SolverError if
     Lanczos stops short, with the residuals of the pairs it converged.
-    Returns (values, vectors, residuals, sigma, solves, lu), lu the factors
-    of K - sigma M.
+    Returns (values, vectors, residuals, R, sigma, solves, lu): the first
+    four from _rayleigh_pairs, and lu the factors of K - sigma M.
     """
     _check_tol(tol)
     n = K.shape[0]
@@ -351,11 +334,11 @@ def _shift_invert_eigs(K, M, k, tol, constant, factorize, weight=None):
         X = _dense_eigs(K, M, k)
     else:
         v0 = np.random.default_rng(7).standard_normal(n)
+        m_constant = constant if M is None else M @ constant
         if isinstance(lu, _BandCholesky):
             order = lu.order
             # the constant's image L^T P c = L^-1 P (K - sigma M) c
-            yc = lu.half_solve((K @ constant - sigma * _mass(M, constant))[order],
-                               "N")
+            yc = lu.half_solve((K @ constant - sigma * m_constant)[order], "N")
             yc /= np.linalg.norm(yc)
 
             def deflate(y):
@@ -371,13 +354,13 @@ def _shift_invert_eigs(K, M, k, tol, constant, factorize, weight=None):
                 # eigenvector of C to about 1e-10 only, and solve_deflated
                 # needs X M-orthogonal to c to rounding
                 X = back(Y)
-                X -= constant[:, None] * (constant @ _mass(M, X))
-                return X / np.sqrt(np.einsum("ij,ij->j", X, _mass(M, X)))
+                X -= constant[:, None] * (constant @ (M @ X))
+                return X / np.sqrt(np.einsum("ij,ij->j", X, M @ X))
 
             def apply_split(y):
                 nonlocal solves
                 solves += 1
-                return deflate(lu.half_solve(_mass(M, back(y))[order], "N"))
+                return deflate(lu.half_solve((M @ back(y))[order], "N"))
 
             A = LinearOperator((n, n), matvec=apply_split, dtype=float)
             # a start smoothed by C, as ARPACK's generalized mode smooths its
@@ -385,7 +368,7 @@ def _shift_invert_eigs(K, M, k, tol, constant, factorize, weight=None):
             v0, kwargs = apply_split(deflate(v0)), {}
         else:
             def project(y):
-                return y - constant * (constant @ _mass(M, y))
+                return y - constant * (m_constant @ y)
 
             def apply_inverse(b):
                 nonlocal solves
@@ -406,11 +389,13 @@ def _shift_invert_eigs(K, M, k, tol, constant, factorize, weight=None):
             X = to_pencil(exc.eigenvectors)
             raise SolverError(
                 f"eigensolve did not converge after {solves} solves",
-                residuals=_rayleigh_pairs(K, M, X, X.shape[1], weight)[2],
+                residuals=_rayleigh_pairs(K, M, X, weight)[2],
             ) from exc
-    vals, X, res = _rayleigh_pairs(K, M, X, k, weight)
-    _gate(res, tol)
-    return vals, X, res, sigma, solves, lu
+    vals, X, res, R = _rayleigh_pairs(K, M, X, weight)
+    if res.max() > tol:
+        raise SolverError(f"eigensolve residual {res.max():.3e} exceeds tol "
+                          f"{tol:.3e}", residuals=res)
+    return vals, X, res, R, sigma, solves, lu
 
 
 def neumann_eigs(mesh: TriMesh, k, tol=1e-8, matrices=None):
@@ -440,17 +425,17 @@ def neumann_eigs(mesh: TriMesh, k, tol=1e-8, matrices=None):
 
     ones = np.ones(n)
     c = ones / np.sqrt(ones @ (M @ ones))
-    lam1 = max(float(c @ (K @ c)), 0.0)
-    vals, X, res, sigma, solves, lu = _shift_invert_eigs(
+    kc, mc = K @ c, M @ c
+    lam1 = max(float(c @ kc), 0.0)
+    vals, X, res, _, sigma, solves, lu = _shift_invert_eigs(
         K, M, k, tol, constant=c, factorize=_factor_spd)
-    c_res = float(np.linalg.norm(K @ c - lam1 * (M @ c)) / (vals[0] * np.linalg.norm(M @ c)))
+    c_res = float(np.linalg.norm(kc - lam1 * mc) / (vals[0] * np.linalg.norm(mc)))
     return Spectrum(
         eigenvalues=np.concatenate([[lam1], vals]),
         eigenvectors=np.column_stack([c, X]),
         residuals=np.concatenate([[c_res], res]),
         shift=sigma,
         solves=solves,
-        fill=lu.nnz,
         factor=lu,
     )
 
@@ -465,7 +450,7 @@ def _cr_pencil(mesh: TriMesh):
     before it scales area2), so the matrix is too."""
     conn = mesh.connectivity
     ne = len(conn.edges)
-    area2, g = _p1_gradients(mesh)
+    area2, g = _edge_normals(mesh.vertices, mesh.triangles)
     sides = conn.tri_edges[:, (1, 2, 0)]
     root = np.sqrt(np.bincount(sides.ravel(), np.repeat(area2 / 6.0, 3), ne))
     rs = root[sides]
@@ -503,14 +488,16 @@ def cr_eigs(mesh: TriMesh, k, tol=1e-8):
     ||x||_M = ||D^-1/2 K D^-1/2 z - rho z|| / ||z||, which some CR
     eigenvalue lies within; the residual gate's ||K x - rho M x|| / (rho
     ||M x||) is the same residual scaled by D^1/2 entrywise, so no
-    unscaled K is built.  With h the largest edge, lambda_k >= t / (1 +
-    (CR_CONSTANT h)^2 t) for t = lambda_k^CR (Liu, Appl. Math. Comput. 267,
-    2015; Carstensen & Gedicke, Math. Comp. 83, 2014), and the bound grows
-    with t, so it is applied to rho minus its radius.  Checked numerically
-    rather than proved here: that the constant holds for the Neumann
-    problem with the zero mode counted as lambda_1 (on rectangles and right
-    triangles, the closed forms lie inside every enclosure tried), and that
-    the solver returns the k-th CR eigenvalue and not a higher one.  Raises
+    unscaled K is built, and both come from the one residual block R =
+    D^-1/2 K D^-1/2 Z - Z diag(rho) that the solver forms (_rayleigh_pairs).
+    With h the largest edge, lambda_k >= t / (1 + (CR_CONSTANT h)^2 t) for t
+    = lambda_k^CR (Liu, Appl. Math. Comput. 267, 2015; Carstensen & Gedicke,
+    Math. Comp. 83, 2014), and the bound grows with t, so it is applied to
+    rho minus its radius.  Checked numerically rather than proved here: that
+    the constant holds for the Neumann problem with the zero mode counted as
+    lambda_1 (on rectangles and right triangles, the closed forms lie inside
+    every enclosure tried), and that the solver returns the k-th CR
+    eigenvalue and not a higher one.  Raises
     ValueError unless 0 < tol < inf, SolverError if Lanczos fails, a
     relative residual ||K x - rho M x|| / (rho ||M x||) exceeds tol or a
     radius reaches down to the zero mode.
@@ -521,10 +508,11 @@ def cr_eigs(mesh: TriMesh, k, tol=1e-8):
                          f"eigensolve of {k} eigenpairs above the constant "
                          f"mode needs at least {k + 2}")
     K, root, h = _cr_pencil(mesh)
-    vals, Z, res = _shift_invert_eigs(K, None, k, tol, root / np.linalg.norm(root),
-                                      _splu_spd, weight=root)[:3]
-    # x = D^-1/2 z: ||K x - rho D x||_{D^-1} / ||x||_D = ||K z - rho z|| / ||z||
-    radii = np.linalg.norm(K @ Z - Z * vals, axis=0) / np.linalg.norm(Z, axis=0)
+    vals, Z, res, R = _shift_invert_eigs(K, None, k, tol, root / np.linalg.norm(root),
+                                         _splu_spd, weight=root)[:4]
+    # x = D^-1/2 z: ||K x - rho D x||_{D^-1} / ||x||_D = ||K z - rho z|| / ||z||,
+    # and K z - rho z is the solver's residual block R
+    radii = np.linalg.norm(R, axis=0) / np.linalg.norm(Z, axis=0)
     lower = vals - radii
     if not lower[0] > 0.0:
         raise SolverError(
@@ -585,7 +573,7 @@ def solve_deflated(K, M, lam, rhs, psi, factor):
     c_norm = np.sqrt(ones @ m_ones)
     c = ones / c_norm  # as neumann_eigs makes it
     m_psi = M @ psi
-    psi_residual = np.linalg.norm(shifted(psi)) / (lam * np.linalg.norm(m_psi))
+    psi_residual = np.linalg.norm(K @ psi - lam * m_psi) / (lam * np.linalg.norm(m_psi))
     overlap = abs(c @ m_psi) / np.sqrt(psi @ m_psi)
     if not max(psi_residual, overlap) <= DEFLATION_TOL:
         raise NearDegenerateError(

@@ -13,8 +13,7 @@ import numpy as np
 
 from .crosssec import analyze, x_boundary
 from .errors import TrackingError
-from .fem import (_check_tol, _factor_spd, _p1_gradients, assemble, neumann_eigs,
-                  solve_deflated)
+from .fem import _check_tol, _factor_spd, assemble, neumann_eigs, solve_deflated
 from .mesh import Polygon, TriMesh, _edge_normals, gen_polygon, gen_rectangle
 
 # fd_check's least relative gap (lambda3 - lambda2)/lambda2 of a simple
@@ -218,7 +217,7 @@ def _x_gradient(mesh: TriMesh, w, lambda2, psi, q):
     boundary edge a -> b, len n = J (b - a), so psi^T B psi moves by
     s (V_b - V_a) . J^T w, s = (psi_a^2 + psi_a psi_b + psi_b^2) / 3.
     """
-    area2, g = _p1_gradients(mesh)
+    area2, g = _edge_normals(mesh.vertices, mesh.triangles)
     t = mesh.triangles
     pt, qt = psi[t], q[t]
     Gp, Gq = np.einsum("tk,tkd->td", pt, g), np.einsum("tk,tkd->td", qt, g)

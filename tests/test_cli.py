@@ -151,7 +151,38 @@ class TestCurve:
         assert not out.exists()
 
 
+    def test_planar_samples_are_lifted(self, tmp_path):
+        # t, x, y rows frame the same curve as t, x, y, 0: the unit circle
+        # over t in [0, 2], exit 2 as no tail model exists
+        t = np.linspace(0.0, 2.0, 41)
+        reports = []
+        for cols in ([np.cos(t), np.sin(t)], [np.cos(t), np.sin(t), 0 * t]):
+            f, out = tmp_path / f"pts{len(cols)}.csv", tmp_path / f"cur{len(cols)}.json"
+            np.savetxt(f, np.column_stack([t, *cols]), delimiter=",")
+            assert run(["curve", "--samples", f, "--n", 2000, "-o", out]) == 2
+            d = json.loads(out.read_text())
+            d.pop("config")
+            reports.append(d)
+        assert reports[0] == reports[1]
+        assert abs(reports[0]["kappa_l1"] - 2.0) < 1e-4
+        assert abs(reports[0]["kappa_sup"] - 1.0) < 5e-3
+
+
 class TestCheck:
+    def test_explicit_theta(self, tmp_path):
+        # --theta rotates Y by the given angle in place of theta_star
+        sec, cur, out = (tmp_path / f for f in ("sec.json", "cur.json", "chk.json"))
+        sec.write_text(json.dumps({"lambda2": math.pi ** 2, "X_boundary": [1.0, 1.0],
+                                   "b": 1.0}))
+        cur.write_text(json.dumps({"kappa_sup": 2.0, "kappa_l1": math.pi,
+                                   "Y": [math.pi, 0.0]}))
+        assert run(["check", "--section", sec, "--curve", cur, "--theta", 0.3,
+                    "--delta", 0.02, "-o", out]) == 0
+        d = json.loads(out.read_text())
+        assert d["inputs"]["theta"] == 0.3
+        assert d["trapped"]["lhs"] == pytest.approx(
+            math.pi * (math.cos(0.3) + math.sin(0.3)), rel=1e-15)
+
     def test_triangle_parabola(self, tmp_path):
         sec = tmp_path / "sec.json"
         cur = tmp_path / "cur.json"
@@ -451,9 +482,37 @@ _VALID = [
 ]
 
 
+# usage errors that argparse catches, and a fragment of its message: two
+# inputs where the command takes one, and a malformed --radii
+_USAGE = [
+    (["section", "--rect", 2, 1, 8, 4, "--triangle", 4, "--fast"],
+     "argument --triangle: not allowed with argument --rect"),
+    (["section", "--triangle", 4, "--polygon", "loop.json"],
+     "argument --polygon: not allowed with argument --triangle"),
+    (["section", "--gmsh", "m.msh", "--mesh-json", "m.json"],
+     "argument --mesh-json: not allowed with argument --gmsh"),
+    (["curve", "--helix", "--samples", "s.csv"],
+     "argument --samples: not allowed with argument --helix"),
+    (["curve", "--samples", "s.csv", "--parabola"],
+     "argument --parabola: not allowed with argument --samples"),
+    (["sweep", "--radii", "0.2:0.5"], "radii must be lo:hi:step"),
+]
+
+
 class TestExitCodes:
     """0 success, 1 error with one ``error: `` line, 2 success with warnings.
-    Usage errors keep argparse's own exit 2 (test_unknown_flag_exit)."""
+    Usage errors keep argparse's own exit 2 (test_unknown_flag_exit,
+    test_usage_error_exit_2)."""
+
+    @pytest.mark.parametrize("argv, message", _USAGE,
+                             ids=[_argv_id(argv) for argv, _ in _USAGE])
+    def test_usage_error_exit_2(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["-o", out])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", _MALFORMED,
                              ids=[_argv_id(argv) for argv, _ in _MALFORMED])

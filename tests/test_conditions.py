@@ -25,6 +25,19 @@ class TestGap:
             CN.Medium(eps0=-1.0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: CN.gap_a0(-1.0), "lambda2 must be nonnegative"),
+    (lambda: CN.delta_star((1, 1), (math.pi, 0), math.pi**2, 0.0, 2.0, math.pi),
+     "b and kappa_sup must be positive"),
+    (lambda: CN.delta_star((1, 1), (math.pi, 0), math.pi**2, -1.0, 2.0, math.pi),
+     "b and kappa_sup must be positive"),
+    (lambda: CN.localization(1.0, -0.5), "s_bound must be nonnegative"),
+], ids=["gap_a0", "delta_star b = 0", "delta_star b < 0", "localization"])
+def test_out_of_range_inputs_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestTrappedCondition:
     def test_triangle_parabola_scaled(self):
         # triangle section, parabola bent at scale 0.02, frame aligned

@@ -214,6 +214,11 @@ class TestAnalyticRectangle:
         with pytest.raises(DegenerateSectionError):
             C.analytic_rectangle(1.0, 1.0)
 
+    @pytest.mark.parametrize("ell, L", [(0.0, 1.0), (2.0, -1.0), (math.nan, 1.0)])
+    def test_sides_must_be_positive(self, ell, L):
+        with pytest.raises(ValueError, match="rectangle dimensions must be positive"):
+            C.analytic_rectangle(ell, L)
+
 
 class TestAnalyticTriangle:
     def test_values(self):

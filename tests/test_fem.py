@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import warnings
 from unittest import mock
 
@@ -44,7 +45,7 @@ def _coo_assemble(mesh):
     """Reference assembly: element matrices from einsum, summed by scipy's
     COO-to-CSR conversion with sum_duplicates."""
     t = mesh.triangles
-    area2, g = F._p1_gradients(mesh)
+    area2, g = M._edge_normals(mesh.vertices, mesh.triangles)
     area = 0.5 * area2
     g /= area2[:, None, None]
     ke = np.einsum("tid,tjd->tij", g, g) * area[:, None, None]
@@ -380,14 +381,13 @@ class TestShiftInvertSolver:
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
     def test_nonpositive_eigenvalue_raises(self, lam):
-        # no relative residual exists there, and the division would warn
-        mesh = M.gen_rectangle(2, 1, 4, 2)
-        K, Mm = F.assemble(mesh)
-        X = np.ones((mesh.num_vertices, 2))
+        # no relative residual exists there, and the division would warn:
+        # the Rayleigh quotients of the unit vectors of diag(lam, 1)
+        K = sparse.csr_matrix(np.diag([lam, 1.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SolverError, match="not positive"):
-                F._residuals(K, Mm, np.array([lam, 1.0]), X)
+                F._rayleigh_pairs(K, None, np.eye(2))
 
     def test_constant_pair_raises_without_warning(self, monkeypatch):
         # a solver that returns the constant mode: its Rayleigh quotient is
@@ -440,11 +440,97 @@ class TestShiftInvertSolver:
         assert mesh.num_vertices <= 21
         s = F.neumann_eigs(mesh, 2)
         assert s.solves == 0
-        assert s.fill == s.factor.nnz > 0
+        assert s.factor.nnz > 0
         K, Mm = F.assemble(mesh)
         x = np.random.default_rng(1).standard_normal(mesh.num_vertices)
         y = s.factor.solve(K @ x - s.shift * (Mm @ x))
         assert np.abs(y - x).max() <= 1e-12 * np.abs(x).max()
+
+
+def _counting(A, log, name):
+    """The CSR matrix A, as a subclass that appends (name, ndim of the
+    other factor) to log for each product A @ other written in fem's own
+    code; the products that ARPACK takes through scipy are not counted."""
+    class Counted(sparse.csr_matrix):
+        def __matmul__(self, other):
+            if sys._getframe(1).f_globals.get("__name__") == F.__name__:
+                log.append((name, np.ndim(other)))
+            return super().__matmul__(other)
+
+    return Counted(A)
+
+
+class TestProductsPerEigensolve:
+    """K X, M X, M c and K c are each formed once per eigensolve."""
+
+    def test_one_stiffness_block_product_per_cr_eigs(self, monkeypatch):
+        mesh = M.gen_right_triangle(32)
+        ref = F.cr_eigs(mesh, 2)
+        log, pencil = [], F._cr_pencil
+
+        def counted(mesh):
+            K, root, h = pencil(mesh)
+            return _counting(K, log, "K"), root, h
+
+        monkeypatch.setattr(F, "_cr_pencil", counted)
+        assert np.array_equal(F.cr_eigs(mesh, 2), ref)
+        assert log.count(("K", 2)) == 1
+
+    @pytest.mark.parametrize("band_limit", [F.BAND_LIMIT, 0.0],
+                             ids=["band", "superlu"])
+    def test_one_stiffness_block_product_per_neumann_eigs(self, monkeypatch,
+                                                          band_limit):
+        monkeypatch.setattr(F, "BAND_LIMIT", band_limit)
+        mesh = M.gen_rectangle(2, 1, 24, 12)
+        K, Mm = F.assemble(mesh)
+        ref = F.neumann_eigs(mesh, 2, matrices=(K, Mm))
+        log = []
+        s = F.neumann_eigs(mesh, 2, matrices=(_counting(K, log, "K"),
+                                              _counting(Mm, log, "M")))
+        assert np.array_equal(s.eigenvalues, ref.eigenvalues)
+        assert np.array_equal(s.residuals, ref.residuals)
+        assert log.count(("K", 2)) == 1 and log.count(("M", 2)) >= 1
+
+    def test_superlu_mass_products_do_not_grow_with_solves(self, monkeypatch):
+        # the generalized mode projects each solve off c with M c formed
+        # once; ARPACK's own products with M are scipy's, not fem's
+        monkeypatch.setattr(F, "BAND_LIMIT", 0.0)
+        mesh = M.gen_right_triangle(64)
+        K, Mm = F.assemble(mesh)
+        counts = {}
+        for k, tol in ((1, 1e-6), (3, 1e-12)):
+            log = []
+            s = F.neumann_eigs(mesh, k, tol=tol,
+                               matrices=(K, _counting(Mm, log, "M")))
+            assert not isinstance(s.factor, F._BandCholesky)
+            counts[s.solves] = len(log)
+        assert len(counts) == 2 and len(set(counts.values())) == 1
+        assert max(counts.values()) < min(counts)
+
+
+def _wide_radius(monkeypatch):
+    """_shift_invert_eigs with each residual block R replaced by 10 rho z,
+    a radius of 10 rho: it reaches below the zero mode."""
+    solve = F._shift_invert_eigs
+
+    def wide(*args, **kwargs):
+        vals, Z, res, R, *rest = solve(*args, **kwargs)
+        return (vals, Z, res, 10.0 * Z * vals, *rest)
+
+    monkeypatch.setattr(F, "_shift_invert_eigs", wide)
+
+
+@pytest.mark.parametrize("setup, call, error, match", [
+    (None, lambda: F.neumann_eigs(M.gen_rectangle(2, 1, 4, 2), 0), ValueError,
+     "k must be >= 1"),
+    (_wide_radius, lambda: F.cr_eigs(M.gen_right_triangle(8), 2), SolverError,
+     "within its residual radius"),
+], ids=["no eigenpair asked", "cr radius reaches zero"])
+def test_unreached_validation(monkeypatch, setup, call, error, match):
+    if setup is not None:
+        setup(monkeypatch)
+    with pytest.raises(error, match=match):
+        call()
 
 
 def _shifted(mesh):
@@ -816,7 +902,7 @@ class TestCrouzeixRaviart:
         Ks, mass, _, _, constant = calls[0][0][:5]
         conn = mesh.connectivity
         ne = len(conn.edges)
-        area2, _ = F._p1_gradients(mesh)
+        area2, _ = M._edge_normals(mesh.vertices, mesh.triangles)
         d = np.bincount(conn.tri_edges.ravel(), np.repeat(area2 / 6.0, 3), ne)
         assert abs(d.sum() - mesh.total_area()) <= 1e-14
         root = np.sqrt(d)

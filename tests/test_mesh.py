@@ -183,6 +183,18 @@ class TestGenPolygon:
         for loop in loops:
             assert len(M.Polygon(loop, 0.1).loop) == len(loop)
 
+    @pytest.mark.parametrize("kind, h", [("rectangle", 0.15), ("bump", 0.12)])
+    def test_clockwise_loop_is_reversed(self, kind, h):
+        # a clockwise loop is taken in reverse, so it meshes as the
+        # counterclockwise one
+        loop = (np.asarray(RECT_2PI_PI, dtype=float) if kind == "rectangle" else
+                bump_rectangle_polygon(2 * np.pi, np.pi, "top", 1.7, 0.4, h).loop)
+        poly = M.Polygon(loop[::-1], h)
+        assert np.array_equal(poly.loop, loop)
+        cw, ccw = M.gen_polygon(poly), M.gen_polygon(M.Polygon(loop, h))
+        assert np.array_equal(cw.vertices, ccw.vertices)
+        assert np.array_equal(cw.triangles, ccw.triangles)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_loop(self, bad):
         with pytest.raises(GeometryError, match="non-finite"):
@@ -251,6 +263,19 @@ class TestGenPolygon:
         lam2 = neumann_eigs(m, 2).eigenvalues[1]
         assert abs(lam2 - 0.25) / 0.25 <= 4.6e-5
         assert m.warnings == ()
+
+
+def test_smoothing_halves_a_step_that_inverts():
+    # a chevron fanned to one interior vertex at (0.5, 0): its neighbours'
+    # mean, (-0.875, 0), lies past the reflex corner (-0.5, 0), so a full
+    # Jacobi step inverts a triangle and each sweep halves its step
+    verts = np.array([(1, 0), (-2, 1), (-0.5, 0), (-2, -1), (0.5, 0)], dtype=float)
+    tris = np.array([(4, 0, 1), (4, 1, 2), (4, 2, 3), (4, 3, 0)])
+    assert (M._signed_areas(verts, tris) > 0).all()
+    out = M._laplacian_smooth(verts, tris, M._edge_table(tris))
+    assert np.array_equal(out[:4], verts[:4])
+    assert out[4, 1] == 0.0 and -0.5 < out[4, 0] < -0.4999
+    assert (M._signed_areas(out, tris) > 0).all()
 
 
 class TestPolygonContract:

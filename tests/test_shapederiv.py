@@ -258,7 +258,7 @@ class TestFdCheck:
         # one Lanczos eigensolve of psi2 and psi3 on a factorization of its
         # own: the banded Cholesky factor of half-bandwidth 33, whose
         # 34 * 8481 entries are stored
-        assert [(len(s.eigenvalues), s.fill) for s in spectra] == [(3, 288354)]
+        assert [(len(s.eigenvalues), s.factor.nnz) for s in spectra] == [(3, 288354)]
         # the lift's interior block and the eigensolve's K - sigma M are each
         # factorized once, in an order computed for it; the adjoint's CG is
         # preconditioned with the eigensolve's factors
