@@ -43,14 +43,17 @@ class NearDegenerateError(RuntimeError):
 
 
 class SingularParametrizationError(ValueError):
-    """Curve parametrization has |gamma'| ~ 0 somewhere in the window."""
+    """Curve parametrization has |gamma'| ~ 0, or not finite, somewhere in
+    the window, or a window too wide for a finite parameter grid step."""
 
 
 class StepSizeError(RuntimeError):
     """Curve sampling too coarse: too few samples for the spline, or a
     grid on which one step turns the tangent by more than
-    ``curves.MAX_STEP_TURN`` or the transported frame drifts from orthonormal;
-    more samples (a larger N) are needed."""
+    ``curves.MAX_STEP_TURN``, the transported frame drifts from orthonormal,
+    or the trapezoid rule's integral of kappa falls below the summed step
+    turns by more than ``curves.KAPPA_L1_TOL``; more samples (a larger N)
+    are needed."""
 
 
 class DegenerateSectionError(ValueError):

@@ -1,10 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from wgspec import fem, shapederiv
+from wgspec import curves, fem, shapederiv
 from wgspec.mesh import _edge_normals
 
 
@@ -83,6 +84,67 @@ def assemble_derivative():
     """_assemble_derivative(mesh, V), the derivatives of the P1 matrices
     shared by the fem and shape-derivative tests."""
     return _assemble_derivative
+
+
+def _row_dot(a, b):
+    """Row dot products of two (n, 3) arrays."""
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _row_frame(curve, N):
+    """The curve kernels by the (n, 3) row formulas: einsum row dots,
+    np.cross and a gather from np.eye(3).  The oracle of the (3, n) kernels
+    of wgspec.curves.
+
+    Returns a dict: arclength_resample's s, panel, t, tangent and dtangent;
+    rapf's e2, e3, k1, k2 and kappa from default_transverse_frame, with the
+    per-node frame defect and the per-step turning angles; and the closed
+    form kappa = |gamma' x gamma''| / |gamma'|^3 at the nodes.
+    """
+    gauss_x, gauss_w = np.polynomial.legendre.leggauss(5)
+    t = np.linspace(float(curve.t0), float(curve.t1), N + 1)
+    mid = 0.5 * (t[:-1] + t[1:])
+    half = 0.5 * (t[1:] - t[:-1])
+    vel = curve.dgamma(np.concatenate([(mid[:, None] + half[:, None] * gauss_x).ravel(), t]))
+    speeds = np.sqrt(_row_dot(vel, vel))
+    panel = speeds[:5 * N].reshape(N, 5) @ gauss_w * half
+    vel, speed = vel[5 * N:], speeds[5 * N:, None]
+    T = vel / speed
+    acc = curve.ddgamma(t)
+    dT = (acc - _row_dot(acc, T)[:, None] * T) / speed**2
+
+    e2_0, _ = curves.default_transverse_frame(T[0])
+    bis = T[:-1] + T[1:]
+    gap = T[1:] - T[:-1]
+    bb = _row_dot(bis, bis)
+    turn = 2.0 * np.arctan2(np.sqrt(_row_dot(gap, gap)), np.sqrt(bb))
+    u = np.cross(np.eye(3)[np.argmin(np.abs(T), axis=1)], T)
+    u /= np.sqrt(_row_dot(u, u))[:, None]
+    v = np.cross(T, u)
+    w = u[:-1] - (2.0 * _row_dot(bis, u[:-1]) / bb)[:, None] * bis
+    w -= (2.0 * _row_dot(T[1:], w))[:, None] * T[1:]
+    alpha = np.arctan2(_row_dot(w, v[1:]), _row_dot(w, u[1:]))
+    theta = math.atan2(e2_0 @ v[0], e2_0 @ u[0]) + np.concatenate([[0.0], np.cumsum(alpha)])
+    cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    e2 = cos * u + sin * v
+    e3 = cos * v - sin * u
+    defect = np.abs([_row_dot(T, T) - 1.0, _row_dot(e2, e2) - 1.0, _row_dot(e3, e3) - 1.0,
+                     _row_dot(T, e2), _row_dot(T, e3), _row_dot(e2, e3)]).max(axis=0)
+
+    n = np.cross(vel, acc)
+    return {
+        "s": np.concatenate([[0.0], np.cumsum(panel)]), "panel": panel, "t": t,
+        "tangent": T, "dtangent": dT, "e2": e2, "e3": e3,
+        "k1": _row_dot(dT, e2), "k2": _row_dot(dT, e3), "kappa": np.sqrt(_row_dot(dT, dT)),
+        "defect": defect, "turn": turn,
+        "closed_form_kappa": np.sqrt(_row_dot(n, n)) / _row_dot(vel, vel) ** 1.5,
+    }
+
+
+@pytest.fixture(scope="session")
+def row_frame():
+    """_row_frame(curve, N), the (n, 3) oracle of the curve kernels."""
+    return _row_frame
 
 
 def _gmsh22_text(mesh):

@@ -406,6 +406,16 @@ _MALFORMED = [
     (["curve", "--helix", "--pitch", "inf"], "helix pitch must be finite"),
     # an empty file: one error line, no numpy warning
     (["curve", "--samples", os.devnull], "no curve samples"),
+    # N = 20000 steps over the s-bend's bend in turns below MAX_STEP_TURN:
+    # before, exit 0 with kappa_l1 = 0.810 and 7.4e-42 for the true 1.  At
+    # 1e200 s^2 overflows in the closed forms, which warned
+    (["curve", "--sbend", "--window", "1e4"], "increase N"),
+    (["curve", "--sbend", "--window", "1e5"], "increase N"),
+    (["curve", "--sbend", "--window", "1e200"], "increase N"),
+    # a grid step or |gamma'| past the largest double: before, numpy
+    # warnings and then an unrelated error line
+    (["curve", "--sbend", "--window", "1e308"], "no finite grid step"),
+    (["curve", "--parabola", "--window", "1e160"], "|gamma'| = inf"),
     (["sweep", "--radii", "0.2:0.5:0"], "--radii needs"),
     (["sweep", "--radii", "0.2:0.5:-0.1"], "--radii needs"),
     (["sweep", "--radii", "0.5:0.2:0.1"], "--radii needs"),
@@ -534,6 +544,15 @@ class TestExitCodes:
 
 
 class TestImports:
+    def test_cli_without_numpy_polynomial(self):
+        # the Gauss rule of the arclength quadrature is held as literals
+        script = "import sys, wgspec.cli; assert 'numpy.polynomial' not in sys.modules"
+        src = os.path.dirname(os.path.dirname(wgspec.__file__))
+        done = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
     def test_curve_and_check_without_scipy(self, tmp_path):
         # scipy comes with the FEM and mesh modules, which only the section,
         # shapederiv and sweep commands import, and with --samples

@@ -114,6 +114,36 @@ class TestArclengthResample:
         ref = _parabola_arclength(arc.t) - _parabola_arclength(arc.t[0])
         assert np.abs(arc.s - ref).max() <= 1e-12 * arc.s[-1]
 
+    def test_gauss_rule_is_leggauss(self):
+        # the literals are leggauss(5)'s own output, to the last bit
+        x, w = np.polynomial.legendre.leggauss(5)
+        assert np.array_equal(_bits(CV._GAUSS_X), _bits(x))
+        assert np.array_equal(_bits(CV._GAUSS_W), _bits(w))
+
+    @pytest.mark.parametrize("half", [1e308, 9e307])
+    def test_window_without_a_finite_step(self, half):
+        # the window is finite, its width 2 half is not
+        with pytest.raises(SingularParametrizationError, match="no finite grid step"):
+            CV.arclength_resample(CV.line().window(half), 20000)
+
+    @pytest.mark.parametrize("curve", [CV.parabola().window(1e160),
+                                       CV.helix(1e200, 0.5).window(1.0)],
+                             ids=["parabola-1e160", "helix-R-1e200"])
+    def test_speed_past_the_largest_double(self, curve):
+        # |gamma'|^2 overflows: one typed error, no numpy warning, which
+        # the test configuration would turn into an error of its own
+        with pytest.raises(SingularParametrizationError, match="= inf"):
+            CV.arclength_resample(curve, 20000)
+
+    def test_sbend_far_out_without_warnings(self):
+        # s^2 overflows past |s| ~ 1.3e154, where exp(-s^2) is 0: the
+        # straight arms, reached without a numpy warning
+        curve = CV.sbend()
+        s = np.array([-1e200, 1e200])
+        d1, d2 = curve.dgamma(s), curve.ddgamma(s)
+        assert np.array_equal(d1, [[math.cos(0.5), math.sin(0.5), 0.0]] * 2)
+        assert np.array_equal(d2, np.zeros((2, 3)))
+
     @pytest.mark.parametrize("N", [4000, 20000])
     def test_spline_matches_four_panels_per_step(self, N):
         t = np.linspace(0.0, 4.0, 41)
@@ -121,6 +151,76 @@ class TestArclengthResample:
         arc = CV.arclength_resample(curve, N)
         ref = _four_panel_arclength(curve, N)
         assert np.abs(arc.s - ref).max() <= 1e-12 * arc.s[-1]
+
+
+def _bits(a):
+    """The bit patterns of a float array: equal ones are equal values with
+    equal signed zeros, which the CSV and JSON reports print."""
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def _samples(columns):
+    """A spline through 41 samples over t in [0, 4] of the given columns."""
+    t = np.linspace(0.0, 4.0, 41)
+    return CV.from_samples(t, np.column_stack([f(t) for f in columns]))
+
+
+# curves by kind from (radius, pitch, scale, half): the built-ins, and a
+# spline through samples of a helix and of a circle
+_KINDS = {
+    "line": lambda R, p, a, h: CV.line().window(h),
+    "circle": lambda R, p, a, h: CV.circle(R).window(h),
+    "helix": lambda R, p, a, h: CV.helix(R, p).window(h),
+    "parabola": lambda R, p, a, h: CV.parabola(a).window(4 * h),
+    "sbend": lambda R, p, a, h: CV.sbend().window(h),
+    "samples": lambda R, p, a, h: _samples([lambda t: np.cos(R * t),
+                                            lambda t: np.sin(R * t),
+                                            lambda t: p * t]),
+    "planar-samples": lambda R, p, a, h: _samples([lambda t: np.cos(R * t),
+                                                   lambda t: np.sin(R * t)]),
+}
+_PLANAR = {"line", "circle", "parabola", "sbend", "planar-samples"}
+
+
+class TestComponentMajorKernels:
+    """arclength_resample, rapf, _frame_defect and _closed_form_kappa on
+    (3, n) arrays against the (n, 3) row formulas of tests/conftest.py.
+    Planar curves add at most two nonzero terms in each dot product, so
+    their results agree to the bit, signed zeros included; 3-D curves
+    agree to 1e-13 relative, and to the bit where the row dots sum in the
+    kernels' order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(_KINDS)),
+        radius=st.floats(0.2, 3.0),
+        pitch=st.floats(-2.0, 2.0),
+        scale=st.floats(-3.0, 3.0),
+        half=st.floats(0.5, 4 * math.pi),
+        N=st.integers(16, 4000),
+    )
+    def test_match_the_row_formulas(self, row_frame, kind, radius, pitch, scale,
+                                    half, N):
+        curve = _KINDS[kind](radius, pitch, scale, half)
+        ref = row_frame(curve, N)
+        assume(ref["turn"].max() <= CV.MAX_STEP_TURN)
+        arc = CV.arclength_resample(curve, N)
+        fc = CV.rapf(arc)
+        assert curve.dgamma(arc.t).shape == curve.ddgamma(arc.t).shape == (N + 1, 3)
+        for v in (arc.tangent, arc.dtangent, fc.e1, fc.e2, fc.e3):
+            assert v.shape == (N + 1, 3) and v.T.flags.c_contiguous
+        got = {name: getattr(arc, name) for name in ("s", "panel", "t", "tangent", "dtangent")}
+        got.update({name: getattr(fc, name) for name in ("e2", "e3", "k1", "k2", "kappa")})
+        got["defect"] = CV._frame_defect(fc.e1.T, fc.e2.T, fc.e3.T)
+        got["closed_form_kappa"] = CV._closed_form_kappa(curve, arc.t)
+        got["stored defect"], ref["stored defect"] = fc.defect, ref["defect"].max()
+        got["summed turns"], ref["summed turns"] = fc.turn, ref["turn"].sum()
+        for name, value in got.items():
+            if kind in _PLANAR:
+                assert np.array_equal(_bits(value), _bits(ref[name])), name
+            else:
+                size = max(1.0, float(np.abs(ref[name]).max()))
+                assert np.abs(value - ref[name]).max() <= 1e-13 * size, name
 
 
 def _scan_oracle(arc, e2_0):
@@ -282,7 +382,7 @@ class TestRapf:
         # the drift gate measures the frame rapf returns, so the stored
         # defect is the one recomputed from it
         fc = CV.frame_curve(curve, 4000)
-        assert fc.orthonormality_defect() == CV._frame_defect(fc.e1, fc.e2, fc.e3).max()
+        assert fc.orthonormality_defect() == CV._frame_defect(fc.e1.T, fc.e2.T, fc.e3.T).max()
 
     def test_bit_identical_repeat(self):
         arc = CV.arclength_resample(CV.helix(1.0, 0.5).window(6), 2000)
@@ -410,6 +510,33 @@ class TestNormsAndY:
 
     def test_straight_parabola_has_no_tail(self):
         assert CV.parabola(0.0).kappa_l1_tail(-50, 50) == 0.0
+
+    def test_summed_turns_bound_the_l1_norm(self, parabola_w50):
+        # the turn of a step is the great-circle distance between its end
+        # tangents, no longer than the tangent's path: on the parabola the
+        # window's integral of kappa is 2 atan(100), on the helix kappa times
+        # the length
+        assert parabola_w50.turn <= 2.0 * math.atan(100.0)
+        fc = CV.frame_curve(CV.helix(1.0, 0.5).window(6), 400)
+        assert fc.turn <= 0.8 * fc.s[-1]
+
+    @pytest.mark.parametrize("half", [1e3, 1e4, 1e5])
+    def test_sbend_stepped_over_raises(self, half):
+        # N = 20000 steps over the bend at |s| < 3 in turns of at most
+        # 0.5 rad < MAX_STEP_TURN, and the trapezoid rule reads kappa_l1 at
+        # 0.998, 0.81 and 7e-42 of the summed turns, about 1
+        fc = CV.frame_curve(CV.sbend().window(half), 20000)
+        assert abs(fc.turn - 1.0) <= 1e-3
+        with pytest.raises(StepSizeError, match="increase N"):
+            CV.curvature_norms(fc)
+
+    def test_finer_grid_passes_the_l1_gate(self):
+        # four times the steps of the case above: the trapezoid error
+        # falls 16-fold, and kappa_l1 + tail = 1 to 2e-4
+        fc = CV.frame_curve(CV.sbend().window(1e3), 80000)
+        n = CV.curvature_norms(fc)
+        assert n["l1"] >= (1.0 - CV.KAPPA_L1_TOL) * fc.turn
+        assert abs(n["l1"] + n["tail"] - 1.0) <= 2e-4
 
     def test_sbend_odd_cancellation(self):
         fc = CV.frame_curve(CV.sbend().window(6), 4000)
