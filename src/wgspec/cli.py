@@ -13,6 +13,7 @@ arguments and a timestamp for reproducibility.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -274,7 +275,11 @@ _TOL_HELP = ("bound on each eigenpair's relative residual ||K u - lambda M u|| "
              "/ (lambda ||M u||), the same in every length unit")
 
 
+@functools.cache
 def build_parser():
+    """The wgspec parser, built once per process: main parses every call
+    into a fresh namespace, and every default is immutable, so no call
+    changes what the next one reads."""
     p = _Parser(
         prog="wgspec",
         description="Spectral trapping toolkit for bent/twisted waveguides",
@@ -289,7 +294,7 @@ def build_parser():
     source.add_argument("--polygon", metavar="FILE.json")
     source.add_argument("--gmsh", metavar="FILE.msh")
     source.add_argument("--mesh-json", metavar="FILE.json")
-    s.add_argument("--origin", nargs=2, type=float, default=[0.0, 0.0])
+    s.add_argument("--origin", nargs=2, type=float, default=(0.0, 0.0))
     s.add_argument("--tol", type=float, default=1e-8, help=_TOL_HELP)
     s.add_argument("--fast", action="store_true",
                    help="skip the Crouzeix-Raviart lower bound of lambda2 "
@@ -326,7 +331,7 @@ def build_parser():
     k.set_defaults(func=cmd_check)
 
     d = sub.add_parser("shapederiv", help="adjoint shape derivative checks")
-    d.add_argument("--rect", nargs=2, type=float, default=[2.0, 1.0])
+    d.add_argument("--rect", nargs=2, type=float, default=(2.0, 1.0))
     d.add_argument("--nx", type=int)
     d.add_argument("--ny", type=int)
     d.add_argument("--w", nargs=2, type=float, required=True)
@@ -341,7 +346,7 @@ def build_parser():
     d.set_defaults(func=cmd_shapederiv)
 
     w = sub.add_parser("sweep", help="bump-radius sweep on the rectangle")
-    w.add_argument("--rect", nargs=2, type=float, default=[2 * np.pi, np.pi])
+    w.add_argument("--rect", nargs=2, type=float, default=(2 * np.pi, np.pi))
     w.add_argument("--side", choices=["top", "bottom", "left", "right"],
                    default="top")
     w.add_argument("--center", type=float, default=1.7)

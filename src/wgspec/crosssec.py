@@ -7,11 +7,13 @@ The two eigensolves of analyze share only the read-only mesh, so the
 Crouzeix-Raviart solve runs on one worker thread while the calling thread
 makes the P1 solve and everything computed from it.  The report is the same
 bit for bit as when the two run one after the other.  Little of the two
-solves runs at once: on a 2-CPU host, two threads took as long as one after
-the other (0.77 to 1.22 times the speed) for LAPACK's banded Cholesky and
-band solves, SuperLU's factorization and solves, and a whole band-factored
-eigensolve; only the sparse matrix-vector products overlapped (1.16 to 1.41
-times).
+solves runs at once, because the calls that dominate them hold the GIL:
+scipy's f2py wrappers of LAPACK's band solves (dtbtrs, dpbtrs),
+SuperLU.solve, and ARPACK's reverse-communication loop, which returns to
+Python for every operator application.  The host is not the limit: on a
+2-CPU host, two threads ran 0.8 to 1.2 times as fast as one after the
+other for dtbtrs, dpbtrs and SuperLU.solve, against 1.6 to 1.7 times for a
+numpy matrix product and 1.2 to 1.7 times for a CSR matrix-vector product.
 """
 
 from __future__ import annotations
@@ -121,10 +123,10 @@ def analyze(mesh: TriMesh, origin=(0.0, 0.0), tol=1e-8, estimate_error=True):
     on the calling thread, where perfbench's span recorder, which keeps one
     stack per process, times neumann_eigs and assemble.  The CR eigensolve,
     which shares only the immutable mesh with them, starts before them on
-    one worker thread and is collected last.  Of the two solves, only the
-    sparse matrix-vector products overlap; the factorizations and the
-    triangular solves that dominate both ran no faster on two threads than
-    one after the other (the module docstring).  Errors come in the
+    one worker thread and is collected last.  The two solves overlap
+    little: the band and SuperLU solves and ARPACK's iteration that
+    dominate both hold the GIL, although the host runs two threads at once
+    (the module docstring).  Errors come in the
     sequential order: a P1 failure is raised even when the CR solve fails
     too, a CR SolverError or ValueError is raised as it is, and the worker
     is joined before analyze returns or raises.

@@ -155,10 +155,12 @@ class FramedCurve:
         return self.defect
 
     def to_csv(self):
-        lines = ["s,k1,k2,kappa"]
-        for s, k1, k2, ka in zip(self.s, self.k1, self.k2, self.kappa):
-            lines.append(f"{s:.17g},{k1:.17g},{k2:.17g},{ka:.17g}")
-        return "\n".join(lines) + "\n"
+        """Header s,k1,k2,kappa and one row per node, each value as
+        format(x, ".17g"), which reads back to the same double."""
+        row = "{:.17g},{:.17g},{:.17g},{:.17g}".format
+        rows = map(row, self.s.tolist(), self.k1.tolist(), self.k2.tolist(),
+                   self.kappa.tolist())
+        return "s,k1,k2,kappa\n" + "\n".join(rows) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -493,10 +495,14 @@ def frame_curve(curve: ParamCurve, N):
 
 
 def _closed_form_kappa(curve: ParamCurve, t):
-    """kappa = |gamma' x gamma''| / |gamma'|^3 at the parameters t."""
+    """kappa = |u x gamma''| / |gamma'|^2 at the parameters t, with u the unit
+    tangent gamma' / |gamma'|: the cross product of unit and raw vector keeps
+    every square within range wherever arclength_resample accepts |gamma'|,
+    where |gamma' x gamma''|^2 and |gamma'|^3 overflow past |gamma'| ~ 1e102."""
     d1 = _columns(curve.dgamma(t))
-    n = _cross(d1, _columns(curve.ddgamma(t)))
-    return np.sqrt(_dot(n, n)) / _dot(d1, d1) ** 1.5
+    speed2 = _dot(d1, d1)
+    n = _cross(d1 / np.sqrt(speed2), _columns(curve.ddgamma(t)))
+    return np.sqrt(_dot(n, n)) / speed2
 
 
 def _kappa_sup(fc: FramedCurve, curve: ParamCurve):

@@ -830,12 +830,16 @@ def _triangulate_region(loop, inner, lattice=None):
         simplices = simplices[~flat & _point_in_polygon(pts[simplices].mean(axis=1),
                                                          loop)]
 
-        # the loop points come first, so segment i is the edge (i, i+1 mod nb)
+        # the loop points come first, so segment i is the edge (i, i+1 mod nb).
+        # The table's edges are in lexicographic order, so their keys ascend,
+        # and the end key len(pts)^2, above any edge's, closes the search
         i, j = np.arange(nb), (np.arange(nb) + 1) % nb
         table = _edge_table(simplices)
         lo, hi = table[0].T
-        key = np.minimum(i, j) * len(pts) + np.maximum(i, j)
-        missing = np.flatnonzero(~np.isin(key, lo * len(pts) + hi))
+        n = len(pts)
+        edge_keys = np.append(lo * n + hi, n * n)
+        key = np.minimum(i, j) * n + np.maximum(i, j)
+        missing = np.flatnonzero(edge_keys[np.searchsorted(edge_keys, key)] != key)
         if not missing.size:
             return loop, pts, np.asarray(simplices, dtype=np.int64), table
         loop = _split_segments(loop, missing)

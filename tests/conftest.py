@@ -99,7 +99,7 @@ def _row_frame(curve, N):
     Returns a dict: arclength_resample's s, panel, t, tangent and dtangent;
     rapf's e2, e3, k1, k2 and kappa from default_transverse_frame, with the
     per-node frame defect and the per-step turning angles; and the closed
-    form kappa = |gamma' x gamma''| / |gamma'|^3 at the nodes.
+    form kappa = |u x gamma''| / |gamma'|^2 at the nodes, u = gamma' / |gamma'|.
     """
     gauss_x, gauss_w = np.polynomial.legendre.leggauss(5)
     t = np.linspace(float(curve.t0), float(curve.t1), N + 1)
@@ -131,13 +131,14 @@ def _row_frame(curve, N):
     defect = np.abs([_row_dot(T, T) - 1.0, _row_dot(e2, e2) - 1.0, _row_dot(e3, e3) - 1.0,
                      _row_dot(T, e2), _row_dot(T, e3), _row_dot(e2, e3)]).max(axis=0)
 
-    n = np.cross(vel, acc)
+    speed2 = _row_dot(vel, vel)
+    n = np.cross(vel / np.sqrt(speed2)[:, None], acc)
     return {
         "s": np.concatenate([[0.0], np.cumsum(panel)]), "panel": panel, "t": t,
         "tangent": T, "dtangent": dT, "e2": e2, "e3": e3,
         "k1": _row_dot(dT, e2), "k2": _row_dot(dT, e3), "kappa": np.sqrt(_row_dot(dT, dT)),
         "defect": defect, "turn": turn,
-        "closed_form_kappa": np.sqrt(_row_dot(n, n)) / _row_dot(vel, vel) ** 1.5,
+        "closed_form_kappa": np.sqrt(_row_dot(n, n)) / speed2,
     }
 
 

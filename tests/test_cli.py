@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wgspec
-from wgspec.cli import main
+from wgspec.cli import build_parser, main
 
 
 def run(args):
@@ -541,6 +541,58 @@ class TestExitCodes:
         assert run(argv + ["-o", out]) == code
         assert capsys.readouterr().err == ""
         assert out.exists()
+
+
+class TestSharedParser:
+    """main parses each call with the one parser of the process: no call may
+    leave state that a later call reads."""
+
+    _DEFAULTS = {"section": ("origin", (0.0, 0.0)),
+                 "shapederiv": ("rect", (2.0, 1.0)),
+                 "sweep": ("rect", (2 * math.pi, math.pi))}
+
+    def _defaults(self):
+        argv = {"section": ["section"], "shapederiv": ["shapederiv", "--w", "1", "0"],
+                "sweep": ["sweep"]}
+        return {cmd: getattr(build_parser().parse_args(argv[cmd]), name)
+                for cmd, (name, _) in self._DEFAULTS.items()}
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_kind_flag_is_not_kept(self, tmp_path):
+        helix, bare = tmp_path / "helix.json", tmp_path / "bare.json"
+        assert run(["curve", "--helix", "--window", 4 * math.pi, "--n", 4000,
+                    "-o", helix]) == 2
+        assert run(["curve", "--window", 5, "--n", 400, "-o", bare]) == 0
+        assert json.loads(helix.read_text())["name"].startswith("helix")
+        d = json.loads(bare.read_text())
+        assert d["name"].startswith("parabola") and d["config"]["options"]["kind"] == "parabola"
+        assert abs(d["kappa_sup"] - 2.0) <= 1e-12
+
+    def test_fast_flag_is_not_kept(self, tmp_path):
+        fast, full = tmp_path / "fast.json", tmp_path / "full.json"
+        assert run(["section", "--triangle", 16, "--fast", "-o", fast]) == 0
+        assert run(["section", "--triangle", 16, "-o", full]) == 0
+        assert json.loads(fast.read_text())["discretization_error"] == 0
+        assert json.loads(full.read_text())["discretization_error"] > 0
+
+    def test_defaults_are_unchanged_by_calls(self, tmp_path):
+        before = self._defaults()
+        assert before == {cmd: v for cmd, (_, v) in self._DEFAULTS.items()}
+        assert all(type(v) is tuple for v in before.values())
+        # each command reads its default, then a given value of the same option
+        for argv in (["section", "--triangle", 8, "--fast"],
+                     ["section", "--triangle", 8, "--fast", "--origin", 0.25, 0.5],
+                     ["shapederiv", "--w", 1, 0, "--nx", 16],
+                     ["shapederiv", "--w", 1, 0, "--rect", 3, 1, "--nx", 24, "--ny", 8,
+                      "--bump-center", 1.2],
+                     ["sweep", "--radii", "0.2:0.2:0.1", "--target-h", 0.3],
+                     ["sweep", "--rect", 3, 2, "--center", 1, "--radii", "0.2:0.2:0.1",
+                      "--target-h", 0.3]):
+            assert run(argv + ["-o", tmp_path / "out"]) == 0, argv
+        assert self._defaults() == before
+        assert all(type(v) is tuple for v in self._defaults().values())
 
 
 class TestImports:

@@ -449,6 +449,28 @@ class TestNormsAndY:
         fc = CV.frame_curve(curve, 4000)
         assert CV.curvature_norms(fc)["sup"] == fc.kappa.max()
 
+    def test_sup_of_a_circle_arc_far_from_unit_scale(self):
+        # the circle arc of the console-script samples, scaled by 1e110:
+        # |gamma' x gamma''|^2 and |gamma'|^3 overflowed, the search between
+        # nodes dropped its NaN samples, and numpy warned (an error here)
+        t = np.linspace(0.0, 2.0, 41)
+        arc = np.column_stack([np.cos(t), np.sin(t)])
+        unit = CV.frame_curve(CV.from_samples(t, arc), 20000).kappa_sup
+        far = CV.frame_curve(CV.from_samples(t, 1e110 * arc), 20000).kappa_sup
+        assert abs(far - 1e-110 * unit) <= 1e-12 * 1e-110 * unit
+
+    @pytest.mark.parametrize("curve", [CV.parabola().window(50), CV.sbend().window(6),
+                                       CV.helix(1.0, 0.5).window(4 * math.pi)],
+                             ids=["parabola", "sbend", "helix"])
+    def test_closed_form_is_the_cubed_form_at_unit_scale(self, curve):
+        # |u x gamma''| / |gamma'|^2 differs from |gamma' x gamma''| / |gamma'|^3
+        # at rounding only where neither overflows
+        t = np.linspace(curve.t0, curve.t1, 20001)
+        d1, d2 = curve.dgamma(t), curve.ddgamma(t)
+        n = np.cross(d1, d2)
+        cubed = np.sqrt((n * n).sum(axis=1)) / (d1 * d1).sum(axis=1) ** 1.5
+        assert np.abs(CV._closed_form_kappa(curve, t) - cubed).max() <= 2e-15 * cubed.max()
+
     def test_bare_rapf_has_no_sup(self):
         fc = CV.rapf(CV.arclength_resample(CV.sbend().window(6), 4000))
         with pytest.raises(ValueError, match="kappa_sup"):
@@ -597,6 +619,25 @@ class TestThetaStar:
 @pytest.fixture(scope="module")
 def parabola_w50():
     return CV.frame_curve(CV.parabola().window(50), 20000)
+
+
+def _row_csv(fc):
+    """FramedCurve.to_csv as one f-string per row: the reference format."""
+    lines = ["s,k1,k2,kappa"]
+    for s, k1, k2, ka in zip(fc.s, fc.k1, fc.k2, fc.kappa):
+        lines.append(f"{s:.17g},{k1:.17g},{k2:.17g},{ka:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("curve", [CV.parabola().window(50), CV.sbend().window(6),
+                                   CV.helix(1.0, 0.5).window(4 * math.pi)],
+                         ids=["parabola", "sbend", "helix"])
+def test_csv_matches_the_row_format(curve):
+    fc = CV.frame_curve(curve, 4000)
+    text = fc.to_csv()
+    assert text == _row_csv(fc)
+    rows = np.array([line.split(",") for line in text.splitlines()[1:]], dtype=float)
+    assert np.array_equal(rows, np.column_stack([fc.s, fc.k1, fc.k2, fc.kappa]))
 
 
 class TestScaleFamily:
