@@ -8,11 +8,16 @@ inputs where the command takes one: two mesh sources for ``section``, a
 named curve and ``--samples`` for ``curve``): argparse prints the usage and
 exits with its own code 2.  Every JSON artifact echoes the invocation
 arguments and a timestamp for reproducibility.
+Accepted ranges, outside which a command exits 1 and writes nothing:
+``check`` takes the inputs that conditions.build_report lists, ``--delta``
+positive and ``--theta`` finite among them; ``sweep --radii LO:HI:STEP``
+takes 0 <= LO <= HI finite and STEP > 0, and meshes LO + k STEP up to HI.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import re
@@ -32,8 +37,7 @@ def _echo(args):
     return {
         "argv": list(getattr(args, "_argv", sys.argv[1:])),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "options": {k: (v if not isinstance(v, np.ndarray) else list(v))
-                    for k, v in vars(args).items()
+        "options": {k: v for k, v in vars(args).items()
                     if not callable(v) and k != "_argv"},
     }
 
@@ -44,6 +48,15 @@ def _write(path, text):
     else:
         with open(path, "w") as f:
             f.write(text)
+
+
+def _write_report(path, report, **extra):
+    """Write report, a dataclass (its fields in declaration order, less
+    CrossSectionReport.psi) or a dict, then extra, as JSON with indent=2;
+    numpy arrays and scalars become lists and numbers."""
+    d = dataclasses.asdict(report) if dataclasses.is_dataclass(report) else report
+    d = {k: v for k, v in {**d, **extra}.items() if k != "psi"}
+    _write(path, json.dumps(d, indent=2, default=lambda a: a.tolist()))
 
 
 def _load_mesh(args):
@@ -79,9 +92,7 @@ def cmd_section(args):
         mesh, origin=tuple(args.origin), tol=args.tol,
         estimate_error=not args.fast,
     )
-    payload = json.loads(rep.to_json())
-    payload["config"] = _echo(args)
-    _write(args.output, json.dumps(payload, indent=2))
+    _write_report(args.output, rep, config=_echo(args))
     return 2 if not rep.simple else 0
 
 
@@ -117,7 +128,7 @@ def cmd_curve(args):
         "kappa_l1": norms["l1"],
         "kappa_l1_tail": norms["tail"],
         "tail_missing": norms["tail_missing"],
-        "Y": [float(Y[0]), float(Y[1])],
+        "Y": Y,
         "orthonormality_defect": fc.orthonormality_defect(),
         "config": _echo(args),
     }
@@ -129,7 +140,7 @@ def cmd_curve(args):
     if planar and sign_const and norms["tail"] > 0 and not norms["tail_missing"]:
         sgn = 1.0 if fc.k1.max() > 0 else -1.0
         summary["Y_total"] = [float(Y[0] + sgn * norms["tail"]), float(Y[1])]
-    _write(args.output, json.dumps(summary, indent=2))
+    _write_report(args.output, summary)
     if args.csv:
         _write(args.csv, fc.to_csv())
     return 2 if norms["tail_missing"] and not curve.asymptotically_straight else 0
@@ -156,7 +167,7 @@ def cmd_check(args):
         inputs={"section": args.section, "curve": args.curve,
                 "delta": args.delta, "config": _echo(args)},
     )
-    _write(args.output, rep.to_json())
+    _write_report(args.output, rep)
     return 0 if rep.trapped.holds else 2
 
 
@@ -214,7 +225,7 @@ def cmd_shapederiv(args):
             "integrand_max_error": float(np.abs(vals - iref).max()),
             "config": _echo(args),
         }
-        _write(args.output, json.dumps(payload, indent=2))
+        _write_report(args.output, payload)
         return 0
 
     c, R = args.bump_center, args.bump_radius
@@ -230,9 +241,7 @@ def cmd_shapederiv(args):
                          f"{R:g} moves no vertex of the {side} side, of length "
                          f"{ell:g}")
     rep = shapederiv.fd_check(mesh, V, w, tol=args.tol)
-    payload = json.loads(rep.to_json())
-    payload["config"] = _echo(args)
-    _write(args.output, json.dumps(payload, indent=2))
+    _write_report(args.output, rep, config=_echo(args))
     return 0
 
 
@@ -243,7 +252,8 @@ def cmd_sweep(args):
     if not (0.0 <= lo <= hi < np.inf and step > 0.0):
         raise ValueError(f"--radii needs 0 <= LO <= HI and STEP > 0, "
                          f"got {lo:g}:{hi:g}:{step:g}")
-    radii = list(np.arange(lo, hi + 0.5 * step, step))
+    # 1e-9: a HI that LO + k STEP reaches only to rounding is kept
+    radii = list(lo + step * np.arange(int((hi - lo) / step + 1e-9) + 1))
     rows = shapederiv.bump_sweep(
         args.rect[0], args.rect[1], args.side, args.center, radii,
         target_h=args.target_h, tol=args.tol,
@@ -321,9 +331,11 @@ def build_parser():
     k = sub.add_parser("check", help="evaluate the trapping conditions")
     k.add_argument("--section", required=True)
     k.add_argument("--curve", required=True)
-    k.add_argument("--theta", default="auto")
+    k.add_argument("--theta", default="auto",
+                   help="finite rotation angle of Y, or auto to align Y with X")
     k.add_argument("--delta", type=float, default=None,
-                   help="evaluate the slightly-curved family at this scale")
+                   help="evaluate the slightly-curved family at this scale, "
+                        "positive and finite")
     k.add_argument("--eps0", type=float, default=1.0)
     k.add_argument("--mu0", type=float, default=1.0)
     k.add_argument("--eps0-in-rhs", action="store_true")
@@ -350,8 +362,10 @@ def build_parser():
     w.add_argument("--side", choices=["top", "bottom", "left", "right"],
                    default="top")
     w.add_argument("--center", type=float, default=1.7)
-    w.add_argument("--radii", type=_radii, default=(0.2, 0.64, 0.05),
-                   metavar="LO:HI:STEP")
+    w.add_argument("--radii", type=_radii, default=(0.2, 0.65, 0.05),
+                   metavar="LO:HI:STEP",
+                   help="radii LO + k STEP up to HI (to rounding), k = 0, 1, "
+                        "...; 0 <= LO <= HI finite, STEP > 0")
     w.add_argument("--target-h", type=float, default=0.06)
     w.add_argument("--tol", type=float, default=1e-8, help=_TOL_HELP)
     w.add_argument("-o", "--output", default="-")

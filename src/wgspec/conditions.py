@@ -4,13 +4,12 @@ the metric-perturbation norm bound with its localization interval."""
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InadmissibleGeometryError
+from .errors import InadmissibleGeometryError, OutsideHypothesesError
 
 
 @dataclass(frozen=True)
@@ -53,27 +52,8 @@ class ConditionReport:
     delta_star: float
     s_bound: float
     localization: Localization
+    trial: None = None  # no trial-field energy is computed; check reports keep the key
     inputs: dict = field(default_factory=dict)
-
-    def to_json(self):
-        d = {
-            "a0": self.a0,
-            "trapped": asdict(self.trapped),
-            "delta_star": self.delta_star,
-            "s_bound": self.s_bound,
-            "localization": {
-                "interval": list(self.localization.interval)
-                if self.localization.interval
-                else None,
-                "zero_isolated": self.localization.zero_isolated,
-                "note": self.localization.note,
-            },
-            # always null, as no trial-field energy is computed; readers of
-            # check reports expect the key
-            "trial": None,
-            "inputs": self.inputs,
-        }
-        return json.dumps(d, indent=2)
 
 
 def gap_a0(lambda2, medium: Medium = Medium()):
@@ -188,11 +168,29 @@ def build_report(X, Y, lambda2, b, kappa_sup, kappa_l1, theta="auto",
     With delta given, the trapping test, the norm bound and the localization
     run at the scaled sup curvature delta*kappa_sup (the L1 norm and Y are
     scale-invariant), while delta_star always refers to the unscaled family.
+
+    The hypotheses, checked first (OutsideHypothesesError names the input):
+    all inputs finite, lambda2, b and delta (when given) positive, kappa_sup,
+    kappa_l1 (its tail included) and twist_dev_sup nonnegative, theta a
+    number or "auto".  InadmissibleGeometryError if b * delta * kappa_sup >= 1.
     """
     from .curves import rotation, theta_star as _theta_star
 
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
+    for name, v in (("X", X), ("Y", Y), ("theta", 0.0 if theta == "auto" else theta)):
+        if not np.isfinite(v).all():
+            raise OutsideHypothesesError(f"{name} must be finite, got {v!r}")
+    scalars = {"lambda2": lambda2, "b": b, "kappa_sup": kappa_sup,
+               "kappa_l1": kappa_l1, "twist_dev_sup": twist_dev_sup}
+    if delta is not None:
+        scalars["delta"] = delta
+    for name, value in scalars.items():
+        positive = name in ("lambda2", "b", "delta")
+        if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+            raise OutsideHypothesesError(
+                f"{name} must be {'positive' if positive else 'nonnegative'} "
+                f"and finite, got {float(value)!r}")
     if theta == "auto":
         if np.linalg.norm(X) > 0 and np.linalg.norm(Y) > 0:
             theta_val = _theta_star(X, Y)

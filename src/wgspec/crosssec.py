@@ -18,7 +18,6 @@ numpy matrix product and 1.2 to 1.7 times for a CSR matrix-vector product.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -59,23 +58,6 @@ class CrossSectionReport:
     psi: np.ndarray = field(repr=False)
     mesh_stats: dict = field(default_factory=dict)
     warnings: tuple = ()
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "lambda2": self.lambda2,
-                "lambda3": self.lambda3,
-                "simple": self.simple,
-                "gap_ratio": self.gap_ratio,
-                "discretization_error": self.discretization_error,
-                "X_boundary": [float(v) for v in self.X_boundary],
-                "b": self.b,
-                "origin": [float(v) for v in self.origin],
-                "mesh_stats": self.mesh_stats,
-                "warnings": list(self.warnings),
-            },
-            indent=2,
-        )
 
 
 def fix_sign(psi):

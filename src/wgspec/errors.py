@@ -71,3 +71,8 @@ class InadmissibleGeometryError(ValueError):
 class TrackingError(RuntimeError):
     """lambda2 too close to lambda3 for its eigenpair to be differentiated
     along a shape deformation."""
+
+
+class OutsideHypothesesError(ValueError):
+    """An input of conditions.build_report outside the theorem's hypotheses,
+    e.g. a scale delta or a lambda2 that is not positive."""

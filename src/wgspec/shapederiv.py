@@ -5,7 +5,6 @@ bump-sweep experiment on rectangles."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -146,18 +145,6 @@ class ShapeDerivReport:
     discrete_value: float
     discrepancy: float
     solvability_warning: bool
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "w": [float(v) for v in self.w],
-                "adjoint_value": self.adjoint_value,
-                "discrete_value": self.discrete_value,
-                "discrepancy": self.discrepancy,
-                "solvability_warning": self.solvability_warning,
-            },
-            indent=2,
-        )
 
 
 def fd_check(mesh: TriMesh, V, w, tol=1e-8):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from wgspec import curves, fem, shapederiv
+from wgspec import cli, curves, fem, shapederiv
 from wgspec.mesh import _edge_normals
 
 
@@ -25,6 +25,17 @@ def top_bump():
     """_top_bump(mesh, center), the velocity field shared by the fem and
     shape-derivative tests."""
     return _top_bump
+
+
+@pytest.fixture
+def report_json(tmp_path):
+    """report_json(report): the text that the CLI's report writer,
+    cli._write_report, writes for report."""
+    def text(report):
+        path = tmp_path / "report.json"
+        cli._write_report(path, report)
+        return path.read_text()
+    return text
 
 
 @pytest.fixture

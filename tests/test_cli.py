@@ -5,13 +5,15 @@ import os
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import wgspec
-from wgspec.cli import build_parser, main
+from wgspec import shapederiv
+from wgspec.cli import _write_report, build_parser, main
 
 
 def run(args):
@@ -304,8 +306,7 @@ def _scaled_check(kind, s):
     with tempfile.TemporaryDirectory() as d:
         sec, cur, out = (os.path.join(d, f) for f in
                          ("sec.json", "cur.json", "check.json"))
-        with open(sec, "w") as f:
-            f.write(full.to_json())
+        _write_report(sec, full)
         assert run(["curve", "--parabola", "--scale", repr(1.0 / s), "--window",
                     repr(2.0 * s), "--n", 2000, "-o", cur]) == 0
         code = run(["check", "--section", sec, "--curve", cur, "--delta", 0.02,
@@ -388,6 +389,10 @@ def _argv_id(argv):
     return " ".join(str(a) for a in argv)
 
 
+# the fields of a section and of a curve report that check reads
+_SECTION = {"lambda2": 10, "X_boundary": [1, 1], "b": 1}
+_CURVE = {"kappa_sup": 2, "kappa_l1": 3, "Y": [3, 0]}
+
 # malformed input and a fragment of its error message
 _MALFORMED = [
     (["shapederiv", "--w", 0, 0], "--w must be a nonzero"),
@@ -416,6 +421,22 @@ _MALFORMED = [
     # warnings and then an unrelated error line
     (["curve", "--sbend", "--window", "1e308"], "no finite grid step"),
     (["curve", "--parabola", "--window", "1e160"], "|gamma'| = inf"),
+    # check inputs outside the theorem's hypotheses, which must not give a
+    # verdict: a right-hand side that is negative, zero or NaN
+    (["check", "--section", _SECTION, "--curve", _CURVE, "--delta", -0.02],
+     "error: delta must be positive and finite, got -0.02\n"),
+    (["check", "--section", _SECTION, "--curve", _CURVE, "--delta", 0],
+     "error: delta must be positive and finite, got 0.0\n"),
+    (["check", "--section", _SECTION, "--curve", _CURVE, "--delta", "nan"],
+     "error: delta must be positive and finite, got nan\n"),
+    (["check", "--section", {**_SECTION, "lambda2": 0}, "--curve", _CURVE,
+      "--delta", 0.02], "error: lambda2 must be positive and finite, got 0.0\n"),
+    (["check", "--section", _SECTION, "--curve", {**_CURVE, "kappa_l1": -5},
+      "--delta", 0.02],
+     "error: kappa_l1 must be nonnegative and finite, got -5.0\n"),
+    (["check", "--section", _SECTION, "--curve", {**_CURVE, "kappa_sup": -2},
+      "--delta", 0.02],
+     "error: kappa_sup must be nonnegative and finite, got -2.0\n"),
     (["sweep", "--radii", "0.2:0.5:0"], "--radii needs"),
     (["sweep", "--radii", "0.2:0.5:-0.1"], "--radii needs"),
     (["sweep", "--radii", "0.5:0.2:0.1"], "--radii needs"),
@@ -541,6 +562,39 @@ class TestExitCodes:
         assert run(argv + ["-o", out]) == code
         assert capsys.readouterr().err == ""
         assert out.exists()
+
+
+class TestSweepRadii:
+    """sweep --radii LO:HI:STEP meshes LO + k STEP for k = 0, 1, ... up to
+    HI; the radii are read where cmd_sweep hands them to bump_sweep."""
+
+    @staticmethod
+    def _radii(argv):
+        seen = []
+
+        def sweep(ell, L, side, center, radii, **kwargs):
+            seen.extend(radii)
+            return []
+
+        with mock.patch.object(shapederiv, "bump_sweep", sweep):
+            run(["sweep", *argv, "-o", os.devnull])
+        return seen
+
+    @settings(max_examples=100, deadline=None)
+    @given(lo=st.floats(0.0, 10.0), step=st.floats(1e-3, 1.0),
+           m=st.integers(0, 40), extra=st.floats(0.0, 0.999))
+    @example(lo=0.2, step=0.1, m=1, extra=0.6)  # 0.2:0.36:0.1
+    def test_grid(self, lo, step, m, extra):
+        hi = lo + (m + extra) * step
+        radii = self._radii(["--radii", f"{lo!r}:{hi!r}:{step!r}"])
+        assert len(radii) == m + 1 and radii[0] == lo
+        assert radii == [lo + k * step for k in range(m + 1)]
+        # rounding is monotone, so lo + m step <= lo + (m + extra) step
+        assert radii[-1] <= hi
+
+    def test_default_radii(self):
+        radii = self._radii([])
+        assert radii == [0.2 + k * 0.05 for k in range(10)] and radii[-1] == 0.65
 
 
 class TestSharedParser:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wgspec import conditions as CN
+from wgspec import conditions as CN, errors
 from wgspec.curves import rotation, theta_star
 from wgspec.errors import InadmissibleGeometryError
 
@@ -217,15 +217,48 @@ class TestLocalization:
         assert (np.diff(vals) < 0).all()
 
 
+# build_report inputs outside the theorem's hypotheses: the changed
+# keyword, and the input that the error names.  The first six are those of
+# the check cases in tests/test_cli.py
+_OUTSIDE = [
+    ({"delta": -0.02}, "delta must be positive"),
+    ({"delta": 0.0}, "delta must be positive"),
+    ({"delta": math.nan}, "delta must be positive"),
+    ({"lambda2": 0.0}, "lambda2 must be positive"),
+    ({"kappa_l1": -5.0}, "kappa_l1 must be nonnegative"),
+    ({"kappa_sup": -2.0}, "kappa_sup must be nonnegative"),
+    ({"delta": math.inf}, "delta must be positive and finite"),
+    ({"lambda2": math.inf}, "lambda2 must be positive and finite"),
+    ({"b": 0.0}, "b must be positive"),
+    ({"kappa_l1": math.nan}, "kappa_l1 must be nonnegative"),
+    ({"twist_dev_sup": -1.0}, "twist_dev_sup must be nonnegative"),
+    ({"X": (math.nan, 1.0)}, "X must be finite"),
+    ({"Y": (math.inf, 0.0)}, "Y must be finite"),
+    ({"theta": math.nan}, "theta must be finite"),
+]
+
+
 class TestBuildReport:
-    def test_full_report_json(self):
+    @pytest.mark.parametrize("change, message", _OUTSIDE,
+                             ids=[f"{k}={v}" for c, _ in _OUTSIDE
+                                  for k, v in c.items()])
+    def test_outside_hypotheses_raise(self, change, message):
+        kwargs = dict(X=(1, 1), Y=(math.pi, 0), lambda2=math.pi**2, b=1.0,
+                      kappa_sup=2.0, kappa_l1=math.pi, delta=0.02)
+        with pytest.raises(errors.OutsideHypothesesError, match=message):
+            CN.build_report(**{**kwargs, **change})
+
+    def test_full_report_json(self, report_json):
         import json
 
         rep = CN.build_report(
             X=(1, 1), Y=(math.pi, 0), lambda2=math.pi**2, b=1.0,
             kappa_sup=2.0, kappa_l1=math.pi, delta=0.02,
         )
-        d = json.loads(rep.to_json())
+        d = json.loads(report_json(rep))
+        assert list(d) == ["a0", "trapped", "delta_star", "s_bound",
+                           "localization", "trial", "inputs"]
+        assert d["trial"] is None
         assert d["trapped"]["holds"]
         assert abs(d["delta_star"] - 0.03342753569613838) < 1e-12
         assert d["localization"]["interval"] is not None

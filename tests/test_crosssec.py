@@ -71,10 +71,14 @@ class TestAnalyze:
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert (orders >= 1.5).all()
 
-    def test_json(self, triangle64):
-        d = json.loads(triangle64.to_json())
+    def test_json(self, triangle64, report_json):
+        d = json.loads(report_json(triangle64))
         assert d["simple"] is True
         assert len(d["X_boundary"]) == 2
+        # the fields in declaration order, less the eigenvector psi
+        assert list(d) == ["lambda2", "lambda3", "simple", "gap_ratio",
+                           "discretization_error", "X_boundary", "b", "origin",
+                           "mesh_stats", "warnings"]
 
 
 def _estimate_mesh(kind, n, gap):
@@ -109,13 +113,13 @@ def _analyze_joined(mesh, **kwargs):
 
 class TestErrorEstimate:
     @pytest.mark.parametrize("kind, n, gap", _ESTIMATE_CASES)
-    def test_enclosure_leaves_the_fast_report(self, kind, n, gap):
+    def test_enclosure_leaves_the_fast_report(self, kind, n, gap, report_json):
         # the lower bound changes discretization_error and simple only;
         # everything else is bit for bit the report without it
         rep = _analyze_joined(_estimate_mesh(kind, n, gap))
         fast = _analyze_joined(_estimate_mesh(kind, n, gap),
                                estimate_error=False)
-        a, b = json.loads(rep.to_json()), json.loads(fast.to_json())
+        a, b = json.loads(report_json(rep)), json.loads(report_json(fast))
         assert fast.discretization_error == 0.0 < rep.discretization_error
         for key in ("discretization_error", "simple", "warnings"):
             del a[key], b[key]

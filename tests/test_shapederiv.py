@@ -294,13 +294,13 @@ class TestFdCheck:
         mesh = M.gen_rectangle(8, 1, 256, 32)
         return mesh, top_bump(mesh, 3.0)
 
-    def test_repeat_is_bit_identical(self, bump_8x1):
+    def test_repeat_is_bit_identical(self, bump_8x1, report_json):
         # twice on one mesh: the first run leaves nothing on it that the
         # second reads
         _, V = bump_8x1
         fresh = M.gen_rectangle(8, 1, 256, 32)
         a, b = (SD.fd_check(m, V, np.array([1.0, 0.0])) for m in (fresh, fresh))
-        assert a.to_json() == b.to_json()
+        assert report_json(a) == report_json(b)
 
     @settings(max_examples=6, deadline=None)
     @given(kind=st.sampled_from(["rect", "polygon"]), ell=st.floats(1.5, 4.0),
